@@ -1,0 +1,14 @@
+"""Make the benchmark modules and the program importable in-process.
+
+Run from the repository root with ``python3 -m pytest perfbench/tests``.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent, HERE.parent.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
