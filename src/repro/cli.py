@@ -6,7 +6,6 @@ Subcommands::
                  [--no-fastpath] [--resume] [--fail-fast]
                  [--check-invariants] [--obs [P]]
                  [--trace-plane | --no-trace-plane]
-                 [--stream | --no-stream]
                                        reproduce paper figures (default all)
     jmmw characterize WORKLOAD [-p N] [--runs R] [--jobs N] ...
                                        one-call workload characterization
@@ -92,11 +91,11 @@ def _figure_ids() -> dict[str, str]:
 
 def _apply_env_flags(args: argparse.Namespace) -> None:
     """Apply ``--no-fastpath`` / ``--check-invariants`` / ``--obs`` /
-    ``--[no-]trace-plane`` / ``--[no-]stream``.
+    ``--[no-]trace-plane``.
 
     All are selected through the environment so worker processes
     inherit them (regardless of start method), and the cache keys
-    record the fastpath/invariant/plane/stream choices.
+    record the fastpath/invariant/plane choices.
     """
     if getattr(args, "no_fastpath", False):
         from repro.memsys.fastpath import FASTPATH_ENV
@@ -106,10 +105,6 @@ def _apply_env_flags(args: argparse.Namespace) -> None:
         from repro.harness.traceplane import TRACE_PLANE_ENV
 
         os.environ[TRACE_PLANE_ENV] = "1" if args.trace_plane else "0"
-    if getattr(args, "stream", None) is not None:
-        from repro.memsys.stream import STREAM_ENV
-
-        os.environ[STREAM_ENV] = "1" if args.stream else "0"
     if getattr(args, "check_invariants", False):
         from repro.memsys.invariants import CHECK_ENV
 
@@ -658,12 +653,6 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
         "results are bit-identical); same as JMMW_TRACE_PLANE=1/0",
     )
     parser.add_argument(
-        "--stream", action=argparse.BooleanOptionalAction, default=None,
-        help="replay traces as bounded chunk streams with carried "
-        "state instead of materializing them (default on; results "
-        "are bit-identical); same as JMMW_STREAM=1/0",
-    )
-    parser.add_argument(
         "--resume", action="store_true",
         help="continue an interrupted campaign from its manifest; "
         "completed tasks are served back bit-identically",
@@ -741,10 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-fastpath", action="store_true", help=argparse.SUPPRESS
     )
-    bench.add_argument(
-        "--stream", action=argparse.BooleanOptionalAction, default=None,
-        help=argparse.SUPPRESS,
-    )
     bench.set_defaults(fn=cmd_bench, obs=None, check_invariants=False)
 
     diffcheck = sub.add_parser(
@@ -762,10 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diffcheck.add_argument(
         "--no-fastpath", action="store_true", help=argparse.SUPPRESS
-    )
-    diffcheck.add_argument(
-        "--stream", action=argparse.BooleanOptionalAction, default=None,
-        help=argparse.SUPPRESS,
     )
     diffcheck.set_defaults(fn=cmd_diffcheck, obs=None, check_invariants=False)
 
@@ -839,10 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write a JSONL campaign event trace to PATH")
     run.add_argument(
         "--no-fastpath", action="store_true", help=argparse.SUPPRESS
-    )
-    run.add_argument(
-        "--stream", action=argparse.BooleanOptionalAction, default=None,
-        help=argparse.SUPPRESS,
     )
     run.add_argument(
         "--obs", nargs="?", const="", default=None, metavar="PATH",

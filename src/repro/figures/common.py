@@ -130,13 +130,7 @@ def figure_trace(name: str, scale: int | None, n_procs: int, sim: SimConfig):
     return spec.generate()
 
 
-def figure_trace_chunks(
-    name: str,
-    scale: int | None,
-    n_procs: int,
-    sim: SimConfig,
-    chunk_refs: int | None = None,
-):
+def figure_trace_chunks(name: str, scale: int | None, n_procs: int, sim: SimConfig):
     """One workload trace as a chunked :class:`TraceStream`.
 
     The streaming counterpart of :func:`figure_trace`: plane-resolved
@@ -152,11 +146,9 @@ def figure_trace_chunks(
     spec = TraceSpec(workload=name, scale=scale, n_procs=n_procs, sim=sim)
     bundle = resolve(spec)
     if bundle is not None:
-        return TraceStream.from_bundle(bundle, chunk_refs=chunk_refs)
+        return TraceStream.from_bundle(bundle)
     workload = make_workload(name, scale=scale)
-    return TraceStream.from_workload(
-        workload, n_procs, sim, RngFactory(seed=sim.seed), chunk_refs=chunk_refs
-    )
+    return TraceStream.from_workload(workload, n_procs, sim, RngFactory(seed=sim.seed))
 
 
 def simulate_multiprocessor(

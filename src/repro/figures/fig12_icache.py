@@ -11,14 +11,8 @@ from __future__ import annotations
 
 from repro.analysis.curves import MissCurve
 from repro.core.config import SimConfig
-from repro.figures.common import (
-    FIGURE_SIM,
-    FigureResult,
-    figure_trace,
-    figure_trace_chunks,
-)
-from repro.memsys.multisim import simulate_miss_curve
-from repro.memsys.stream import simulate_miss_curve_stream, stream_enabled
+from repro.figures.common import FIGURE_SIM, FigureResult, figure_trace_chunks
+from repro.memsys.stream import simulate_miss_curve_stream
 from repro.units import kb, mb
 
 #: The paper's x axis (Figures 12/13).
@@ -63,39 +57,26 @@ def curves(
 ) -> dict[str, MissCurve]:
     """Miss curves for every configuration, one trace each.
 
-    ``fastpath`` is forwarded to
-    :func:`repro.memsys.multisim.simulate_miss_curve`; both replay
-    paths produce bit-identical curves.  When streaming is on
-    (:func:`repro.memsys.stream.stream_enabled`, the default) each
-    trace is replayed chunk-by-chunk with carried state instead of
-    materializing — the curves are bit-identical either way.
+    Each trace is replayed chunk by chunk
+    (:func:`repro.figures.common.figure_trace_chunks`) through
+    :func:`repro.memsys.stream.simulate_miss_curve_stream`;
+    ``fastpath`` is forwarded to it, and both replay paths produce
+    bit-identical curves.
     """
     out = {}
     for label, name, scale in CONFIGS:
         config = _sweep_sim(sim, scale)
-        if stream_enabled():
-            stream = figure_trace_chunks(name, scale, 1, config)
-            points = simulate_miss_curve_stream(
-                stream.chunks_merged(),
-                stream.total_refs,
-                CACHE_SIZES,
-                kind=kind,
-                assoc=4,
-                block=64,
-                warmup_fraction=config.warmup_fraction,
-                fastpath=fastpath,
-            )
-        else:
-            bundle = figure_trace(name, scale, 1, config)
-            points = simulate_miss_curve(
-                bundle.merged(),
-                CACHE_SIZES,
-                kind=kind,
-                assoc=4,
-                block=64,
-                warmup_fraction=config.warmup_fraction,
-                fastpath=fastpath,
-            )
+        stream = figure_trace_chunks(name, scale, 1, config)
+        points = simulate_miss_curve_stream(
+            stream.chunks_merged(),
+            stream.total_refs,
+            CACHE_SIZES,
+            kind=kind,
+            assoc=4,
+            block=64,
+            warmup_fraction=config.warmup_fraction,
+            fastpath=fastpath,
+        )
         out[label] = MissCurve.from_points(label, points)
     return out
 

@@ -47,13 +47,10 @@ def figure_cache_key(
     trace plane is recorded for the same reason — plane-on and
     plane-off results are bit-identical by contract, and distinct
     cache entries keep a parity bug from hiding behind the cache.
-    The ``streamed`` bit records whether chunked-stream replay
-    (:mod:`repro.memsys.stream`) is on, for the same reason again.
     """
     from repro.memsys.fastpath import fastpath_enabled
     from repro.memsys.fastpath_coherence import kernel_available
     from repro.memsys.invariants import checking_enabled
-    from repro.memsys.stream import stream_enabled
 
     # ``coherent`` is the resolved "will hierarchy replay use the
     # compiled kernel" bit: fastpath on *and* a kernel built.  Same
@@ -68,7 +65,6 @@ def figure_cache_key(
         coherent=fastpath and kernel_available(),
         checked=checking_enabled(),
         plane=bool(plane),
-        streamed=stream_enabled(),
     )
 
 
@@ -304,7 +300,6 @@ def figures_campaign_signature(
     from repro.memsys.fastpath import fastpath_enabled
     from repro.memsys.fastpath_coherence import kernel_available
     from repro.memsys.invariants import checking_enabled
-    from repro.memsys.stream import stream_enabled
 
     fastpath = fastpath_enabled()
     return content_key(
@@ -315,7 +310,6 @@ def figures_campaign_signature(
         coherent=fastpath and kernel_available(),
         checked=checking_enabled(),
         plane=bool(plane),
-        streamed=stream_enabled(),
     )
 
 

@@ -31,9 +31,11 @@ Two kernels:
     inside it, and the nested-interval counts are per-element inversion
     counts, computed by a vectorized bottom-up mergesort.
 
-Both kernels are O(n log n) in numpy primitives; ``benchmarks/
-test_fastpath_speedup.py`` gates the replay at >= 3x over the scalar
-path on a Figure-12-sized trace.
+Both kernels are O(n log n) in numpy primitives.  The Figure 12/13
+sweep built on ``lru_miss_mask`` is
+:class:`repro.memsys.stream.MissCurveAccumulator`;
+``benchmarks/test_fastpath_speedup.py`` gates it at >= 3x over the
+scalar path on a Figure-12-sized trace.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import numpy as np
 from repro import obs as _obs
 from repro.errors import ConfigError
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH
-from repro.memsys.config import CacheConfig
 
 #: Environment switch: set to ``0``/``false`` to make every default-path
 #: consumer (figure drivers, profiler) fall back to the scalar reference
@@ -297,100 +298,6 @@ def lru_miss_mask(
     miss = np.empty(n, dtype=bool)
     miss[order] = miss_sorted
     return miss
-
-
-@dataclass(frozen=True)
-class ReplayCounters:
-    """Access/miss totals for one cache geometry over one replay."""
-
-    config: CacheConfig
-    accesses: int
-    misses: int
-    warm_accesses: int
-    warm_misses: int
-
-
-def replay_counters(
-    classified: ClassifiedTrace,
-    configs: list[CacheConfig],
-    split: int = 0,
-) -> list[ReplayCounters]:
-    """Replay one reference class through many geometries, vectorized.
-
-    ``split`` is an index into the *original* trace; counters before it
-    are reported separately (the warmup window of
-    :func:`repro.memsys.multisim.simulate_miss_curve`).
-
-    Consecutive same-block accesses are collapsed first (they are
-    guaranteed hits at any associativity >= 1 and do not change any
-    other access's distinct-block window); each distinct block size
-    shares one reuse analysis across its geometries.
-    """
-    n_class = int(classified.addrs.size)
-    split_class = classified.class_count_before(split)
-
-    by_block_bits: dict[int, list[int]] = {}
-    for i, cfg in enumerate(configs):
-        by_block_bits.setdefault(cfg.block_bits, []).append(i)
-
-    out: list[ReplayCounters | None] = [None] * len(configs)
-    for block_bits, indices in by_block_bits.items():
-        blocks = classified.addrs >> np.uint64(block_bits)
-        # Collapse consecutive same-block accesses: guaranteed hits at
-        # any associativity, and invisible to every other access's
-        # distinct-block window.
-        keep = np.empty(n_class, dtype=bool)
-        if n_class:
-            keep[0] = True
-            keep[1:] = blocks[1:] != blocks[:-1]
-            kept = blocks[keep]
-            kept_pos = np.flatnonzero(keep)
-            kept_before_split = int(np.searchsorted(kept_pos, split_class, side="left"))
-        else:
-            kept = blocks
-            kept_before_split = 0
-        prev = _previous_occurrence(kept)
-        for i in indices:
-            cfg = configs[i]
-            miss = lru_miss_mask(kept, cfg.set_mask, cfg.assoc, prev=prev)
-            out[i] = ReplayCounters(
-                config=cfg,
-                accesses=n_class,
-                misses=int(np.count_nonzero(miss)),
-                warm_accesses=split_class,
-                warm_misses=int(np.count_nonzero(miss[:kept_before_split])),
-            )
-    return out
-
-
-def miss_curve_points(trace, configs: list[CacheConfig], kind: str, split: int = 0):
-    """Vectorized equivalent of the scalar warmup-split miss sweep.
-
-    Returns ``MissCurvePoint`` objects bit-identical to replaying
-    ``trace[:split]``, snapshotting, then replaying ``trace[split:]``
-    through :class:`repro.memsys.multisim.MultiConfigSimulator`: the
-    scalar simulator is deterministic, so post-warmup counters equal
-    full-trace counters minus the prefix's.
-    """
-    from repro.memsys.multisim import MissCurvePoint
-
-    classified = classify_trace(trace, kind)
-    counters = replay_counters(classified, configs, split=split)
-    instr = classified.instructions - classified.instructions_before(split)
-    points = []
-    for counter in counters:
-        accesses = counter.accesses - counter.warm_accesses
-        misses = counter.misses - counter.warm_misses
-        mpki = 1000.0 * misses / instr if instr else 0.0
-        points.append(
-            MissCurvePoint(
-                size=counter.config.size,
-                accesses=accesses,
-                misses=misses,
-                mpki=mpki,
-            )
-        )
-    return points
 
 
 # -- kernel 2: full LRU stack distances ----------------------------------

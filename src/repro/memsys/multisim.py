@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import obs as _obs
-from repro.memsys.config import CacheConfig
 from repro.errors import ConfigError, InvariantViolation, SimulationError
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH, STORE
 from repro.memsys.cache import SetAssociativeCache
+from repro.memsys.config import CacheConfig
 
 
 @dataclass
@@ -192,33 +191,17 @@ def simulate_miss_curve(
     Mirrors the paper's sweep setup: split caches, 4-way set
     associative, 64-byte blocks (Section 5.1).
 
-    ``fastpath`` selects the vectorized replay kernels
-    (:mod:`repro.memsys.fastpath`); the default (``None``) follows
-    :func:`repro.memsys.fastpath.fastpath_enabled`.  Both paths produce
-    bit-identical points (enforced by ``tests/memsys/test_fastpath.py``);
-    ``fastpath=False`` is the scalar reference implementation.
+    The trace is replayed as a one-chunk stream through
+    :func:`repro.memsys.stream.simulate_miss_curve_stream`, so the
+    vectorized sweep and the scalar reference (``fastpath=False``)
+    each exist once; both produce bit-identical points (enforced by
+    ``tests/memsys/test_fastpath.py``).
     """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigError("warmup_fraction must be in [0, 1)")
-    from repro.memsys import fastpath as _fastpath
+    from repro.memsys.fastpath import as_ref_array
+    from repro.memsys.stream import simulate_miss_curve_stream
 
-    configs = [
-        CacheConfig(size=s, assoc=assoc, block=block, name=f"{kind}-{s}")
-        for s in sizes
-    ]
-    split = int(len(trace) * warmup_fraction)
-    use_fast = _fastpath.fastpath_enabled() if fastpath is None else fastpath
-    with _obs.span(
-        "memsys/miss_curve",
-        kind=kind, points=len(sizes), refs=len(trace), fastpath=use_fast,
-    ):
-        if use_fast:
-            return _fastpath.miss_curve_points(trace, configs, kind, split=split)
-        _obs.incr("memsys/multisim/scalar_replays")
-        sim = MultiConfigSimulator(
-            configs, kind=kind, warmup_fraction=warmup_fraction
-        )
-        sim.replay(trace[:split])
-        sim.mark_warm()
-        sim.replay(trace[split:])
-        return sim.results()
+    refs = as_ref_array(trace)
+    return simulate_miss_curve_stream(
+        [refs], int(refs.size), sizes, kind=kind, assoc=assoc, block=block,
+        warmup_fraction=warmup_fraction, fastpath=fastpath,
+    )

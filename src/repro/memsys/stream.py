@@ -1,9 +1,8 @@
 """Chunked trace streams: constant-memory generation and replay.
 
-Every replay consumer in this package historically required the whole
-trace materialized as one ``uint64`` array per processor.  That bounds
-scenario size by memory and forces generation to finish before replay
-starts.  This module introduces the streaming plane:
+Traces move through replay as per-processor iterators of fixed-size
+``uint64`` chunks, so scenario size is not bounded by memory and
+replay can start before generation finishes:
 
 - :class:`TraceStream` — per-processor iterators of fixed-size
   ``uint64`` chunks plus *declared* lengths, built from a materialized
@@ -15,29 +14,29 @@ starts.  This module introduces the streaming plane:
   boundaries either by the persistent compiled-kernel machine
   (:class:`repro.memsys.fastpath_coherence.KernelSession`) or simply by
   the live Python hierarchy;
-- :class:`MissCurveAccumulator` — the vectorized miss-curve sweep
-  reformulated with explicit carried state: per-(geometry, set) LRU
-  contents are extracted after each chunk
-  (:func:`lru_carried_state`) and replayed as a synthetic prefix in
-  front of the next chunk, which reproduces every per-access miss flag
-  exactly (Mattson inclusion: a block's hit/miss depends only on the
-  distinct same-set blocks since its previous access, and the carried
-  prefix preserves both membership and recency order);
+- :class:`MissCurveAccumulator` — the vectorized miss-curve sweep, and
+  the only one: a materialized trace is replayed as a one-chunk stream
+  (:func:`repro.memsys.multisim.simulate_miss_curve`).  When more
+  references follow a chunk, every geometry's resident blocks are
+  extracted as one recency-ordered prefix per block size
+  (:func:`lru_carried_state`) and replayed in front of the next chunk,
+  which reproduces every per-access miss flag exactly (Mattson
+  inclusion: a block's hit/miss depends only on the distinct same-set
+  blocks since its previous access, and the carried prefix preserves
+  both membership and recency order);
 - :class:`StackAccumulator` — the mergeable stack-distance
   formulation: the carried state is the full LRU stack (distinct
   blocks in last-access order, O(footprint) not O(refs)), and
   per-chunk histograms merge by addition into the exact one-shot
   histogram.
 
-Everything here is bit-identical to the materialized path — enforced
-by ``tests/memsys/test_stream_parity.py`` and the ``stream`` rows of
-:data:`repro.obs.diffcheck.FIGURE_DIFF_CONFIGS` — and falls back to it
-via ``stream=False`` / ``--no-stream`` / ``JMMW_STREAM=0``.
+Results do not depend on where chunk boundaries fall — enforced by
+``tests/memsys/test_stream_parity.py`` and the ``stream`` rows of
+:data:`repro.obs.diffcheck.FIGURE_DIFF_CONFIGS`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,44 +45,16 @@ from repro import obs as _obs
 from repro.errors import ConfigError, SimulationError
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH
 from repro.memsys.config import CacheConfig
-from repro.memsys.fastpath import fastpath_enabled, lru_miss_mask, stack_distances
+from repro.memsys.fastpath import (
+    _previous_occurrence,
+    fastpath_enabled,
+    lru_miss_mask,
+    stack_distances,
+)
+from repro.memsys.multisim import MissCurvePoint, MultiConfigSimulator
 
-#: Environment switch: set to ``0``/``false`` to make every
-#: stream-aware consumer (figure drivers, sweeps) take the materialized
-#: path.  The harness cache key records the resolved value.
-STREAM_ENV = "JMMW_STREAM"
-
-#: Environment override for the default chunk size, in references.
-CHUNK_ENV = "JMMW_STREAM_CHUNK"
-
-#: Default chunk size: 1 M references (8 MB per chunk).
+#: Chunk size: 1 M references (8 MB per chunk).
 DEFAULT_CHUNK_REFS = 1_000_000
-
-_forced: bool | None = None
-
-
-def set_stream(enabled: bool | None) -> None:
-    """Process-wide override (CLI ``--stream``/``--no-stream``)."""
-    global _forced
-    _forced = enabled
-
-
-def stream_enabled() -> bool:
-    """Whether stream-aware consumers replay chunked traces."""
-    if _forced is not None:
-        return _forced
-    return os.environ.get(STREAM_ENV, "1").lower() not in ("0", "false", "no")
-
-
-def stream_chunk_refs() -> int:
-    """Chunk size in references (``JMMW_STREAM_CHUNK``, min 1)."""
-    raw = os.environ.get(CHUNK_ENV, "").strip()
-    if not raw:
-        return DEFAULT_CHUNK_REFS
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_CHUNK_REFS
 
 
 #: Seeded-defect knob (tests only): when set, the streaming
@@ -217,18 +188,17 @@ class TraceStream:
     def from_arrays(
         cls,
         per_cpu: Sequence[np.ndarray],
-        chunk_refs: int | None = None,
+        chunk_refs: int = DEFAULT_CHUNK_REFS,
         workload: str = "",
     ) -> "TraceStream":
         """Chunked views over already-materialized per-CPU arrays."""
-        chunk = chunk_refs if chunk_refs is not None else stream_chunk_refs()
-        if chunk < 1:
+        if chunk_refs < 1:
             raise ConfigError("chunk_refs must be >= 1")
         arrays = [np.asarray(t, dtype=np.uint64) for t in per_cpu]
 
         def views(arr: np.ndarray) -> Iterator[np.ndarray]:
-            for start in range(0, int(arr.size), chunk):
-                yield arr[start : start + chunk]
+            for start in range(0, int(arr.size), chunk_refs):
+                yield arr[start : start + chunk_refs]
 
         return cls(
             [int(a.size) for a in arrays],
@@ -238,7 +208,7 @@ class TraceStream:
 
     @classmethod
     def from_bundle(
-        cls, bundle, chunk_refs: int | None = None
+        cls, bundle, chunk_refs: int = DEFAULT_CHUNK_REFS
     ) -> "TraceStream":
         """Chunked views over a :class:`~repro.workloads.base.TraceBundle`."""
         return cls.from_arrays(
@@ -247,11 +217,15 @@ class TraceStream:
 
     @classmethod
     def from_workload(
-        cls, workload, n_procs: int, sim, rng_factory, chunk_refs: int | None = None
+        cls,
+        workload,
+        n_procs: int,
+        sim,
+        rng_factory,
+        chunk_refs: int = DEFAULT_CHUNK_REFS,
     ) -> "TraceStream":
         """Chunked *generation*: no full trace ever materializes."""
-        chunk = chunk_refs if chunk_refs is not None else stream_chunk_refs()
-        chunked = workload.generate_chunks(n_procs, sim, rng_factory, chunk)
+        chunked = workload.generate_chunks(n_procs, sim, rng_factory, chunk_refs)
         return cls(chunked.lengths, chunked.per_cpu, workload=workload.name)
 
 
@@ -260,23 +234,32 @@ class TraceStream:
 
 def lru_carried_state(
     blocks: np.ndarray,
-    set_mask: int,
-    assoc: int,
+    set_mask,
+    assoc,
     prefix: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact post-replay cache contents, as a synthetic access prefix.
 
-    Returns, for the true-LRU cache defined by ``(set_mask, assoc)``
-    after replaying ``prefix`` (the previous carried state) followed by
-    ``blocks``, every resident block — per set the ``assoc`` most
-    recently used distinct blocks — ordered set-by-set from LRU to MRU.
+    ``set_mask`` and ``assoc`` describe one true-LRU geometry, or are
+    equal-length sequences describing several geometries that share a
+    block size.  After replaying ``prefix`` (the previous carried
+    state) followed by ``blocks``, a geometry's resident blocks are,
+    per set, the ``assoc`` most recently used distinct blocks; the
+    result holds every geometry's resident blocks, each once, from
+    least to most recently used.
+
     Replaying the result in front of the next chunk reconstructs each
-    set's exact membership *and* recency order, so
+    geometry's exact per-set membership *and* recency order, so
     :func:`repro.memsys.fastpath.lru_miss_mask` over
-    ``concat(carried, chunk)`` produces the chunk's exact miss flags
-    (cross-set interleaving is irrelevant: LRU state is per set).
+    ``concat(carried, chunk)`` produces the chunk's exact miss flags.
+    A block kept only for another geometry is older than every block
+    resident in its set here, so it falls out before the chunk starts.
     """
-    if assoc <= 0:
+    masks = np.atleast_1d(np.asarray(set_mask, dtype=np.uint64))
+    ways = np.atleast_1d(np.asarray(assoc, dtype=np.int64))
+    if masks.shape != ways.shape or masks.ndim != 1:
+        raise ConfigError("set_mask and assoc must describe the same geometries")
+    if (ways <= 0).any():
         raise ConfigError(f"assoc must be positive, got {assoc}")
     blocks = np.asarray(blocks, dtype=np.uint64)
     if prefix is not None and prefix.size:
@@ -290,38 +273,43 @@ def lru_carried_state(
     rev = seq[::-1]
     _, first = np.unique(rev, return_index=True)
     recent = rev[np.sort(first)]
-    sets = (recent & np.uint64(set_mask)).astype(np.int64)
-    order = np.argsort(sets, kind="stable")  # per set, still recency order
-    sorted_sets = sets[order]
     k = int(recent.size)
     arange = np.arange(k, dtype=np.int64)
+    resident = np.zeros(k, dtype=bool)
     new_group = np.empty(k, dtype=bool)
     new_group[0] = True
-    new_group[1:] = sorted_sets[1:] != sorted_sets[:-1]
-    group_start = np.maximum.accumulate(np.where(new_group, arange, 0))
-    rank = arange - group_start  # 0 = most recently used within its set
-    keep = rank < assoc
-    kept_recent = recent[order][keep]
-    kept_rank = rank[keep]
-    kept_sets = sorted_sets[keep]
-    # Emit LRU -> MRU per set (highest rank first), so replaying the
-    # prefix in order restores the recency stack exactly.
-    return kept_recent[np.lexsort((-kept_rank, kept_sets))]
+    for mask, way in zip(masks, ways.tolist()):
+        sets = recent & mask
+        order = np.argsort(sets, kind="stable")  # per set, still recency order
+        sorted_sets = sets[order]
+        new_group[1:] = sorted_sets[1:] != sorted_sets[:-1]
+        group_start = np.maximum.accumulate(np.where(new_group, arange, 0))
+        rank = arange - group_start  # 0 = most recently used within its set
+        resident[order[rank < way]] = True
+    return recent[resident][::-1]
 
 
 # -- streaming miss curves ---------------------------------------------------
 
 
 class MissCurveAccumulator:
-    """Streaming, carried-state equivalent of
-    :func:`repro.memsys.fastpath.miss_curve_points`.
+    """The vectorized miss-curve sweep over a chunked trace.
 
     Feed packed-``uint64`` chunks in trace order; :meth:`points`
-    returns miss-curve points bit-identical to the one-shot vectorized
-    sweep (and therefore to the scalar reference).  Warm/measured
-    accounting follows the global warmup split computed from the
-    *declared* total, so the split lands on the same reference
+    returns miss-curve points bit-identical to the scalar reference
+    (:class:`repro.memsys.multisim.MultiConfigSimulator`).  Warm and
+    measured accounting follows the global warmup split computed from
+    the *declared* total, so the split lands on the same reference
     regardless of chunking.
+
+    Per chunk, each block size gets one replay sequence: the carried
+    prefix (if any) then the chunk's blocks, with same-block runs
+    collapsed (a repeat of the block just accessed hits at any
+    associativity and does not change any other access's
+    distinct-block window).  One reuse analysis of that sequence is
+    shared by every geometry of the block size.  The carried prefix is
+    built only while the declared length says more references follow,
+    so a one-chunk stream never pays for it.
     """
 
     def __init__(
@@ -346,10 +334,11 @@ class MissCurveAccumulator:
         self._ifetch_warm = 0
         # accesses, misses, warm_accesses, warm_misses per config.
         self._acc = [[0, 0, 0, 0] for _ in self.configs]
-        self._carried: list[np.ndarray | None] = [None] * len(self.configs)
         self._groups: dict[int, list[int]] = {}
         for i, cfg in enumerate(self.configs):
             self._groups.setdefault(cfg.block_bits, []).append(i)
+        # One carried prefix per block size (see lru_carried_state).
+        self._carried: dict[int, np.ndarray] = {}
 
     def feed(self, chunk: np.ndarray) -> None:
         refs = np.asarray(chunk, dtype=np.uint64)
@@ -368,37 +357,46 @@ class MissCurveAccumulator:
             self._ifetch_warm += int(np.count_nonzero(is_ifetch[:split_local]))
         mask = is_ifetch if self.kind == "instr" else ~is_ifetch
         addrs = (refs >> np.uint64(2))[mask]
-        class_pos = np.flatnonzero(mask)
-        class_before = int(np.searchsorted(class_pos, split_local, side="left"))
+        n_class = int(addrs.size)
+        class_before = int(np.count_nonzero(mask[:split_local]))
+        self.pos += n
+        more = self.pos < self.total_refs
         for block_bits, indices in self._groups.items():
             blocks = addrs >> np.uint64(block_bits)
+            prefix = self._carried.get(block_bits)
+            if prefix is not None and prefix.size:
+                seq = np.concatenate([prefix, blocks])
+                skip = int(prefix.size)
+            else:
+                seq = blocks
+                skip = 0
+            # The prefix holds distinct blocks, so it survives the
+            # collapse whole; the chunk's first access goes only if it
+            # repeats the prefix's most recent block.
+            keep = np.empty(seq.size, dtype=bool)
+            if seq.size:
+                keep[0] = True
+                np.not_equal(seq[1:], seq[:-1], out=keep[1:])
+            kept = seq[keep]
+            kept_before = int(np.count_nonzero(keep[skip : skip + class_before]))
+            prev = _previous_occurrence(kept)
             for i in indices:
                 cfg = self.configs[i]
-                prefix = self._carried[i]
-                if prefix is not None and prefix.size:
-                    seq = np.concatenate([prefix, blocks])
-                    skip = int(prefix.size)
-                else:
-                    seq = blocks
-                    skip = 0
-                miss = lru_miss_mask(seq, cfg.set_mask, cfg.assoc)[skip:]
+                miss = lru_miss_mask(kept, cfg.set_mask, cfg.assoc, prev=prev)[skip:]
                 acc = self._acc[i]
-                acc[0] += int(blocks.size)
+                acc[0] += n_class
                 acc[1] += int(np.count_nonzero(miss))
                 acc[2] += class_before
-                acc[3] += int(np.count_nonzero(miss[:class_before]))
-                if _drop_carried_state:
-                    self._carried[i] = None
-                else:
-                    self._carried[i] = lru_carried_state(
-                        blocks, cfg.set_mask, cfg.assoc, prefix=prefix
-                    )
-        self.pos += n
+                acc[3] += int(np.count_nonzero(miss[:kept_before]))
+            if more and not _drop_carried_state:
+                self._carried[block_bits] = lru_carried_state(
+                    kept,
+                    [self.configs[i].set_mask for i in indices],
+                    [self.configs[i].assoc for i in indices],
+                )
 
-    def points(self):
+    def points(self) -> list[MissCurvePoint]:
         """Post-warmup miss-curve points; the stream must be complete."""
-        from repro.memsys.multisim import MissCurvePoint
-
         if self.pos != self.total_refs:
             raise SimulationError(
                 f"stream incomplete: {self.pos} of {self.total_refs} declared "
@@ -432,22 +430,23 @@ def simulate_miss_curve_stream(
     block: int = 64,
     warmup_fraction: float = 0.2,
     fastpath: bool | None = None,
-):
-    """Streaming equivalent of
-    :func:`repro.memsys.multisim.simulate_miss_curve`.
+) -> list[MissCurvePoint]:
+    """Miss rate (MPKI) at each cache size, from one chunked trace.
 
     ``chunks`` yields the trace in order (e.g.
-    :meth:`TraceStream.chunks_merged`); ``total_refs`` is the declared
-    length, which places the warmup split.  Points are bit-identical to
-    materializing the trace and calling ``simulate_miss_curve`` — on
-    both the vectorized path (carried-LRU-state accumulator) and the
-    scalar reference path (the scalar simulator is already
-    incremental; the split chunk is cut at the exact boundary).
+    :meth:`TraceStream.chunks_merged`, or a single array);
+    ``total_refs`` is the declared length, which places the warmup
+    split.  ``fastpath`` selects the vectorized
+    :class:`MissCurveAccumulator`; the default (``None``) follows
+    :func:`repro.memsys.fastpath.fastpath_enabled`, and ``False`` runs
+    the scalar reference :class:`~repro.memsys.multisim.MultiConfigSimulator`
+    (already incremental; the split chunk is cut at the exact
+    boundary).  Both paths give bit-identical points at any chunking.
     """
+    if not sizes:
+        raise ConfigError("need at least one cache config")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError("warmup_fraction must be in [0, 1)")
-    from repro.memsys.multisim import MultiConfigSimulator
-
     configs = [
         CacheConfig(size=s, assoc=assoc, block=block, name=f"{kind}-{s}")
         for s in sizes
@@ -457,7 +456,6 @@ def simulate_miss_curve_stream(
     with _obs.span(
         "memsys/miss_curve",
         kind=kind, points=len(sizes), refs=total_refs, fastpath=use_fast,
-        streamed=True,
     ):
         if use_fast:
             acc = MissCurveAccumulator(
@@ -543,8 +541,8 @@ class StackAccumulator:
 
 
 def _window_refs(quantum: int) -> int:
-    """Kernel window size: the chunk knob, rounded to quanta."""
-    return max(quantum, (stream_chunk_refs() // quantum) * quantum)
+    """Kernel window size: the chunk size, rounded to quanta."""
+    return max(quantum, (DEFAULT_CHUNK_REFS // quantum) * quantum)
 
 
 def run_trace_stream(

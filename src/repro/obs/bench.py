@@ -293,37 +293,6 @@ def _stage_sweep(sim: SimConfig, plane_on: bool) -> Callable[[], None]:
     return run
 
 
-def _stage_stream_replay(sim: SimConfig) -> Callable[[], None]:
-    """Pipelined generate+replay through the chunk ring.
-
-    A fig12-shaped sweep (several single-CPU specs, a handful of
-    cache sizes) replayed through
-    :func:`repro.harness.chunkring.miss_curve_sweep_stream`: one
-    producer per spec generates chunks into ring slots while the
-    consumer replays with carried state.  Timing this against the
-    sequential stages above is what the ``benchmarks/`` pipelining
-    gate automates; here it guards the streaming plumbing itself
-    against overhead creep.
-    """
-    from repro.figures.fig12_icache import CACHE_SIZES
-    from repro.harness.chunkring import miss_curve_sweep_stream
-    from repro.harness.traceplane import TraceSpec
-
-    specs = [
-        TraceSpec(workload="specjbb", scale=8, n_procs=1, sim=sim),
-        TraceSpec(workload="ecperf", scale=4, n_procs=1, sim=sim),
-    ]
-    chunk = max(1, sim.refs_per_proc // 8)
-
-    def run() -> None:
-        miss_curve_sweep_stream(
-            specs, CACHE_SIZES[:4], "instr",
-            warmup_fraction=sim.warmup_fraction, chunk_refs=chunk,
-        )
-
-    return run
-
-
 def _stage_campaign_scheduler(sim: SimConfig) -> Callable[[], None]:
     """Scheduler overhead: a serial campaign over trivial cells.
 
@@ -412,7 +381,6 @@ SUITE: list[tuple[str, Callable[[SimConfig], Callable[[], None]]]] = [
     ("harness/warm_cache", lambda sim: _stage_harness(sim, warm=True)),
     ("harness/sweep_cold", lambda sim: _stage_sweep(sim, plane_on=False)),
     ("harness/sweep_plane", lambda sim: _stage_sweep(sim, plane_on=True)),
-    ("memsys/stream_replay", _stage_stream_replay),
     ("campaign/scheduler", _stage_campaign_scheduler),
     ("loadplane/closed_loop", _stage_loadplane),
 ]

@@ -25,8 +25,7 @@ counter vectors**, not just miss totals:
   (:func:`diff_stackdist_stream`);
 - :func:`diff_miss_curve_stream` — the chunked carried-state sweep
   (:func:`repro.memsys.stream.simulate_miss_curve_stream`, both
-  replay paths) diffed point-for-point against the materialized
-  sweep;
+  replay paths) diffed point-for-point against the one-chunk sweep;
 - :class:`OracleStoreBuffer` — a store buffer that rescans its whole
   issue history on every store (no deque, no lazy popping), diffed
   per-issue against :class:`repro.memsys.storebuffer.StoreBuffer`;
@@ -263,14 +262,14 @@ def diff_miss_curve_stream(
     chunk_refs: int | None = None,
     name: str = "miss-curve-stream",
 ) -> DiffReport:
-    """Diff streamed miss-curve replay against the materialized sweep.
+    """Diff multi-chunk miss-curve replay against the one-chunk sweep.
 
     Chunks the trace (several boundaries, including ones that land
     inside the warmup window) and runs
     :func:`repro.memsys.stream.simulate_miss_curve_stream` through
     *both* replay paths, comparing every point's complete
     ``(size, accesses, misses, mpki)`` vector against the
-    materialized :func:`repro.memsys.multisim.simulate_miss_curve` —
+    whole-trace :func:`repro.memsys.multisim.simulate_miss_curve` —
     itself validated against the brute-force oracle by
     :func:`diff_miss_curve`.
     """
@@ -306,7 +305,7 @@ def diff_miss_curve_stream(
                         index=i,
                         detail=(
                             f"size {sizes[i]}: streamed {path} {got}, "
-                            f"materialized {want} (chunk={chunk}; vectors "
+                            f"one-chunk {want} (chunk={chunk}; vectors "
                             f"are size/accesses/misses/mpki)"
                         ),
                     ),

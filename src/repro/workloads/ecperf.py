@@ -107,23 +107,13 @@ class EcperfWorkload:
     def generate(
         self, n_procs: int, sim: SimConfig, rng_factory: RngFactory
     ) -> TraceBundle:
-        if n_procs < 1:
-            raise WorkloadError("n_procs must be >= 1")
-        heap = GenerationalHeap(self._heap_layout)
+        builders = self._processor_builders(n_procs, sim, rng_factory)
         server = ApplicationServer.tuned_for(n_procs)
-        registry = ThreadRegistry(n_procs)
         n_threads = n_procs * self.threads_per_proc
-        share = 1.0 / n_threads
-        threads = [registry.spawn(cursor=heap.cursor(share)) for _ in range(n_threads)]
         per_cpu: list[list[int]] = []
         instructions: list[int] = []
-        for cpu in range(n_procs):
-            rng = rng_factory.stream(f"ecperf.cpu{cpu}")
-            builder = StreamBuilder(rng)
-            cpu_threads = [t for t in threads if t.cpu == cpu]
-            prewarm = self._prewarm_refs(cpu_threads)
-            if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
-                builder.refs.extend(prewarm)
+        for builder, cpu_threads in builders:
+            rng = builder.rng
             turn = 0
             while len(builder.refs) < sim.refs_per_proc:
                 thread = cpu_threads[turn % len(cpu_threads)]
@@ -150,41 +140,55 @@ class EcperfWorkload:
     ) -> ChunkedTrace:
         """The :meth:`generate` streams as lazy fixed-size chunks.
 
-        Shares the thread registry, heap cursors, RNG streams, and
-        transaction bodies with the materialized path via
-        :func:`repro.workloads.base.emit_chunked_refs`; each
-        processor's concatenated chunks are bit-identical to
+        Same per-processor set-up as the materialized path
+        (:meth:`_processor_builders`), and the transaction bodies are
+        shared with it via :func:`repro.workloads.base.emit_chunked_refs`;
+        each processor's concatenated chunks are bit-identical to
         ``generate(...).per_cpu[cpu]``, and the per-processor
         iterators may be interleaved (the bean cache's hit bookkeeping
         never feeds back into addresses).
         """
+        n_threads = n_procs * self.threads_per_proc
+        per_cpu = [
+            emit_chunked_refs(
+                builder,
+                sim.refs_per_proc,
+                chunk_refs,
+                self._bbop_emitter(builder, cpu_threads, n_threads),
+            )
+            for builder, cpu_threads in self._processor_builders(
+                n_procs, sim, rng_factory
+            )
+        ]
+        return ChunkedTrace(lengths=[sim.refs_per_proc] * n_procs, per_cpu=per_cpu)
+
+    def _processor_builders(
+        self, n_procs: int, sim: SimConfig, rng_factory: RngFactory
+    ) -> list[tuple[StreamBuilder, list]]:
+        """Per-processor generation state, in processor order.
+
+        Spawns ``threads_per_proc`` worker threads per processor
+        (bound round-robin, each with its own heap cursor) and gives
+        every processor a stream builder on its own RNG stream,
+        pre-seeded with the pre-warm preamble when it fits the warmup
+        window.
+        """
         if n_procs < 1:
             raise WorkloadError("n_procs must be >= 1")
         heap = GenerationalHeap(self._heap_layout)
-        ApplicationServer.tuned_for(n_procs)
         registry = ThreadRegistry(n_procs)
         n_threads = n_procs * self.threads_per_proc
         share = 1.0 / n_threads
         threads = [registry.spawn(cursor=heap.cursor(share)) for _ in range(n_threads)]
-        lengths: list[int] = []
-        per_cpu: list = []
+        out = []
         for cpu in range(n_procs):
-            rng = rng_factory.stream(f"ecperf.cpu{cpu}")
-            builder = StreamBuilder(rng)
+            builder = StreamBuilder(rng_factory.stream(f"ecperf.cpu{cpu}"))
             cpu_threads = [t for t in threads if t.cpu == cpu]
             prewarm = self._prewarm_refs(cpu_threads)
             if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
                 builder.refs.extend(prewarm)
-            per_cpu.append(
-                emit_chunked_refs(
-                    builder,
-                    sim.refs_per_proc,
-                    chunk_refs,
-                    self._bbop_emitter(builder, cpu_threads, n_threads),
-                )
-            )
-            lengths.append(sim.refs_per_proc)
-        return ChunkedTrace(lengths=lengths, per_cpu=per_cpu)
+            out.append((builder, cpu_threads))
+        return out
 
     def _bbop_emitter(self, builder: StreamBuilder, cpu_threads, n_threads: int):
         """One round-robin BBop per call, same RNG draws as the

@@ -107,25 +107,14 @@ class SpecJbbWorkload:
         processor set; each processor's stream interleaves full
         transactions from its threads.
         """
-        if n_procs < 1:
-            raise WorkloadError("n_procs must be >= 1")
-        heap = GenerationalHeap(self._heap_layout)
-        registry = ThreadRegistry(n_procs)
-        share = 1.0 / self.warehouses
-        threads = [registry.spawn(cursor=heap.cursor(share)) for _ in range(self.warehouses)]
         per_cpu: list[list[int]] = []
         instructions: list[int] = []
-        for cpu in range(n_procs):
-            rng = rng_factory.stream(f"specjbb.cpu{cpu}")
-            builder = StreamBuilder(rng)
-            cpu_threads = [t for t in threads if t.cpu == cpu]
+        for builder, cpu_threads in self._processor_builders(n_procs, sim, rng_factory):
             if not cpu_threads:
                 per_cpu.append([])
                 instructions.append(0)
                 continue
-            prewarm = self._prewarm_refs(cpu_threads)
-            if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
-                builder.refs.extend(prewarm)
+            rng = builder.rng
             turn = 0
             while len(builder.refs) < sim.refs_per_proc:
                 thread = cpu_threads[turn % len(cpu_threads)]
@@ -150,33 +139,21 @@ class SpecJbbWorkload:
     ) -> ChunkedTrace:
         """The :meth:`generate` streams as lazy fixed-size chunks.
 
-        Same threads, heap cursors, and per-processor RNG streams as
-        the materialized path; the emission loop is shared with it via
-        :func:`repro.workloads.base.emit_chunked_refs`, so each
-        processor's concatenated chunks are bit-identical to
+        Same per-processor set-up as the materialized path
+        (:meth:`_processor_builders`), and the emission loop is shared
+        with it via :func:`repro.workloads.base.emit_chunked_refs`, so
+        each processor's concatenated chunks are bit-identical to
         ``generate(...).per_cpu[cpu]``.  Per-processor iterators are
         independent (cursor-local allocation, stateless RNG streams)
         and may be interleaved.
         """
-        if n_procs < 1:
-            raise WorkloadError("n_procs must be >= 1")
-        heap = GenerationalHeap(self._heap_layout)
-        registry = ThreadRegistry(n_procs)
-        share = 1.0 / self.warehouses
-        threads = [registry.spawn(cursor=heap.cursor(share)) for _ in range(self.warehouses)]
         lengths: list[int] = []
         per_cpu: list = []
-        for cpu in range(n_procs):
-            rng = rng_factory.stream(f"specjbb.cpu{cpu}")
-            builder = StreamBuilder(rng)
-            cpu_threads = [t for t in threads if t.cpu == cpu]
+        for builder, cpu_threads in self._processor_builders(n_procs, sim, rng_factory):
             if not cpu_threads:
                 lengths.append(0)
                 per_cpu.append(iter(()))
                 continue
-            prewarm = self._prewarm_refs(cpu_threads)
-            if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
-                builder.refs.extend(prewarm)
             per_cpu.append(
                 emit_chunked_refs(
                     builder,
@@ -187,6 +164,34 @@ class SpecJbbWorkload:
             )
             lengths.append(sim.refs_per_proc)
         return ChunkedTrace(lengths=lengths, per_cpu=per_cpu)
+
+    def _processor_builders(
+        self, n_procs: int, sim: SimConfig, rng_factory: RngFactory
+    ) -> list[tuple[StreamBuilder, list]]:
+        """Per-processor generation state, in processor order.
+
+        Spawns one thread per warehouse (bound round-robin, each with
+        its own heap cursor) and gives every processor a stream
+        builder on its own RNG stream, pre-seeded with the pre-warm
+        preamble when it fits the warmup window.  A processor without
+        threads gets an empty thread list and an unseeded builder.
+        """
+        if n_procs < 1:
+            raise WorkloadError("n_procs must be >= 1")
+        heap = GenerationalHeap(self._heap_layout)
+        registry = ThreadRegistry(n_procs)
+        share = 1.0 / self.warehouses
+        threads = [registry.spawn(cursor=heap.cursor(share)) for _ in range(self.warehouses)]
+        out = []
+        for cpu in range(n_procs):
+            builder = StreamBuilder(rng_factory.stream(f"specjbb.cpu{cpu}"))
+            cpu_threads = [t for t in threads if t.cpu == cpu]
+            if cpu_threads:
+                prewarm = self._prewarm_refs(cpu_threads)
+                if len(prewarm) <= 0.8 * sim.warmup_fraction * sim.refs_per_proc:
+                    builder.refs.extend(prewarm)
+            out.append((builder, cpu_threads))
+        return out
 
     def _txn_emitter(self, builder: StreamBuilder, cpu_threads):
         """One round-robin transaction per call, same RNG draws as

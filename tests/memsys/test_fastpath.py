@@ -143,6 +143,10 @@ def test_miss_curve_empty_trace():
     slow = simulate_miss_curve([], [kb(8)], kind="data", warmup_fraction=0.0, fastpath=False)
     assert fast == slow
     assert fast[0].accesses == 0 and fast[0].mpki == 0.0
+    # An empty sweep is rejected the same way on both paths.
+    for path in (True, False):
+        with pytest.raises(ConfigError, match="at least one cache config"):
+            simulate_miss_curve([], [], kind="data", fastpath=path)
 
 
 # -- kernel 2: stack distances --------------------------------------------

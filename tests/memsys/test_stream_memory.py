@@ -1,39 +1,27 @@
-"""Bounded-memory and crash-safety properties of the streaming plane.
+"""Bounded-memory property of the streaming plane.
 
 The point of chunked streaming is that peak memory is a function of
-the *ring* (slots x chunk size), not the *trace*: a billion-reference
-replay must not cost a billion references of RSS.  These tests prove
-the bound empirically with :func:`resource.getrusage` in subprocess
-probes — a trace well past the trace plane's spill threshold replays
-inside a fixed budget, and quadrupling the trace barely moves the
-peak — and prove the crash story: a consumer SIGKILLed mid-chunk
-leaves segments on ``/dev/shm`` only until the next
-:func:`repro.harness.traceplane.sweep_stale`, which reaps them by
-ledger.
+the *chunk*, not the *trace*: a billion-reference replay must not cost
+a billion references of RSS.  This test proves the bound empirically
+with :func:`resource.getrusage` in subprocess probes — a synthetic
+chunk generator feeds :func:`repro.memsys.stream.simulate_miss_curve_stream`
+directly, the replay stays inside a fixed budget, and quadrupling the
+trace barely moves the peak.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import signal
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
 
-#: Ring shape for the probes: 4 slots x 100k refs = ~3.2 MB of ring.
+#: Chunk size for the probes: 100k refs = 0.8 MB per chunk.
 CHUNK_REFS = 100_000
-SLOTS = 4
 
-#: The probe forces a tiny spill threshold so even the short trace is
-#: ">= 2x spill threshold": materializing it through the plane would
-#: spill, streaming it never materializes at all.
-SPILL_BYTES = 1_000_000
-
-#: Reference counts: the short trace is ~16 MB materialized (16x the
-#: spill threshold), the long one 4x that.
+#: Reference counts: the short trace is ~16 MB materialized, the long
+#: one 4x that.
 SHORT_REFS = 2_000_000
 LONG_REFS = 4 * SHORT_REFS
 
@@ -41,12 +29,10 @@ _PROBE = textwrap.dedent(
     """
     import resource, sys
     import numpy as np
-    from repro.harness.chunkring import ChunkRing
     from repro.memsys.stream import simulate_miss_curve_stream
 
     total = int(sys.argv[1])
     chunk_refs = int(sys.argv[2])
-    slots = int(sys.argv[3])
 
     def synthetic_chunks():
         # Deterministic synthetic loads over a 1 MB footprint, built
@@ -57,14 +43,10 @@ _PROBE = textwrap.dedent(
             addrs = (idx * np.uint64(2654435761)) % np.uint64(1 << 20)
             yield (addrs << np.uint64(2)) | np.uint64(1)  # packed LOADs
 
-    ring = ChunkRing(chunk_refs=chunk_refs, slots_per_stream=slots)
-    try:
-        points = simulate_miss_curve_stream(
-            ring.stream_chunks(synthetic_chunks()), total,
-            [64 * 1024, 256 * 1024], kind="data", warmup_fraction=0.5,
-        )
-    finally:
-        ring.close()
+    points = simulate_miss_curve_stream(
+        synthetic_chunks(), total,
+        [64 * 1024, 256 * 1024], kind="data", warmup_fraction=0.5,
+    )
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(peak_kb, sum(p.misses for p in points))
     """
@@ -74,10 +56,8 @@ _PROBE = textwrap.dedent(
 def _probe_rss(total_refs: int) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = "src"
-    env["JMMW_TRACE_PLANE_SPILL"] = str(SPILL_BYTES)
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE,
-         str(total_refs), str(CHUNK_REFS), str(SLOTS)],
+        [sys.executable, "-c", _PROBE, str(total_refs), str(CHUNK_REFS)],
         capture_output=True, text=True, env=env, check=True, timeout=540,
         cwd=str(Path(__file__).resolve().parents[2]),
     )
@@ -90,8 +70,8 @@ def test_peak_rss_bounded_and_independent_of_trace_length():
     short_kb = _probe_rss(SHORT_REFS)
     long_kb = _probe_rss(LONG_REFS)
     # Materializing would add ~16 MB (short) / ~64 MB (long) plus the
-    # classifier's derived arrays; the ring bound is ~3 MB.  Budget:
-    # interpreter + numpy + ring + replay scratch, with headroom.
+    # classifier's derived arrays; a chunk is 0.8 MB.  Budget:
+    # interpreter + numpy + chunk + replay scratch, with headroom.
     budget_kb = 400 * 1024
     assert short_kb < budget_kb, f"short replay peaked at {short_kb} KB"
     assert long_kb < budget_kb, f"long replay peaked at {long_kb} KB"
@@ -99,69 +79,5 @@ def test_peak_rss_bounded_and_independent_of_trace_length():
     # allowance covers allocator noise, not a materialized trace.
     assert long_kb - short_kb < 24 * 1024, (
         f"RSS grew {long_kb - short_kb} KB from {SHORT_REFS} to "
-        f"{LONG_REFS} refs; streaming must be O(ring), not O(trace)"
+        f"{LONG_REFS} refs; streaming must be O(chunk), not O(trace)"
     )
-
-
-_CHAOS = textwrap.dedent(
-    """
-    import json, os, sys
-    import numpy as np
-    from repro.harness.chunkring import ChunkRing
-
-    root = sys.argv[1]
-
-    def chunks():
-        while True:  # endless producer: the consumer dies first
-            yield np.arange(1000, dtype=np.uint64)
-
-    ring = ChunkRing(chunk_refs=1000, slots_per_stream=3, root=root)
-    feed = ring.stream_chunks(chunks())
-    next(feed)  # consume one chunk so the ring is mid-flight
-    names = [s.shm.name for s in ring._streams]
-    pids = [s.proc.pid for s in ring._streams]
-    print(json.dumps({"generation": ring.generation, "segments": names,
-                      "producers": pids}), flush=True)
-    os.kill(os.getpid(), 9)  # die mid-chunk: no close(), no atexit
-    """
-)
-
-
-def test_killed_consumer_is_fully_swept(tmp_path):
-    """SIGKILL mid-chunk: ledger retired, segments reaped, producer exits.
-
-    The kill skips ``close()`` and every atexit hook, so cleanup rests
-    on the crash protocol: the ledger names the segments for
-    :func:`sweep_stale` (the resource tracker may race it to the
-    unlink; either way nothing survives), and the orphaned producer
-    notices its dead parent and exits on its own.
-    """
-    root = tmp_path / "traceplane"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHAOS, str(root)],
-        capture_output=True, text=True, env=env, timeout=120,
-        cwd=str(Path(__file__).resolve().parents[2]),
-    )
-    assert proc.returncode == -signal.SIGKILL
-    info = json.loads(proc.stdout)
-    ledger = root / f"{info['generation']}.ledger"
-    assert ledger.exists(), "killed consumer must leave its ledger behind"
-
-    from repro.harness.traceplane import sweep_stale
-
-    sweep_stale(root)
-    assert not ledger.exists(), "sweep must retire the dead ledger"
-    shm_dir = Path("/dev/shm")
-    deadline = time.time() + 10
-    for name in info["segments"]:
-        while (shm_dir / name).exists() and time.time() < deadline:
-            time.sleep(0.1)
-        assert not (shm_dir / name).exists(), f"segment {name} leaked"
-    for pid in info["producers"]:
-        while Path(f"/proc/{pid}").exists() and time.time() < deadline:
-            time.sleep(0.1)
-        assert not Path(f"/proc/{pid}").exists(), (
-            f"orphaned producer {pid} kept running after its consumer died"
-        )

@@ -108,6 +108,40 @@ def test_streamed_miss_curve_boundary_straddling_same_set_run():
         assert got == want, chunk
 
 
+def test_carried_state_built_only_when_more_references_follow(monkeypatch):
+    """A one-chunk sweep builds no carried state; a two-chunk sweep does.
+
+    Every Figure 12/13 trace fits in one chunk, so carried state built
+    after the last chunk would be pure overhead on those figures.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("carried state built")
+
+    monkeypatch.setattr(stream_mod, "lru_carried_state", refuse)
+    rng = np.random.default_rng(12)
+    arr = np.asarray(
+        [
+            encode_ref(int(a), int(k))
+            for a, k in zip(
+                rng.integers(0, 0x3FFF, size=500),
+                rng.choice([IFETCH, LOAD, STORE], size=500),
+            )
+        ],
+        dtype=np.uint64,
+    )
+    for kind in ("instr", "data"):
+        simulate_miss_curve(arr, SIZES, kind=kind, assoc=2, fastpath=True)
+        simulate_miss_curve_stream(
+            [arr], int(arr.size), SIZES, kind=kind, assoc=2, fastpath=True
+        )
+        with pytest.raises(AssertionError, match="carried state built"):
+            simulate_miss_curve_stream(
+                _chunks(arr, 300), int(arr.size), SIZES, kind=kind, assoc=2,
+                fastpath=True,
+            )
+
+
 # -- carried LRU state vs the scalar cache -----------------------------------
 
 
@@ -229,9 +263,12 @@ def test_dropped_carried_state_breaks_miss_curve_parity():
     want = _curve_vectors(simulate_miss_curve(arr, [512], kind="data", assoc=2))
     set_carried_state_defect(True)
     try:
+        # The defect lives in the vectorized accumulator; the scalar
+        # reference keeps its caches live and has no state to drop.
         got = _curve_vectors(
             simulate_miss_curve_stream(
-                _chunks(arr, 7), int(arr.size), [512], kind="data", assoc=2
+                _chunks(arr, 7), int(arr.size), [512], kind="data", assoc=2,
+                fastpath=True,
             )
         )
     finally:
