@@ -1,4 +1,4 @@
-"""Fault-tolerant run-table campaigns over a pluggable fleet executor.
+"""Fault-tolerant run-table campaigns on the harness's execution engine.
 
 The paper's methodology is a *run table* — configurations x sizes x
 repetitions, reported mean ± std — and this package executes one
@@ -6,16 +6,17 @@ end-to-end, surviving the failures long campaigns actually hit:
 
 - :mod:`repro.campaign.table` — declarative run tables
   (:class:`Axis` / :class:`RunTable` / :class:`CampaignSpec`);
-- :mod:`repro.campaign.executor` — the pluggable :class:`Executor`
-  backend contract plus the in-process :class:`SerialExecutor`
-  reference;
-- :mod:`repro.campaign.fleet` — process-backed executors:
-  :class:`LocalPoolExecutor` (the harness's owned worker pool) and
-  :class:`SubprocessFleetExecutor` (independent heartbeat-sending
-  workers with private cache shards);
-- :mod:`repro.campaign.scheduler` — lease-based scheduling with
-  retries, poisoned-cell quarantine, straggler speculation and
-  graceful degradation;
+- :mod:`repro.campaign.scheduler` — :func:`run_campaign`, a thin
+  client of the one execution engine
+  (:mod:`repro.harness.engine`): the engine owns leases, retries,
+  poisoned-cell quarantine, straggler speculation and graceful
+  degradation, and the scheduler keeps the cells' statuses, resume
+  and ``campaign/*`` telemetry;
+- the engine's three executors, re-exported here:
+  :class:`SerialExecutor` (in-process, the reference),
+  :class:`LocalPoolExecutor` (a pool of owned worker processes) and
+  :class:`SubprocessFleetExecutor` (the same pool with heartbeats and
+  private cache shards per worker);
 - :mod:`repro.campaign.report` — deterministic mean ± std reports
   with explicit degradation sections;
 - :mod:`repro.campaign.state` — read-only journal loading for
@@ -27,14 +28,6 @@ executor is the reference, and the chaos suite proves a fleet campaign
 ridden with injected faults still reproduces its bits cell for cell.
 """
 
-from repro.campaign.executor import (
-    CellDone,
-    Executor,
-    LeaseView,
-    SerialExecutor,
-    WorkerDead,
-)
-from repro.campaign.fleet import LocalPoolExecutor, SubprocessFleetExecutor
 from repro.campaign.scheduler import (
     STATUS_FAILED,
     STATUS_MISSING,
@@ -46,6 +39,11 @@ from repro.campaign.scheduler import (
     run_campaign,
 )
 from repro.campaign.table import Axis, CampaignSpec, Cell, RunTable
+from repro.harness.engine import (
+    LocalPoolExecutor,
+    SerialExecutor,
+    SubprocessFleetExecutor,
+)
 
 __all__ = [
     "Axis",
@@ -53,10 +51,7 @@ __all__ = [
     "CampaignResult",
     "CampaignSpec",
     "Cell",
-    "CellDone",
     "CellOutcome",
-    "Executor",
-    "LeaseView",
     "LocalPoolExecutor",
     "RunTable",
     "STATUS_FAILED",
@@ -65,6 +60,5 @@ __all__ = [
     "STATUS_POISONED",
     "SerialExecutor",
     "SubprocessFleetExecutor",
-    "WorkerDead",
     "run_campaign",
 ]

@@ -1,58 +1,43 @@
 """The fault-tolerant campaign scheduler.
 
 Expands a :class:`~repro.campaign.table.CampaignSpec` into cells and
-drives them over a pluggable :class:`~repro.campaign.executor.Executor`
-with the resilience a real fleet needs:
+runs them on the harness's execution engine
+(:func:`repro.harness.engine.schedule`) over any of its three
+executors.  The engine owns every failure rule — leases reclaimed on
+heartbeat silence or an over-budget wall clock, bounded retry with
+jittered backoff, quarantine of a cell that kills ``poison_k``
+consecutive workers, straggler speculation (first result wins; a loser
+returning *different bits* is flagged loudly as ``divergent``), and
+graceful degradation to ``missing`` cells when the respawn budget runs
+out — and a :class:`CampaignPolicy` tunes them.
 
-- **lease-based ownership** — every dispatched cell is a lease
-  (worker, start time, last heartbeat); a lease silent past
-  ``lease_timeout_s`` (heartbeat executors) or running past the
-  per-cell wall-clock budget is *reclaimed*: the worker is killed,
-  the slot respawned within budget, the cell rescheduled;
-- **bounded retry with jittered backoff** — failures retry under the
-  :class:`~repro.harness.faults.FaultPolicy` attempt budget, delayed
-  by its capped, deterministically-jittered exponential backoff
-  (retries wait in a ready-time heap, they never block the loop);
-- **poisoned-cell quarantine** — a cell that kills ``poison_k``
-  consecutive workers (death or lease reclaim; a survivable in-task
-  error resets the streak) is marked ``poisoned`` with its last
-  diagnostics instead of taking the whole fleet down with it;
-- **straggler speculation** — a lease running past
-  ``straggler_factor`` x the median completed-cell wall time (at
-  least ``straggler_min_s``) gets a speculative duplicate on an idle
-  worker; the first result wins, and if the loser eventually returns
-  *different bits*, the divergence is flagged loudly (telemetry
-  ``campaign/divergent`` + the outcome) — nondeterminism must never
-  pass silently;
-- **graceful degradation** — when the executor's respawn budget is
-  exhausted and capacity reaches zero, remaining cells are marked
-  ``missing`` with the reason, and the campaign returns a partial
-  result instead of hanging.
-
-Resumability rides the PR-3 manifest machinery generalized to any run
-table: completed cells are journaled as they land (fsynced), keyed by
-the campaign signature, and a re-run serves them back bit-identically.
-``interruptible=True`` drains in-flight cells on SIGINT/SIGTERM and
-raises :class:`~repro.errors.CampaignInterrupted`.
+This module keeps only the campaign's own bookkeeping: run-table
+expansion and resume, the :class:`CellOutcome` statuses, and the
+``campaign/*`` telemetry events and obs counters.  Completed cells are
+journaled as they land (fsynced), keyed by the campaign signature, and
+a re-run serves them back bit-identically.  ``interruptible=True``
+drains in-flight cells on SIGINT/SIGTERM and raises
+:class:`~repro.errors.CampaignInterrupted`.
 """
 
 from __future__ import annotations
 
-import heapq
 import pickle
-import statistics
-import time
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro import obs
-from repro.campaign.executor import CellDone, Executor, WorkerDead
 from repro.campaign.table import CampaignSpec, Cell
 from repro.errors import CampaignInterrupted, ConfigError
-from repro.harness.faults import FaultPolicy
-from repro.harness.runner import TaskOutcome, _absorb_observations, _InterruptDrain
-from repro.harness.faults import TaskFailure
+from repro.harness.engine import Client, Done, schedule
+from repro.harness.faults import (
+    KIND_BROKEN_POOL,
+    KIND_MISSING,
+    KIND_POISONED,
+    FaultPolicy,
+    TaskFailure,
+)
+from repro.harness.runner import Task, TaskOutcome
 from repro.harness.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,8 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Cell outcome statuses.
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"  # in-task errors exhausted the retry budget
-STATUS_POISONED = "poisoned"  # killed poison_k consecutive workers
-STATUS_MISSING = "missing"  # never completed: executor degraded away
+STATUS_POISONED = KIND_POISONED  # killed poison_k consecutive workers
+STATUS_MISSING = KIND_MISSING  # never completed: executor degraded away
 
 
 @dataclass(frozen=True)
@@ -150,9 +135,122 @@ def _value_digest(value: object) -> bytes:
     ).digest()
 
 
+class _CampaignClient(Client):
+    """``run_campaign``'s view of the engine: ``campaign/*`` events, outcomes."""
+
+    def __init__(self, cells, completed, telemetry, faults, manifest) -> None:
+        self.cells: dict[str, Cell] = cells
+        self.completed: dict[str, CellOutcome] = completed
+        self.telemetry = telemetry
+        self.emit = telemetry.emit
+        self.timeout_s = faults.timeout_s
+        self.manifest: "CampaignManifest | None" = manifest
+
+    def started(self, unit: Task, attempt: int, wid: int, pid: int) -> None:
+        self.emit("campaign/cell-start", cell=unit.key, attempt=attempt, worker=wid)
+
+    def errored(self, unit: Task, attempt: int, error: str) -> None:
+        self.emit("campaign/cell-error", cell=unit.key, attempt=attempt, error=error)
+
+    def retrying(self, unit: Task, attempt: int) -> None:
+        self.emit("campaign/cell-retry", cell=unit.key, attempt=attempt)
+        obs.incr("campaign/retries")
+
+    def died(self, wid: int, exitcode: int | None, unit: Task | None) -> None:
+        self.emit(
+            "campaign/worker-dead", worker=wid, exitcode=exitcode,
+            cell=unit.key if unit is not None else None,
+        )
+        obs.incr("campaign/worker_deaths")
+
+    def reclaimed(
+        self, unit: Task, attempt: int, wid: int, kind: str, reason: str
+    ) -> None:
+        self.emit("campaign/lease-reclaimed", cell=unit.key, worker=wid, reason=reason)
+        obs.incr("campaign/lease_reclaims")
+
+    def overran(self, unit: Task, attempt: int, wall_s: float, kept: bool) -> None:
+        self.emit(
+            "campaign/cell-overtime" if kept else "campaign/cell-timeout",
+            cell=unit.key, attempt=attempt, wall_s=round(wall_s, 6),
+            timeout_s=self.timeout_s,
+        )
+
+    def speculating(self, unit: Task, straggler: int, duplicate: int) -> None:
+        self.emit(
+            "campaign/speculate", cell=unit.key, straggler_worker=straggler,
+            duplicate_worker=duplicate,
+        )
+        obs.incr("campaign/speculative")
+
+    def late(self, unit: Task, done: Done) -> None:
+        # A speculative loser (or a late duplicate) came back after the
+        # cell already completed: its only job now is to agree.
+        winner = self.completed[unit.key]
+        if (
+            done.ok and winner.ok
+            and _value_digest(done.value) != _value_digest(winner.value)
+        ):
+            self.emit(
+                "campaign/divergent", cell=unit.key,
+                winner_worker=winner.worker, loser_worker=done.wid,
+            )
+            obs.incr("campaign/divergent")
+            self.completed[unit.key] = replace(winner, divergent=True)
+
+    def abandoned(self, unit: Task, wid: int) -> None:
+        self.emit("campaign/duplicate-abandoned", cell=unit.key, worker=wid)
+
+    def finished(self, unit: Task, result: Done | TaskFailure) -> None:
+        cell = self.cells[unit.key]
+        if isinstance(result, Done):
+            self.emit(
+                "campaign/cell-ok", cell=unit.key, attempt=result.attempt,
+                wall_s=round(result.wall_s, 6), worker=result.wid,
+            )
+            outcome = CellOutcome(
+                cell=cell, status=STATUS_OK, value=result.value,
+                attempts=result.attempt, wall_s=result.wall_s, worker=result.wid,
+            )
+        elif result.kind in (KIND_POISONED, KIND_MISSING):
+            if result.kind == KIND_POISONED:
+                self.emit(
+                    "campaign/cell-poisoned", cell=unit.key, diagnostics=result.error
+                )
+            else:
+                self.emit("campaign/cell-missing", cell=unit.key)
+            outcome = CellOutcome(
+                cell=cell, status=result.kind, error=result.error,
+                attempts=result.attempts,
+            )
+        else:
+            kind = "broken-worker" if result.kind == KIND_BROKEN_POOL else result.kind
+            outcome = CellOutcome(
+                cell=cell, status=STATUS_FAILED, error=f"{kind}: {result.error}",
+                attempts=result.attempts,
+            )
+        self.record(outcome)
+
+    def record(self, outcome: CellOutcome) -> None:
+        key = outcome.cell.key
+        self.completed[key] = outcome
+        counter = f"campaign/cells_{outcome.status}"
+        obs.incr(counter)
+        self.telemetry.incr(counter)
+        if self.manifest is not None:
+            failure = None if outcome.ok else TaskFailure(
+                key=key, kind=outcome.status, error=outcome.error,
+                attempts=outcome.attempts,
+            )
+            self.manifest.record(key, TaskOutcome(
+                key=key, value=outcome.value, failure=failure,
+                wall_s=outcome.wall_s, attempts=outcome.attempts,
+            ))
+
+
 def run_campaign(
     spec: CampaignSpec,
-    executor: Executor,
+    executor: Any,
     *,
     policy: CampaignPolicy | None = None,
     telemetry: Telemetry | None = None,
@@ -162,17 +260,17 @@ def run_campaign(
     """Run every cell of ``spec`` over ``executor``; never raises for a
     cell — failures, quarantines and degradation land in the result.
 
-    Raises :class:`CampaignInterrupted` after a drained SIGINT/SIGTERM
+    ``executor`` is a :class:`~repro.harness.engine.SerialExecutor`,
+    :class:`~repro.harness.engine.LocalPoolExecutor` or
+    :class:`~repro.harness.engine.SubprocessFleetExecutor`.  Raises
+    :class:`CampaignInterrupted` after a drained SIGINT/SIGTERM
     (``interruptible=True`` only), with completed cells already
     persisted to ``manifest``.
     """
     policy = policy if policy is not None else CampaignPolicy()
     telemetry = telemetry if telemetry is not None else Telemetry()
-    faults = policy.faults
     cells = spec.table.cells()
-    cells_by_key = {cell.key: cell for cell in cells}
     completed: dict[str, CellOutcome] = {}
-    digests: dict[str, bytes] = {}
 
     telemetry.emit(
         "campaign/start", campaign=spec.name, cells=len(cells),
@@ -180,326 +278,37 @@ def run_campaign(
     )
     obs.incr("campaign/cells_total", len(cells))
 
-    # -- resume: serve cells the manifest already holds ---------------------
+    units = []
     for cell in cells:
-        if manifest is None:
-            break
-        hit, value = manifest.lookup(cell.key)
-        if hit:
-            telemetry.emit("campaign/resume-skip", cell=cell.key)
-            obs.incr("campaign/cells_resumed")
-            completed[cell.key] = CellOutcome(
-                cell=cell, status=STATUS_OK, value=value, cached=True
-            )
-            digests[cell.key] = _value_digest(value)
-
-    queue: deque[tuple[Cell, int]] = deque(
-        (cell, 1) for cell in cells if cell.key not in completed
-    )
-    delayed: list[tuple[float, int, Cell, int]] = []  # (ready_t, seq, cell, attempt)
-    seq = 0
-    kills: dict[str, int] = {}  # consecutive worker kills per cell
-    attempts: dict[str, int] = {}  # highest attempt dispatched per cell
-    speculated: set[str] = set()  # cells already given a duplicate
-    wall_samples: list[float] = []  # completed-cell wall times
-
-    def record(outcome: CellOutcome) -> None:
-        completed[outcome.cell.key] = outcome
-        kills.pop(outcome.cell.key, None)
-        counter = {
-            STATUS_OK: "campaign/cells_ok",
-            STATUS_FAILED: "campaign/cells_failed",
-            STATUS_POISONED: "campaign/cells_poisoned",
-            STATUS_MISSING: "campaign/cells_missing",
-        }[outcome.status]
-        obs.incr(counter)
-        telemetry.incr(counter)
         if manifest is not None:
-            if outcome.ok:
-                task_outcome = TaskOutcome(
-                    key=outcome.cell.key, value=outcome.value,
-                    wall_s=outcome.wall_s, attempts=outcome.attempts,
+            hit, value = manifest.lookup(cell.key)
+            if hit:  # resume: serve cells the manifest already holds
+                telemetry.emit("campaign/resume-skip", cell=cell.key)
+                obs.incr("campaign/cells_resumed")
+                completed[cell.key] = CellOutcome(
+                    cell=cell, status=STATUS_OK, value=value, cached=True
                 )
-            else:
-                task_outcome = TaskOutcome(
-                    key=outcome.cell.key,
-                    failure=TaskFailure(
-                        key=outcome.cell.key, kind=outcome.status,
-                        error=outcome.error, attempts=outcome.attempts,
-                    ),
-                    attempts=outcome.attempts,
-                )
-            manifest.record(outcome.cell.key, task_outcome)
+                continue
+        args, kwargs = spec.cell_args(cell)
+        units.append(Task(key=cell.key, fn=spec.fn, args=args, kwargs=kwargs))
 
-    def has_live_lease(cell_key: str) -> bool:
-        return any(lease.cell_key == cell_key for lease in executor.leases())
+    client = _CampaignClient(
+        {cell.key: cell for cell in cells}, completed, telemetry, policy.faults,
+        manifest,
+    )
+    schedule(
+        units, executor, client, telemetry, policy.faults,
+        interruptible=interruptible, poison_k=policy.poison_k,
+        lease_timeout_s=policy.lease_timeout_s, speculate=policy.speculate,
+        straggler_factor=policy.straggler_factor,
+        straggler_min_s=policy.straggler_min_s,
+    )
 
-    def schedule_retry(cell: Cell, attempt: int) -> None:
-        nonlocal seq
-        telemetry.emit("campaign/cell-retry", cell=cell.key, attempt=attempt)
-        obs.incr("campaign/retries")
-        ready = time.monotonic() + faults.delay(attempt, key=cell.key)
-        seq += 1
-        heapq.heappush(delayed, (ready, seq, cell, attempt + 1))
-
-    def fail_or_retry(cell: Cell, attempt: int, kind: str, error: str) -> None:
-        """A non-kill failure: retry under the budget or record it."""
-        if cell.key in completed or has_live_lease(cell.key):
-            return  # a duplicate is still running, or the cell already won
-        if faults.retryable(kind) and faults.should_retry(attempt):
-            schedule_retry(cell, attempt)
-            return
-        record(
-            CellOutcome(
-                cell=cell, status=STATUS_FAILED, error=f"{kind}: {error}",
-                attempts=attempt,
-            )
-        )
-
-    def worker_killed(cell: Cell, attempt: int, diagnostics: str) -> None:
-        """A kill-type failure (worker death / lease reclaim) for a cell."""
-        if cell.key in completed or has_live_lease(cell.key):
-            return
-        kills[cell.key] = kills.get(cell.key, 0) + 1
-        if kills[cell.key] >= policy.poison_k:
-            telemetry.emit(
-                "campaign/cell-poisoned", cell=cell.key,
-                kills=kills[cell.key], diagnostics=diagnostics,
-            )
-            record(
-                CellOutcome(
-                    cell=cell, status=STATUS_POISONED,
-                    error=(
-                        f"quarantined: killed {kills[cell.key]} consecutive "
-                        f"worker(s); last: {diagnostics}"
-                    ),
-                    attempts=attempt,
-                )
-            )
-            return
-        if faults.should_retry(attempt):
-            schedule_retry(cell, attempt)
-            return
-        record(
-            CellOutcome(
-                cell=cell, status=STATUS_FAILED,
-                error=f"broken-worker: {diagnostics}", attempts=attempt,
-            )
-        )
-
-    def handle_done(event: CellDone) -> None:
-        _absorb_observations(event.obs_payload, telemetry)
-        cell = cells_by_key[event.cell_key]
-        if event.cell_key in completed:
-            # A speculative loser (or a late duplicate) came back after
-            # the cell already completed: its only job now is to agree.
-            winner = completed[event.cell_key]
-            if event.ok and winner.ok:
-                if _value_digest(event.value) != digests[event.cell_key]:
-                    telemetry.emit(
-                        "campaign/divergent", cell=event.cell_key,
-                        winner_worker=winner.worker, loser_worker=event.wid,
-                    )
-                    obs.incr("campaign/divergent")
-                    completed[event.cell_key] = replace(winner, divergent=True)
-            return
-        if event.ok:
-            telemetry.emit(
-                "campaign/cell-ok", cell=event.cell_key,
-                attempt=event.attempt, wall_s=round(event.wall_s, 6),
-                worker=event.wid,
-            )
-            wall_samples.append(event.wall_s)
-            digests[event.cell_key] = _value_digest(event.value)
-            record(
-                CellOutcome(
-                    cell=cell, status=STATUS_OK, value=event.value,
-                    attempts=event.attempt, wall_s=event.wall_s,
-                    worker=event.wid,
-                )
-            )
-            return
+    missing = sum(1 for o in completed.values() if o.status == STATUS_MISSING)
+    if missing:
         telemetry.emit(
-            "campaign/cell-error", cell=event.cell_key,
-            attempt=event.attempt, error=event.error,
+            "campaign/degraded", missing=missing, executor=executor.describe()
         )
-        kills.pop(event.cell_key, None)  # the worker survived: streak broken
-        fail_or_retry(cell, event.attempt, "error", event.error)
-
-    drain = _InterruptDrain() if interruptible else None
-    executor.start()
-    try:
-        if drain is not None:
-            drain.__enter__()
-        complete_at: float | None = None
-        while True:
-            if len(completed) >= len(cells):
-                # All cells decided.  Speculative losers may still be
-                # running; wait (bounded) so divergence is *observed*,
-                # not silently discarded with the worker.
-                if not executor.leases():
-                    break
-                if complete_at is None:
-                    complete_at = time.monotonic()
-                elif time.monotonic() - complete_at > policy.lease_timeout_s:
-                    for lease in executor.leases():
-                        executor.reclaim(
-                            lease.wid, "campaign complete; duplicate abandoned"
-                        )
-                        telemetry.emit(
-                            "campaign/duplicate-abandoned",
-                            cell=lease.cell_key, worker=lease.wid,
-                        )
-                    break
-            now = time.monotonic()
-            stopping = drain is not None and drain.requested
-            while delayed and delayed[0][0] <= now:
-                _, _, cell, attempt = heapq.heappop(delayed)
-                if cell.key not in completed:
-                    queue.append((cell, attempt))
-
-            if not stopping:
-                idle = executor.idle()
-                while idle and queue:
-                    cell, attempt = queue.popleft()
-                    if cell.key in completed:
-                        continue
-                    wid = idle.pop(0)
-                    args, kwargs = spec.cell_args(cell)
-                    telemetry.emit(
-                        "campaign/cell-start", cell=cell.key,
-                        attempt=attempt, worker=wid,
-                    )
-                    attempts[cell.key] = max(attempts.get(cell.key, 0), attempt)
-                    if not executor.dispatch(
-                        wid, cell.key, spec.fn, args, kwargs, attempt
-                    ):
-                        queue.appendleft((cell, attempt))  # slot was dead
-                        idle = executor.idle()
-                # Straggler speculation: spend leftover idle slots on
-                # duplicates of the oldest over-threshold leases.
-                if policy.speculate and idle and not queue and wall_samples:
-                    threshold = max(
-                        policy.straggler_min_s,
-                        policy.straggler_factor * statistics.median(wall_samples),
-                    )
-                    for lease in sorted(executor.leases(), key=lambda l: l.started):
-                        if not idle:
-                            break
-                        if (
-                            lease.cell_key in speculated
-                            or now - lease.started <= threshold
-                        ):
-                            continue
-                        cell = cells_by_key[lease.cell_key]
-                        wid = idle.pop(0)
-                        speculated.add(cell.key)
-                        telemetry.emit(
-                            "campaign/speculate", cell=cell.key,
-                            straggler_worker=lease.wid, duplicate_worker=wid,
-                        )
-                        obs.incr("campaign/speculative")
-                        args, kwargs = spec.cell_args(cell)
-                        executor.dispatch(
-                            wid, cell.key, spec.fn, args, kwargs, lease.attempt
-                        )
-
-            if executor.leases() or (not stopping and (queue or delayed)):
-                tick = 0.05
-            else:
-                tick = 0.0
-            for event in executor.poll(tick):
-                if isinstance(event, CellDone):
-                    handle_done(event)
-                elif isinstance(event, WorkerDead):
-                    telemetry.emit(
-                        "campaign/worker-dead", worker=event.wid,
-                        exitcode=event.exitcode, cell=event.cell_key,
-                    )
-                    obs.incr("campaign/worker_deaths")
-                    if event.cell_key is not None:
-                        worker_killed(
-                            cells_by_key[event.cell_key], event.attempt,
-                            f"worker {event.wid} died (exit code {event.exitcode})",
-                        )
-
-            # Lease audit: reclaim wedged and over-budget workers.
-            now = time.monotonic()
-            for lease in executor.leases():
-                expired_reason = None
-                kind = None
-                if (
-                    executor.heartbeats
-                    and lease.last_beat is not None
-                    and now - lease.last_beat > policy.lease_timeout_s
-                ):
-                    expired_reason = (
-                        f"no heartbeat for {policy.lease_timeout_s}s "
-                        f"(worker {lease.wid} wedged)"
-                    )
-                    kind = "stall"
-                elif (
-                    faults.timeout_s is not None
-                    and now - lease.started > faults.timeout_s
-                ):
-                    expired_reason = (
-                        f"exceeded {faults.timeout_s}s budget (worker killed)"
-                    )
-                    kind = "timeout"
-                if expired_reason is None:
-                    continue
-                cell_key, attempt = executor.reclaim(lease.wid, expired_reason)
-                telemetry.emit(
-                    "campaign/lease-reclaimed", cell=cell_key,
-                    worker=lease.wid, reason=expired_reason,
-                )
-                obs.incr("campaign/lease_reclaims")
-                if cell_key is None:  # pragma: no cover - raced completion
-                    continue
-                cell = cells_by_key[cell_key]
-                if kind == "timeout" and not faults.retry_timeouts:
-                    if cell_key not in completed and not has_live_lease(cell_key):
-                        record(
-                            CellOutcome(
-                                cell=cell, status=STATUS_FAILED,
-                                error=f"timeout: {expired_reason}",
-                                attempts=attempt,
-                            )
-                        )
-                    continue
-                worker_killed(cell, attempt, expired_reason)
-
-            # Degradation: no workers left and none coming back.
-            if executor.ensure_capacity() == 0:
-                remaining = [
-                    cell for cell in cells if cell.key not in completed
-                ]
-                for cell in remaining:
-                    telemetry.emit("campaign/cell-missing", cell=cell.key)
-                    record(
-                        CellOutcome(
-                            cell=cell, status=STATUS_MISSING,
-                            error=(
-                                "not run: no surviving workers (executor "
-                                "respawn budget exhausted)"
-                            ),
-                            attempts=attempts.get(cell.key, 0),
-                        )
-                    )
-                if remaining:
-                    telemetry.emit(
-                        "campaign/degraded", missing=len(remaining),
-                        executor=executor.describe(),
-                    )
-                break
-
-            if stopping and not executor.leases():
-                break
-    finally:
-        if drain is not None:
-            drain.__exit__(None, None, None)
-        executor.stop()
-
     if len(completed) < len(cells):
         remaining = tuple(
             cell.key for cell in cells if cell.key not in completed

@@ -1,10 +1,14 @@
 """Parallel experiment harness.
 
-The execution layer under every sweep, figure and multi-run experiment:
+The execution layer under every sweep, figure, multi-run experiment
+and campaign:
 
-- :mod:`repro.harness.runner` — owned worker-process engine with
-  deterministic per-task seeding (parallel results are bit-identical
-  to serial) and a watchdog that kills and respawns hung workers;
+- :mod:`repro.harness.engine` — the one execution engine: one worker
+  process pool, the in-process serial executor, and one scheduling
+  loop that owns every failure rule (retry, timeouts, heartbeat
+  leases, quarantine, speculation, degradation, the SIGINT drain);
+- :mod:`repro.harness.runner` — :func:`run_tasks`, the engine's client
+  for task batches (parallel results are bit-identical to serial);
 - :mod:`repro.harness.cache` — content-addressed on-disk result cache
   keyed by config + workload + replica + code version, with
   checksummed entries and quarantine for corrupt ones;
@@ -15,7 +19,8 @@ The execution layer under every sweep, figure and multi-run experiment:
 - :mod:`repro.harness.faults` — per-task timeout, bounded retry, and
   graceful degradation (a failed replica is reported, not fatal);
 - :mod:`repro.harness.chaos` — test-only deterministic fault injection
-  (worker crashes, hangs, corrupt cache entries);
+  (worker crashes, hangs, stalled heartbeats, poisoned cells, corrupt
+  cache entries);
 - :mod:`repro.harness.tasks` — the picklable task functions the CLI
   and experiment layer fan out;
 - :mod:`repro.harness.traceplane` — generate-once/replay-many trace

@@ -5,10 +5,10 @@ picklable, module-level task functions that misbehave a *scripted*
 number of times — crash the worker process, hang past a timeout, raise
 — and then return their value, plus helpers that corrupt on-disk cache
 entries in controlled ways.  Together they exercise every recovery
-path in the harness (``KIND_BROKEN_POOL``, ``KIND_TIMEOUT``,
-``KIND_ERROR``, cache quarantine, checkpoint resume) without any
-nondeterminism: the n-th invocation of a named fault behaves the same
-on every run and in every process.
+path in the engine and the harness (``KIND_BROKEN_POOL``,
+``KIND_TIMEOUT``, ``KIND_ERROR``, cache quarantine, checkpoint resume)
+without any nondeterminism: the n-th invocation of a named fault
+behaves the same on every run and in every process.
 
 Cross-process attempt counting uses atomic marker-file creation
 (``open(..., "x")``) in a shared scratch directory, so a retried task
@@ -111,9 +111,9 @@ def kill_executor(
 ) -> Any:
     """Kill the whole executor worker mid-cell, ``kill_attempts`` times.
 
-    Campaign-flavoured :func:`crash_task`: the scheduler must see a
-    ``WorkerDead`` event carrying this cell's lease, reschedule the
-    cell, and respawn the slot within the respawn budget.
+    Campaign-flavoured :func:`crash_task`: the engine must see the
+    worker die holding this cell's lease, reschedule the cell, and
+    respawn the slot within the respawn budget.
     """
     if take_ticket(root, name) < kill_attempts:
         os._exit(23)
@@ -124,22 +124,19 @@ def stall_heartbeat(
     root: str, name: str, value: Any, stall_s: float = 60.0,
     stall_attempts: int = 1,
 ) -> Any:
-    """Silence this fleet worker's heartbeats, then hang inside the cell.
+    """Silence this worker's heartbeats, then hang inside the cell.
 
     The wedged-remote-host failure: the process stays alive and holds
-    its lease, but stops proving it.  The scheduler must notice the
+    its lease, but stops proving it.  The engine must notice the
     heartbeat silence, reclaim the lease by force (killing the worker)
-    and reschedule the cell.  On a non-fleet executor (no heartbeat
-    hook) this degrades to a plain :func:`hang_task`, caught by the
-    wall-clock budget instead.
+    and reschedule the cell.  On an executor without heartbeats (the
+    local pool) this degrades to a plain :func:`hang_task`, caught by
+    the wall-clock budget instead.
     """
     if take_ticket(root, name) < stall_attempts:
-        try:
-            from repro.campaign.fleet import stall_heartbeats
+        from repro.harness.engine import stall_heartbeats
 
-            stall_heartbeats()
-        except ImportError:  # pragma: no cover - campaign not installed
-            pass
+        stall_heartbeats()
         time.sleep(stall_s)
     return value
 
@@ -148,7 +145,7 @@ def poison_cell(root: str, name: str, value: Any) -> Any:
     """Kill the worker on *every* attempt: the cell is truly poisoned.
 
     Unlike :func:`kill_executor` this never relents, so after
-    ``poison_k`` consecutive worker deaths the scheduler must
+    ``poison_k`` consecutive worker deaths the engine must
     quarantine the cell with diagnostics instead of burning the whole
     respawn budget on it.  ``value`` is never returned; it exists so
     the wrapped cell keeps the clean cell's signature.

@@ -6,24 +6,14 @@ invariant, a worker process that dies, a run that hangs.  The policy
 here is deliberately simple and deterministic — bounded retry with
 capped, jittered exponential backoff, an optional per-task wall-clock
 timeout — and the outcome of a task that exhausts it is a
-:class:`TaskFailure` *record*, not an exception: the runner reports the
-failure and the rest of the batch completes (graceful degradation).
-
-Two caveats, both documented on :class:`FaultPolicy`:
-
-- in serial (``jobs=1``) execution a pure-Python task cannot be
-  preempted, so the timeout is checked after the fact; in pool
-  execution the runner's watchdog *kills* the worker running a
-  timed-out task and respawns a fresh one, so the slot is reclaimed
-  immediately;
-- by default timeouts are not retried on either path — a
-  deterministic task that exceeded its budget once will exceed it
-  again.  When the overrun is environmental (a descheduled worker, a
-  cold cache on a shared host), ``retry_timeouts=True`` makes
-  timeouts retryable under the same attempt budget, identically in
-  serial and pool execution.  A crashed worker (``KIND_BROKEN_POOL``)
-  *is* always retried under the policy: worker death is usually
-  environmental (OOM kill, preemption), not a property of the task.
+:class:`TaskFailure` *record*, not an exception: the engine
+(:mod:`repro.harness.engine`) reports the failure and the rest of the
+batch completes (graceful degradation).  A pool worker past the
+timeout is killed and respawned; in-process work cannot be preempted,
+so its timeout is judged after the fact.  Timeouts retry only with
+``retry_timeouts=True``; a crashed worker (``KIND_BROKEN_POOL``) always
+retries under the policy, since worker death is usually environmental
+(OOM kill, preemption), not a property of the task.
 """
 
 from __future__ import annotations
@@ -38,6 +28,8 @@ KIND_ERROR = "error"  # the task function raised
 KIND_TIMEOUT = "timeout"  # wall clock exceeded FaultPolicy.timeout_s
 KIND_BROKEN_POOL = "broken-pool"  # the worker process died
 KIND_ABORTED = "aborted"  # batch stopped early (fail_fast) before this task ran
+KIND_POISONED = "poisoned"  # killed poison_k consecutive workers (campaigns)
+KIND_MISSING = "missing"  # never run: no worker left (respawn budget spent)
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ class TaskFailure:
     """Why one task ultimately failed (after any retries)."""
 
     key: str
-    kind: str  # KIND_ERROR, KIND_TIMEOUT, KIND_BROKEN_POOL or KIND_ABORTED
+    kind: str  # one of the KIND_* constants above
     error: str  # repr of the exception, or a timeout description
     attempts: int = 1
 

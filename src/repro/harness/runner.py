@@ -1,8 +1,9 @@
-"""Parallel experiment engine.
+"""Parallel experiment runner: task batches over the one engine.
 
-Fans a batch of independent :class:`Task`\\ s — sweep points, replica
-runs, whole figures — across CPUs on a small dedicated worker pool,
-consulting a :class:`~repro.harness.cache.ResultCache` and a
+Runs a batch of independent :class:`Task`\\ s — sweep points, replica
+runs, whole figures — on the execution engine
+(:mod:`repro.harness.engine`), consulting a
+:class:`~repro.harness.cache.ResultCache` and a
 :class:`~repro.harness.checkpoint.CampaignManifest` first and recording
 every step through :class:`~repro.harness.telemetry.Telemetry`.
 
@@ -13,19 +14,12 @@ Determinism is the design center: a task carries *all* of its inputs
 order — so ``jobs=1`` and ``jobs=8`` produce bit-identical results and
 the cache can address results by input content alone.
 
-Resilience is the other half of the design:
-
-- each worker is an owned process with its own pipe, so the parent's
-  watchdog can *kill* a worker whose task exceeded its wall-clock
-  budget and respawn a replacement — a hung task costs its slot for
-  exactly ``timeout_s``, never the rest of the campaign;
-- a worker that dies (segfault, OOM kill) fails or retries only *its*
-  task; the rest of the batch keeps running on the surviving workers;
-- with a manifest, every final outcome is journaled (fsynced) as it
-  lands, and ``interruptible=True`` turns SIGINT/SIGTERM into a clean
-  drain — in-flight tasks finish, their results persist, and
-  :class:`~repro.errors.CampaignInterrupted` tells the caller the
-  campaign can be resumed.
+Resilience comes from the engine: a hung task's worker is killed at
+its wall-clock budget and respawned, a worker that dies retries or
+fails only *its* task, and ``interruptible=True`` turns SIGINT/SIGTERM
+into a clean drain — in-flight tasks finish, their outcomes are
+journaled to the manifest, and :class:`~repro.errors.CampaignInterrupted`
+tells the caller the campaign can be resumed.
 
 Execution falls back to in-process serial mode when ``jobs <= 1`` or
 when a task is not picklable (e.g. a closure), with a telemetry event
@@ -34,25 +28,22 @@ so silent degradation never masquerades as parallel speedup.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import pickle
-import signal
-import sys
-import threading
-import time
-from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro import obs
 from repro.errors import CampaignInterrupted, HarnessError
 from repro.harness.cache import ResultCache
+from repro.harness.engine import (
+    Client,
+    Done,
+    LocalPoolExecutor,
+    SerialExecutor,
+    schedule,
+)
 from repro.harness.faults import (
-    KIND_ABORTED,
     KIND_BROKEN_POOL,
-    KIND_ERROR,
+    KIND_MISSING,
     KIND_TIMEOUT,
     FaultPolicy,
     TaskFailure,
@@ -103,54 +94,6 @@ class TaskOutcome:
         return self.failure is None
 
 
-def _invoke(fn: Callable[..., Any], args: tuple, kwargs: dict) -> tuple[Any, float, int]:
-    """In-process entry: run the task, measure it, report the pid."""
-    t0 = time.perf_counter()
-    value = fn(*args, **kwargs)
-    return value, time.perf_counter() - t0, os.getpid()
-
-
-def _absorb_observations(
-    obs_payload: tuple[dict, list[dict]] | None, telemetry: Telemetry
-) -> None:
-    """Merge a worker task's drained spans/counters into this process.
-
-    Worker tasks ship their observations back with the result message;
-    the spans land in :data:`repro.obs.SPANS` and the counters both in
-    :data:`repro.obs.COUNTERS` and the campaign's :class:`Telemetry` —
-    so ``jobs=1`` and ``jobs=8`` report identical totals.
-    """
-    if not obs_payload:
-        return
-    obs.ingest(obs_payload)
-    telemetry.merge_counters(obs_payload[0])
-
-
-def _serial_counters_before() -> dict[str, int | float] | None:
-    """Counter snapshot taken before an in-process task attempt."""
-    return obs.COUNTERS.snapshot() if obs.enabled() else None
-
-
-def _merge_serial_delta(
-    before: dict[str, int | float] | None, telemetry: Telemetry
-) -> None:
-    """Credit Telemetry with what one in-process attempt published.
-
-    Serial tasks record straight into the live singletons, so only the
-    Telemetry copy is missing — and it must be the attempt's *delta*,
-    not a cumulative re-drain, or totals inflate with every task.
-    """
-    if before is None:
-        return
-    delta: dict[str, int | float] = {}
-    for name, value in obs.COUNTERS.snapshot().items():
-        diff = value - before.get(name, 0)
-        if diff:
-            delta[name] = diff
-    if delta:
-        telemetry.merge_counters(delta)
-
-
 def _is_picklable(task: Task) -> bool:
     try:
         pickle.dumps((task.fn, task.args, dict(task.kwargs)))
@@ -159,173 +102,65 @@ def _is_picklable(task: Task) -> bool:
         return False
 
 
-def _mp_context() -> multiprocessing.context.BaseContext:
-    """Start method for worker processes.
+class _TaskClient(Client):
+    """``run_tasks``' view of the engine: ``task/*`` events, outcomes."""
 
-    ``fork`` where it is safe (Linux) because it avoids re-importing
-    numpy in every worker; ``spawn`` elsewhere.  Overridable with the
-    ``JMMW_MP_START`` environment variable.
-    """
-    method = os.environ.get("JMMW_MP_START")
-    if not method:
-        if sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods():
-            method = "fork"
-        else:
-            method = "spawn"
-    return multiprocessing.get_context(method)
+    def __init__(self, telemetry: Telemetry, faults: FaultPolicy, record) -> None:
+        self.emit = telemetry.emit
+        self.timeout_s = faults.timeout_s
+        self.record = record
 
+    def started(self, task: Task, attempt: int, wid: int, pid: int) -> None:
+        self.emit("task/start", task=task.key, attempt=attempt, worker=pid)
 
-# -- worker pool ------------------------------------------------------------
+    def errored(self, task: Task, attempt: int, error: str) -> None:
+        self.emit("task/error", task=task.key, attempt=attempt, error=error)
 
+    def retrying(self, task: Task, attempt: int) -> None:
+        self.emit("task/retry", task=task.key, attempt=attempt)
 
-def _worker_main(conn: connection.Connection) -> None:
-    """Worker-process loop: recv a task, run it, send the outcome back.
-
-    The worker ignores SIGINT — interrupts are the parent's to
-    coordinate (it drains in-flight tasks rather than losing them) —
-    and survives any exception a task raises, including a result that
-    fails to pickle on the way back.  Only ``os._exit`` / a signal
-    kills it, which the parent observes through the process sentinel.
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
-    # A fork-started worker inherits whatever the parent had already
-    # recorded (e.g. trace-plane publish counters); drop it, or the
-    # first task's drain would ship the parent's numbers back and
-    # double-count them.
-    obs.reset()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:  # clean shutdown
-            break
-        fn, args, kwargs, obs_on = message
-        # Observability follows the parent per message, so a worker
-        # respawned mid-campaign (watchdog kill, crash) records exactly
-        # like the one it replaced, regardless of start method.
-        if obs_on != obs.enabled():
-            obs.enable() if obs_on else obs.disable()
-        t0 = time.perf_counter()
-        try:
-            value = fn(*args, **kwargs)
-        except BaseException as exc:
-            conn.send(
-                ("error", repr(exc), time.perf_counter() - t0, os.getpid(),
-                 obs.drain_payload())
-            )
-            continue
-        wall_s = time.perf_counter() - t0
-        payload = obs.drain_payload()
-        try:
-            conn.send(("ok", value, wall_s, os.getpid(), payload))
-        except Exception as exc:
-            # Connection.send pickles before writing, so a value that
-            # cannot pickle leaves the channel clean — report it as a
-            # task error instead of dying.
-            conn.send(
-                ("error", f"result not picklable: {exc!r}", wall_s,
-                 os.getpid(), payload)
-            )
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover
-        pass
-
-
-class _Worker:
-    """One owned worker process plus its duplex pipe and current task."""
-
-    def __init__(self, ctx: multiprocessing.context.BaseContext, wid: int) -> None:
-        self.wid = wid
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True,
-            name=f"jmmw-worker-{wid}",
+    def died(self, wid: int, exitcode: int | None, task: Task | None) -> None:
+        self.emit(
+            "run/broken-pool", task=task.key if task is not None else None,
+            exitcode=exitcode,
         )
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.task: Task | None = None
-        self.attempt = 0
-        self.started = 0.0
 
-    @property
-    def busy(self) -> bool:
-        return self.task is not None
+    def respawned(self, wid: int) -> None:
+        self.emit("pool/respawn", worker=wid)
 
-    def dispatch(self, task: Task, attempt: int) -> None:
-        """Ship a task to the worker; raises OSError if it is dead."""
-        self.conn.send((task.fn, task.args, dict(task.kwargs), obs.enabled()))
-        self.task = task
-        self.attempt = attempt
-        self.started = time.monotonic()
+    def reclaimed(
+        self, task: Task, attempt: int, wid: int, kind: str, reason: str
+    ) -> None:
+        self.emit(
+            "task/timeout", task=task.key, attempt=attempt, timeout_s=self.timeout_s
+        )
 
-    def kill(self) -> None:
-        """SIGKILL the worker (watchdog path: the task cannot be trusted)."""
-        self.process.kill()
-        self.process.join()
-        self.conn.close()
+    def overran(self, task: Task, attempt: int, wall_s: float, kept: bool) -> None:
+        if kept:
+            self.emit(
+                "task/overtime", task=task.key, wall_s=round(wall_s, 6),
+                timeout_s=self.timeout_s,
+            )
+        else:  # discarded, just like a pool worker killed at its budget
+            self.reclaimed(task, attempt, 0, KIND_TIMEOUT, "")
 
-    def shutdown(self) -> None:
-        """Best-effort clean stop at end of batch."""
-        try:
-            self.conn.send(None)
-        except OSError:
-            pass
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.kill()
-            self.process.join()
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-class _InterruptDrain:
-    """Turns SIGINT/SIGTERM into a drain request while a batch runs.
-
-    First signal: set :attr:`requested`; the runner stops dispatching,
-    finishes in-flight tasks, persists their outcomes, and raises
-    :class:`CampaignInterrupted`.  Second signal: give up on draining
-    and raise :class:`KeyboardInterrupt` immediately.  Installs only
-    from the main thread (signal API restriction); elsewhere it is a
-    no-op and the batch simply is not interruptible.
-    """
-
-    SIGNALS = (signal.SIGINT, signal.SIGTERM)
-
-    def __init__(self) -> None:
-        self.requested = False
-        self.count = 0
-        self._previous: dict[int, Any] = {}
-
-    def _handle(self, signum: int, frame: object) -> None:
-        self.count += 1
-        self.requested = True
-        if self.count >= 2:
-            raise KeyboardInterrupt
-
-    def __enter__(self) -> "_InterruptDrain":
-        if threading.current_thread() is threading.main_thread():
-            for sig in self.SIGNALS:
-                try:
-                    self._previous[sig] = signal.signal(sig, self._handle)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        for sig, previous in self._previous.items():
-            try:
-                signal.signal(sig, previous)
-            except (ValueError, OSError):  # pragma: no cover
-                pass
-        self._previous.clear()
+    def finished(self, task: Task, result: Done | TaskFailure) -> None:
+        if isinstance(result, TaskFailure):
+            if result.kind == KIND_MISSING:  # no worker left to run it
+                result = replace(result, kind=KIND_BROKEN_POOL)
+            outcome = TaskOutcome(
+                key=task.key, failure=result, attempts=result.attempts
+            )
+        else:
+            self.emit(
+                "task/end", task=task.key, attempt=result.attempt,
+                wall_s=round(result.wall_s, 6), worker=result.pid,
+            )
+            outcome = TaskOutcome(
+                key=task.key, value=result.value, wall_s=result.wall_s,
+                attempts=result.attempt, worker=result.pid,
+            )
+        self.record(task, outcome)
 
 
 def run_tasks(
@@ -348,6 +183,12 @@ def run_tasks(
     (:class:`CampaignInterrupted`, only with ``interruptible=True``).
     Successful, previously-uncached results are written back to
     ``cache`` as they complete.
+
+    ``jobs > 1`` runs the batch on a :class:`LocalPoolExecutor` of
+    ``min(jobs, pending)`` workers.  Every worker death costs its task
+    one attempt, so the pool may respawn ``pending x max_attempts``
+    times: the respawn budget can never run out before the tasks'
+    retry budgets do.
 
     ``manifest`` journals every final outcome incrementally and serves
     tasks the campaign already completed (``resume/skip`` in
@@ -424,309 +265,35 @@ def run_tasks(
         if plane is not None and task.plane_keys:
             plane.release(task.plane_keys)
 
-    effective_jobs = max(1, int(jobs))
-    if effective_jobs > 1 and pending:
-        unpicklable = [task.key for task in pending if not _is_picklable(task)]
-        if unpicklable:
-            telemetry.emit(
-                "run/serial-fallback", tasks=unpicklable, reason="not picklable"
+    if pending:
+        parallel = int(jobs) > 1
+        if parallel:
+            unpicklable = [task.key for task in pending if not _is_picklable(task)]
+            if unpicklable:
+                telemetry.emit(
+                    "run/serial-fallback", tasks=unpicklable, reason="not picklable"
+                )
+                parallel = False
+        if parallel:
+            workers = min(int(jobs), len(pending))
+            telemetry.emit("run/pool", jobs=workers, tasks=len(pending))
+            executor: Any = LocalPoolExecutor(
+                workers, max_respawns=len(pending) * faults.max_attempts
             )
-            effective_jobs = 1
-
-    drain = _InterruptDrain() if interruptible else None
-    try:
-        if drain is not None:
-            drain.__enter__()
-        if effective_jobs <= 1:
-            _run_serial(pending, telemetry, faults, record, drain, fail_fast)
-        elif pending:
-            _run_pool(
-                pending, effective_jobs, telemetry, faults, record, drain, fail_fast
-            )
-    finally:
-        if drain is not None:
-            drain.__exit__(None, None, None)
+        else:
+            executor = SerialExecutor()
+        schedule(
+            pending, executor, _TaskClient(telemetry, faults, record),
+            telemetry, faults, interruptible=interruptible, fail_fast=fail_fast,
+        )
 
     for outcome in outcomes.values():
         telemetry.incr("task/ok" if outcome.ok else "task/failed")
 
     remaining = tuple(key for key in keys if key not in outcomes)
-    if remaining:
-        if drain is not None and drain.requested:
-            telemetry.emit(
-                "run/interrupted", completed=len(outcomes), remaining=len(remaining)
-            )
-            raise CampaignInterrupted(len(outcomes), remaining)
-        raise HarnessError(  # pragma: no cover - internal consistency
-            f"runner lost outcomes for {remaining!r}"
-        )
-    return [outcomes[key] for key in keys]
-
-
-def _abort_outcome(task: Task) -> TaskOutcome:
-    return TaskOutcome(
-        key=task.key,
-        failure=TaskFailure(
-            key=task.key, kind=KIND_ABORTED,
-            error="not run: batch aborted after an earlier failure", attempts=0,
-        ),
-        attempts=0,
-    )
-
-
-def _run_serial(
-    tasks: Sequence[Task],
-    telemetry: Telemetry,
-    faults: FaultPolicy,
-    record: Callable[[Task, TaskOutcome], None],
-    drain: _InterruptDrain | None,
-    fail_fast: bool,
-) -> None:
-    """In-process execution with retries; timeouts are advisory only."""
-    aborted = False
-    for task in tasks:
-        if drain is not None and drain.requested:
-            return  # remaining tasks stay unrecorded -> CampaignInterrupted
-        if aborted:
-            record(task, _abort_outcome(task))
-            continue
-        outcome = _run_one_serial(task, telemetry, faults)
-        record(task, outcome)
-        if fail_fast and not outcome.ok:
-            aborted = True
-
-
-def _run_one_serial(task: Task, telemetry: Telemetry, faults: FaultPolicy) -> TaskOutcome:
-    attempt = 0
-    while True:
-        attempt += 1
-        telemetry.emit("task/start", task=task.key, attempt=attempt, worker=os.getpid())
-        counters_before = _serial_counters_before()
-        try:
-            value, wall_s, pid = _invoke(task.fn, task.args, dict(task.kwargs))
-        except Exception as exc:
-            _merge_serial_delta(counters_before, telemetry)
-            telemetry.emit(
-                "task/error", task=task.key, attempt=attempt, error=repr(exc)
-            )
-            if faults.should_retry(attempt):
-                telemetry.emit("task/retry", task=task.key, attempt=attempt)
-                time.sleep(faults.delay(attempt, key=task.key))
-                continue
-            return TaskOutcome(
-                key=task.key,
-                failure=TaskFailure(
-                    key=task.key, kind=KIND_ERROR, error=repr(exc), attempts=attempt
-                ),
-                attempts=attempt,
-            )
-        _merge_serial_delta(counters_before, telemetry)
-        if faults.timeout_s is not None and wall_s > faults.timeout_s:
-            if faults.retry_timeouts:
-                # Same semantics as the pool watchdog: the overrun is a
-                # failure (the result is discarded) and retries under
-                # the policy — serial and pool paths stay identical.
-                telemetry.emit(
-                    "task/timeout", task=task.key, attempt=attempt,
-                    timeout_s=faults.timeout_s,
-                )
-                if faults.should_retry(attempt):
-                    telemetry.emit("task/retry", task=task.key, attempt=attempt)
-                    time.sleep(faults.delay(attempt, key=task.key))
-                    continue
-                return TaskOutcome(
-                    key=task.key,
-                    failure=TaskFailure(
-                        key=task.key, kind=KIND_TIMEOUT,
-                        error=f"exceeded {faults.timeout_s}s "
-                        "(serial; result discarded)",
-                        attempts=attempt,
-                    ),
-                    attempts=attempt,
-                )
-            # Serial mode cannot preempt; flag the overrun but keep the result.
-            telemetry.emit(
-                "task/overtime", task=task.key, wall_s=round(wall_s, 6),
-                timeout_s=faults.timeout_s,
-            )
+    if remaining:  # only a drained interrupt leaves tasks undecided
         telemetry.emit(
-            "task/end", task=task.key, attempt=attempt, wall_s=round(wall_s, 6),
-            worker=pid,
+            "run/interrupted", completed=len(outcomes), remaining=len(remaining)
         )
-        return TaskOutcome(
-            key=task.key, value=value, wall_s=wall_s, attempts=attempt, worker=pid
-        )
-
-
-def _run_pool(
-    tasks: Sequence[Task],
-    jobs: int,
-    telemetry: Telemetry,
-    faults: FaultPolicy,
-    record: Callable[[Task, TaskOutcome], None],
-    drain: _InterruptDrain | None,
-    fail_fast: bool,
-) -> None:
-    """Fan tasks over owned worker processes; record failures, never raise.
-
-    The parent is the watchdog: it knows which worker runs which task
-    and for how long (the per-task heartbeat is the dispatch timestamp
-    plus the worker's result message), so a task exceeding
-    ``faults.timeout_s`` gets its worker killed and the slot respawned,
-    and a worker that dies on its own fails or retries only its task.
-    """
-    ctx = _mp_context()
-    n_workers = min(jobs, len(tasks))
-    telemetry.emit("run/pool", jobs=n_workers, tasks=len(tasks))
-    queue: deque[tuple[Task, int]] = deque((task, 1) for task in tasks)
-    workers = [_Worker(ctx, wid) for wid in range(n_workers)]
-    aborted = False
-
-    def finish(task: Task, outcome: TaskOutcome) -> None:
-        nonlocal aborted
-        record(task, outcome)
-        if fail_fast and not outcome.ok:
-            aborted = True
-
-    def respawn(index: int) -> None:
-        workers[index] = _Worker(ctx, workers[index].wid)
-        telemetry.emit("pool/respawn", worker=workers[index].wid)
-
-    def retry_or_fail(task: Task, attempt: int, kind: str, error: str) -> None:
-        if faults.retryable(kind) and faults.should_retry(attempt):
-            telemetry.emit("task/retry", task=task.key, attempt=attempt)
-            time.sleep(faults.delay(attempt, key=task.key))
-            queue.appendleft((task, attempt + 1))
-            return
-        finish(
-            task,
-            TaskOutcome(
-                key=task.key,
-                failure=TaskFailure(
-                    key=task.key, kind=kind, error=error, attempts=attempt
-                ),
-                attempts=attempt,
-            ),
-        )
-
-    def handle_message(worker: _Worker) -> bool:
-        """Consume one result message; False means the pipe is dead."""
-        try:
-            status, payload, wall_s, pid, obs_payload = worker.conn.recv()
-        except (EOFError, OSError):
-            return False
-        task, attempt = worker.task, worker.attempt
-        worker.task = None
-        _absorb_observations(obs_payload, telemetry)
-        if status == "ok":
-            telemetry.emit(
-                "task/end", task=task.key, attempt=attempt,
-                wall_s=round(wall_s, 6), worker=pid,
-            )
-            finish(
-                task,
-                TaskOutcome(
-                    key=task.key, value=payload, wall_s=wall_s, attempts=attempt,
-                    worker=pid,
-                ),
-            )
-        else:
-            telemetry.emit(
-                "task/error", task=task.key, attempt=attempt, error=payload
-            )
-            retry_or_fail(task, attempt, KIND_ERROR, payload)
-        return True
-
-    def worker_died(index: int) -> None:
-        worker = workers[index]
-        task, attempt = worker.task, worker.attempt
-        exitcode = worker.process.exitcode
-        telemetry.emit("run/broken-pool", task=task.key, exitcode=exitcode)
-        worker.task = None
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        worker.process.join()
-        respawn(index)
-        retry_or_fail(
-            task, attempt, KIND_BROKEN_POOL,
-            f"worker process died (exit code {exitcode})",
-        )
-
-    try:
-        while True:
-            stopping = aborted or (drain is not None and drain.requested)
-            if not stopping:
-                for index, worker in enumerate(workers):
-                    while queue and not worker.busy:
-                        task, attempt = queue.popleft()
-                        telemetry.emit(
-                            "task/start", task=task.key, attempt=attempt,
-                            worker=worker.process.pid,
-                        )
-                        try:
-                            worker.dispatch(task, attempt)
-                        except OSError:
-                            # Idle worker found dead at dispatch: the
-                            # task is not charged an attempt.
-                            queue.appendleft((task, attempt))
-                            telemetry.emit(
-                                "run/broken-pool", task=task.key,
-                                exitcode=worker.process.exitcode,
-                            )
-                            respawn(index)
-                            worker = workers[index]
-            busy = [worker for worker in workers if worker.busy]
-            if not busy:
-                if stopping or not queue:
-                    break
-                continue  # pragma: no cover - dispatch always fills a slot
-            tick: float | None = None
-            if faults.timeout_s is not None or drain is not None:
-                tick = 0.05
-            waitables: list[Any] = [worker.conn for worker in busy]
-            waitables += [worker.process.sentinel for worker in busy]
-            ready = set(connection.wait(waitables, timeout=tick))
-            for index, worker in enumerate(workers):
-                if not worker.busy:
-                    continue
-                if worker.conn in ready:
-                    if not handle_message(worker):
-                        worker_died(index)
-                elif worker.process.sentinel in ready:
-                    # Dead process; drain any result it managed to send.
-                    if worker.conn.poll():
-                        if not handle_message(worker):
-                            worker_died(index)
-                    else:
-                        worker_died(index)
-            if faults.timeout_s is not None:
-                now = time.monotonic()
-                for index, worker in enumerate(workers):
-                    if not worker.busy:
-                        continue
-                    if now - worker.started <= faults.timeout_s:
-                        continue
-                    # Watchdog: kill the hung worker, reclaim the slot.
-                    task, attempt = worker.task, worker.attempt
-                    worker.task = None
-                    worker.kill()
-                    respawn(index)
-                    telemetry.emit(
-                        "task/timeout", task=task.key, attempt=attempt,
-                        timeout_s=faults.timeout_s,
-                    )
-                    retry_or_fail(
-                        task, attempt, KIND_TIMEOUT,
-                        f"exceeded {faults.timeout_s}s (worker killed)",
-                    )
-    finally:
-        for worker in workers:
-            worker.shutdown()
-    if aborted:
-        while queue:
-            task, _attempt = queue.popleft()
-            finish(task, _abort_outcome(task))
-    # An interrupt drain leaves queued tasks unrecorded on purpose:
-    # run_tasks turns them into CampaignInterrupted.remaining.
+        raise CampaignInterrupted(len(outcomes), remaining)
+    return [outcomes[key] for key in keys]

@@ -93,7 +93,7 @@ def incr(name: str, n: int | float = 1) -> None:
     COUNTERS.incr(name, n)
 
 
-# -- worker <-> parent transport (see repro.harness.runner) ----------------
+# -- worker <-> parent transport (see repro.harness.engine) ----------------
 
 
 def drain_payload() -> tuple[dict, list[dict]] | None:

@@ -16,7 +16,7 @@ implementation through an instance attribute.
 
 Worker processes :meth:`drain` their counts after each task; the
 parent merges them back with :meth:`merge` (see
-:mod:`repro.harness.runner`), so parallel campaigns report the same
+:mod:`repro.harness.engine`), so parallel campaigns report the same
 totals as serial ones.
 """
 

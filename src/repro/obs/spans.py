@@ -22,7 +22,7 @@ reading.
 Finished spans are plain dicts (JSONL-ready and picklable), so worker
 processes can :meth:`drain` their spans after each task and ship them
 to the parent over the result pipe (see
-:mod:`repro.harness.runner`).
+:mod:`repro.harness.engine`).
 """
 
 from __future__ import annotations

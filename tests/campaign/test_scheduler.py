@@ -5,6 +5,7 @@ arithmetic ``smoke_cell`` (or a scripted chaos wrapper around it), so
 the suite exercises the full fault machinery in a few seconds.
 """
 
+import os
 import time
 
 import pytest
@@ -88,6 +89,17 @@ def hanging_cell(point, rep, *, root, victim, hang_s, hang_attempts=1):
 def counting_cell(point, rep, *, root):
     take_ticket(root, cell_name(point, rep))
     return smoke_cell(point, rep)
+
+
+def observed_cell(point, rep):
+    from repro import obs
+
+    obs.incr("test/cell_points")
+    return smoke_cell(point, rep)
+
+
+def dying_cell(point, rep):
+    os._exit(17)  # simulates a segfaulting / OOM-killed worker
 
 
 # -- the basics --------------------------------------------------------------
@@ -351,3 +363,78 @@ def test_report_is_deterministic_across_runs():
     assert a.replace("executor: serial", "") == b.replace(
         "executor: local (2 workers)", ""
     )
+
+
+# -- one engine: serial and pool campaigns follow the same rules --------------
+
+
+@pytest.mark.parametrize(
+    "make_executor",
+    [lambda: SerialExecutor(), lambda: LocalPoolExecutor(workers=2)],
+    ids=["serial", "local"],
+)
+def test_telemetry_counts_each_cell_observation_once(obs_enabled, make_executor):
+    spec = CampaignSpec(name="s", table=small_table(points=4), fn=observed_cell)
+    telemetry = Telemetry()
+    result = run_campaign(
+        spec, make_executor(), policy=fast_policy(), telemetry=telemetry
+    )
+    assert result.complete
+    cells = len(result.outcomes)
+    assert obs_enabled.COUNTERS.get("test/cell_points") == cells
+    assert telemetry.counters["test/cell_points"] == cells
+    # The campaign's own obs counters stay in the registry, not Telemetry.
+    assert "campaign/cells_total" not in telemetry.counters
+
+
+def test_serial_campaign_retries_an_overrun_when_policy_allows(tmp_path):
+    spec = CampaignSpec(
+        name="s", table=small_table(points=1), fn=slow_cell,
+        kwargs={"root": str(tmp_path), "victim": 0, "sleep_s": 0.3},
+    )
+    telemetry = Telemetry()
+    result = run_campaign(
+        spec, SerialExecutor(),
+        policy=fast_policy(faults=FaultPolicy(
+            timeout_s=0.05, max_attempts=3, backoff_s=0.0, retry_timeouts=True,
+        )),
+        telemetry=telemetry,
+    )
+    # The overrun attempt's result was discarded; the retry was fast.
+    assert result.complete
+    assert result.outcomes[0].attempts == 2
+    assert telemetry.counters["campaign/cell-timeout"] == 1
+    assert telemetry.counters["campaign/cell-retry"] == 1
+
+
+def test_serial_campaign_keeps_an_overrun_and_records_it(tmp_path):
+    spec = CampaignSpec(
+        name="s", table=small_table(points=1), fn=slow_cell,
+        kwargs={"root": str(tmp_path), "victim": 0, "sleep_s": 0.3},
+    )
+    telemetry = Telemetry()
+    result = run_campaign(
+        spec, SerialExecutor(),
+        policy=fast_policy(faults=FaultPolicy(
+            timeout_s=0.05, max_attempts=3, backoff_s=0.0,
+        )),
+        telemetry=telemetry,
+    )
+    # In-process work cannot be preempted: without retry_timeouts the
+    # result stands, and the overrun is on record.
+    assert result.complete
+    assert result.outcomes[0].attempts == 1
+    assert telemetry.counters["campaign/cell-overtime"] == 1
+    assert "campaign/cell-timeout" not in telemetry.counters
+
+
+def test_dead_worker_exit_code_is_reaped_before_it_is_read():
+    spec = CampaignSpec(name="s", table=small_table(points=12), fn=dying_cell)
+    result = run_campaign(
+        spec, LocalPoolExecutor(workers=2, max_respawns=24),
+        policy=fast_policy(faults=FaultPolicy(max_attempts=1, backoff_s=0.0)),
+    )
+    failed = result.by_status(STATUS_FAILED)
+    assert len(failed) == 12
+    for outcome in failed:
+        assert "exit code 17" in outcome.error, outcome.error

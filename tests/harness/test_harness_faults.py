@@ -196,3 +196,31 @@ def test_worker_death_degrades_gracefully():
     assert not outcomes[0].ok
     assert outcomes[0].failure.kind == KIND_BROKEN_POOL
     assert telemetry.counters["run/broken-pool"] == 1
+
+
+def test_dead_worker_exit_code_is_reaped_before_it_is_read():
+    # The exit code exists only once the dead process is joined; read
+    # before that it is None, and the failure would not say why.
+    outcomes = run_tasks(
+        [Task(key=f"die{i}", fn=kill_worker, args=(i,)) for i in range(12)],
+        jobs=2,
+    )
+    assert all(o.failure.kind == KIND_BROKEN_POOL for o in outcomes)
+    for outcome in outcomes:
+        assert "exit code 17" in outcome.failure.error, outcome.failure.error
+
+
+def test_crash_looping_task_cannot_starve_the_batch():
+    # Every worker death costs the crashing task one attempt, so the
+    # pool's respawn budget must outlast the task's retry budget: the
+    # task fails broken-pool after exactly max_attempts, and every
+    # other task still finishes.
+    tasks = [Task(key="crash", fn=kill_worker, args=(0,))]
+    tasks += [Task(key=f"slow{i}", fn=sleep_for, args=(0.3,)) for i in range(6)]
+    outcomes = run_tasks(
+        tasks, jobs=2, faults=FaultPolicy(max_attempts=8, backoff_s=0.0)
+    )
+    by_key = {o.key: o for o in outcomes}
+    assert by_key["crash"].failure.kind == KIND_BROKEN_POOL
+    assert by_key["crash"].failure.attempts == 8
+    assert all(by_key[f"slow{i}"].ok for i in range(6))
