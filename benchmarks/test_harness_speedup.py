@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import time
 
+from repro import obs
 from repro.core.config import SimConfig
 from repro.figures.common import figure_checks
-from repro.harness import ResultCache, Telemetry, run_tasks
+from repro.harness import ResultCache, run_tasks
 from repro.harness.tasks import build_figure_tasks
 
 #: Reduced effort: enough work for a meaningful cold-run baseline,
@@ -50,15 +51,13 @@ def test_warm_cache_run_under_quarter_of_cold(tmp_path):
     cold_s = time.perf_counter() - t0
     assert all(o.ok and not o.cached for o in cold)
 
+    obs.reset()
     t0 = time.perf_counter()
-    warm_telemetry = Telemetry()
-    warm = run_tasks(
-        build_figure_tasks(MODULES, SIM), cache=cache, telemetry=warm_telemetry
-    )
+    warm = run_tasks(build_figure_tasks(MODULES, SIM), cache=cache)
     warm_s = time.perf_counter() - t0
 
     assert all(o.ok and o.cached for o in warm)
-    assert warm_telemetry.counters["cache/hit"] == len(MODULES)
+    assert obs.COUNTERS.get("cache/hit") == len(MODULES)
     for module_name, a, b in zip(MODULES, cold, warm):
         assert _report(a, module_name) == _report(b, module_name)
     assert warm_s < 0.25 * cold_s, (

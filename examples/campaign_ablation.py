@@ -27,7 +27,7 @@ from repro.campaign import (
 )
 from repro.campaign.report import render
 from repro.campaign.studies import get_study
-from repro.harness import FaultPolicy, Telemetry
+from repro.harness import FaultPolicy
 
 #: Transient faults are retried up to 3 times with exponential backoff
 #: capped at 2 s; deterministic jitter decorrelates retry storms.  A
@@ -53,10 +53,7 @@ def main() -> None:
     print(f"campaign '{spec.name}': {spec.table.shape()}")
 
     executor = SubprocessFleetExecutor(workers=2)
-    with Telemetry() as telemetry:
-        result = run_campaign(
-            spec, executor, policy=POLICY, telemetry=telemetry
-        )
+    result = run_campaign(spec, executor, policy=POLICY)
     print(render(result))
     if not result.complete:
         # Partial results are still reported — the degradation detail

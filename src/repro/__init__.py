@@ -18,7 +18,9 @@ The package provides, from the bottom up:
 - :mod:`repro.figures` — one driver per paper figure (4-16);
 - :mod:`repro.harness` — the parallel experiment engine under every
   figure, sweep and multi-run experiment (process-pool fan-out,
-  content-addressed result caching, JSONL telemetry, fault policy).
+  content-addressed result caching, fault policy);
+- :mod:`repro.obs` — the one observability recorder: events and
+  counters, opt-in spans, one JSONL file.
 
 Quickstart::
 
@@ -48,7 +50,6 @@ from repro.harness import (
     Task,
     TaskFailure,
     TaskOutcome,
-    Telemetry,
     run_tasks,
 )
 from repro.errors import (
@@ -94,7 +95,6 @@ __all__ = [
     "Task",
     "TaskFailure",
     "TaskOutcome",
-    "Telemetry",
     "run_tasks",
     "CpiBreakdown",
     "DataStallBreakdown",

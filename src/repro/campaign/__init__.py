@@ -11,7 +11,7 @@ end-to-end, surviving the failures long campaigns actually hit:
   (:mod:`repro.harness.engine`): the engine owns leases, retries,
   poisoned-cell quarantine, straggler speculation and graceful
   degradation, and the scheduler keeps the cells' statuses, resume
-  and ``campaign/*`` telemetry;
+  and ``campaign/*`` events;
 - the engine's three executors, re-exported here:
   :class:`SerialExecutor` (in-process, the reference),
   :class:`LocalPoolExecutor` (a pool of owned worker processes) and

@@ -13,7 +13,7 @@ out — and a :class:`CampaignPolicy` tunes them.
 
 This module keeps only the campaign's own bookkeeping: run-table
 expansion and resume, the :class:`CellOutcome` statuses, and the
-``campaign/*`` telemetry events and obs counters.  Completed cells are
+``campaign/*`` events and cell-status counters.  Completed cells are
 journaled as they land (fsynced), keyed by the campaign signature, and
 a re-run serves them back bit-identically.  ``interruptible=True``
 drains in-flight cells on SIGINT/SIGTERM and raises
@@ -38,7 +38,6 @@ from repro.harness.faults import (
     TaskFailure,
 )
 from repro.harness.runner import Task, TaskOutcome
-from repro.harness.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.checkpoint import CampaignManifest
@@ -138,50 +137,44 @@ def _value_digest(value: object) -> bytes:
 class _CampaignClient(Client):
     """``run_campaign``'s view of the engine: ``campaign/*`` events, outcomes."""
 
-    def __init__(self, cells, completed, telemetry, faults, manifest) -> None:
+    def __init__(self, cells, completed, faults, manifest) -> None:
         self.cells: dict[str, Cell] = cells
         self.completed: dict[str, CellOutcome] = completed
-        self.telemetry = telemetry
-        self.emit = telemetry.emit
         self.timeout_s = faults.timeout_s
         self.manifest: "CampaignManifest | None" = manifest
 
     def started(self, unit: Task, attempt: int, wid: int, pid: int) -> None:
-        self.emit("campaign/cell-start", cell=unit.key, attempt=attempt, worker=wid)
+        obs.emit("campaign/cell-start", cell=unit.key, attempt=attempt, worker=wid)
 
     def errored(self, unit: Task, attempt: int, error: str) -> None:
-        self.emit("campaign/cell-error", cell=unit.key, attempt=attempt, error=error)
+        obs.emit("campaign/cell-error", cell=unit.key, attempt=attempt, error=error)
 
     def retrying(self, unit: Task, attempt: int) -> None:
-        self.emit("campaign/cell-retry", cell=unit.key, attempt=attempt)
-        obs.incr("campaign/retries")
+        obs.emit("campaign/cell-retry", cell=unit.key, attempt=attempt)
 
     def died(self, wid: int, exitcode: int | None, unit: Task | None) -> None:
-        self.emit(
+        obs.emit(
             "campaign/worker-dead", worker=wid, exitcode=exitcode,
             cell=unit.key if unit is not None else None,
         )
-        obs.incr("campaign/worker_deaths")
 
     def reclaimed(
         self, unit: Task, attempt: int, wid: int, kind: str, reason: str
     ) -> None:
-        self.emit("campaign/lease-reclaimed", cell=unit.key, worker=wid, reason=reason)
-        obs.incr("campaign/lease_reclaims")
+        obs.emit("campaign/lease-reclaimed", cell=unit.key, worker=wid, reason=reason)
 
     def overran(self, unit: Task, attempt: int, wall_s: float, kept: bool) -> None:
-        self.emit(
+        obs.emit(
             "campaign/cell-overtime" if kept else "campaign/cell-timeout",
             cell=unit.key, attempt=attempt, wall_s=round(wall_s, 6),
             timeout_s=self.timeout_s,
         )
 
     def speculating(self, unit: Task, straggler: int, duplicate: int) -> None:
-        self.emit(
+        obs.emit(
             "campaign/speculate", cell=unit.key, straggler_worker=straggler,
             duplicate_worker=duplicate,
         )
-        obs.incr("campaign/speculative")
 
     def late(self, unit: Task, done: Done) -> None:
         # A speculative loser (or a late duplicate) came back after the
@@ -191,20 +184,19 @@ class _CampaignClient(Client):
             done.ok and winner.ok
             and _value_digest(done.value) != _value_digest(winner.value)
         ):
-            self.emit(
+            obs.emit(
                 "campaign/divergent", cell=unit.key,
                 winner_worker=winner.worker, loser_worker=done.wid,
             )
-            obs.incr("campaign/divergent")
             self.completed[unit.key] = replace(winner, divergent=True)
 
     def abandoned(self, unit: Task, wid: int) -> None:
-        self.emit("campaign/duplicate-abandoned", cell=unit.key, worker=wid)
+        obs.emit("campaign/duplicate-abandoned", cell=unit.key, worker=wid)
 
     def finished(self, unit: Task, result: Done | TaskFailure) -> None:
         cell = self.cells[unit.key]
         if isinstance(result, Done):
-            self.emit(
+            obs.emit(
                 "campaign/cell-ok", cell=unit.key, attempt=result.attempt,
                 wall_s=round(result.wall_s, 6), worker=result.wid,
             )
@@ -214,11 +206,11 @@ class _CampaignClient(Client):
             )
         elif result.kind in (KIND_POISONED, KIND_MISSING):
             if result.kind == KIND_POISONED:
-                self.emit(
+                obs.emit(
                     "campaign/cell-poisoned", cell=unit.key, diagnostics=result.error
                 )
             else:
-                self.emit("campaign/cell-missing", cell=unit.key)
+                obs.emit("campaign/cell-missing", cell=unit.key)
             outcome = CellOutcome(
                 cell=cell, status=result.kind, error=result.error,
                 attempts=result.attempts,
@@ -234,9 +226,7 @@ class _CampaignClient(Client):
     def record(self, outcome: CellOutcome) -> None:
         key = outcome.cell.key
         self.completed[key] = outcome
-        counter = f"campaign/cells_{outcome.status}"
-        obs.incr(counter)
-        self.telemetry.incr(counter)
+        obs.incr(f"campaign/cells_{outcome.status}")
         if self.manifest is not None:
             failure = None if outcome.ok else TaskFailure(
                 key=key, kind=outcome.status, error=outcome.error,
@@ -253,7 +243,6 @@ def run_campaign(
     executor: Any,
     *,
     policy: CampaignPolicy | None = None,
-    telemetry: Telemetry | None = None,
     manifest: "CampaignManifest | None" = None,
     interruptible: bool = False,
 ) -> CampaignResult:
@@ -268,11 +257,10 @@ def run_campaign(
     persisted to ``manifest``.
     """
     policy = policy if policy is not None else CampaignPolicy()
-    telemetry = telemetry if telemetry is not None else Telemetry()
     cells = spec.table.cells()
     completed: dict[str, CellOutcome] = {}
 
-    telemetry.emit(
+    obs.emit(
         "campaign/start", campaign=spec.name, cells=len(cells),
         executor=executor.describe(),
     )
@@ -283,8 +271,7 @@ def run_campaign(
         if manifest is not None:
             hit, value = manifest.lookup(cell.key)
             if hit:  # resume: serve cells the manifest already holds
-                telemetry.emit("campaign/resume-skip", cell=cell.key)
-                obs.incr("campaign/cells_resumed")
+                obs.emit("campaign/resume-skip", cell=cell.key)
                 completed[cell.key] = CellOutcome(
                     cell=cell, status=STATUS_OK, value=value, cached=True
                 )
@@ -293,11 +280,10 @@ def run_campaign(
         units.append(Task(key=cell.key, fn=spec.fn, args=args, kwargs=kwargs))
 
     client = _CampaignClient(
-        {cell.key: cell for cell in cells}, completed, telemetry, policy.faults,
-        manifest,
+        {cell.key: cell for cell in cells}, completed, policy.faults, manifest,
     )
     schedule(
-        units, executor, client, telemetry, policy.faults,
+        units, executor, client, policy.faults,
         interruptible=interruptible, poison_k=policy.poison_k,
         lease_timeout_s=policy.lease_timeout_s, speculate=policy.speculate,
         straggler_factor=policy.straggler_factor,
@@ -306,20 +292,20 @@ def run_campaign(
 
     missing = sum(1 for o in completed.values() if o.status == STATUS_MISSING)
     if missing:
-        telemetry.emit(
+        obs.emit(
             "campaign/degraded", missing=missing, executor=executor.describe()
         )
     if len(completed) < len(cells):
         remaining = tuple(
             cell.key for cell in cells if cell.key not in completed
         )
-        telemetry.emit(
+        obs.emit(
             "campaign/interrupted", completed=len(completed),
             remaining=len(remaining),
         )
         raise CampaignInterrupted(len(completed), remaining)
 
-    telemetry.emit(
+    obs.emit(
         "campaign/end", campaign=spec.name,
         ok=sum(1 for o in completed.values() if o.ok),
         cells=len(cells),

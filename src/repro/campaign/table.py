@@ -46,7 +46,7 @@ class Cell:
     """One unit of campaign work: a point in the table plus a rep index.
 
     ``key`` is unique within the table and stable across runs — it
-    names the cell in the manifest journal, telemetry and the report.
+    names the cell in the manifest journal, events and the report.
     """
 
     key: str

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    jmmw figures [IDS...] [--quick] [--jobs N] [--no-cache] [--trace P]
+    jmmw figures [IDS...] [--quick] [--jobs N] [--no-cache]
                  [--no-fastpath] [--resume] [--fail-fast]
                  [--check-invariants] [--obs [P]]
                  [--trace-plane | --no-trace-plane]
@@ -27,19 +27,18 @@ finished but degraded (failed, quarantined or missing cells — the
 report says exactly which and why), 130 after a drained interrupt
 (rerun with ``--resume``), 2 for usage errors.
 
-Observability: ``--obs`` (or ``JMMW_OBS=1``) turns on the span/counter
-instrumentation in :mod:`repro.obs` — timed pipeline spans and
-simulator counters, aggregated across worker processes — and prints
-the summary on *stderr* at the end of the run; ``--obs PATH``
-additionally exports the records as JSONL.  Stdout stays byte-stable
-with instrumentation on or off.
+Observability goes through :mod:`repro.obs`: events and simulator
+counters, aggregated across worker processes, print as one table on
+*stderr*.  ``--obs`` adds timed pipeline spans; ``--obs PATH`` also
+streams events to a fresh JSONL file that ends with the spans and
+counters, interrupted runs included.  Stdout stays byte-stable with
+instrumentation on or off.
 
 Figure and replica execution goes through :mod:`repro.harness`:
 ``--jobs N`` fans independent work across N worker processes (results
-are bit-identical to serial), results are cached on disk keyed by
-config + code version (``--no-cache`` disables), and ``--trace PATH``
-writes a JSONL event trace.  The harness summary table goes to stderr
-so stdout stays byte-stable across serial, parallel and cached runs.
+are bit-identical to serial), and results are cached on disk keyed by
+config + code version (``--no-cache`` disables), so stdout stays
+byte-stable across serial, parallel and cached runs.
 Sweep traces are generated once per campaign and shared with workers
 through the :mod:`repro.harness.traceplane` shared-memory plane
 (``--no-trace-plane`` / ``JMMW_TRACE_PLANE=0`` reverts to per-task
@@ -90,12 +89,13 @@ def _figure_ids() -> dict[str, str]:
 
 
 def _apply_env_flags(args: argparse.Namespace) -> None:
-    """Apply ``--no-fastpath`` / ``--check-invariants`` / ``--obs`` /
-    ``--[no-]trace-plane``.
+    """Apply ``--no-fastpath`` / ``--check-invariants`` /
+    ``--[no-]trace-plane``, then start this run's observations.
 
-    All are selected through the environment so worker processes
-    inherit them (regardless of start method), and the cache keys
-    record the fastpath/invariant/plane choices.
+    The first three are selected through the environment so worker
+    processes inherit them (regardless of start method), and the cache
+    keys record the fastpath/invariant/plane choices.  ``--obs`` needs
+    no environment: every unit carries the parent's span switch.
     """
     if getattr(args, "no_fastpath", False):
         from repro.memsys.fastpath import FASTPATH_ENV
@@ -109,44 +109,42 @@ def _apply_env_flags(args: argparse.Namespace) -> None:
         from repro.memsys.invariants import CHECK_ENV
 
         os.environ[CHECK_ENV] = "1"
-    if getattr(args, "obs", None) is not None:
-        from repro import obs
-
-        os.environ[obs.OBS_ENV] = "1"
-        if args.obs:  # --obs PATH: export JSONL there at the end
-            os.environ[obs.OBS_FILE_ENV] = args.obs
-        obs.enable()
-
-
-def _finish_obs() -> None:
-    """End-of-run observability reporting (stderr + optional JSONL).
-
-    A no-op unless instrumentation is on (``--obs`` or ``JMMW_OBS=1``),
-    so stdout and stderr are untouched in the default configuration.
-    """
     from repro import obs
 
-    if not obs.enabled():
-        return
-    print(obs.render_summary(), file=sys.stderr)
-    export = os.environ.get(obs.OBS_FILE_ENV, "").strip()
-    if export:
-        records = obs.export_jsonl(export)
-        print(f"obs: wrote {records} record(s) to {export}", file=sys.stderr)
+    obs.reset()
+    obs.enable() if args.obs is not None else obs.disable()
+    if args.obs:
+        try:
+            obs.open_sink(args.obs)
+        except OSError as exc:
+            print(f"cannot open obs file {args.obs!r}: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
 
 
-def _make_harness(args: argparse.Namespace):
-    """(cache, telemetry) from the shared --no-cache/--trace flags."""
-    from repro.harness import ResultCache, Telemetry, default_cache_dir
+def _finish_obs(table: bool = True) -> None:
+    """End-of-run stderr report: the counter table when ``table`` is set
+    or under ``--obs`` (spans first), and a notice for replays that ran
+    scalar for want of the compiled kernel."""
+    from repro import obs
+    from repro.memsys.fastpath_coherence import FALLBACK_COUNTER
+
+    if table or obs.enabled():
+        print(obs.render_summary(), file=sys.stderr)
+    no_kernel = obs.COUNTERS.get(f"{FALLBACK_COUNTER}/no-kernel")
+    if no_kernel:
+        print(
+            f"note: {no_kernel} coherent replay(s) fell back to the scalar "
+            "path: the compiled coherence kernel is unavailable (no C compiler?)",
+            file=sys.stderr,
+        )
+
+
+def _make_cache(args: argparse.Namespace):
+    """Apply the shared flags; the result cache unless ``--no-cache``."""
+    from repro.harness import ResultCache, default_cache_dir
 
     _apply_env_flags(args)
-    cache = None if args.no_cache else ResultCache(default_cache_dir())
-    try:
-        telemetry = Telemetry(args.trace)
-    except OSError as exc:
-        print(f"cannot open trace file {args.trace!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    return cache, telemetry
+    return None if args.no_cache else ResultCache(default_cache_dir())
 
 
 def _open_manifest(args: argparse.Namespace, signature: str):
@@ -181,12 +179,11 @@ def _summarize_failures(outcomes) -> int:
     return len(failed)
 
 
-def _finish_interrupted(interrupt, manifest, telemetry) -> int:
+def _finish_interrupted(interrupt, manifest) -> int:
     """Report a drained interrupt and exit 130 (128 + SIGINT)."""
     print(f"{interrupt}", file=sys.stderr)
     print("rerun with --resume to continue from the checkpoint", file=sys.stderr)
-    print(telemetry.render_summary(), file=sys.stderr)
-    telemetry.close()
+    _finish_obs()
     if manifest is not None:
         manifest.close()
     return 130
@@ -210,7 +207,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
             )
             return 2
 
-    cache, telemetry = _make_harness(args)
+    cache = _make_cache(args)
     from repro.harness.traceplane import TracePlane, plane_enabled
 
     modules = [ids[fig_id] for fig_id in wanted]
@@ -226,14 +223,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
             tasks,
             jobs=args.jobs,
             cache=cache,
-            telemetry=telemetry,
             manifest=manifest,
             fail_fast=args.fail_fast,
             interruptible=True,
             plane=plane,
         )
     except CampaignInterrupted as interrupt:
-        return _finish_interrupted(interrupt, manifest, telemetry)
+        return _finish_interrupted(interrupt, manifest)
     finally:
         # Campaign over (or interrupted): every shared trace segment
         # and spill file this invocation published is unlinked here,
@@ -254,9 +250,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
             failures += 0 if ok else 1
         print()
     errors = _summarize_failures(outcomes)
-    print(telemetry.render_summary(), file=sys.stderr)
     _finish_obs()
-    telemetry.close()
     manifest.close()
     return 1 if failures or errors else 0
 
@@ -273,7 +267,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         _apply_env_flags(args)
         report = characterize(args.workload, n_procs=args.procs, sim=sim)
         print(report.render())
-        _finish_obs()
+        _finish_obs(table=False)
         return 0
 
     # Multi-run characterization: replicas fan out through the harness
@@ -293,7 +287,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     from repro.harness.traceplane import TracePlane, plane_enabled
 
     sim = sim if sim is not None else FIGURE_SIM
-    cache, telemetry = _make_harness(args)
+    cache = _make_cache(args)
     # Replicas perturb their own generation seeds (the variability
     # methodology), so the plane publishes nothing for them — it rides
     # along so scheduling and cleanup are uniform across campaigns.
@@ -313,7 +307,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             cache_key_fn=partial(
                 characterize_cache_key, args.workload, args.procs, sim, sim.seed
             ),
-            telemetry=telemetry,
             faults=FaultPolicy(),
             manifest=manifest,
             fail_fast=args.fail_fast,
@@ -322,11 +315,10 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             plane=plane,
         )
     except CampaignInterrupted as interrupt:
-        return _finish_interrupted(interrupt, manifest, telemetry)
+        return _finish_interrupted(interrupt, manifest)
     except AnalysisError as exc:
         print(f"characterization failed: {exc}", file=sys.stderr)
-        print(telemetry.render_summary(), file=sys.stderr)
-        telemetry.close()
+        _finish_obs()
         manifest.close()
         return 1
     finally:
@@ -346,9 +338,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         print(f"{len(failures)} replica(s) failed:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
-    print(telemetry.render_summary(), file=sys.stderr)
     _finish_obs()
-    telemetry.close()
     manifest.close()
     return 1 if failures else 0
 
@@ -372,7 +362,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
     print(report)
-    _finish_obs()
+    _finish_obs(table=False)
     if regressions:
         print(
             f"bench: {len(regressions)} stage(s) regressed past "
@@ -410,7 +400,7 @@ def cmd_diffcheck(args: argparse.Namespace) -> int:
     for report in reports:
         print(report.render())
         diverged += 0 if report.ok else 1
-    _finish_obs()
+    _finish_obs(table=False)
     if diverged:
         print(f"diffcheck: {diverged} configuration(s) diverged", file=sys.stderr)
         return 1
@@ -453,7 +443,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign.report import render
     from repro.campaign.state import journal_path
     from repro.errors import CampaignInterrupted, ConfigError
-    from repro.harness import CampaignManifest, FaultPolicy, Telemetry
+    from repro.harness import CampaignManifest, FaultPolicy
 
     spec = _campaign_spec(args)
     _apply_env_flags(args)
@@ -475,11 +465,6 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"campaign: {exc}", file=sys.stderr)
         return 2
-    try:
-        telemetry = Telemetry(args.trace)
-    except OSError as exc:
-        print(f"cannot open trace file {args.trace!r}: {exc}", file=sys.stderr)
-        return 2
     path = journal_path(args.study)
     signature = spec.signature()
     if args.resume:
@@ -494,15 +479,12 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         manifest = CampaignManifest.open_fresh(path, signature)
     try:
         result = run_campaign(
-            spec, executor, policy=policy, telemetry=telemetry,
-            manifest=manifest, interruptible=True,
+            spec, executor, policy=policy, manifest=manifest, interruptible=True,
         )
     except CampaignInterrupted as interrupt:
-        return _finish_interrupted(interrupt, manifest, telemetry)
+        return _finish_interrupted(interrupt, manifest)
     print(render(result))
-    print(telemetry.render_summary(), file=sys.stderr)
     _finish_obs()
-    telemetry.close()
     manifest.close()
     return 0 if result.complete else EXIT_PARTIAL_CAMPAIGN
 
@@ -579,7 +561,7 @@ def cmd_loadplane(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"bad sweep configuration: {exc}", file=sys.stderr)
         return 2
-    cache, telemetry = _make_harness(args)
+    cache = _make_cache(args)
     signature = content_key(
         kind="loadplane/sweep",
         populations=list(sweep.populations),
@@ -599,20 +581,17 @@ def cmd_loadplane(args: argparse.Namespace) -> int:
             sweep,
             jobs=args.jobs,
             cache=cache,
-            telemetry=telemetry,
             manifest=manifest,
         )
     except CampaignInterrupted as interrupt:
-        return _finish_interrupted(interrupt, manifest, telemetry)
+        return _finish_interrupted(interrupt, manifest)
     except HarnessError as exc:
         print(f"{exc}", file=sys.stderr)
-        telemetry.close()
+        _finish_obs()
         manifest.close()
         return 4
     print(report.render(plot=not args.no_plot))
-    print(telemetry.render_summary(), file=sys.stderr)
     _finish_obs()
-    telemetry.close()
     manifest.close()
     return 0
 
@@ -627,6 +606,15 @@ def cmd_info(_: argparse.Namespace) -> int:
     return 0
 
 
+def _add_obs_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--obs", nargs="?", const="", default=None, metavar="PATH",
+        help="also record pipeline spans (span table added to the stderr "
+        "summary); with PATH, stream events to a fresh JSONL file that "
+        "ends with the spans and final counters",
+    )
+
+
 def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
@@ -635,10 +623,6 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
         help="recompute everything; skip the on-disk result cache",
-    )
-    parser.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write a JSONL harness event trace to PATH",
     )
     parser.add_argument(
         "--no-fastpath", action="store_true",
@@ -667,12 +651,7 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
         "inclusion, stats conservation) on a sampled schedule while "
         "running; same as JMMW_CHECK=1",
     )
-    parser.add_argument(
-        "--obs", nargs="?", const="", default=None, metavar="PATH",
-        help="record pipeline spans and simulator counters (summary on "
-        "stderr at the end; with PATH, also exported as JSONL); same "
-        "as JMMW_OBS=1 [+ JMMW_OBS_FILE=PATH]",
-    )
+    _add_obs_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -730,7 +709,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--no-fastpath", action="store_true", help=argparse.SUPPRESS
     )
-    bench.set_defaults(fn=cmd_bench, obs=None, check_invariants=False)
+    _add_obs_flag(bench)
+    bench.set_defaults(fn=cmd_bench, check_invariants=False)
 
     diffcheck = sub.add_parser(
         "diffcheck",
@@ -748,7 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     diffcheck.add_argument(
         "--no-fastpath", action="store_true", help=argparse.SUPPRESS
     )
-    diffcheck.set_defaults(fn=cmd_diffcheck, obs=None, check_invariants=False)
+    _add_obs_flag(diffcheck)
+    diffcheck.set_defaults(fn=cmd_diffcheck, check_invariants=False)
 
     campaign = sub.add_parser(
         "campaign",
@@ -816,15 +797,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue from the study's journal; completed cells are "
         "served back bit-identically",
     )
-    run.add_argument("--trace", metavar="PATH", default=None,
-                     help="write a JSONL campaign event trace to PATH")
     run.add_argument(
         "--no-fastpath", action="store_true", help=argparse.SUPPRESS
     )
-    run.add_argument(
-        "--obs", nargs="?", const="", default=None, metavar="PATH",
-        help="record observability counters (summary on stderr)",
-    )
+    _add_obs_flag(run)
     run.set_defaults(fn=cmd_campaign_run, check_invariants=False)
 
     status = campaign_sub.add_parser(
@@ -891,8 +867,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from repro import obs
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    finally:
+        # Every exit path, interrupts and errors included, completes the
+        # --obs PATH file with the spans and final counters.
+        if obs.close_sink():
+            print(f"obs: wrote {args.obs}", file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

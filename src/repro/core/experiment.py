@@ -11,13 +11,13 @@ Here a *run* is a callable taking an :class:`~repro.rng.RngFactory`
 a float or a mapping of named floats.
 
 Replicas are independent, so they parallelize: pass ``jobs > 1`` (plus
-an optional cache, telemetry and fault policy) and the runs fan out
-through :mod:`repro.harness`.  Because each replica's perturbation is
+an optional cache and fault policy) and the runs fan out through
+:mod:`repro.harness`.  Because each replica's perturbation is
 fully determined by ``(seed, run_index)``, parallel samples are
 bit-identical to serial ones.  Under a fault policy, a replica that
-raises is excluded from the :class:`MultiRunResult` (and reported via
-telemetry) instead of aborting the experiment — the run degrades to
-fewer samples.
+raises is excluded from the :class:`MultiRunResult` (and reported as
+a ``task/error`` event) instead of aborting the experiment — the run
+degrades to fewer samples.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.cache import ResultCache
     from repro.harness.checkpoint import CampaignManifest
     from repro.harness.faults import FaultPolicy, TaskFailure
-    from repro.harness.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ def run_repeated(
     jobs: int = 1,
     cache: "ResultCache | None" = None,
     cache_key_fn: Callable[[int], str] | None = None,
-    telemetry: "Telemetry | None" = None,
     faults: "FaultPolicy | None" = None,
     manifest: "CampaignManifest | None" = None,
     fail_fast: bool = False,
@@ -127,10 +125,10 @@ def run_repeated(
 
     With the defaults the replicas run inline and an exception in any
     replica propagates (the historical behavior).  Passing ``jobs``,
-    ``cache``, ``telemetry``, ``faults`` or ``manifest`` routes the
-    replicas through :func:`repro.harness.run_tasks`: ``fn`` must then
-    be picklable for ``jobs > 1`` (the harness falls back to serial
-    execution if not), ``cache_key_fn(run_index)`` opts replicas into
+    ``cache``, ``faults`` or ``manifest`` routes the replicas through
+    :func:`repro.harness.run_tasks`: ``fn`` must then be picklable for
+    ``jobs > 1`` (the harness falls back to serial execution if not),
+    ``cache_key_fn(run_index)`` opts replicas into
     result caching, and failed replicas are *excluded* from the
     samples rather than fatal — each is reported through
     ``on_failure``, and only if every replica fails does this raise
@@ -154,7 +152,6 @@ def run_repeated(
     use_harness = (
         jobs > 1
         or cache is not None
-        or telemetry is not None
         or faults is not None
         or manifest is not None
     )
@@ -180,7 +177,6 @@ def run_repeated(
         tasks,
         jobs=jobs,
         cache=cache,
-        telemetry=telemetry,
         faults=faults,
         manifest=manifest,
         fail_fast=fail_fast,

@@ -22,7 +22,6 @@ from repro.errors import AnalysisError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.faults import FaultPolicy
-    from repro.harness.telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,6 @@ def sweep(
     metric: str = "value",
     *,
     jobs: int = 1,
-    telemetry: "Telemetry | None" = None,
     faults: "FaultPolicy | None" = None,
 ) -> SweepResult:
     """Measure ``measure(v)`` at each knob value.
@@ -106,7 +104,7 @@ def sweep(
     """
     if not values:
         raise AnalysisError("sweep needs at least one knob value")
-    if jobs <= 1 and telemetry is None and faults is None:
+    if jobs <= 1 and faults is None:
         points = tuple((v, float(measure(v))) for v in values)
         return SweepResult(knob=knob, metric=metric, points=points)
 
@@ -116,7 +114,7 @@ def sweep(
         Task(key=f"{knob}[{i}]={v!r}", fn=measure, args=(v,))
         for i, v in enumerate(values)
     ]
-    outcomes = run_tasks(tasks, jobs=jobs, telemetry=telemetry, faults=faults)
+    outcomes = run_tasks(tasks, jobs=jobs, faults=faults)
     failed = [o.failure for o in outcomes if not o.ok]
     if failed:
         raise AnalysisError(f"sweep over {knob} failed: {failed[0]}")

@@ -14,8 +14,6 @@ and campaign:
   checksummed entries and quarantine for corrupt ones;
 - :mod:`repro.harness.checkpoint` — campaign manifest journaling
   completed tasks so an interrupted run resumes bit-identically;
-- :mod:`repro.harness.telemetry` — JSONL event tracing and
-  hierarchical counters with an end-of-run summary table;
 - :mod:`repro.harness.faults` — per-task timeout, bounded retry, and
   graceful degradation (a failed replica is reported, not fatal);
 - :mod:`repro.harness.chaos` — test-only deterministic fault injection
@@ -31,11 +29,15 @@ and campaign:
 
 Quickstart::
 
-    from repro.harness import FaultPolicy, Task, Telemetry, run_tasks
+    from repro.harness import FaultPolicy, Task, run_tasks
 
     tasks = [Task(key=f"p{p}", fn=measure, args=(p,)) for p in (1, 2, 4, 8)]
     outcomes = run_tasks(tasks, jobs=4, faults=FaultPolicy(max_attempts=2))
     values = {o.key: o.value for o in outcomes if o.ok}
+
+Every step of a batch (``task/*``, ``cache/*``, ``run/*``) is recorded
+through :func:`repro.obs.emit`: counted in :data:`repro.obs.COUNTERS`
+and, under ``--obs PATH``, streamed to the run's JSONL file.
 """
 
 from repro.harness.cache import (
@@ -55,7 +57,6 @@ from repro.harness.faults import (
     TaskFailure,
 )
 from repro.harness.runner import Task, TaskOutcome, run_tasks
-from repro.harness.telemetry import Telemetry, iter_trace, read_trace
 from repro.harness.traceplane import (
     TracePlane,
     TraceRef,
@@ -80,9 +81,6 @@ __all__ = [
     "Task",
     "TaskOutcome",
     "run_tasks",
-    "Telemetry",
-    "iter_trace",
-    "read_trace",
     "TracePlane",
     "TraceRef",
     "TraceSpec",

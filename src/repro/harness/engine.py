@@ -43,7 +43,6 @@ from repro.harness.faults import (
     FaultPolicy,
     TaskFailure,
 )
-from repro.harness.telemetry import Telemetry
 
 #: Wake-up period of the scheduling loop while anything is time-based.
 _TICK_S = 0.05
@@ -58,20 +57,6 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     linux = sys.platform.startswith("linux")
     fork = linux and "fork" in multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if fork else "spawn")
-
-
-def _absorb_observations(
-    obs_payload: tuple[dict, list[dict]] | None, telemetry: Telemetry
-) -> None:
-    """Merge one unit's drained spans/counters into this process.
-
-    Spans land in :data:`repro.obs.SPANS`, counters both in
-    :data:`repro.obs.COUNTERS` and the run's :class:`Telemetry`.
-    """
-    if not obs_payload:
-        return
-    obs.ingest(obs_payload)
-    telemetry.merge_counters(obs_payload[0])
 
 
 # -- worker processes -------------------------------------------------------
@@ -113,8 +98,9 @@ def _worker_main(
     # A fork-started worker inherits whatever the parent had already
     # recorded (e.g. trace-plane publish counters); drop it, or the
     # first unit's drain would ship the parent's numbers back and
-    # double-count them.
+    # double-count them.  The parent's JSONL sink is the parent's alone.
     obs.reset()
+    obs.drop_sink()
     _HB_STALLED.clear()
     lock = threading.Lock()
     stop_beating = threading.Event()
@@ -142,7 +128,7 @@ def _worker_main(
         if message is None:  # clean shutdown
             break
         fn, args, kwargs, obs_on = message
-        # Observability follows the parent per message, so a worker
+        # Span recording follows the parent per message, so a worker
         # respawned mid-run records exactly like the one it replaced.
         if obs_on != obs.enabled():
             obs.enable() if obs_on else obs.disable()
@@ -241,7 +227,7 @@ class SerialExecutor:
     next ``poll``.  The unit reports its observations the way a worker
     does: the caller's recorded observations are set aside, the unit
     runs, what it recorded is drained into its result, and the
-    caller's are put back — so every executor feeds one absorb path.
+    caller's are put back — so every executor feeds one ingest path.
     There are no leases and no way to die, and a wall-clock overrun
     cannot be preempted: :func:`schedule` judges it after the fact.
     Chaos injectors that kill their worker must not run here (they
@@ -565,7 +551,6 @@ def schedule(
     units: Sequence[Any],
     executor: Any,
     client: Client,
-    telemetry: Telemetry,
     faults: FaultPolicy,
     *,
     interruptible: bool = False,
@@ -685,7 +670,7 @@ def schedule(
                      f"worker {event.wid} died (exit code {event.exitcode})",
                      killed=True)
             return
-        _absorb_observations(event.obs_payload, telemetry)
+        obs.ingest(event.obs_payload)
         if unit.key in decided:
             client.late(unit, event)
             return

@@ -5,7 +5,8 @@ runs, whole figures — on the execution engine
 (:mod:`repro.harness.engine`), consulting a
 :class:`~repro.harness.cache.ResultCache` and a
 :class:`~repro.harness.checkpoint.CampaignManifest` first and recording
-every step through :class:`~repro.harness.telemetry.Telemetry`.
+every step as a :func:`repro.obs.emit` event (``task/*``, ``cache/*``,
+``run/*``).
 
 Determinism is the design center: a task carries *all* of its inputs
 (including any RNG seeding, typically an
@@ -22,8 +23,9 @@ journaled to the manifest, and :class:`~repro.errors.CampaignInterrupted`
 tells the caller the campaign can be resumed.
 
 Execution falls back to in-process serial mode when ``jobs <= 1`` or
-when a task is not picklable (e.g. a closure), with a telemetry event
-so silent degradation never masquerades as parallel speedup.
+when a task is not picklable (e.g. a closure), with a
+``run/serial-fallback`` event so silent degradation never masquerades
+as parallel speedup.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import pickle
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
+from repro import obs
 from repro.errors import CampaignInterrupted, HarnessError
 from repro.harness.cache import ResultCache
 from repro.harness.engine import (
@@ -48,7 +51,6 @@ from repro.harness.faults import (
     FaultPolicy,
     TaskFailure,
 )
-from repro.harness.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.checkpoint import CampaignManifest
@@ -59,7 +61,7 @@ class Task:
     """One unit of harness work: a picklable callable plus arguments.
 
     ``key`` must be unique within a batch; it names the task in
-    telemetry and indexes its outcome.  ``cache_key`` (from
+    events and indexes its outcome.  ``cache_key`` (from
     :func:`~repro.harness.cache.content_key`) opts the task into result
     caching; ``None`` means always recompute.  ``plane_keys`` lists the
     trace-plane spec keys this task replays (see
@@ -105,39 +107,38 @@ def _is_picklable(task: Task) -> bool:
 class _TaskClient(Client):
     """``run_tasks``' view of the engine: ``task/*`` events, outcomes."""
 
-    def __init__(self, telemetry: Telemetry, faults: FaultPolicy, record) -> None:
-        self.emit = telemetry.emit
+    def __init__(self, faults: FaultPolicy, record) -> None:
         self.timeout_s = faults.timeout_s
         self.record = record
 
     def started(self, task: Task, attempt: int, wid: int, pid: int) -> None:
-        self.emit("task/start", task=task.key, attempt=attempt, worker=pid)
+        obs.emit("task/start", task=task.key, attempt=attempt, worker=pid)
 
     def errored(self, task: Task, attempt: int, error: str) -> None:
-        self.emit("task/error", task=task.key, attempt=attempt, error=error)
+        obs.emit("task/error", task=task.key, attempt=attempt, error=error)
 
     def retrying(self, task: Task, attempt: int) -> None:
-        self.emit("task/retry", task=task.key, attempt=attempt)
+        obs.emit("task/retry", task=task.key, attempt=attempt)
 
     def died(self, wid: int, exitcode: int | None, task: Task | None) -> None:
-        self.emit(
+        obs.emit(
             "run/broken-pool", task=task.key if task is not None else None,
             exitcode=exitcode,
         )
 
     def respawned(self, wid: int) -> None:
-        self.emit("pool/respawn", worker=wid)
+        obs.emit("pool/respawn", worker=wid)
 
     def reclaimed(
         self, task: Task, attempt: int, wid: int, kind: str, reason: str
     ) -> None:
-        self.emit(
+        obs.emit(
             "task/timeout", task=task.key, attempt=attempt, timeout_s=self.timeout_s
         )
 
     def overran(self, task: Task, attempt: int, wall_s: float, kept: bool) -> None:
         if kept:
-            self.emit(
+            obs.emit(
                 "task/overtime", task=task.key, wall_s=round(wall_s, 6),
                 timeout_s=self.timeout_s,
             )
@@ -152,7 +153,7 @@ class _TaskClient(Client):
                 key=task.key, failure=result, attempts=result.attempts
             )
         else:
-            self.emit(
+            obs.emit(
                 "task/end", task=task.key, attempt=result.attempt,
                 wall_s=round(result.wall_s, 6), worker=result.pid,
             )
@@ -168,7 +169,6 @@ def run_tasks(
     *,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    telemetry: Telemetry | None = None,
     faults: FaultPolicy | None = None,
     manifest: "CampaignManifest | None" = None,
     fail_fast: bool = False,
@@ -191,10 +191,10 @@ def run_tasks(
     retry budgets do.
 
     ``manifest`` journals every final outcome incrementally and serves
-    tasks the campaign already completed (``resume/skip`` in
-    telemetry) without recomputing them.  ``fail_fast`` stops
-    dispatching after the first ultimate failure; not-yet-started
-    tasks fail with ``KIND_ABORTED``.
+    tasks the campaign already completed (a ``resume/skip`` event)
+    without recomputing them.  ``fail_fast`` stops dispatching after
+    the first ultimate failure; not-yet-started tasks fail with
+    ``KIND_ABORTED``.
 
     ``plane`` is a :class:`repro.harness.traceplane.TracePlane`: each
     pending task's ``plane_keys`` are retained up front and released
@@ -205,7 +205,6 @@ def run_tasks(
     :meth:`TracePlane.close`, which the campaign owner runs either
     way.
     """
-    telemetry = telemetry if telemetry is not None else Telemetry()
     faults = faults if faults is not None else FaultPolicy()
     keys = [task.key for task in tasks]
     if len(set(keys)) != len(keys):
@@ -218,7 +217,7 @@ def run_tasks(
         if manifest is not None:
             hit, value = manifest.lookup(task.key)
             if hit:
-                telemetry.emit("resume/skip", task=task.key)
+                obs.emit("resume/skip", task=task.key)
                 outcomes[task.key] = TaskOutcome(
                     key=task.key, value=value, cached=True
                 )
@@ -226,16 +225,16 @@ def run_tasks(
         if cache is not None and task.cache_key is not None:
             hit, value = cache.get(task.cache_key)
             if hit:
-                telemetry.emit("cache/hit", task=task.key)
+                obs.emit("cache/hit", task=task.key)
                 outcome = TaskOutcome(key=task.key, value=value, cached=True)
                 outcomes[task.key] = outcome
                 if manifest is not None:
                     manifest.record(task.key, outcome)
                 continue
-            telemetry.emit("cache/miss", task=task.key)
+            obs.emit("cache/miss", task=task.key)
         pending.append(task)
     if cache is not None and cache.quarantined > quarantined_before:
-        telemetry.emit(
+        obs.emit(
             "cache/quarantined", entries=cache.quarantined - quarantined_before
         )
 
@@ -244,7 +243,7 @@ def run_tasks(
             if task.plane_keys:
                 plane.retain(task.plane_keys)
         if plane.refs:
-            telemetry.emit(
+            obs.emit(
                 "run/trace-plane",
                 segments=len(plane.refs),
                 bytes=plane.bytes_shared,
@@ -270,29 +269,29 @@ def run_tasks(
         if parallel:
             unpicklable = [task.key for task in pending if not _is_picklable(task)]
             if unpicklable:
-                telemetry.emit(
+                obs.emit(
                     "run/serial-fallback", tasks=unpicklable, reason="not picklable"
                 )
                 parallel = False
         if parallel:
             workers = min(int(jobs), len(pending))
-            telemetry.emit("run/pool", jobs=workers, tasks=len(pending))
+            obs.emit("run/pool", jobs=workers, tasks=len(pending))
             executor: Any = LocalPoolExecutor(
                 workers, max_respawns=len(pending) * faults.max_attempts
             )
         else:
             executor = SerialExecutor()
         schedule(
-            pending, executor, _TaskClient(telemetry, faults, record),
-            telemetry, faults, interruptible=interruptible, fail_fast=fail_fast,
+            pending, executor, _TaskClient(faults, record),
+            faults, interruptible=interruptible, fail_fast=fail_fast,
         )
 
     for outcome in outcomes.values():
-        telemetry.incr("task/ok" if outcome.ok else "task/failed")
+        obs.incr("task/ok" if outcome.ok else "task/failed")
 
     remaining = tuple(key for key in keys if key not in outcomes)
     if remaining:  # only a drained interrupt leaves tasks undecided
-        telemetry.emit(
+        obs.emit(
             "run/interrupted", completed=len(outcomes), remaining=len(remaining)
         )
         raise CampaignInterrupted(len(outcomes), remaining)

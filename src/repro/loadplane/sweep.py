@@ -194,7 +194,6 @@ def run_saturation(
     *,
     jobs: int = 1,
     cache=None,
-    telemetry=None,
     manifest=None,
     faults: FaultPolicy | None = None,
 ) -> SaturationReport:
@@ -207,7 +206,6 @@ def run_saturation(
         sweep_tasks(sweep),
         jobs=jobs,
         cache=cache,
-        telemetry=telemetry,
         manifest=manifest,
         faults=faults,
     )

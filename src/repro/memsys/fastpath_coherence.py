@@ -989,6 +989,27 @@ def _new_machine(lib, hierarchy):
     )
 
 
+#: Scalar-path fallbacks are counted under this prefix, one counter per
+#: reason: ``no-kernel`` (no compiler or library), ``unsupported`` (a
+#: geometry the kernel cannot hold), ``warm`` (state already replayed
+#: into the hierarchy) and ``alloc`` (the kernel ran out of memory).
+FALLBACK_COUNTER = "memsys/fastpath/coherent_fallback"
+
+
+def _declined(lib, hierarchy) -> bool:
+    """Whether the kernel cannot serve ``hierarchy``; counts the reason."""
+    if lib is None:
+        reason = "no-kernel"
+    elif not _supported(hierarchy):
+        reason = "unsupported"
+    elif not _is_cold(hierarchy):
+        reason = "warm"
+    else:
+        return False
+    _obs.incr(f"{FALLBACK_COUNTER}/{reason}")
+    return True
+
+
 def run_trace_kernel(
     hierarchy, per_cpu_traces, quantum: int, warmup_fraction: float
 ) -> bool:
@@ -1000,8 +1021,7 @@ def run_trace_kernel(
     state the scalar replay would have produced.
     """
     lib = _load_library()
-    if lib is None or not _supported(hierarchy) or not _is_cold(hierarchy):
-        _obs.incr("memsys/fastpath/coherent_fallback")
+    if _declined(lib, hierarchy):
         return False
     traces = [np.ascontiguousarray(t, dtype=np.uint64) for t in per_cpu_traces]
     lens = np.array([t.size for t in traces], dtype=np.int64)
@@ -1013,7 +1033,7 @@ def run_trace_kernel(
     )
     m = _new_machine(lib, hierarchy)
     if not m:
-        _obs.incr("memsys/fastpath/coherent_fallback")
+        _obs.incr(f"{FALLBACK_COUNTER}/alloc")
         return False
     try:
         splits = np.array(
@@ -1026,12 +1046,8 @@ def run_trace_kernel(
         for i, (leaf_offs, leaf_lens) in enumerate(leaves):
             if i > 0:
                 lib.jmmw_reset_stats(m)
-            bus_before = None
-            if _obs.enabled():
-                bus_before = np.zeros(len(BUS_FIELDS), dtype=np.int64)
-                lib.jmmw_get_stats(
-                    m, None, None, _ptr(bus_before, ctypes.c_int64), None
-                )
+            bus_before = np.zeros(len(BUS_FIELDS), dtype=np.int64)
+            lib.jmmw_get_stats(m, None, None, _ptr(bus_before, ctypes.c_int64), None)
             leaf_offs = np.ascontiguousarray(leaf_offs, dtype=np.int64)
             leaf_lens = np.ascontiguousarray(leaf_lens, dtype=np.int64)
             with _obs.span(
@@ -1047,19 +1063,16 @@ def run_trace_kernel(
             if rc != 0:
                 # Allocation failure mid-replay: the machine state is
                 # unusable, but the Python hierarchy is untouched.
-                _obs.incr("memsys/fastpath/coherent_fallback")
+                _obs.incr(f"{FALLBACK_COUNTER}/alloc")
                 return False
-            if bus_before is not None:
-                bus_after = np.zeros(len(BUS_FIELDS), dtype=np.int64)
-                lib.jmmw_get_stats(
-                    m, None, None, _ptr(bus_after, ctypes.c_int64), None
-                )
-                for name, before, after in zip(
-                    BUS_FIELDS, bus_before.tolist(), bus_after.tolist()
-                ):
-                    if after - before:
-                        _obs.incr(f"memsys/bus/{name}", after - before)
-                _obs.incr("memsys/replay/refs", int(leaf_lens.sum()))
+            bus_after = np.zeros(len(BUS_FIELDS), dtype=np.int64)
+            lib.jmmw_get_stats(m, None, None, _ptr(bus_after, ctypes.c_int64), None)
+            for name, before, after in zip(
+                BUS_FIELDS, bus_before.tolist(), bus_after.tolist()
+            ):
+                if after - before:
+                    _obs.incr(f"memsys/bus/{name}", after - before)
+            _obs.incr("memsys/replay/refs", int(leaf_lens.sum()))
         _export_stats(lib, m, hierarchy)
         _export_table(lib, m, hierarchy)
         _export_caches(lib, m, hierarchy)
@@ -1098,12 +1111,11 @@ class KernelSession:
     def begin(cls, hierarchy) -> "KernelSession | None":
         """Open a session, or None when the kernel cannot serve it."""
         lib = _load_library()
-        if lib is None or not _supported(hierarchy) or not _is_cold(hierarchy):
-            _obs.incr("memsys/fastpath/coherent_fallback")
+        if _declined(lib, hierarchy):
             return None
         m = _new_machine(lib, hierarchy)
         if not m:
-            _obs.incr("memsys/fastpath/coherent_fallback")
+            _obs.incr(f"{FALLBACK_COUNTER}/alloc")
             return None
         return cls(lib, m, hierarchy)
 

@@ -312,7 +312,7 @@ class MemoryHierarchy:
         # Observability is published per leaf replay (the warmup branch
         # above recurses into two leaves around a reset_stats, so the
         # bus-stat deltas below sum to the whole run's activity).
-        bus_before = self._bus_counter_snapshot() if _obs.enabled() else None
+        bus_before = self._bus_counter_snapshot()
         access = self.access
         positions = [0] * len(per_cpu_traces)
         live = [cpu for cpu, t in enumerate(per_cpu_traces) if t]
@@ -333,8 +333,7 @@ class MemoryHierarchy:
                     if end < len(trace):
                         next_live.append(cpu)
                 live = next_live
-        if bus_before is not None:
-            self._publish_bus_counters(bus_before, sum(positions))
+        self._publish_bus_counters(bus_before, sum(positions))
         if self.checker is not None:
             # One guaranteed full check per replay, so corruption that
             # slipped between samples still fails the run that made it.
@@ -351,7 +350,7 @@ class MemoryHierarchy:
         return tuple(getattr(stats, name) for name in self._OBS_BUS_FIELDS)
 
     def _publish_bus_counters(self, before: tuple[int, ...], refs: int) -> None:
-        """Publish this replay's bus-transaction deltas (obs enabled)."""
+        """Publish this replay's bus-transaction deltas."""
         stats = self.bus.stats
         for name, base in zip(self._OBS_BUS_FIELDS, before):
             delta = getattr(stats, name) - base

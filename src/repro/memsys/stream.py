@@ -596,12 +596,10 @@ def run_trace_stream(
                     session.reset_stats()
                 else:
                     hierarchy.reset_stats()
-            bus_before = None
-            if _obs.enabled():
-                bus_before = (
-                    session.bus_counters() if session is not None
-                    else hierarchy._bus_counter_snapshot()
-                )
+            bus_before = (
+                session.bus_counters() if session is not None
+                else hierarchy._bus_counter_snapshot()
+            )
             with _obs.span(
                 "memsys/replay", refs=sum(budgets), procs=stream.n_procs,
             ):
@@ -609,11 +607,10 @@ def run_trace_stream(
                     _kernel_phase(session, cursors, budgets, quantum)
                 else:
                     _scalar_phase(hierarchy, cursors, budgets, quantum)
-            if bus_before is not None:
-                if session is not None:
-                    session.publish_bus_delta(bus_before, sum(budgets))
-                else:
-                    hierarchy._publish_bus_counters(bus_before, sum(budgets))
+            if session is not None:
+                session.publish_bus_delta(bus_before, sum(budgets))
+            else:
+                hierarchy._publish_bus_counters(bus_before, sum(budgets))
         if session is not None:
             session.finish()
             session = None

@@ -1,14 +1,11 @@
-"""Pipeline observability: spans, counters, benchmarks, validation.
+"""Pipeline observability: one recorder for events, counters and spans.
 
-Four layers, all opt-in and all near-zero cost when off:
-
+- :mod:`repro.obs.counters` — a process-wide registry every component
+  publishes aggregate counts into (harness and campaign events, bus
+  transactions, c2c transfers, GC pauses, fastpath kernel calls);
+  always on;
 - :mod:`repro.obs.spans` — nestable timed spans over the pipeline
-  (trace-gen -> replay -> analysis -> figure render), exported as
-  JSONL plus a human summary;
-- :mod:`repro.obs.counters` — a process-wide registry the memsys /
-  jvm / harness components publish aggregate counts into (bus
-  transactions, snoop copybacks, c2c transfers, GC pauses, fastpath
-  kernel invocations);
+  (trace-gen -> replay -> analysis -> figure render); opt-in;
 - :mod:`repro.obs.bench` — the ``jmmw bench`` suite: times
   representative stages over N repetitions, writes ``BENCH_*.json``
   snapshots, and fails on regression against the previous snapshot;
@@ -17,80 +14,132 @@ Four layers, all opt-in and all near-zero cost when off:
   (per-set LRU, naive MOSI machine, stack-distance recount) and
   diffs full counter vectors, reporting first-divergence context.
 
-Enablement of the instrumentation layer: ``jmmw ... --obs [PATH]``,
-or set ``JMMW_OBS=1`` in the environment (worker processes inherit
-it); ``JMMW_OBS_FILE`` names a JSONL export path.  The module-level
-singletons :data:`SPANS` and :data:`COUNTERS` are what instrumented
-components talk to::
+Instrumented components talk to the singletons :data:`SPANS` and
+:data:`COUNTERS` through this module::
 
     from repro import obs
 
     with obs.span("memsys/replay", refs=n):
         ...
     obs.incr("memsys/bus/c2c_transfers", delta)
+    obs.emit("task/end", task="fig04", wall_s=1.5)
 
-While disabled both calls bottom out in class-level no-op methods
-(the instance-attribute-shadowing trick of
-:mod:`repro.memsys.invariants`), so the simulator's hot paths pay one
-cheap call per *coarse* event and nothing per reference.
+:func:`emit` bumps the counter named after the event and, while a
+sink is open (``jmmw ... --obs PATH``), writes the event as one JSONL
+line at once; :func:`close_sink` appends the spans and final counters.
+Only the parent writes the file: workers ship their counters and spans
+back with each result (see :mod:`repro.harness.engine`).
+
+Counters stay on because every site is a coarse event (a replay, a
+task, a GC collection), never a reference, and the registry holds one
+entry per name; finished spans pile up for the whole run, so they wait
+for :func:`enable` (``--obs``).  Counts are process-wide: to isolate
+one run, :func:`reset` first or diff ``COUNTERS.snapshot()``.
 """
 
 from __future__ import annotations
 
-import os
+import json
+import time
 from pathlib import Path
-from typing import Any
+from typing import IO, Any
 
 from repro.obs.counters import CounterRegistry
 from repro.obs.spans import SpanTracker
-
-#: Environment switch: any of 1/true/yes/on enables observability.
-OBS_ENV = "JMMW_OBS"
-
-#: Optional JSONL export path picked up at end of a CLI run.
-OBS_FILE_ENV = "JMMW_OBS_FILE"
 
 #: Process-wide singletons every instrumented component publishes to.
 SPANS = SpanTracker()
 COUNTERS = CounterRegistry()
 
-
-def env_enabled() -> bool:
-    """Whether ``JMMW_OBS`` asks for observability."""
-    return os.environ.get(OBS_ENV, "").strip().lower() in ("1", "true", "yes", "on")
+#: The open JSONL sink (``--obs PATH``) and the time its events count from.
+_sink: IO[str] | None = None
+_sink_t0 = 0.0
 
 
 def enabled() -> bool:
-    """Whether the process-wide instrumentation is currently recording."""
-    return COUNTERS.enabled
+    """Whether spans are being recorded (counters always are)."""
+    return SPANS.enabled
 
 
 def enable() -> None:
-    """Turn on the process-wide span tracker and counter registry."""
+    """Start recording spans."""
     SPANS.enable()
-    COUNTERS.enable()
 
 
 def disable() -> None:
-    """Turn instrumentation off and restore the no-op fast path."""
+    """Stop recording spans and restore their no-op fast path."""
     SPANS.disable()
-    COUNTERS.disable()
 
 
 def reset() -> None:
-    """Drop all recorded observations (enablement is unchanged)."""
+    """Drop all recorded counters and spans (the sink is unchanged)."""
     SPANS.clear()
     COUNTERS.clear()
 
 
 def span(name: str, **attrs: Any):
-    """Open a timed span; a shared no-op while observability is off."""
+    """Open a timed span; a shared no-op while spans are off."""
     return SPANS.span(name, **attrs)
 
 
 def incr(name: str, n: int | float = 1) -> None:
-    """Bump a registry counter; a no-op while observability is off."""
+    """Add ``n`` to registry counter ``name``; writes no record."""
     COUNTERS.incr(name, n)
+
+
+def emit(event: str, **fields: Any) -> None:
+    """Record one event: bump its counter and stream it to the sink.
+
+    Fields that are not JSON-serializable are written as strings.
+    """
+    COUNTERS.incr(event)
+    if _sink is not None:
+        record = {"type": "event", "t": round(time.monotonic() - _sink_t0, 6),
+                  "event": event}
+        record.update(fields)
+        _sink.write(json.dumps(record, default=str) + "\n")
+        # Flushed per event: a fork-started worker inherits an empty
+        # buffer, and an interrupted run keeps every event so far.
+        _sink.flush()
+
+
+# -- the JSONL sink ---------------------------------------------------------
+
+
+def open_sink(path: str | Path) -> None:
+    """Start a fresh JSONL file (truncating any earlier one) for events."""
+    global _sink, _sink_t0
+    close_sink()
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _sink = path.open("w", encoding="utf-8")
+    _sink_t0 = time.monotonic()
+
+
+def close_sink() -> int:
+    """Append finished spans and final counters, then close the file.
+
+    Returns the number of records written here (0 without a sink).
+    """
+    global _sink
+    if _sink is None:
+        return 0
+    sink, _sink = _sink, None
+    counters = COUNTERS.summary_rows()
+    with sink:
+        for record in SPANS.finished:
+            sink.write(json.dumps({"type": "span", **record}, default=str) + "\n")
+        for name, value in counters:
+            sink.write(
+                json.dumps({"type": "counter", "name": name, "value": value}) + "\n"
+            )
+    return len(SPANS.finished) + len(counters)
+
+
+def drop_sink() -> None:
+    """Forget an inherited sink unwritten (a fork-started worker's copy)."""
+    global _sink
+    _sink = None
 
 
 # -- worker <-> parent transport (see repro.harness.engine) ----------------
@@ -100,12 +149,8 @@ def drain_payload() -> tuple[dict, list[dict]] | None:
     """Pull everything recorded since the last drain, for the pipe.
 
     Returns ``(counters, spans)`` — both plain picklable containers —
-    or ``None`` when there is nothing to ship (including the common
-    case of observability being disabled), so the disabled path adds
-    nothing to the result message.
+    or ``None`` when there is nothing to ship.
     """
-    if not COUNTERS.enabled and not SPANS.enabled:
-        return None
     counters = COUNTERS.drain()
     spans = SPANS.drain()
     if not counters and not spans:
@@ -126,21 +171,6 @@ def ingest(payload: tuple[dict, list[dict]] | None) -> None:
 
 
 def render_summary() -> str:
-    """Human summary: span aggregates plus the counter table."""
-    return "\n".join(
-        ["-- spans --", SPANS.render_summary(),
-         "-- counters --", COUNTERS.render_summary()]
-    )
-
-
-def export_jsonl(path: str | Path) -> int:
-    """Write spans then counters to ``path`` (JSONL); returns records."""
-    return SPANS.write_jsonl(path) + COUNTERS.write_jsonl(path)
-
-
-def _init_from_env() -> None:
-    if env_enabled():
-        enable()
-
-
-_init_from_env()
+    """Human summary: the counter table, after the span table if spans are on."""
+    parts = ["-- spans --", SPANS.render_summary()] if SPANS.enabled else []
+    return "\n".join(parts + ["-- counters --", COUNTERS.render_summary()])

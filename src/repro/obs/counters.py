@@ -1,18 +1,17 @@
-"""Process-wide counter registry the simulator components publish into.
+"""Process-wide counter registry every component publishes into.
 
 The memory system, JVM model and harness all keep their own precise
 per-run statistics; what was missing is one place where a whole
-campaign's totals accumulate — bus transactions, snoop copybacks,
-cache-to-cache transfers, GC pauses, vectorized-kernel invocations —
-regardless of which component, figure or worker produced them.
-:class:`CounterRegistry` is that place.
+campaign's totals accumulate — harness and campaign events, bus
+transactions, snoop copybacks, cache-to-cache transfers, GC pauses,
+vectorized-kernel invocations — regardless of which component, figure
+or worker produced them.  :class:`CounterRegistry` is that place.
 
 Names are hierarchical (``memsys/bus/reads``, ``jvm/gc/pause_s``) so
 summaries group naturally; values may be ints or floats (pause
-seconds, bytes).  Like :mod:`repro.obs.spans`, the registry costs one
-no-op method call while disabled: :meth:`CounterRegistry.incr` is a
-class-level no-op that :meth:`enable` shadows with the live
-implementation through an instance attribute.
+seconds, bytes).  The registry is always on: every publishing site is
+a coarse event, never a per-reference one, and it holds one entry per
+name.
 
 Worker processes :meth:`drain` their counts after each task; the
 parent merges them back with :meth:`merge` (see
@@ -22,34 +21,17 @@ totals as serial ones.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 
 class CounterRegistry:
-    """Hierarchical named counters; disabled (and free) by default."""
+    """Hierarchical named counters."""
 
     def __init__(self) -> None:
-        self.enabled = False
         self._counts: dict[str, int | float] = {}
 
-    # Class-level no-op; ``enable`` shadows it per instance.
     def incr(self, name: str, n: int | float = 1) -> None:
-        """Add ``n`` to counter ``name`` (no-op while disabled)."""
-
-    def _incr_live(self, name: str, n: int | float = 1) -> None:
+        """Add ``n`` to counter ``name``."""
         counts = self._counts
         counts[name] = counts.get(name, 0) + n
-
-    def enable(self) -> None:
-        """Start counting: shadow :meth:`incr` with the live version."""
-        self.enabled = True
-        self.incr = self._incr_live  # type: ignore[method-assign]
-
-    def disable(self) -> None:
-        """Stop counting and restore the class-level no-op."""
-        self.enabled = False
-        self.__dict__.pop("incr", None)
 
     # -- collection --------------------------------------------------------
 
@@ -87,16 +69,3 @@ class CounterRegistry:
         if not rows:
             return "obs: no counters recorded"
         return render_table(["counter", "value"], rows)
-
-    def write_jsonl(self, path: str | Path) -> int:
-        """Append one record per counter to a JSONL file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rows = self.summary_rows()
-        with path.open("a", encoding="utf-8") as fh:
-            for name, value in rows:
-                fh.write(
-                    json.dumps({"type": "counter", "name": name, "value": value})
-                    + "\n"
-                )
-        return len(rows)

@@ -22,15 +22,14 @@ reading.
 Finished spans are plain dicts (JSONL-ready and picklable), so worker
 processes can :meth:`drain` their spans after each task and ship them
 to the parent over the result pipe (see
-:mod:`repro.harness.engine`).
+:mod:`repro.harness.engine`); the parent's JSONL sink
+(:func:`repro.obs.close_sink`) writes them at the end of the run.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import defaultdict
-from pathlib import Path
 from typing import Any
 
 
@@ -155,12 +154,3 @@ class SpanTracker:
         return render_table(
             ["span", "count", "total s", "mean s", "max s"], rows
         )
-
-    def write_jsonl(self, path: str | Path) -> int:
-        """Append finished spans to a JSONL file; returns records written."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as fh:
-            for record in self.finished:
-                fh.write(json.dumps({"type": "span", **record}, default=str) + "\n")
-        return len(self.finished)

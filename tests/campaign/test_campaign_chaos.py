@@ -8,8 +8,11 @@ quarantined with diagnostics, every surviving cell's bits match a
 clean serial run, and the report states the degradation explicitly.
 """
 
+import json
+
 import pytest
 
+from repro import obs
 from repro.campaign import (
     Axis,
     CampaignPolicy,
@@ -22,7 +25,7 @@ from repro.campaign import (
 )
 from repro.campaign.report import render
 from repro.campaign.studies import ablation_cell, smoke_cell
-from repro.harness import FaultPolicy, Telemetry
+from repro.harness import FaultPolicy
 from repro.harness.chaos import kill_executor, poison_cell, stall_heartbeat
 
 
@@ -95,13 +98,10 @@ def test_fleet_survives_death_stall_and_poison_bit_identically(tmp_path):
     clean = CampaignSpec(
         name="ablation", table=table, fn=ablation_cell, kwargs={"refs": 6_000}
     )
-
-    telemetry = Telemetry()
     result = run_campaign(
         chaotic,
         SubprocessFleetExecutor(workers=3, heartbeat_s=0.2, max_respawns=8),
         policy=chaos_policy(),
-        telemetry=telemetry,
     )
     reference = run_campaign(clean, SerialExecutor(), policy=chaos_policy())
     assert reference.complete
@@ -126,13 +126,13 @@ def test_fleet_survives_death_stall_and_poison_bit_identically(tmp_path):
             survivors += 1
     assert survivors == len(table.cells()) - 1  # everything but the poison
 
-    # The chaos left its fingerprints in telemetry: a dead worker
+    # The chaos left its fingerprints in the events: a dead worker
     # (kill_executor + poison kills), a reclaimed lease (heartbeat
     # stall), and the quarantine event.
-    assert telemetry.counters["campaign/worker-dead"] >= 1
-    assert telemetry.counters["campaign/lease-reclaimed"] >= 1
-    assert telemetry.counters["campaign/cell-poisoned"] == 1
-    assert telemetry.counters["campaign/cell-retry"] >= 1
+    assert obs.COUNTERS.get("campaign/worker-dead") >= 1
+    assert obs.COUNTERS.get("campaign/lease-reclaimed") >= 1
+    assert obs.COUNTERS.get("campaign/cell-poisoned") == 1
+    assert obs.COUNTERS.get("campaign/cell-retry") >= 1
 
     # And the report states the degradation explicitly.
     report = render(result)
@@ -171,10 +171,10 @@ def test_smoke_chaos_fast_net(tmp_path, obs_enabled):
     # The campaign/* observability counters saw the whole story.
     snapshot = obs_enabled.COUNTERS.snapshot()
     assert snapshot["campaign/cells_total"] == table.n_cells * 2  # both runs
-    assert snapshot["campaign/worker_deaths"] >= 1
-    assert snapshot["campaign/lease_reclaims"] >= 1
+    assert snapshot["campaign/worker-dead"] >= 1
+    assert snapshot["campaign/lease-reclaimed"] >= 1
     assert snapshot["campaign/cells_poisoned"] == 1
-    assert snapshot["campaign/retries"] >= 1
+    assert snapshot["campaign/cell-retry"] >= 1
 
 
 def test_stalled_heartbeat_lease_is_reclaimed_not_waited_out(tmp_path):
@@ -188,20 +188,19 @@ def test_stalled_heartbeat_lease_is_reclaimed_not_waited_out(tmp_path):
     )
     trace = tmp_path / "trace.jsonl"
     t0 = time.monotonic()
-    with Telemetry(trace_path=trace) as telemetry:
-        result = run_campaign(
-            spec,
-            SubprocessFleetExecutor(workers=2, heartbeat_s=0.2),
-            policy=chaos_policy(),
-            telemetry=telemetry,
-        )
+    obs.open_sink(trace)
+    result = run_campaign(
+        spec,
+        SubprocessFleetExecutor(workers=2, heartbeat_s=0.2),
+        policy=chaos_policy(),
+    )
+    obs.close_sink()
     wall = time.monotonic() - t0
     assert result.complete  # the stall was scripted for one attempt only
     assert wall < 20.0  # nowhere near the 60s hang
-    assert telemetry.counters["campaign/lease-reclaimed"] >= 1
-    from repro.harness.telemetry import read_trace
-
+    assert obs.COUNTERS.get("campaign/lease-reclaimed") >= 1
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
     reclaim_events = [
-        e for e in read_trace(trace) if e["event"] == "campaign/lease-reclaimed"
+        r for r in records if r.get("event") == "campaign/lease-reclaimed"
     ]
     assert any("no heartbeat" in e.get("reason", "") for e in reclaim_events)

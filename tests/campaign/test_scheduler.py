@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.campaign import (
     Axis,
     CampaignPolicy,
@@ -25,7 +26,7 @@ from repro.campaign import (
 )
 from repro.campaign.report import render, summarize
 from repro.campaign.studies import smoke_cell
-from repro.harness import CampaignManifest, FaultPolicy, Telemetry
+from repro.harness import CampaignManifest, FaultPolicy
 from repro.harness.chaos import error_task, hang_task, kill_executor, take_ticket
 
 
@@ -134,18 +135,17 @@ def test_executors_bit_identical_to_serial(make_executor):
 
 
 def test_transient_error_retried_with_backoff(tmp_path):
-    telemetry = Telemetry()
     spec = CampaignSpec(
         name="s", table=small_table(points=2), fn=flaky_cell,
         kwargs={"root": str(tmp_path)},
     )
     result = run_campaign(
-        spec, SerialExecutor(), policy=fast_policy(), telemetry=telemetry
+        spec, SerialExecutor(), policy=fast_policy()
     )
     assert result.complete
     assert all(o.attempts == 2 for o in result.outcomes)
-    assert telemetry.counters["campaign/cell-retry"] == 2
-    assert telemetry.counters["campaign/cells_ok"] == 2
+    assert obs.COUNTERS.get("campaign/cell-retry") == 2
+    assert obs.COUNTERS.get("campaign/cells_ok") == 2
 
 
 def test_persistent_error_exhausts_budget_and_fails_cell(tmp_path):
@@ -167,26 +167,23 @@ def test_persistent_error_exhausts_budget_and_fails_cell(tmp_path):
 
 
 def test_worker_death_reschedules_cell_and_respawns(tmp_path):
-    telemetry = Telemetry()
     spec = CampaignSpec(
         name="s", table=small_table(points=3), fn=killer_cell,
         kwargs={"root": str(tmp_path), "victim": 1},
     )
     result = run_campaign(
         spec, SubprocessFleetExecutor(workers=2), policy=fast_policy(),
-        telemetry=telemetry,
     )
     assert result.complete
     clean = run_campaign(spec, SerialExecutor(), policy=fast_policy())
     # tickets consumed by the serial run shift nothing: alpha=1 already
     # spent its one kill, so serial recomputes the same values.
     assert [o.value for o in result.outcomes] == [o.value for o in clean.outcomes]
-    assert telemetry.counters["campaign/worker-dead"] >= 1
-    assert telemetry.counters["campaign/cell-retry"] >= 1
+    assert obs.COUNTERS.get("campaign/worker-dead") >= 1
+    assert obs.COUNTERS.get("campaign/cell-retry") >= 1
 
 
 def test_poisoned_cell_is_quarantined_with_diagnostics(tmp_path):
-    telemetry = Telemetry()
     spec = CampaignSpec(
         name="s", table=small_table(points=3), fn=killer_cell,
         kwargs={"root": str(tmp_path), "victim": 2, "kill_attempts": 99},
@@ -195,21 +192,19 @@ def test_poisoned_cell_is_quarantined_with_diagnostics(tmp_path):
         spec,
         SubprocessFleetExecutor(workers=2, max_respawns=6),
         policy=fast_policy(faults=FaultPolicy(max_attempts=5, backoff_s=0.0)),
-        telemetry=telemetry,
     )
     poisoned = result.by_status(STATUS_POISONED)
     assert len(poisoned) == 1
     assert poisoned[0].cell.point_dict["alpha"] == 2
     assert "quarantined" in poisoned[0].error
     assert "killed 2 consecutive worker(s)" in poisoned[0].error
-    assert telemetry.counters["campaign/cell-poisoned"] == 1
+    assert obs.COUNTERS.get("campaign/cell-poisoned") == 1
     # The other cells survived the chaos untouched.
     assert sum(1 for o in result.outcomes if o.ok) == 2
     assert "poisoned" in render(result)
 
 
 def test_respawn_budget_exhaustion_degrades_gracefully(tmp_path):
-    telemetry = Telemetry()
     spec = CampaignSpec(
         name="s", table=small_table(points=3), fn=killer_cell,
         kwargs={"root": str(tmp_path), "victim": 0, "kill_attempts": 99},
@@ -218,14 +213,13 @@ def test_respawn_budget_exhaustion_degrades_gracefully(tmp_path):
         spec,
         SubprocessFleetExecutor(workers=1, max_respawns=0),
         policy=fast_policy(),
-        telemetry=telemetry,
     )
     # One worker, no respawns: the first kill ends all capacity and the
     # campaign shrinks to a partial result instead of hanging.
     assert result.degraded
     missing = result.by_status(STATUS_MISSING)
     assert missing and all("no surviving workers" in o.error for o in missing)
-    assert telemetry.counters["campaign/degraded"] == 1
+    assert obs.COUNTERS.get("campaign/degraded") == 1
     report = render(result)
     assert "DEGRADED" in report and "missing" in report
 
@@ -270,7 +264,6 @@ def test_lease_timeout_retried_when_policy_allows(tmp_path):
 
 
 def test_straggler_speculation_first_result_wins(tmp_path):
-    telemetry = Telemetry()
     spec = CampaignSpec(
         name="s", table=small_table(points=6), fn=slow_cell,
         kwargs={"root": str(tmp_path), "victim": 0, "sleep_s": 3.0},
@@ -279,16 +272,14 @@ def test_straggler_speculation_first_result_wins(tmp_path):
         spec,
         SubprocessFleetExecutor(workers=2),
         policy=fast_policy(straggler_min_s=0.3, straggler_factor=2.0),
-        telemetry=telemetry,
     )
     assert result.complete
-    assert telemetry.counters["campaign/speculate"] >= 1
+    assert obs.COUNTERS.get("campaign/speculate") >= 1
     # Both copies compute identical bits: no divergence flagged.
     assert not any(o.divergent for o in result.outcomes)
 
 
 def test_divergent_speculation_is_flagged_loudly(tmp_path):
-    telemetry = Telemetry()
     spec = CampaignSpec(
         name="s", table=small_table(points=6), fn=divergent_cell,
         kwargs={"root": str(tmp_path), "victim": 0, "sleep_s": 3.0},
@@ -297,13 +288,12 @@ def test_divergent_speculation_is_flagged_loudly(tmp_path):
         spec,
         SubprocessFleetExecutor(workers=2),
         policy=fast_policy(straggler_min_s=0.3, straggler_factor=2.0),
-        telemetry=telemetry,
     )
     assert result.complete
     divergent = [o for o in result.outcomes if o.divergent]
     assert len(divergent) == 1
     assert divergent[0].cell.point_dict["alpha"] == 0
-    assert telemetry.counters["campaign/divergent"] == 1
+    assert obs.COUNTERS.get("campaign/divergent") == 1
     assert "DIVERGENCE" in render(result)
 
 
@@ -324,18 +314,16 @@ def test_resume_serves_completed_cells_without_rerunning(tmp_path):
     assert first.complete
     invocations = len(list(root.iterdir()))
     assert invocations == 4
-
-    telemetry = Telemetry()
     with CampaignManifest.open_resume(journal, spec.signature()) as manifest:
         assert manifest.resumed
         second = run_campaign(
             spec, SerialExecutor(), policy=fast_policy(),
-            manifest=manifest, telemetry=telemetry,
+            manifest=manifest,
         )
     assert second.complete
     assert len(list(root.iterdir())) == invocations  # nothing re-ran
     assert all(o.cached for o in second.outcomes)
-    assert telemetry.counters["campaign/resume-skip"] == 4
+    assert obs.COUNTERS.get("campaign/resume-skip") == 4
     assert [o.value for o in second.outcomes] == [o.value for o in first.outcomes]
 
 
@@ -375,16 +363,15 @@ def test_report_is_deterministic_across_runs():
 )
 def test_telemetry_counts_each_cell_observation_once(obs_enabled, make_executor):
     spec = CampaignSpec(name="s", table=small_table(points=4), fn=observed_cell)
-    telemetry = Telemetry()
-    result = run_campaign(
-        spec, make_executor(), policy=fast_policy(), telemetry=telemetry
-    )
+    result = run_campaign(spec, make_executor(), policy=fast_policy())
     assert result.complete
     cells = len(result.outcomes)
+    # One registry: worker-side counts and the campaign's own counters
+    # land in it exactly once, however the cells were executed.
     assert obs_enabled.COUNTERS.get("test/cell_points") == cells
-    assert telemetry.counters["test/cell_points"] == cells
-    # The campaign's own obs counters stay in the registry, not Telemetry.
-    assert "campaign/cells_total" not in telemetry.counters
+    assert obs_enabled.COUNTERS.get("campaign/cells_ok") == cells
+    assert obs_enabled.COUNTERS.get("campaign/cells_total") == cells
+    assert obs_enabled.COUNTERS.get("campaign/cell-ok") == cells
 
 
 def test_serial_campaign_retries_an_overrun_when_policy_allows(tmp_path):
@@ -392,19 +379,17 @@ def test_serial_campaign_retries_an_overrun_when_policy_allows(tmp_path):
         name="s", table=small_table(points=1), fn=slow_cell,
         kwargs={"root": str(tmp_path), "victim": 0, "sleep_s": 0.3},
     )
-    telemetry = Telemetry()
     result = run_campaign(
         spec, SerialExecutor(),
         policy=fast_policy(faults=FaultPolicy(
             timeout_s=0.05, max_attempts=3, backoff_s=0.0, retry_timeouts=True,
         )),
-        telemetry=telemetry,
     )
     # The overrun attempt's result was discarded; the retry was fast.
     assert result.complete
     assert result.outcomes[0].attempts == 2
-    assert telemetry.counters["campaign/cell-timeout"] == 1
-    assert telemetry.counters["campaign/cell-retry"] == 1
+    assert obs.COUNTERS.get("campaign/cell-timeout") == 1
+    assert obs.COUNTERS.get("campaign/cell-retry") == 1
 
 
 def test_serial_campaign_keeps_an_overrun_and_records_it(tmp_path):
@@ -412,20 +397,18 @@ def test_serial_campaign_keeps_an_overrun_and_records_it(tmp_path):
         name="s", table=small_table(points=1), fn=slow_cell,
         kwargs={"root": str(tmp_path), "victim": 0, "sleep_s": 0.3},
     )
-    telemetry = Telemetry()
     result = run_campaign(
         spec, SerialExecutor(),
         policy=fast_policy(faults=FaultPolicy(
             timeout_s=0.05, max_attempts=3, backoff_s=0.0,
         )),
-        telemetry=telemetry,
     )
     # In-process work cannot be preempted: without retry_timeouts the
     # result stands, and the overrun is on record.
     assert result.complete
     assert result.outcomes[0].attempts == 1
-    assert telemetry.counters["campaign/cell-overtime"] == 1
-    assert "campaign/cell-timeout" not in telemetry.counters
+    assert obs.COUNTERS.get("campaign/cell-overtime") == 1
+    assert "campaign/cell-timeout" not in obs.COUNTERS.snapshot()
 
 
 def test_dead_worker_exit_code_is_reaped_before_it_is_read():

@@ -17,16 +17,30 @@ def pytest_addoption(parser):
     )
 
 
+@pytest.fixture(autouse=True)
+def _obs_hygiene():
+    """Each test starts with spans off and nothing recorded.
+
+    Counters are process-wide and always on, so without this one test's
+    events would show up in the next one's counts.  Any ``--obs PATH``
+    sink a test left open is closed after it.
+    """
+    from repro import obs
+
+    obs.disable()
+    obs.reset()
+    yield
+    obs.close_sink()
+
+
 @pytest.fixture
 def obs_enabled():
-    """Observability on for one test, fully reset afterwards."""
+    """Span recording on for one test (counters always are)."""
     from repro import obs
 
     obs.enable()
-    obs.reset()
     yield obs
     obs.disable()
-    obs.reset()
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -66,17 +66,10 @@ def test_goldens_contain_figure_headers():
         assert "paper:" in text
 
 
-def test_figure_stdout_byte_identical_with_obs(capsys, monkeypatch):
+def test_figure_stdout_byte_identical_with_obs(capsys, tmp_path):
     """Turning instrumentation on must not perturb figure output."""
-    from repro import obs
-
-    # Pre-seat the env key so monkeypatch restores it after the CLI
-    # writes JMMW_OBS=1 during argument handling.
-    monkeypatch.setenv(obs.OBS_ENV, "0")
-    try:
-        captured_out = _figure_stdout("fig12", capsys, extra=("--obs",))
-    finally:
-        obs.disable()
-        obs.reset()
+    captured_out = _figure_stdout(
+        "fig12", capsys, extra=("--obs", str(tmp_path / "run.jsonl"))
+    )
     golden = _golden_path("fig12").read_text(encoding="utf-8")
     assert captured_out == golden

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.harness import (
     KIND_BROKEN_POOL,
     KIND_ERROR,
@@ -18,7 +19,6 @@ from repro.harness import (
     FaultPolicy,
     ResultCache,
     Task,
-    Telemetry,
     content_key,
     run_tasks,
 )
@@ -46,7 +46,6 @@ def test_take_ticket_is_monotonic(tmp_path):
 
 
 def test_crashed_worker_is_respawned_and_task_retried(tmp_path):
-    telemetry = Telemetry()
     tasks = [
         Task(key="crash", fn=crash_task, args=(str(tmp_path), "c1", 41)),
         Task(key="ok-a", fn=identity, args=(1,)),
@@ -54,7 +53,6 @@ def test_crashed_worker_is_respawned_and_task_retried(tmp_path):
     ]
     outcomes = run_tasks(
         tasks, jobs=2, faults=FaultPolicy(max_attempts=2, backoff_s=0.0),
-        telemetry=telemetry,
     )
     by_key = {o.key: o for o in outcomes}
     # The crash killed a worker; the retry ran in a respawned one and
@@ -62,8 +60,8 @@ def test_crashed_worker_is_respawned_and_task_retried(tmp_path):
     assert by_key["crash"].ok and by_key["crash"].value == 41
     assert by_key["crash"].attempts == 2
     assert by_key["ok-a"].value == 1 and by_key["ok-b"].value == 2
-    assert telemetry.counters["run/broken-pool"] == 1
-    assert telemetry.counters["pool/respawn"] >= 1
+    assert obs.COUNTERS.get("run/broken-pool") == 1
+    assert obs.COUNTERS.get("pool/respawn") >= 1
 
 
 def test_crash_beyond_retry_budget_fails_only_that_task(tmp_path):
@@ -98,7 +96,6 @@ def test_recovered_result_is_bit_identical_to_clean_run(tmp_path):
 
 
 def test_hung_task_is_killed_and_slot_reclaimed(tmp_path):
-    telemetry = Telemetry()
     tasks = [
         Task(key="hang", fn=hang_task, args=(str(tmp_path), "h1", 0, 30.0)),
         Task(key="q1", fn=identity, args=(1,)),
@@ -107,7 +104,7 @@ def test_hung_task_is_killed_and_slot_reclaimed(tmp_path):
     ]
     t0 = time.monotonic()
     outcomes = run_tasks(
-        tasks, jobs=2, faults=FaultPolicy(timeout_s=0.3), telemetry=telemetry
+        tasks, jobs=2, faults=FaultPolicy(timeout_s=0.3)
     )
     wall = time.monotonic() - t0
     by_key = {o.key: o for o in outcomes}
@@ -118,23 +115,21 @@ def test_hung_task_is_killed_and_slot_reclaimed(tmp_path):
     # The documented caveat fix: the hung worker was killed and its
     # slot reclaimed — total wall time is the timeout, not the hang.
     assert wall < 10.0
-    assert telemetry.counters["pool/respawn"] >= 1
+    assert obs.COUNTERS.get("pool/respawn") >= 1
 
 
 # -- KIND_ERROR: a raising task retries under policy -------------------------
 
 
 def test_transient_error_recovers_with_identical_value(tmp_path):
-    telemetry = Telemetry()
     outcomes = run_tasks(
         [Task(key="e", fn=error_task, args=(str(tmp_path), "e1", "payload"))],
         jobs=2,
         faults=FaultPolicy(max_attempts=2, backoff_s=0.0),
-        telemetry=telemetry,
     )
     assert outcomes[0].ok and outcomes[0].value == "payload"
     assert outcomes[0].attempts == 2
-    assert telemetry.counters["task/retry"] == 1
+    assert obs.COUNTERS.get("task/retry") == 1
 
 
 def test_persistent_error_exhausts_policy(tmp_path):
@@ -166,15 +161,13 @@ def test_corrupt_cache_entry_is_quarantined_and_recomputed(tmp_path, mode):
     first = run_tasks([task], cache=cache)
     assert first[0].ok and not first[0].cached
     corrupt_cache_entry(cache, key, mode)
-
-    telemetry = Telemetry()
-    second = run_tasks([task], cache=cache, telemetry=telemetry)
+    second = run_tasks([task], cache=cache)
     # Corruption is a miss, not a crash: the task recomputed the same
     # value and the damaged entry went to quarantine.
     assert second[0].ok and not second[0].cached
     assert second[0].value == 123
     assert cache.quarantined >= 1
-    assert "cache/quarantined" in telemetry.counters
+    assert "cache/quarantined" in obs.COUNTERS.snapshot()
 
     third = run_tasks([task], cache=cache)
     assert third[0].cached  # the recompute repaired the entry

@@ -6,8 +6,9 @@ import signal
 
 import pytest
 
+from repro import obs
 from repro.errors import CampaignInterrupted
-from repro.harness import CampaignManifest, Task, Telemetry, run_tasks
+from repro.harness import CampaignManifest, Task, run_tasks
 from repro.harness.runner import TaskOutcome
 from repro.harness.faults import KIND_ERROR, TaskFailure
 
@@ -106,15 +107,14 @@ def test_run_tasks_journals_and_resume_skips(tmp_path):
     with CampaignManifest.open_fresh(path, SIG) as manifest:
         first = run_tasks(tasks, manifest=manifest)
     assert [o.value for o in first] == [0, 1, 2]
-
-    telemetry = Telemetry()
+    obs.reset()
     with CampaignManifest.open_resume(path, SIG) as manifest:
-        second = run_tasks(tasks, manifest=manifest, telemetry=telemetry)
+        second = run_tasks(tasks, manifest=manifest)
     # Identical values, no task executed a second time.
     assert [o.value for o in second] == [0, 1, 2]
     assert all(o.cached for o in second)
-    assert telemetry.counters["resume/skip"] == 3
-    assert "task/start" not in telemetry.counters
+    assert obs.COUNTERS.get("resume/skip") == 3
+    assert "task/start" not in obs.COUNTERS.snapshot()
 
 
 def test_cache_hits_are_journaled_into_fresh_manifests(tmp_path):
@@ -148,16 +148,13 @@ def test_serial_interrupt_drains_and_resumes_bit_identically(tmp_path):
         Task(key="t1", fn=interrupt_self, args=(11,)),
         Task(key="t2", fn=identity, args=(12,)),
     ]
-    telemetry = Telemetry()
     with CampaignManifest.open_fresh(path, SIG) as manifest:
         with pytest.raises(CampaignInterrupted) as excinfo:
-            run_tasks(
-                tasks, manifest=manifest, telemetry=telemetry, interruptible=True
-            )
+            run_tasks(tasks, manifest=manifest, interruptible=True)
     # The interrupted task itself completed (drained, not lost).
     assert excinfo.value.completed == 2
     assert excinfo.value.remaining == ("t2",)
-    assert telemetry.counters["run/interrupted"] == 1
+    assert obs.COUNTERS.get("run/interrupted") == 1
 
     with CampaignManifest.open_resume(path, SIG) as resumed:
         outcomes = run_tasks(tasks, manifest=resumed, interruptible=True)

@@ -7,12 +7,15 @@ replicas are redundant by design, a raising replica degrades the
 experiment (fewer samples) instead of aborting it.
 """
 
+import json
+
 import pytest
 
+from repro import obs
 from repro.core.config import SimConfig
 from repro.core.experiment import run_repeated
 from repro.errors import AnalysisError
-from repro.harness import FaultPolicy, ResultCache, Telemetry, content_key, read_trace
+from repro.harness import FaultPolicy, ResultCache, content_key
 from repro.harness.tasks import characterize_replica, characterize_run_fn
 from repro.rng import RngFactory
 
@@ -55,18 +58,15 @@ def raising_replica(factory):
 
 def test_failed_replica_is_excluded_not_fatal(tmp_path):
     trace = tmp_path / "trace.jsonl"
-    results = run_repeated(
-        raising_replica,
-        n_runs=4,
-        seed=3,
-        telemetry=Telemetry(trace),
-        faults=FaultPolicy(),
-    )
+    obs.open_sink(trace)
+    results = run_repeated(raising_replica, n_runs=4, seed=3, faults=FaultPolicy())
+    obs.close_sink()
     # remaining replicas complete; the bad one is excluded
     assert results["metric"].samples == (0.0, 2.0, 3.0)
-    events = [e["event"] for e in read_trace(trace)]
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    events = [r["event"] for r in records if r["type"] == "event"]
     assert "task/error" in events
-    failed = [e for e in read_trace(trace) if e["event"] == "task/error"]
+    failed = [r for r in records if r.get("event") == "task/error"]
     assert "injected replica failure" in failed[0]["error"]
 
 
@@ -89,18 +89,16 @@ def test_replica_caching_round_trip(tmp_path):
 
     def key_fn(run_index: int) -> str:
         return content_key(kind="test-replica", sim=TINY, run_index=run_index)
-
-    cold = Telemetry()
     first = run_repeated(
-        fn, n_runs=3, seed=TINY.seed, cache=cache, cache_key_fn=key_fn, telemetry=cold
+        fn, n_runs=3, seed=TINY.seed, cache=cache, cache_key_fn=key_fn
     )
-    assert cold.counters["cache/miss"] == 3
-    warm = Telemetry()
+    assert obs.COUNTERS.get("cache/miss") == 3
+    obs.reset()
     second = run_repeated(
-        fn, n_runs=3, seed=TINY.seed, cache=cache, cache_key_fn=key_fn, telemetry=warm
+        fn, n_runs=3, seed=TINY.seed, cache=cache, cache_key_fn=key_fn
     )
-    assert warm.counters["cache/hit"] == 3
-    assert warm.counters["task/start"] == 0
+    assert obs.COUNTERS.get("cache/hit") == 3
+    assert obs.COUNTERS.get("task/start") == 0
     assert {k: v.samples for k, v in first.items()} == {
         k: v.samples for k, v in second.items()
     }

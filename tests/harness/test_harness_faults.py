@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import ConfigError
 from repro.harness import (
     KIND_BROKEN_POOL,
@@ -12,7 +13,6 @@ from repro.harness import (
     FaultPolicy,
     Task,
     TaskFailure,
-    Telemetry,
     run_tasks,
 )
 
@@ -52,32 +52,29 @@ def test_task_failure_str():
 
 
 def test_pool_timeout_fails_slow_task_only():
-    telemetry = Telemetry()
     tasks = [
         Task(key="slow", fn=sleep_for, args=(0.8,)),
         Task(key="fast", fn=sleep_for, args=(0.01,)),
     ]
     outcomes = run_tasks(
-        tasks, jobs=2, faults=FaultPolicy(timeout_s=0.2), telemetry=telemetry
+        tasks, jobs=2, faults=FaultPolicy(timeout_s=0.2)
     )
     by_key = {o.key: o for o in outcomes}
     assert by_key["fast"].ok
     assert not by_key["slow"].ok
     assert by_key["slow"].failure.kind == KIND_TIMEOUT
-    assert telemetry.counters["task/timeout"] == 1
+    assert obs.COUNTERS.get("task/timeout") == 1
 
 
 def test_serial_timeout_is_advisory():
     # jobs=1 cannot preempt: the result is kept, the overrun recorded.
-    telemetry = Telemetry()
     outcomes = run_tasks(
         [Task(key="slow", fn=sleep_for, args=(0.1,))],
         jobs=1,
         faults=FaultPolicy(timeout_s=0.01),
-        telemetry=telemetry,
     )
     assert outcomes[0].ok and outcomes[0].value == 0.1
-    assert telemetry.counters["task/overtime"] == 1
+    assert obs.COUNTERS.get("task/overtime") == 1
 
 
 def test_policy_validation_backoff_cap_and_jitter():
@@ -132,7 +129,6 @@ def hang_once(root: str, name: str, value, hang_s: float, hang_attempts: int = 1
 
 @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
 def test_retry_timeouts_recovers_identically_on_both_paths(tmp_path, jobs):
-    telemetry = Telemetry()
     outcomes = run_tasks(
         [
             Task(
@@ -144,15 +140,14 @@ def test_retry_timeouts_recovers_identically_on_both_paths(tmp_path, jobs):
         faults=FaultPolicy(
             timeout_s=0.2, max_attempts=2, backoff_s=0.0, retry_timeouts=True
         ),
-        telemetry=telemetry,
     )
     # Pinning test: whichever path ran it, the overrun attempt is a
     # discarded timeout failure and the retry produced the value.
     assert outcomes[0].ok and outcomes[0].value == 42
     assert outcomes[0].attempts == 2
-    assert telemetry.counters["task/timeout"] == 1
-    assert telemetry.counters["task/retry"] == 1
-    assert "task/overtime" not in telemetry.counters
+    assert obs.COUNTERS.get("task/timeout") == 1
+    assert obs.COUNTERS.get("task/retry") == 1
+    assert "task/overtime" not in obs.COUNTERS.snapshot()
 
 
 @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
@@ -189,13 +184,12 @@ def test_pool_timeout_not_retried_when_flag_off(tmp_path):
 
 
 def test_worker_death_degrades_gracefully():
-    telemetry = Telemetry()
     outcomes = run_tasks(
-        [Task(key="die", fn=kill_worker, args=(0,))], jobs=2, telemetry=telemetry
+        [Task(key="die", fn=kill_worker, args=(0,))], jobs=2
     )
     assert not outcomes[0].ok
     assert outcomes[0].failure.kind == KIND_BROKEN_POOL
-    assert telemetry.counters["run/broken-pool"] == 1
+    assert obs.COUNTERS.get("run/broken-pool") == 1
 
 
 def test_dead_worker_exit_code_is_reaped_before_it_is_read():

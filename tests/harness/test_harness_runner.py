@@ -5,12 +5,12 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.errors import HarnessError
 from repro.harness import (
     FaultPolicy,
     ResultCache,
     Task,
-    Telemetry,
     content_key,
     run_tasks,
 )
@@ -61,11 +61,10 @@ def test_unpicklable_task_falls_back_to_serial():
         Task(key="closure", fn=lambda: captured.append(1) or 7.0),
         Task(key="plain", fn=square, args=(2.0,)),
     ]
-    telemetry = Telemetry()
-    outcomes = run_tasks(tasks, jobs=4, telemetry=telemetry)
+    outcomes = run_tasks(tasks, jobs=4)
     assert [o.value for o in outcomes] == [7.0, 4.0]
     assert captured == [1]  # ran in this process, not a worker
-    assert telemetry.counters["run/serial-fallback"] == 1
+    assert obs.COUNTERS.get("run/serial-fallback") == 1
 
 
 def test_failure_is_recorded_not_raised():
@@ -83,28 +82,25 @@ def test_failure_is_recorded_not_raised():
 
 
 def test_bounded_retry_counts_attempts():
-    telemetry = Telemetry()
     outcomes = run_tasks(
         [Task(key="bad", fn=fail_below, args=(-1.0,))],
         faults=FaultPolicy(max_attempts=3, backoff_s=0.0),
-        telemetry=telemetry,
     )
     assert outcomes[0].attempts == 3
-    assert telemetry.counters["task/retry"] == 2
-    assert telemetry.counters["task/error"] == 3
+    assert obs.COUNTERS.get("task/retry") == 2
+    assert obs.COUNTERS.get("task/error") == 3
 
 
 def test_cache_round_trip(tmp_path):
     cache = ResultCache(tmp_path)
     tasks = [Task(key="v", fn=square, args=(3.0,), cache_key=content_key(x=3.0))]
-    cold = Telemetry()
-    assert run_tasks(tasks, cache=cache, telemetry=cold)[0].cached is False
-    assert cold.counters["cache/miss"] == 1
-    warm = Telemetry()
-    outcome = run_tasks(tasks, cache=cache, telemetry=warm)[0]
+    assert run_tasks(tasks, cache=cache)[0].cached is False
+    assert obs.COUNTERS.get("cache/miss") == 1
+    obs.reset()
+    outcome = run_tasks(tasks, cache=cache)[0]
     assert outcome.cached is True and outcome.value == 9.0
-    assert warm.counters["cache/hit"] == 1
-    assert warm.counters["task/start"] == 0  # nothing recomputed
+    assert obs.COUNTERS.get("cache/hit") == 1
+    assert obs.COUNTERS.get("task/start") == 0  # nothing recomputed
 
 
 def test_failed_tasks_are_not_cached(tmp_path):

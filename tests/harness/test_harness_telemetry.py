@@ -1,27 +1,38 @@
-"""JSONL event tracing and hierarchical counters."""
+"""Harness events through the one recorder: counters plus the JSONL sink."""
 
 import json
 
-from repro.harness import Telemetry, read_trace
+from repro import obs
+from repro.obs.counters import CounterRegistry
+
+
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _events(path):
+    return [r for r in _records(path) if r["type"] == "event"]
 
 
 def test_counters_without_trace_file():
-    tel = Telemetry()
-    tel.emit("task/start", task="a")
-    tel.emit("task/end", task="a", wall_s=0.5)
-    tel.emit("task/start", task="b")
-    tel.incr("cache/hit", 3)
-    assert tel.counters["task/start"] == 2
-    assert tel.counters["cache/hit"] == 3
-    assert tel.trace_path is None
+    obs.emit("task/start", task="a")
+    obs.emit("task/end", task="a", wall_s=0.5)
+    obs.emit("task/start", task="b")
+    obs.incr("cache/hit", 3)
+    assert obs.COUNTERS.get("task/start") == 2
+    assert obs.COUNTERS.get("cache/hit") == 3
+    assert obs.close_sink() == 0  # no sink was open
 
 
 def test_trace_file_records_events(tmp_path):
     path = tmp_path / "trace.jsonl"
-    with Telemetry(path) as tel:
-        tel.emit("task/start", task="fig04", attempt=1)
-        tel.emit("task/end", task="fig04", wall_s=1.25, worker=123)
-    events = read_trace(path)
+    obs.open_sink(path)
+    obs.emit("task/start", task="fig04", attempt=1)
+    obs.emit("task/end", task="fig04", wall_s=1.25, worker=123)
+    # Events are on disk as they happen, before the sink is closed.
+    assert [e["event"] for e in _events(path)] == ["task/start", "task/end"]
+    obs.close_sink()
+    events = _events(path)
     assert [e["event"] for e in events] == ["task/start", "task/end"]
     assert events[0]["task"] == "fig04"
     assert events[1]["worker"] == 123
@@ -33,32 +44,34 @@ def test_trace_file_records_events(tmp_path):
 
 def test_trace_parent_dir_created(tmp_path):
     path = tmp_path / "deep" / "dir" / "trace.jsonl"
-    with Telemetry(path) as tel:
-        tel.emit("x")
-    assert read_trace(path)[0]["event"] == "x"
+    obs.open_sink(path)
+    obs.emit("x")
+    obs.close_sink()
+    assert _events(path)[0]["event"] == "x"
 
 
 def test_incr_does_not_write_trace(tmp_path):
     path = tmp_path / "trace.jsonl"
-    with Telemetry(path) as tel:
-        tel.incr("task/ok")
-    assert read_trace(path) == []
-    assert tel.counters["task/ok"] == 1
+    obs.open_sink(path)
+    obs.incr("task/ok")
+    obs.close_sink()
+    assert _events(path) == []
+    assert _records(path) == [{"type": "counter", "name": "task/ok", "value": 1}]
 
 
 def test_render_summary_table():
-    tel = Telemetry()
-    tel.emit("task/end")
-    tel.emit("task/end")
-    tel.emit("cache/hit")
-    text = tel.render_summary()
-    assert "event" in text and "count" in text
+    obs.emit("task/end")
+    obs.emit("task/end")
+    obs.emit("cache/hit")
+    text = obs.COUNTERS.render_summary()
+    assert "counter" in text and "value" in text
     assert "task/end" in text and "2" in text
-    assert Telemetry().render_summary() == "harness: no events recorded"
+    assert CounterRegistry().render_summary() == "obs: no counters recorded"
 
 
 def test_non_json_fields_are_stringified(tmp_path):
     path = tmp_path / "trace.jsonl"
-    with Telemetry(path) as tel:
-        tel.emit("odd", value={1, 2})  # sets are not JSON-serializable
-    assert "odd" == read_trace(path)[0]["event"]
+    obs.open_sink(path)
+    obs.emit("odd", value={1, 2})  # sets are not JSON-serializable
+    obs.close_sink()
+    assert "odd" == _events(path)[0]["event"]

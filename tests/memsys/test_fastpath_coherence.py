@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import InvariantViolation
 from repro.memsys import fastpath, fastpath_coherence
 from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref
@@ -316,10 +317,11 @@ def test_missing_compiler_falls_back_to_scalar(monkeypatch):
         MemoryHierarchy(machine), traces, 64, 0.0
     )
     h = MemoryHierarchy(machine)
-    h.run_trace(traces, fastpath=True)  # silently scalar
+    h.run_trace(traces, fastpath=True)  # scalar, and counted with its reason
     ref = MemoryHierarchy(machine)
     ref.run_trace(traces, fastpath=False)
     assert full_state(h) == full_state(ref)
+    assert obs.COUNTERS.get(f"{fastpath_coherence.FALLBACK_COUNTER}/no-kernel") == 2
 
 
 @needs_kernel
@@ -328,6 +330,7 @@ def test_warm_hierarchy_declines_kernel():
     traces = one_block_traces(2)
     h.run_trace(traces, fastpath=False)
     assert not fastpath_coherence.run_trace_kernel(h, traces, 64, 0.0)
+    assert obs.COUNTERS.get(f"{fastpath_coherence.FALLBACK_COUNTER}/warm") == 1
 
 
 @needs_kernel
@@ -342,3 +345,4 @@ def test_too_many_l2_caches_declines_kernel():
     assert not fastpath_coherence.run_trace_kernel(
         h, [[] for _ in range(65)], 64, 0.0
     )
+    assert obs.COUNTERS.get(f"{fastpath_coherence.FALLBACK_COUNTER}/unsupported") == 1

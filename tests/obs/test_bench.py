@@ -151,6 +151,15 @@ def test_cli_bench_writes_snapshot(tmp_path, capsys):
     assert list(tmp_path.glob(f"{bench.SNAPSHOT_PREFIX}*.json"))
 
 
+def test_cli_bench_obs_flag_records_spans(tmp_path, capsys):
+    rc = main(
+        ["bench", "--quick", "--reps", "1", "--stage", "fastpath/lru_miss_mask",
+         "--no-compare", "--out-dir", str(tmp_path), "--obs"]
+    )
+    assert rc == 0
+    assert "bench/run/fastpath/lru_miss_mask" in capsys.readouterr().err
+
+
 def test_cli_bench_exits_3_on_regression(tmp_path, capsys):
     doctored = tmp_path / f"{bench.SNAPSHOT_PREFIX}zz-doctored.json"
     doctored.write_text(

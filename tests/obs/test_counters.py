@@ -1,4 +1,4 @@
-"""Counter registry: free when off, exact when on."""
+"""Counter registry: always on, exact, and shipped between processes."""
 
 import json
 
@@ -8,36 +8,17 @@ from repro import obs
 from repro.obs.counters import CounterRegistry
 
 
-def test_disabled_incr_is_noop():
-    reg = CounterRegistry()
-    reg.incr("memsys/bus/reads", 100)
-    assert reg.snapshot() == {}
-    assert "incr" not in reg.__dict__
-
-
-def test_enable_counts_and_disable_restores():
-    reg = CounterRegistry()
-    reg.enable()
-    reg.incr("a")
-    reg.incr("a", 2)
-    reg.incr("jvm/gc/pause_s", 0.125)
-    assert reg.get("a") == 3
-    assert reg.get("jvm/gc/pause_s") == pytest.approx(0.125)
-    reg.disable()
-    reg.incr("a", 100)
-    assert reg.get("a") == 3
-
-
 def test_drain_clears_and_merge_adds():
     reg = CounterRegistry()
-    reg.enable()
     reg.incr("x", 5)
+    reg.incr("jvm/gc/pause_s", 0.125)
+    assert reg.get("jvm/gc/pause_s") == pytest.approx(0.125)
     counts = reg.drain()
-    assert counts == {"x": 5}
+    assert counts == {"x": 5, "jvm/gc/pause_s": 0.125}
     assert reg.snapshot() == {}
     reg.merge(counts)
     reg.merge({"x": 1, "y": 2.5})
-    assert reg.snapshot() == {"x": 6, "y": 2.5}
+    assert reg.snapshot() == {"x": 6, "jvm/gc/pause_s": 0.125, "y": 2.5}
 
 
 def test_summary_sorted_by_name():
@@ -48,10 +29,10 @@ def test_summary_sorted_by_name():
 
 
 def test_write_jsonl(tmp_path):
-    reg = CounterRegistry()
-    reg.merge({"memsys/bus/reads": 7})
     path = tmp_path / "obs.jsonl"
-    assert reg.write_jsonl(path) == 1
+    obs.open_sink(path)
+    obs.COUNTERS.merge({"memsys/bus/reads": 7})
+    assert obs.close_sink() == 1
     record = json.loads(path.read_text())
     assert record == {"type": "counter", "name": "memsys/bus/reads", "value": 7}
 
@@ -61,8 +42,10 @@ def test_write_jsonl(tmp_path):
 
 def test_facade_enable_disable_roundtrip():
     assert not obs.enabled()
-    obs.incr("never", 9)
-    assert obs.COUNTERS.get("never") == 0
+    obs.incr("always", 9)  # counters count with spans off
+    with obs.span("unseen"):
+        pass
+    assert obs.drain_payload() == ({"always": 9}, [])
     obs.enable()
     assert obs.enabled()
     obs.incr("seen", 2)
@@ -82,25 +65,16 @@ def test_facade_ingest_none_is_noop():
     assert obs.COUNTERS.snapshot() == {}
 
 
-def test_facade_render_and_export(tmp_path):
-    obs.enable()
+def test_facade_render_and_export(tmp_path, obs_enabled):
     obs.incr("c", 1)
     with obs.span("s"):
         pass
     text = obs.render_summary()
     assert "-- spans --" in text and "-- counters --" in text
+    obs.disable()
+    assert "-- spans --" not in obs.render_summary()
     path = tmp_path / "dump.jsonl"
-    assert obs.export_jsonl(path) == 2
+    obs.open_sink(path)
+    assert obs.close_sink() == 2
     types = [json.loads(line)["type"] for line in path.read_text().splitlines()]
     assert types == ["span", "counter"]
-
-
-def test_env_enabled_parsing(monkeypatch):
-    for value, expected in [
-        ("1", True), ("true", True), ("YES", True), (" on ", True),
-        ("", False), ("0", False), ("off", False),
-    ]:
-        monkeypatch.setenv(obs.OBS_ENV, value)
-        assert obs.env_enabled() is expected
-    monkeypatch.delenv(obs.OBS_ENV)
-    assert obs.env_enabled() is False

@@ -2,6 +2,7 @@
 
 import json
 
+from repro import obs
 from repro.obs.spans import _NULL_SPAN, SpanTracker
 
 
@@ -81,16 +82,14 @@ def test_render_summary_empty():
     assert "no spans" in SpanTracker().render_summary()
 
 
-def test_write_jsonl_appends(tmp_path):
-    tracker = SpanTracker()
-    tracker.enable()
-    with tracker.span("a"):
+def test_write_jsonl_appends(tmp_path, obs_enabled):
+    """The sink appends finished spans after the events it streamed."""
+    with obs.span("a"):
         pass
     path = tmp_path / "sub" / "obs.jsonl"
-    assert tracker.write_jsonl(path) == 1
-    assert tracker.write_jsonl(path) == 1  # append, not truncate
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    record = json.loads(lines[0])
-    assert record["type"] == "span"
-    assert record["span"] == "a"
+    obs.open_sink(path)
+    obs.emit("e")
+    assert obs.close_sink() == 2  # the span, then the "e" counter
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["type"] for r in records] == ["event", "span", "counter"]
+    assert records[1]["span"] == "a"

@@ -1,4 +1,4 @@
-"""CLI harness integration: --jobs/--no-cache/--trace, smoke + degradation."""
+"""CLI harness integration: --jobs/--no-cache/--obs, smoke + degradation."""
 
 import json
 
@@ -20,21 +20,25 @@ def smoke_env(monkeypatch, tmp_path):
     return tmp_path
 
 
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def _events(path):
-    return [json.loads(line)["event"] for line in path.read_text().splitlines()]
+    return [r["event"] for r in _records(path) if r["type"] == "event"]
 
 
 def test_figures_smoke_parallel_then_cached(smoke_env, capsys):
     """`jmmw figures fig04 --quick --jobs 2` exits 0; second run hits cache."""
     trace1 = smoke_env / "t1.jsonl"
     argv = ["figures", "fig04", "--quick", "--jobs", "2"]
-    assert main(argv + ["--trace", str(trace1)]) == 0
+    assert main(argv + ["--obs", str(trace1)]) == 0
     first_out = capsys.readouterr().out
     assert "fig04" in first_out and "[ok]" in first_out
     assert "cache/miss" in _events(trace1)
 
     trace2 = smoke_env / "t2.jsonl"
-    assert main(argv + ["--trace", str(trace2)]) == 0
+    assert main(argv + ["--obs", str(trace2)]) == 0
     second_out = capsys.readouterr().out
     assert "cache/hit" in _events(trace2)
     # cached stdout is byte-identical to the computed one
@@ -45,8 +49,8 @@ def test_figures_no_cache_recomputes(smoke_env, capsys):
     argv = ["figures", "fig04", "--quick", "--no-cache"]
     trace1 = smoke_env / "t1.jsonl"
     trace2 = smoke_env / "t2.jsonl"
-    assert main(argv + ["--trace", str(trace1)]) == 0
-    assert main(argv + ["--trace", str(trace2)]) == 0
+    assert main(argv + ["--obs", str(trace1)]) == 0
+    assert main(argv + ["--obs", str(trace2)]) == 0
     out = capsys.readouterr()
     for trace in (trace1, trace2):
         events = _events(trace)
@@ -57,8 +61,23 @@ def test_figures_no_cache_recomputes(smoke_env, capsys):
 def test_figures_harness_summary_goes_to_stderr(smoke_env, capsys):
     assert main(["figures", "fig04", "--quick"]) == 0
     captured = capsys.readouterr()
-    assert "event" in captured.err and "count" in captured.err
-    assert "event" not in captured.out.split("===")[0]
+    assert "counter" in captured.err and "value" in captured.err
+    assert "task/end" in captured.err
+    assert "counter" not in captured.out.split("===")[0]
+
+
+def test_obs_prints_each_counter_once(capsys):
+    """One registry, one table: no counter is listed twice on stderr."""
+    from repro import obs
+
+    assert main(["figures", "fig13", "--quick", "--no-cache", "--obs"]) == 0
+    err = capsys.readouterr().err
+    names = [line.split()[0] for line in err.splitlines() if line.strip()]
+    for name in obs.COUNTERS.snapshot():
+        assert names.count(name) == 1, name
+    # Parent-side events and trace-plane counters share the one table.
+    assert "task/ok" in names
+    assert "harness/trace_plane/segments" in names
 
 
 def test_characterize_multirun_reports_error_bars(smoke_env, capsys):
@@ -90,7 +109,7 @@ def test_characterize_injected_failure_degrades_gracefully(
     rc = main(
         [
             "characterize", "specjbb", "-p", "2", "--quick",
-            "--runs", "3", "--no-cache", "--trace", str(trace),
+            "--runs", "3", "--no-cache", "--obs", str(trace),
         ]
     )
     assert rc == 1
@@ -98,9 +117,5 @@ def test_characterize_injected_failure_degrades_gracefully(
     assert "2/3 replicas" in captured.out
     assert "1 replica(s) failed" in captured.err
     assert "injected replica failure" in captured.err
-    failures = [
-        json.loads(line)
-        for line in trace.read_text().splitlines()
-        if json.loads(line)["event"] == "task/error"
-    ]
+    failures = [r for r in _records(trace) if r.get("event") == "task/error"]
     assert failures and "injected replica failure" in failures[0]["error"]

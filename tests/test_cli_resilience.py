@@ -97,6 +97,20 @@ def test_fail_fast_aborts_remaining_figures(
 # -- interrupt + resume ------------------------------------------------------
 
 
+def _interrupting(module_name, sim):
+    if module_name.startswith("fig04"):
+        os.kill(os.getpid(), signal.SIGINT)  # drain, don't lose it
+    return _stub_result(module_name)
+
+
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _events(path):
+    return [r["event"] for r in _records(path) if r["type"] == "event"]
+
+
 def test_interrupted_figures_campaign_resumes_byte_identically(
     cli_env, stub_figures, monkeypatch, capsys
 ):
@@ -109,12 +123,7 @@ def test_interrupted_figures_campaign_resumes_byte_identically(
     # Fresh campaign in a fresh cache dir, interrupted during fig04.
     monkeypatch.setenv("JMMW_CACHE_DIR", str(cli_env / "cache2"))
 
-    def interrupting(module_name, sim):
-        if module_name.startswith("fig04"):
-            os.kill(os.getpid(), signal.SIGINT)  # drain, don't lose it
-        return _stub_result(module_name)
-
-    monkeypatch.setattr(common, "run_figure", interrupting)
+    monkeypatch.setattr(common, "run_figure", _interrupting)
     rc = main(argv)
     assert rc == 130
     captured = capsys.readouterr()
@@ -130,6 +139,63 @@ def test_interrupted_figures_campaign_resumes_byte_identically(
     captured = capsys.readouterr()
     assert captured.out == baseline
     assert "resuming campaign: 1 task(s)" in captured.err
+
+
+def test_interrupted_run_still_writes_its_obs_file(
+    cli_env, stub_figures, monkeypatch, capsys
+):
+    monkeypatch.setattr(common, "run_figure", _interrupting)
+    path = cli_env / "run.jsonl"
+    argv = ["figures", "fig04", "fig05", "--quick", "--no-cache", "--obs", str(path)]
+    assert main(argv) == 130
+    records = _records(path)
+    types = [r["type"] for r in records]
+    # Every event up to the interrupt, then the spans and counters.
+    n_events = types.count("event")
+    assert set(types[:n_events]) == {"event"}
+    assert records[n_events - 1]["event"] == "run/interrupted"
+    assert types[-1] == "counter"
+    counters = {r["name"]: r["value"] for r in records if r["type"] == "counter"}
+    assert counters["run/interrupted"] == 1
+    assert "-- counters --" in capsys.readouterr().err
+
+
+def test_obs_file_is_fresh_per_run(cli_env, stub_figures):
+    path = cli_env / "run.jsonl"
+    argv = ["figures", "fig04", "fig05", "--quick", "--no-cache", "--obs", str(path)]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    starts = [r["task"] for r in _records(path) if r.get("event") == "task/start"]
+    assert starts == ["fig04", "fig05"]
+
+
+def replaying_figure(module_name, sim):
+    """A stub figure that also replays a tiny shared trace."""
+    from repro.core.config import e6000_machine
+    from repro.memsys.block import LOAD, STORE, encode_ref
+    from repro.memsys.hierarchy import MemoryHierarchy
+
+    trace = [encode_ref(0, STORE if i % 2 else LOAD) for i in range(64)]
+    MemoryHierarchy(e6000_machine(2)).run_trace([trace, trace])
+    return _stub_result(module_name)
+
+
+def test_missing_kernel_notice_on_stderr_only(
+    cli_env, stub_figures, monkeypatch, capsys
+):
+    from repro.memsys import fastpath_coherence
+
+    monkeypatch.setattr(common, "run_figure", replaying_figure)
+    argv = ["figures", "fig04", "--quick", "--no-cache"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    if fastpath_coherence.kernel_available():
+        assert "fell back" not in plain.err
+    monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
+    assert main(argv) == 0
+    patched = capsys.readouterr()
+    assert patched.out == plain.out
+    assert patched.err.count("fell back to the scalar path") == 1
 
 
 def test_resume_without_prior_campaign_just_runs(cli_env, stub_figures, capsys):
@@ -148,12 +214,10 @@ def test_characterize_resume_is_byte_identical(cli_env, capsys, tmp_path):
     assert "2/2 replicas" in first
 
     trace = tmp_path / "resume-trace.jsonl"
-    assert main(argv + ["--resume", "--trace", str(trace)]) == 0
+    assert main(argv + ["--resume", "--obs", str(trace)]) == 0
     second = capsys.readouterr().out
     assert second == first
-    events = [
-        json.loads(line)["event"] for line in trace.read_text().splitlines()
-    ]
+    events = _events(trace)
     assert events.count("resume/skip") == 2
     assert "task/start" not in events
 
