@@ -133,25 +133,23 @@ class CampaignSpec:
 
         Content-keyed (:func:`repro.harness.cache.content_key`), so the
         package code version is folded in automatically, along with the
-        executor-visible environment toggles (fastpath, coherence
-        kernel, invariant checking) that could change a cell's bits.
+        executor-visible switches whose cached result would skip
+        requested work (the scalar-reference fastpath switch and
+        invariant checking).
         The executor *kind* and worker count are deliberately excluded:
         results are bit-identical across executors by contract, so a
         campaign interrupted on a fleet may resume on a local pool.
         """
         from repro.harness.cache import content_key
         from repro.memsys.fastpath import fastpath_enabled
-        from repro.memsys.fastpath_coherence import kernel_available
         from repro.memsys.invariants import checking_enabled
 
-        fastpath = fastpath_enabled()
         return content_key(
             kind="campaign",
             campaign=self.name,
             table=self.table.signature_fields(),
             fn=f"{self.fn.__module__}.{self.fn.__qualname__}",
             fn_kwargs=dict(self.kwargs),
-            fastpath=fastpath,
-            coherent=fastpath and kernel_available(),
+            fastpath=fastpath_enabled(),
             checked=checking_enabled(),
         )

@@ -5,7 +5,6 @@ Subcommands::
     jmmw figures [IDS...] [--quick] [--jobs N] [--no-cache]
                  [--no-fastpath] [--resume] [--fail-fast]
                  [--check-invariants] [--obs [P]]
-                 [--trace-plane | --no-trace-plane]
                                        reproduce paper figures (default all)
     jmmw characterize WORKLOAD [-p N] [--runs R] [--jobs N] ...
                                        one-call workload characterization
@@ -39,11 +38,11 @@ Figure and replica execution goes through :mod:`repro.harness`:
 are bit-identical to serial), and results are cached on disk keyed by
 config + code version (``--no-cache`` disables), so stdout stays
 byte-stable across serial, parallel and cached runs.
-Sweep traces are generated once per campaign and shared with workers
-through the :mod:`repro.harness.traceplane` shared-memory plane
-(``--no-trace-plane`` / ``JMMW_TRACE_PLANE=0`` reverts to per-task
-generation; output is byte-identical either way), with every segment
-unlinked at campaign end — including interrupted and crashed runs.
+``jmmw figures`` generates each sweep trace once per campaign and
+shares it with workers through the :mod:`repro.harness.traceplane`
+shared-memory plane (``JMMW_TRACE_PLANE_SPILL=0`` keeps every trace
+in spill files instead of ``/dev/shm``), with every segment unlinked
+at campaign end — including interrupted and crashed runs.
 
 Resilience: every campaign journals completed tasks to a manifest as
 they finish, so a run cut down by Ctrl-C, SIGTERM or a crash can be
@@ -89,22 +88,18 @@ def _figure_ids() -> dict[str, str]:
 
 
 def _apply_env_flags(args: argparse.Namespace) -> None:
-    """Apply ``--no-fastpath`` / ``--check-invariants`` /
-    ``--[no-]trace-plane``, then start this run's observations.
+    """Apply ``--no-fastpath`` / ``--check-invariants``, then start
+    this run's observations.
 
-    The first three are selected through the environment so worker
+    Both flags are selected through the environment so worker
     processes inherit them (regardless of start method), and the cache
-    keys record the fastpath/invariant/plane choices.  ``--obs`` needs
-    no environment: every unit carries the parent's span switch.
+    keys record both choices.  ``--obs`` needs no environment: every
+    unit carries the parent's span switch.
     """
     if getattr(args, "no_fastpath", False):
         from repro.memsys.fastpath import FASTPATH_ENV
 
         os.environ[FASTPATH_ENV] = "0"
-    if getattr(args, "trace_plane", None) is not None:
-        from repro.harness.traceplane import TRACE_PLANE_ENV
-
-        os.environ[TRACE_PLANE_ENV] = "1" if args.trace_plane else "0"
     if getattr(args, "check_invariants", False):
         from repro.memsys.invariants import CHECK_ENV
 
@@ -191,9 +186,9 @@ def _finish_interrupted(interrupt, manifest) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     """Reproduce the requested figures; non-zero exit on check failures."""
-    from repro.errors import CampaignInterrupted
+    from repro.errors import CampaignInterrupted, ConfigError
     from repro.figures.common import FIGURE_SIM, QUICK_SIM, figure_checks
-    from repro.harness import run_tasks
+    from repro.harness import TracePlane, run_tasks
     from repro.harness.tasks import build_figure_tasks, figures_campaign_signature
 
     sim = QUICK_SIM if args.quick else FIGURE_SIM
@@ -208,13 +203,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
             return 2
 
     cache = _make_cache(args)
-    from repro.harness.traceplane import TracePlane, plane_enabled
-
     modules = [ids[fig_id] for fig_id in wanted]
-    plane = TracePlane() if plane_enabled() else None
-    manifest = _open_manifest(
-        args, figures_campaign_signature(modules, sim, plane=plane is not None)
-    )
+    try:
+        plane = TracePlane()
+    except ConfigError as exc:
+        print(f"figures: {exc}", file=sys.stderr)
+        return 2
+    manifest = _open_manifest(args, figures_campaign_signature(modules, sim))
     try:
         tasks = build_figure_tasks(
             modules, sim, plane=plane, cache=cache, manifest=manifest
@@ -234,8 +229,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         # Campaign over (or interrupted): every shared trace segment
         # and spill file this invocation published is unlinked here,
         # whatever happened to the workers.
-        if plane is not None:
-            plane.close()
+        plane.close()
 
     failures = 0
     for fig_id, outcome in zip(wanted, outcomes):
@@ -284,14 +278,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         characterize_run_fn,
     )
 
-    from repro.harness.traceplane import TracePlane, plane_enabled
-
     sim = sim if sim is not None else FIGURE_SIM
     cache = _make_cache(args)
-    # Replicas perturb their own generation seeds (the variability
-    # methodology), so the plane publishes nothing for them — it rides
-    # along so scheduling and cleanup are uniform across campaigns.
-    plane = TracePlane() if plane_enabled() else None
     manifest = _open_manifest(
         args,
         characterize_campaign_signature(args.workload, args.procs, sim, args.runs),
@@ -312,7 +300,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             fail_fast=args.fail_fast,
             interruptible=True,
             on_failure=failures.append,
-            plane=plane,
         )
     except CampaignInterrupted as interrupt:
         return _finish_interrupted(interrupt, manifest)
@@ -321,9 +308,6 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         _finish_obs()
         manifest.close()
         return 1
-    finally:
-        if plane is not None:
-            plane.close()
     n_ok = next(iter(results.values())).n
     print(
         f"{args.workload} on {args.procs} processors (E6000-style), "
@@ -629,12 +613,6 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
         help="use the scalar replay reference instead of the "
         "vectorized fast paths (numpy miss-curve sweeps and the "
         "compiled coherence kernel; results are bit-identical)",
-    )
-    parser.add_argument(
-        "--trace-plane", action=argparse.BooleanOptionalAction, default=None,
-        help="publish each sweep trace once through shared memory and "
-        "have workers attach instead of regenerating (default on; "
-        "results are bit-identical); same as JMMW_TRACE_PLANE=1/0",
     )
     parser.add_argument(
         "--resume", action="store_true",

@@ -116,7 +116,6 @@ def run_repeated(
     fail_fast: bool = False,
     interruptible: bool = False,
     on_failure: "Callable[[TaskFailure], None] | None" = None,
-    plane: "object | None" = None,
 ) -> dict[str, MultiRunResult]:
     """Run ``fn`` ``n_runs`` times with perturbed RNG factories.
 
@@ -139,12 +138,6 @@ def run_repeated(
     ``interruptible`` turns SIGINT/SIGTERM into a drain that raises
     :class:`~repro.errors.CampaignInterrupted` (see
     :func:`repro.harness.run_tasks`).
-
-    ``plane`` (a :class:`repro.harness.traceplane.TracePlane`) is
-    forwarded to the runner for uniform segment lifecycle handling.
-    Replicas themselves share no traces — each perturbs its own
-    generation seed by design (the variability methodology), so the
-    plane publishes nothing for them.
     """
     if n_runs <= 0:
         raise AnalysisError("n_runs must be positive")
@@ -181,7 +174,6 @@ def run_repeated(
         manifest=manifest,
         fail_fast=fail_fast,
         interruptible=interruptible,
-        plane=plane,
     )
     if on_failure is not None:
         for outcome in outcomes:

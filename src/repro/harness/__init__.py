@@ -61,7 +61,6 @@ from repro.harness.traceplane import (
     TracePlane,
     TraceRef,
     TraceSpec,
-    plane_enabled,
     sweep_stale,
 )
 
@@ -84,6 +83,5 @@ __all__ = [
     "TracePlane",
     "TraceRef",
     "TraceSpec",
-    "plane_enabled",
     "sweep_stale",
 ]

@@ -9,13 +9,14 @@ the builders that wrap them into
 cache keys.
 
 Builders take an optional
-:class:`~repro.harness.traceplane.TracePlane`: with one, the traces a
-batch replays are generated **once** in the parent and published as
-shared-memory segments, each task carries only the tiny
-:class:`~repro.harness.traceplane.TraceRef` handles it needs
-(``plane_refs``), and the runner refcounts segment lifetime through
-``Task.plane_keys``.  Without one, every task regenerates its traces —
-bit-identical results either way.
+:class:`~repro.harness.traceplane.TracePlane` (``jmmw figures`` always
+passes one): with one, the traces a batch replays are generated
+**once** in the parent and published as shared-memory segments, each
+task carries only the tiny :class:`~repro.harness.traceplane.TraceRef`
+handles it needs (``plane_refs``), and the runner refcounts segment
+lifetime through ``Task.plane_keys``.  Without one, every task
+regenerates its traces — bit-identical results either way, so cache
+keys do not record which.
 """
 
 from __future__ import annotations
@@ -33,38 +34,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.traceplane import TracePlane, TraceRef, TraceSpec
 
 
-def figure_cache_key(
-    module_name: str, sim: SimConfig, plane: bool = False
-) -> str:
+def figure_cache_key(module_name: str, sim: SimConfig) -> str:
     """Cache key for one figure at one simulation effort.
 
-    The key records which replay path (vectorized or scalar) is
-    active: the paths are bit-identical by contract, but keeping them
-    as distinct cache entries means a parity regression can never hide
-    behind a stale cached result from the other path.  It also records
-    whether invariant checking is on: a checked run must not serve an
-    unchecked cached result, or the checking is silently skipped.  The
-    trace plane is recorded for the same reason — plane-on and
-    plane-off results are bit-identical by contract, and distinct
-    cache entries keep a parity bug from hiding behind the cache.
+    Beyond the figure and its :class:`SimConfig`, the key records two
+    switches whose cache hit would silently skip requested work: the
+    replay path (``fastpath``: a scalar-reference run must not be
+    served a vectorized result) and invariant checking (a checked run
+    must not serve an unchecked result).  Whether the compiled kernel
+    is available, and whether traces arrived through the trace plane,
+    are left out: both are bit-identical by contract, and the parity
+    suites and ``jmmw diffcheck`` hold that contract.
     """
     from repro.memsys.fastpath import fastpath_enabled
-    from repro.memsys.fastpath_coherence import kernel_available
     from repro.memsys.invariants import checking_enabled
 
-    # ``coherent`` is the resolved "will hierarchy replay use the
-    # compiled kernel" bit: fastpath on *and* a kernel built.  Same
-    # rationale as ``fastpath`` — identical-by-contract, but distinct
-    # entries keep a kernel parity bug from hiding behind the cache.
-    fastpath = fastpath_enabled()
     return content_key(
         kind="figure",
         module=module_name,
         sim=sim,
-        fastpath=fastpath,
-        coherent=fastpath and kernel_available(),
+        fastpath=fastpath_enabled(),
         checked=checking_enabled(),
-        plane=bool(plane),
     )
 
 
@@ -105,7 +95,7 @@ def build_figure_tasks(
     tasks = []
     for name in module_names:
         key = name.split("_", 1)[0]
-        cache_key = figure_cache_key(name, sim, plane=plane is not None)
+        cache_key = figure_cache_key(name, sim)
         kwargs = {}
         plane_keys: tuple = ()
         will_run = True
@@ -214,7 +204,6 @@ def build_miss_curve_sweep_tasks(
                 assoc=assoc,
                 block=block,
                 warmup_fraction=warmup_fraction,
-                plane=plane is not None,
             )
         tasks.append(
             Task(
@@ -246,9 +235,7 @@ def characterize_replica(
 
     Replicas deliberately share **no** traces through the plane: the
     variability methodology requires each replica to perturb its own
-    generation seed, so there is nothing to generate once.  Campaigns
-    still pass the plane to ``run_tasks`` for uniform scheduling and
-    cleanup.
+    generation seed, so there is nothing to generate once.
     """
     from repro.core.characterize import characterize
 
@@ -293,23 +280,17 @@ def characterize_cache_key(
 # to resume, which is what makes resumed results bit-identical.
 
 
-def figures_campaign_signature(
-    module_names: list[str], sim: SimConfig, plane: bool = False
-) -> str:
+def figures_campaign_signature(module_names: list[str], sim: SimConfig) -> str:
     """Signature of one ``jmmw figures`` campaign."""
     from repro.memsys.fastpath import fastpath_enabled
-    from repro.memsys.fastpath_coherence import kernel_available
     from repro.memsys.invariants import checking_enabled
 
-    fastpath = fastpath_enabled()
     return content_key(
         kind="figures-campaign",
         modules=tuple(module_names),
         sim=sim,
-        fastpath=fastpath,
-        coherent=fastpath and kernel_available(),
+        fastpath=fastpath_enabled(),
         checked=checking_enabled(),
-        plane=bool(plane),
     )
 
 

@@ -15,9 +15,10 @@ The trace plane fixes the scaling:
   :func:`~repro.harness.cache.content_key`);
 - the bundle's arrays are published into a named
   :mod:`multiprocessing.shared_memory` segment — or an mmap-backed
-  *spill file* when the trace exceeds :data:`DEFAULT_SPILL_BYTES`
-  (tunable via ``JMMW_TRACE_PLANE_SPILL``), so traces larger than
-  ``/dev/shm`` still share pages through the page cache;
+  *spill file* when the trace reaches :data:`DEFAULT_SPILL_BYTES`,
+  so traces larger than ``/dev/shm`` still share pages through the
+  page cache (``JMMW_TRACE_PLANE_SPILL`` sets the threshold, and ``0``
+  keeps every trace off ``/dev/shm``);
 - workers receive only a :class:`TraceRef` — a few hundred bytes —
   and :func:`attach` maps the segment read-only and rebuilds the
   bundle as zero-copy array views.
@@ -44,8 +45,9 @@ Lifecycle and crash safety:
 
 Everything is deterministic: trace generation draws from stateless
 :class:`~repro.rng.RngFactory` streams, so a plane-published bundle is
-bit-identical to the one a worker would have regenerated — plane-on,
-plane-off and serial campaigns produce byte-identical stdout.
+bit-identical to the one a worker would have regenerated.  ``jmmw
+figures`` always publishes through a plane, and a task that runs
+without refs regenerates locally with byte-identical results.
 
 Obs counters (``jmmw ... --obs``): ``harness/trace_plane/segments``
 (published), ``segments_live`` (published minus unlinked),
@@ -72,16 +74,13 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import SimConfig
-from repro.errors import TracePlaneError
+from repro.errors import ConfigError, TracePlaneError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.workloads.base import TraceBundle
 
-#: Environment switch for the plane (CLI ``--trace-plane`` /
-#: ``--no-trace-plane``); unset means *on*.
-TRACE_PLANE_ENV = "JMMW_TRACE_PLANE"
-
-#: Environment override for the shm -> spill-file threshold (bytes).
+#: Environment override for the shm -> spill-file threshold (bytes);
+#: ``0`` spills every trace, keeping them all off ``/dev/shm``.
 SPILL_ENV = "JMMW_TRACE_PLANE_SPILL"
 
 #: Payloads at or above this spill to an mmap-backed file instead of
@@ -99,23 +98,21 @@ HEADER_MAGIC = b"jmmw-traceplane\x01"
 HEADER_BYTES = 64
 
 
-def plane_enabled() -> bool:
-    """Whether campaigns should publish traces through the plane."""
-    raw = os.environ.get(TRACE_PLANE_ENV, "").strip().lower()
-    if not raw:
-        return True
-    return raw not in ("0", "false", "no", "off")
-
-
 def spill_threshold() -> int:
-    """Payload size (bytes) at which publishing spills to a file."""
+    """Payload size (bytes) at which publishing spills to a file.
+
+    Raises :class:`~repro.errors.ConfigError` when
+    ``JMMW_TRACE_PLANE_SPILL`` is set to anything but a non-negative
+    integer: a typo must not silently put traces back on ``/dev/shm``.
+    """
     raw = os.environ.get(SPILL_ENV, "").strip()
     if not raw:
         return DEFAULT_SPILL_BYTES
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SPILL_BYTES
+    if not raw.isdecimal():
+        raise ConfigError(
+            f"{SPILL_ENV} must be a non-negative integer byte count, got {raw!r}"
+        )
+    return int(raw)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,16 @@ by construction and by test:
   the bus keys by line: the ``holders`` mirror (bitmask), the miss
   classifier's ever-held/invalidated sets (bitmasks per cache), the
   per-line C2C counts and the touched-line set;
-- the round-robin quantum interleave and the warmup-discard split run
-  inside the kernel session, exactly as ``run_trace`` schedules them.
+- the round-robin quantum interleave runs inside the kernel over
+  equal-length per-processor windows, so consecutive windows
+  concatenate to the schedule the scalar loop plays.
+
+Every hierarchy replay goes through one windowed scheduler,
+:func:`repro.memsys.stream.run_trace_stream`, which touches this module
+through two names: :meth:`KernelSession.begin`, the single place the
+kernel accepts or declines a replay, and :func:`run_trace_kernel`,
+which replays one warmup or measurement phase through an accepted
+session.
 
 After a replay the full machine state — cache contents in LRU order,
 coherence states, holders mirror, classifier history, every counter —
@@ -39,16 +47,19 @@ Fallback conditions (the scalar path is always the reference):
 
 - ``JMMW_FASTPATH=0`` / ``jmmw --no-fastpath`` / ``run_trace(...,
   fastpath=False)`` — the established escape hatches;
-- no C compiler on the machine (``cc``/``gcc``/``clang``) or the
-  one-time build fails: :func:`kernel_available` returns False and
-  every replay silently uses the scalar loop;
 - runtime invariant checking is active (``JMMW_CHECK=1``): the
   checker observes every reference, which only the scalar loop can
   feed;
-- the hierarchy is not cold (a previous replay or manual accesses
-  left state behind): the kernel replays whole traces from empty
-  caches only;
-- more than 64 L2 caches (the holders bitmask width).
+- :meth:`KernelSession.begin` declines, counting the reason under
+  :data:`FALLBACK_COUNTER`: no C compiler on the machine
+  (``cc``/``gcc``/``clang``) or the one-time build failed
+  (``no-kernel``); more than 64 L2 caches, the holders bitmask width
+  (``unsupported``); a hierarchy that is not cold, because a previous
+  replay or manual accesses left state behind (``warm``); or a machine
+  that cannot be allocated (``alloc``).
+
+Once a session has accepted, there is no fallback: an allocation
+failure inside the kernel raises :class:`~repro.errors.SimulationError`.
 
 The compiled ``.so`` is cached under ``$XDG_CACHE_HOME/jmmw`` (or
 ``~/.cache/jmmw``) keyed by a hash of the embedded source, so the
@@ -72,6 +83,7 @@ from repro import obs as _obs
 from repro.memsys.block import INSTRUCTIONS_PER_IFETCH
 from repro.memsys.coherence import CacheSideStats, CoherenceStats, State
 from repro.memsys.misses import MissKind
+from repro.memsys.stream import DEFAULT_CHUNK_REFS
 
 #: Field order of the flat per-processor stats array, matching
 #: :class:`repro.memsys.hierarchy.ProcessorStats` declaration order.
@@ -992,7 +1004,8 @@ def _new_machine(lib, hierarchy):
 #: Scalar-path fallbacks are counted under this prefix, one counter per
 #: reason: ``no-kernel`` (no compiler or library), ``unsupported`` (a
 #: geometry the kernel cannot hold), ``warm`` (state already replayed
-#: into the hierarchy) and ``alloc`` (the kernel ran out of memory).
+#: into the hierarchy) and ``alloc`` (the kernel machine could not be
+#: allocated).
 FALLBACK_COUNTER = "memsys/fastpath/coherent_fallback"
 
 
@@ -1010,95 +1023,58 @@ def _declined(lib, hierarchy) -> bool:
     return True
 
 
-def run_trace_kernel(
-    hierarchy, per_cpu_traces, quantum: int, warmup_fraction: float
-) -> bool:
-    """Replay through the compiled kernel; False means "use scalar".
+def run_trace_kernel(session, cursors, budgets, quantum: int) -> None:
+    """Replay one warmup/measurement phase through ``session``, windowed.
 
-    Arguments mirror :meth:`MemoryHierarchy.run_trace` (already
-    validated by the caller).  On success the hierarchy's caches, bus
-    mirror, classifier history and every counter hold exactly the
-    state the scalar replay would have produced.
+    ``cursors`` are the stream's per-processor
+    :class:`~repro.memsys.stream.ChunkCursor` readers and ``budgets``
+    the references each processor plays in this phase.  While every
+    live processor has at least a quantum left, a window (a common
+    multiple of the quantum, capped near the stream chunk size) is
+    pulled per processor and replayed in one kernel call — the
+    kernel's internal round-robin over equal-length windows
+    concatenates to the global schedule.  The ragged tail (some
+    processor under a quantum from exhaustion) is replayed one round
+    at a time, which reproduces drop-out exactly.
     """
-    lib = _load_library()
-    if _declined(lib, hierarchy):
-        return False
-    traces = [np.ascontiguousarray(t, dtype=np.uint64) for t in per_cpu_traces]
-    lens = np.array([t.size for t in traces], dtype=np.int64)
-    offs = np.zeros(len(traces), dtype=np.int64)
-    np.cumsum(lens[:-1], out=offs[1:])
-    flat = (
-        np.concatenate(traces) if traces and lens.sum()
-        else np.zeros(1, dtype=np.uint64)
-    )
-    m = _new_machine(lib, hierarchy)
-    if not m:
-        _obs.incr(f"{FALLBACK_COUNTER}/alloc")
-        return False
-    try:
-        splits = np.array(
-            [int(n * warmup_fraction) for n in lens.tolist()], dtype=np.int64
-        )
-        if warmup_fraction > 0.0:
-            leaves = [(offs, splits), (offs + splits, lens - splits)]
+    n_procs = len(budgets)
+    window = max(quantum, (DEFAULT_CHUNK_REFS // quantum) * quantum)
+    remaining = list(budgets)
+    live = [cpu for cpu, n in enumerate(remaining) if n > 0]
+    while live:
+        floor = min(remaining[cpu] for cpu in live)
+        arrays: list[np.ndarray | None] = [None] * n_procs
+        if floor >= quantum:
+            take = min(window, floor - (floor % quantum))
+            for cpu in live:
+                arrays[cpu] = cursors[cpu].take(take)
+                remaining[cpu] -= take
         else:
-            leaves = [(offs, lens)]
-        for i, (leaf_offs, leaf_lens) in enumerate(leaves):
-            if i > 0:
-                lib.jmmw_reset_stats(m)
-            bus_before = np.zeros(len(BUS_FIELDS), dtype=np.int64)
-            lib.jmmw_get_stats(m, None, None, _ptr(bus_before, ctypes.c_int64), None)
-            leaf_offs = np.ascontiguousarray(leaf_offs, dtype=np.int64)
-            leaf_lens = np.ascontiguousarray(leaf_lens, dtype=np.int64)
-            with _obs.span(
-                "memsys/replay",
-                refs=int(leaf_lens.sum()),
-                procs=len(traces),
-            ):
-                rc = lib.jmmw_run(
-                    m, _ptr(flat, ctypes.c_uint64),
-                    _ptr(leaf_offs, ctypes.c_int64),
-                    _ptr(leaf_lens, ctypes.c_int64), quantum,
-                )
-            if rc != 0:
-                # Allocation failure mid-replay: the machine state is
-                # unusable, but the Python hierarchy is untouched.
-                _obs.incr(f"{FALLBACK_COUNTER}/alloc")
-                return False
-            bus_after = np.zeros(len(BUS_FIELDS), dtype=np.int64)
-            lib.jmmw_get_stats(m, None, None, _ptr(bus_after, ctypes.c_int64), None)
-            for name, before, after in zip(
-                BUS_FIELDS, bus_before.tolist(), bus_after.tolist()
-            ):
-                if after - before:
-                    _obs.incr(f"memsys/bus/{name}", after - before)
-            _obs.incr("memsys/replay/refs", int(leaf_lens.sum()))
-        _export_stats(lib, m, hierarchy)
-        _export_table(lib, m, hierarchy)
-        _export_caches(lib, m, hierarchy)
-    finally:
-        lib.jmmw_free(m)
-    _obs.incr("memsys/fastpath/coherent_replay")
-    return True
+            # Tail round: every live processor plays one (possibly
+            # short) turn; the shortest drops out afterwards.
+            for cpu in live:
+                turn = min(quantum, remaining[cpu])
+                arrays[cpu] = cursors[cpu].take(turn)
+                remaining[cpu] -= turn
+        session.run(arrays, quantum)
+        live = [cpu for cpu in live if remaining[cpu] > 0]
 
 
 class KernelSession:
-    """A persistent kernel machine for windowed (streamed) replay.
+    """A persistent kernel machine for one hierarchy replay.
 
-    Where :func:`run_trace_kernel` replays one materialized trace and
-    frees its machine, a session keeps the machine alive across many
-    :meth:`run` calls: caches, the sharing table, classifier history
-    and every counter carry over, which is exactly what chunked replay
-    needs — the machine *is* the carried state.  The lifecycle is
-    ``begin`` (None means "kernel unavailable here: use the scalar
-    loop"), any number of ``run``/``reset_stats`` calls, then
-    ``finish`` to export everything back into the Python hierarchy
-    (or ``abort`` to free without exporting).
+    The machine stays alive across many :meth:`run` calls: caches, the
+    sharing table, classifier history and every counter carry over,
+    which is exactly what windowed replay needs — the machine *is* the
+    carried state.  The lifecycle is :meth:`begin` (None means "the
+    kernel cannot serve this hierarchy: use the scalar loop"), any
+    number of ``run``/``reset_stats`` calls, then :meth:`finish` to
+    export everything back into the Python hierarchy (or :meth:`abort`
+    to free without exporting).
 
-    Unlike the materialized path there is no mid-stream fallback: the
-    chunks already replayed cannot be replayed again scalar, so an
-    allocation failure inside ``run`` raises
-    :class:`~repro.errors.SimulationError`.
+    Once begun there is no fallback: the chunks already replayed cannot
+    be replayed again scalar, so an allocation failure inside ``run``
+    raises :class:`~repro.errors.SimulationError`.
     """
 
     def __init__(self, lib, m, hierarchy) -> None:
@@ -1109,7 +1085,11 @@ class KernelSession:
 
     @classmethod
     def begin(cls, hierarchy) -> "KernelSession | None":
-        """Open a session, or None when the kernel cannot serve it."""
+        """Open a session, or None when the kernel cannot serve it.
+
+        The single place the kernel accepts or declines a replay; each
+        decline is counted under :data:`FALLBACK_COUNTER`.
+        """
         lib = _load_library()
         if _declined(lib, hierarchy):
             return None
@@ -1125,8 +1105,8 @@ class KernelSession:
         processors sitting the window out).
 
         The kernel round-robins a ``quantum`` per processor exactly
-        like the materialized replay, so consecutive windows
-        concatenate to the same global schedule.
+        like the scalar replay, so consecutive windows concatenate to
+        the same global schedule.
         """
         from repro.errors import SimulationError
 
@@ -1151,7 +1131,7 @@ class KernelSession:
         if rc != 0:
             self.abort()
             raise SimulationError(
-                "coherence kernel allocation failure mid-stream; the "
+                "coherence kernel allocation failure mid-replay; the "
                 "consumed chunks cannot be replayed scalar"
             )
 
@@ -1160,21 +1140,13 @@ class KernelSession:
         sharing state are untouched."""
         self._lib.jmmw_reset_stats(self._m)
 
-    def bus_counters(self) -> np.ndarray:
-        """Current bus counters (for obs deltas around a phase)."""
+    def bus_counters(self) -> list[int]:
+        """Current bus counters, in :data:`BUS_FIELDS` order."""
         counters = np.zeros(len(BUS_FIELDS), dtype=np.int64)
         self._lib.jmmw_get_stats(
             self._m, None, None, _ptr(counters, ctypes.c_int64), None
         )
-        return counters
-
-    def publish_bus_delta(self, before: np.ndarray, refs: int) -> None:
-        """Publish obs counter deltas since ``before`` (one phase)."""
-        after = self.bus_counters()
-        for name, b, a in zip(BUS_FIELDS, before.tolist(), after.tolist()):
-            if a - b:
-                _obs.incr(f"memsys/bus/{name}", a - b)
-        _obs.incr("memsys/replay/refs", int(refs))
+        return counters.tolist()
 
     def finish(self) -> None:
         """Export machine state into the hierarchy and free it."""

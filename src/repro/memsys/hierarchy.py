@@ -10,23 +10,26 @@ sharing becomes cache hits), at the cost of capacity/conflict misses.
 Inclusion is maintained the way snooping SMPs do it: when the bus
 invalidates an L2 line, the corresponding L1 lines above that L2 are
 shot down through the bus's invalidation hook.
+
+This module owns the per-reference model (:meth:`MemoryHierarchy.access`,
+the scalar reference).  Trace replay has one form: ``run_trace`` hands
+materialized traces and chunked streams alike to
+:func:`repro.memsys.stream.run_trace_stream`, which drives either this
+access loop or the compiled kernel
+(:mod:`repro.memsys.fastpath_coherence`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro import obs as _obs
 from repro.memsys.config import MachineConfig
 from repro.errors import ConfigError
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH, STORE
 from repro.memsys.cache import SetAssociativeCache
 from repro.memsys.coherence import FILL_C2C, FILL_HIT, FILL_MEM, FILL_UPGRADE, MOSIBus
-from repro.memsys import fastpath as _fastpath
-from repro.memsys import fastpath_coherence as _fastpath_coherence
 from repro.memsys import invariants as _invariants
+from repro.memsys.stream import TraceStream, run_trace_stream
 
 
 @dataclass
@@ -241,7 +244,7 @@ class MemoryHierarchy:
 
     def run_trace(
         self,
-        per_cpu_traces: list[list[int]],
+        per_cpu_traces: list[list[int]] | TraceStream,
         quantum: int = 64,
         warmup_fraction: float = 0.0,
         fastpath: bool | None = None,
@@ -257,106 +260,29 @@ class MemoryHierarchy:
         fills the caches and is then discarded from the counters, so
         reported rates are steady-state.
 
+        ``per_cpu_traces`` is one sequence of encoded references per
+        processor, or a :class:`~repro.memsys.stream.TraceStream` whose
+        chunks are replayed as they arrive.  A materialized trace is
+        replayed as a one-chunk stream: every replay goes through
+        :func:`repro.memsys.stream.run_trace_stream`, with final state
+        and counters independent of where chunk boundaries fall.
+
         ``fastpath`` controls the compiled coherence kernel
         (:mod:`repro.memsys.fastpath_coherence`): ``None`` follows the
         global ``JMMW_FASTPATH`` switch, ``False`` forces the scalar
         reference loop.  The kernel only engages on a cold hierarchy
         with no invariant checker attached; whenever it declines, the
-        scalar loop below runs and produces the identical state.
-
-        ``per_cpu_traces`` may also be a
-        :class:`~repro.memsys.stream.TraceStream`: chunks are then
-        replayed as they arrive, carrying machine state across chunk
-        boundaries, with final state and counters bit-identical to
-        materializing the stream first.
+        scalar loop runs and produces the identical state.
         """
-        from repro.memsys import stream as _stream
-
-        if isinstance(per_cpu_traces, _stream.TraceStream):
-            _stream.run_trace_stream(
-                self, per_cpu_traces,
-                quantum=quantum, warmup_fraction=warmup_fraction,
-                fastpath=fastpath,
+        if not isinstance(per_cpu_traces, TraceStream):
+            longest = max((len(t) for t in per_cpu_traces), default=0)
+            per_cpu_traces = TraceStream.from_arrays(
+                per_cpu_traces, chunk_refs=max(1, longest)
             )
-            return
-        if len(per_cpu_traces) != self.machine.n_procs:
-            raise ConfigError(
-                f"expected {self.machine.n_procs} traces, got {len(per_cpu_traces)}"
-            )
-        if quantum <= 0:
-            raise ConfigError("quantum must be positive")
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ConfigError("warmup_fraction must be in [0, 1)")
-        if fastpath is None:
-            fastpath = _fastpath.fastpath_enabled()
-        if (
-            fastpath
-            and self.checker is None
-            and _fastpath_coherence.run_trace_kernel(
-                self, per_cpu_traces, quantum, warmup_fraction
-            )
-        ):
-            return
-        # Workloads hand over uint64 arrays; the per-reference loop
-        # below runs much faster over Python ints than numpy scalars.
-        per_cpu_traces = [
-            t.tolist() if isinstance(t, np.ndarray) else t for t in per_cpu_traces
-        ]
-        if warmup_fraction > 0.0:
-            warm = [t[: int(len(t) * warmup_fraction)] for t in per_cpu_traces]
-            rest = [t[int(len(t) * warmup_fraction) :] for t in per_cpu_traces]
-            self.run_trace(warm, quantum=quantum, fastpath=False)
-            self.reset_stats()
-            self.run_trace(rest, quantum=quantum, fastpath=False)
-            return
-        # Observability is published per leaf replay (the warmup branch
-        # above recurses into two leaves around a reset_stats, so the
-        # bus-stat deltas below sum to the whole run's activity).
-        bus_before = self._bus_counter_snapshot()
-        access = self.access
-        positions = [0] * len(per_cpu_traces)
-        live = [cpu for cpu, t in enumerate(per_cpu_traces) if t]
-        with _obs.span(
-            "memsys/replay",
-            refs=sum(len(t) for t in per_cpu_traces),
-            procs=len(per_cpu_traces),
-        ):
-            while live:
-                next_live = []
-                for cpu in live:
-                    trace = per_cpu_traces[cpu]
-                    pos = positions[cpu]
-                    end = min(pos + quantum, len(trace))
-                    for i in range(pos, end):
-                        access(cpu, trace[i])
-                    positions[cpu] = end
-                    if end < len(trace):
-                        next_live.append(cpu)
-                live = next_live
-        self._publish_bus_counters(bus_before, sum(positions))
-        if self.checker is not None:
-            # One guaranteed full check per replay, so corruption that
-            # slipped between samples still fails the run that made it.
-            self.checker.check()
-
-    #: Bus counters published to the observability registry per replay.
-    _OBS_BUS_FIELDS = (
-        "bus_reads", "bus_read_exclusives", "upgrades", "silent_upgrades",
-        "c2c_transfers", "memory_fetches", "writebacks", "invalidations",
-    )
-
-    def _bus_counter_snapshot(self) -> tuple[int, ...]:
-        stats = self.bus.stats
-        return tuple(getattr(stats, name) for name in self._OBS_BUS_FIELDS)
-
-    def _publish_bus_counters(self, before: tuple[int, ...], refs: int) -> None:
-        """Publish this replay's bus-transaction deltas."""
-        stats = self.bus.stats
-        for name, base in zip(self._OBS_BUS_FIELDS, before):
-            delta = getattr(stats, name) - base
-            if delta:
-                _obs.incr(f"memsys/bus/{name}", delta)
-        _obs.incr("memsys/replay/refs", refs)
+        run_trace_stream(
+            self, per_cpu_traces,
+            quantum=quantum, warmup_fraction=warmup_fraction, fastpath=fastpath,
+        )
 
     # -- aggregates -----------------------------------------------------------
 

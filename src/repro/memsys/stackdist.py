@@ -13,13 +13,10 @@ Implementation: a vectorized offline pass (see
 :func:`repro.memsys.fastpath.stack_distances`) with the classic
 O(n log n) Fenwick-tree formulation retained as the scalar reference
 (``histogram(fastpath=False)``); both produce identical histograms.
-
-A profiler built with ``streaming=True`` switches to the mergeable
-formulation (:class:`repro.memsys.stream.StackAccumulator`): each
-:meth:`feed` folds its chunk into the histogram immediately, carrying
-only the LRU stack (every distinct block in last-access order) between
-chunks, so memory is O(footprint) instead of O(references).  The
-merged histogram is bit-identical to the offline passes.
+For chunked block streams, :class:`repro.memsys.stream.StackAccumulator`
+folds each chunk into the histogram as it arrives, carrying only the
+LRU stack between chunks (O(footprint) memory instead of
+O(references)), with a bit-identical merged histogram.
 """
 
 from __future__ import annotations
@@ -61,26 +58,16 @@ class StackDistanceProfiler:
     #: Histogram bucket for cold (first-touch) accesses.
     COLD = -1
 
-    def __init__(self, streaming: bool = False) -> None:
+    def __init__(self) -> None:
         self._accesses: list[int] = []
         self._histogram: dict[int, int] | None = None
-        self._accumulator = None
-        if streaming:
-            from repro.memsys.stream import StackAccumulator
-
-            self._accumulator = StackAccumulator()
 
     def feed(self, blocks: list[int]) -> None:
         """Append a stream of block addresses to the profile.
 
-        Accepts plain lists or numpy arrays.  A materialized profiler
-        keeps the accesses and invalidates any memoized histogram; a
-        streaming profiler folds the chunk into its histogram now and
-        keeps only the carried LRU stack.
+        Accepts plain lists or numpy arrays; invalidates any memoized
+        histogram.
         """
-        if self._accumulator is not None:
-            self._accumulator.feed(np.asarray(blocks, dtype=np.int64))
-            return
         if isinstance(blocks, np.ndarray):
             blocks = blocks.tolist()
         self._accesses.extend(blocks)
@@ -88,8 +75,6 @@ class StackDistanceProfiler:
 
     @property
     def n_accesses(self) -> int:
-        if self._accumulator is not None:
-            return self._accumulator.n_accesses
         return len(self._accesses)
 
     def histogram(self, fastpath: bool | None = None) -> dict[int, int]:
@@ -101,12 +86,8 @@ class StackDistanceProfiler:
         ``fastpath`` selects the vectorized pass (default per
         :func:`repro.memsys.fastpath.fastpath_enabled`) or the scalar
         Fenwick reference; both are bit-identical, so the memo is
-        shared.  Streaming profilers return the chunk-merged histogram
-        (always vectorized; ``fastpath`` is ignored) — identical to
-        either offline pass over the concatenated feeds.
+        shared.
         """
-        if self._accumulator is not None:
-            return self._accumulator.histogram()
         if self._histogram is None:
             from repro.memsys import fastpath as _fastpath
 

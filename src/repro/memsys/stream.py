@@ -9,9 +9,10 @@ replay can start before generation finishes:
   bundle (:meth:`TraceStream.from_bundle`), from chunked generation
   (:meth:`TraceStream.from_workload`), or from raw iterators;
 - :func:`run_trace_stream` — the windowed round-robin scheduler behind
-  :meth:`repro.memsys.hierarchy.MemoryHierarchy.run_trace` when it is
-  handed a stream: cache/bus/classifier state is carried across chunk
-  boundaries either by the persistent compiled-kernel machine
+  every :meth:`repro.memsys.hierarchy.MemoryHierarchy.run_trace` (a
+  materialized trace is replayed as a one-chunk stream):
+  cache/bus/classifier state is carried across chunk boundaries either
+  by the persistent compiled-kernel machine
   (:class:`repro.memsys.fastpath_coherence.KernelSession`) or simply by
   the live Python hierarchy;
 - :class:`MissCurveAccumulator` — the vectorized miss-curve sweep, and
@@ -31,8 +32,8 @@ replay can start before generation finishes:
   histogram.
 
 Results do not depend on where chunk boundaries fall — enforced by
-``tests/memsys/test_stream_parity.py`` and the ``stream`` rows of
-:data:`repro.obs.diffcheck.FIGURE_DIFF_CONFIGS`.
+``tests/memsys/test_stream_parity.py`` and by the multi-chunk replays
+in every row of :data:`repro.obs.diffcheck.FIGURE_DIFF_CONFIGS`.
 """
 
 from __future__ import annotations
@@ -128,11 +129,11 @@ class ChunkCursor:
 class TraceStream:
     """Per-processor chunked reference streams with declared lengths.
 
-    The declared ``lengths`` stand in for ``len(trace)`` everywhere the
-    materialized path needs it up front (warmup splits, round-robin
-    drop-out), so replay schedules are computed before a single chunk
-    is generated.  Streams are one-shot: :meth:`cursors` (or
-    :meth:`chunks_merged`) may be consumed once.
+    The declared ``lengths`` stand in for ``len(trace)`` everywhere a
+    replay needs it up front (warmup splits, round-robin drop-out), so
+    replay schedules are computed before a single chunk is generated.
+    Streams are one-shot: :meth:`cursors` (or :meth:`chunks_merged`)
+    may be consumed once.
     """
 
     def __init__(
@@ -537,12 +538,7 @@ class StackAccumulator:
         return dict(self._hist)
 
 
-# -- streamed hierarchy replay -----------------------------------------------
-
-
-def _window_refs(quantum: int) -> int:
-    """Kernel window size: the chunk size, rounded to quanta."""
-    return max(quantum, (DEFAULT_CHUNK_REFS // quantum) * quantum)
+# -- hierarchy replay --------------------------------------------------------
 
 
 def run_trace_stream(
@@ -554,24 +550,30 @@ def run_trace_stream(
 ) -> None:
     """Replay a :class:`TraceStream` through a hierarchy, windowed.
 
-    Bit-identical to materializing the stream and calling
-    :meth:`~repro.memsys.hierarchy.MemoryHierarchy.run_trace`: the
-    round-robin schedule (including warmup phases and drop-out of
-    exhausted processors) is computed from the declared lengths, and
-    machine state is carried across chunk boundaries by the live
-    hierarchy (scalar path) or the persistent compiled-kernel machine
-    (:class:`repro.memsys.fastpath_coherence.KernelSession`).
+    The one hierarchy-replay path:
+    :meth:`~repro.memsys.hierarchy.MemoryHierarchy.run_trace` hands
+    every replay here, a materialized trace as a one-chunk stream.  The
+    round-robin schedule (warmup phases, drop-out of exhausted
+    processors) is computed from the declared lengths, and machine
+    state is carried across chunk boundaries either by the live
+    hierarchy (:func:`_scalar_phase`, the reference) or by the
+    persistent compiled-kernel machine
+    (:class:`~repro.memsys.fastpath_coherence.KernelSession`, driven by
+    :func:`~repro.memsys.fastpath_coherence.run_trace_kernel`).
 
-    Unlike the materialized kernel path — which can silently fall back
-    to the scalar loop — a kernel failure mid-stream raises
-    :class:`~repro.errors.SimulationError`: chunks are one-shot, so
-    there is nothing left to replay scalar.
+    The kernel is asked only with ``fastpath`` on and no invariant
+    checker attached; :meth:`KernelSession.begin` accepts or declines
+    (counting the reason), and a decline runs the scalar phases, which
+    produce the identical state.  Once the kernel has accepted, a
+    failure inside it raises :class:`~repro.errors.SimulationError`:
+    chunks are one-shot, so there is nothing left to replay scalar.
+    With a checker attached, the full check runs after every phase.
     """
     from repro.memsys import fastpath_coherence as _fc
 
     if stream.n_procs != hierarchy.machine.n_procs:
         raise ConfigError(
-            f"expected {hierarchy.machine.n_procs} streams, got {stream.n_procs}"
+            f"expected {hierarchy.machine.n_procs} traces, got {stream.n_procs}"
         )
     if quantum <= 0:
         raise ConfigError("quantum must be positive")
@@ -589,6 +591,13 @@ def run_trace_stream(
     session = None
     if fastpath and hierarchy.checker is None:
         session = _fc.KernelSession.begin(hierarchy)
+
+    def bus_counters() -> list[int]:
+        if session is not None:
+            return session.bus_counters()
+        stats = hierarchy.bus.stats
+        return [getattr(stats, name) for name in _fc.BUS_FIELDS]
+
     try:
         for index, budgets in enumerate(phases):
             if index > 0:
@@ -596,37 +605,34 @@ def run_trace_stream(
                     session.reset_stats()
                 else:
                     hierarchy.reset_stats()
-            bus_before = (
-                session.bus_counters() if session is not None
-                else hierarchy._bus_counter_snapshot()
-            )
-            with _obs.span(
-                "memsys/replay", refs=sum(budgets), procs=stream.n_procs,
-            ):
+            refs = sum(budgets)
+            before = bus_counters()
+            with _obs.span("memsys/replay", refs=refs, procs=stream.n_procs):
                 if session is not None:
-                    _kernel_phase(session, cursors, budgets, quantum)
+                    _fc.run_trace_kernel(session, cursors, budgets, quantum)
                 else:
                     _scalar_phase(hierarchy, cursors, budgets, quantum)
-            if session is not None:
-                session.publish_bus_delta(bus_before, sum(budgets))
-            else:
-                hierarchy._publish_bus_counters(bus_before, sum(budgets))
+            for name, b, a in zip(_fc.BUS_FIELDS, before, bus_counters()):
+                if a != b:
+                    _obs.incr(f"memsys/bus/{name}", a - b)
+            _obs.incr("memsys/replay/refs", refs)
+            if hierarchy.checker is not None:
+                # One guaranteed full check per phase, so corruption
+                # that slipped between samples still fails the run.
+                hierarchy.checker.check()
         if session is not None:
             session.finish()
             session = None
     finally:
         if session is not None:
             session.abort()
-    if hierarchy.checker is not None:
-        hierarchy.checker.check()
 
 
 def _scalar_phase(hierarchy, cursors, budgets, quantum: int) -> None:
     """One warmup/measurement phase through the scalar access loop.
 
-    Mirrors the materialized round-robin exactly: each live processor
-    plays up to a quantum per turn and drops out when its budget is
-    spent, in processor order.
+    Each live processor plays up to a quantum per turn and drops out
+    when its budget is spent, in processor order.
     """
     access = hierarchy.access
     remaining = list(budgets)
@@ -641,37 +647,3 @@ def _scalar_phase(hierarchy, cursors, budgets, quantum: int) -> None:
             if remaining[cpu] > 0:
                 next_live.append(cpu)
         live = next_live
-
-
-def _kernel_phase(session, cursors, budgets, quantum: int) -> None:
-    """One phase through the persistent kernel machine, windowed.
-
-    While every live processor has at least a quantum left, a window
-    (a common multiple of the quantum, capped by the chunk knob) is
-    pulled per processor and replayed in one kernel call — the
-    kernel's internal round-robin over equal-length windows
-    concatenates to the global schedule.  The ragged tail (some
-    processor under a quantum from exhaustion) is replayed one
-    round at a time, which reproduces drop-out exactly.
-    """
-    n_procs = len(budgets)
-    window = _window_refs(quantum)
-    remaining = list(budgets)
-    live = [cpu for cpu, n in enumerate(remaining) if n > 0]
-    while live:
-        floor = min(remaining[cpu] for cpu in live)
-        arrays: list[np.ndarray | None] = [None] * n_procs
-        if floor >= quantum:
-            take = min(window, floor - (floor % quantum))
-            for cpu in live:
-                arrays[cpu] = cursors[cpu].take(take)
-                remaining[cpu] -= take
-        else:
-            # Tail round: every live processor plays one (possibly
-            # short) turn; the shortest drops out afterwards.
-            for cpu in live:
-                turn = min(quantum, remaining[cpu])
-                arrays[cpu] = cursors[cpu].take(turn)
-                remaining[cpu] -= turn
-        session.run(arrays, quantum)
-        live = [cpu for cpu in live if remaining[cpu] > 0]

@@ -17,15 +17,16 @@ counter vectors**, not just miss totals:
   hierarchy that snoops by scanning every cache (no holders mirror),
   run in lockstep with :class:`repro.memsys.hierarchy.MemoryHierarchy`
   and diffed on every per-CPU :class:`ProcessorStats` field, every
-  per-L2 side counter, the bus totals and the per-line C2C footprint;
+  per-L2 side counter, the bus totals and the per-line C2C footprint,
+  then against ``run_trace`` replays of the same traces as one chunk
+  and as a multi-chunk stream;
 - :func:`oracle_stack_histogram` — an O(n·m) move-to-front stack
   distance recount diffed against
-  :class:`repro.memsys.stackdist.StackDistanceProfiler` (both paths),
-  and against the chunk-merged streaming histogram
-  (:func:`diff_stackdist_stream`);
-- :func:`diff_miss_curve_stream` — the chunked carried-state sweep
-  (:func:`repro.memsys.stream.simulate_miss_curve_stream`, both
-  replay paths) diffed point-for-point against the one-chunk sweep;
+  :class:`repro.memsys.stackdist.StackDistanceProfiler` (both paths)
+  and the chunk-merged :class:`repro.memsys.stream.StackAccumulator`;
+- the miss-curve sweep (both replay paths, one chunk and several)
+  recounted point-for-point with :class:`OracleLRUCache`
+  (:func:`diff_miss_curve`);
 - :class:`OracleStoreBuffer` — a store buffer that rescans its whole
   issue history on every store (no deque, no lazy popping), diffed
   per-issue against :class:`repro.memsys.storebuffer.StoreBuffer`;
@@ -56,6 +57,11 @@ from repro.errors import ConfigError
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH, LOAD, STORE
 from repro.memsys.config import CacheConfig, MachineConfig, e6000_machine
 from repro.memsys.hierarchy import MemoryHierarchy
+from repro.memsys.stream import (
+    StackAccumulator,
+    TraceStream,
+    simulate_miss_curve_stream,
+)
 
 _KIND_NAMES = {IFETCH: "ifetch", LOAD: "load", STORE: "store"}
 
@@ -195,37 +201,45 @@ def diff_miss_curve(
 ) -> DiffReport:
     """Diff the full miss-curve sweep against an oracle recount.
 
-    Runs :func:`repro.memsys.multisim.simulate_miss_curve` through
-    *both* replay paths (vectorized and scalar
-    :class:`MultiConfigSimulator`), recounts every point with
-    :class:`OracleLRUCache`, and compares the complete
-    ``(accesses, misses, mpki)`` vector of every point.
+    Runs the sweep through *both* replay paths (vectorized and scalar
+    :class:`MultiConfigSimulator`), each as one chunk
+    (:func:`repro.memsys.multisim.simulate_miss_curve`) and as several
+    chunks whose boundaries include ones inside the warmup window
+    (:func:`repro.memsys.stream.simulate_miss_curve_stream`), recounts
+    every point with :class:`OracleLRUCache`, and compares the complete
+    ``(size, accesses, misses, mpki)`` vector of every point.
     """
-    from repro.memsys.fastpath import classify_trace
+    from repro.memsys.fastpath import as_ref_array, classify_trace
     from repro.memsys.multisim import simulate_miss_curve
 
-    fast = simulate_miss_curve(
-        trace, sizes, kind=kind, assoc=assoc, block=block,
-        warmup_fraction=warmup_fraction, fastpath=True,
-    )
-    scalar = simulate_miss_curve(
-        trace, sizes, kind=kind, assoc=assoc, block=block,
-        warmup_fraction=warmup_fraction, fastpath=False,
-    )
+    arr = as_ref_array(trace)
+    n_refs = int(arr.size)
+    chunk = max(1, n_refs // 7)
+    replays = {}
+    for fastpath in (True, False):
+        path = "fastpath" if fastpath else "scalar"
+        replays[path] = simulate_miss_curve(
+            arr, sizes, kind=kind, assoc=assoc, block=block,
+            warmup_fraction=warmup_fraction, fastpath=fastpath,
+        )
+        chunks = TraceStream.from_arrays([arr], chunk_refs=chunk).chunks_merged()
+        replays[f"{path} chunk={chunk}"] = simulate_miss_curve_stream(
+            chunks, n_refs, sizes, kind=kind, assoc=assoc, block=block,
+            warmup_fraction=warmup_fraction, fastpath=fastpath,
+        )
     # Oracle recount: same warmup-split accounting, brute-force caches.
-    classified = classify_trace(trace, kind)
-    split = int(len(trace) * warmup_fraction)
+    classified = classify_trace(arr, kind)
+    split = int(n_refs * warmup_fraction)
     split_class = classified.class_count_before(split)
     instr = classified.instructions - classified.instructions_before(split)
     addrs = classified.addrs.tolist()
     configs = [CacheConfig(size=s, assoc=assoc, block=block) for s in sizes]
-    oracle_points = []
-    for cfg in configs:
+    for i, cfg in enumerate(configs):
         cache = OracleLRUCache(cfg.n_sets, cfg.assoc)
         bits = cfg.block_bits
         warm_misses = 0
-        for i, addr in enumerate(addrs):
-            if i == split_class:
+        for j, addr in enumerate(addrs):
+            if j == split_class:
                 warm_misses = cache.misses
             cache.access(addr >> bits)
         if split_class >= len(addrs):
@@ -233,84 +247,22 @@ def diff_miss_curve(
         misses = cache.misses - warm_misses
         accesses = cache.accesses - split_class
         mpki = 1000.0 * misses / instr if instr else 0.0
-        oracle_points.append((cfg.size, accesses, misses, mpki))
-    n_refs = len(trace)
-    for i, (f, s, o) in enumerate(zip(fast, scalar, oracle_points)):
-        fv = (f.size, f.accesses, f.misses, f.mpki)
-        sv = (s.size, s.accesses, s.misses, s.mpki)
-        if fv != sv or fv != o:
-            return DiffReport(
-                name=name, n_refs=n_refs, checks=len(sizes),
-                divergence=Divergence(
-                    index=i,
-                    detail=(
-                        f"size {sizes[i]}: fastpath {fv}, scalar {sv}, "
-                        f"oracle {o} (vectors are size/accesses/misses/mpki)"
-                    ),
-                ),
-            )
-    return DiffReport(name=name, n_refs=n_refs, checks=len(sizes))
-
-
-def diff_miss_curve_stream(
-    trace,
-    sizes: list[int],
-    kind: str,
-    assoc: int = 4,
-    block: int = 64,
-    warmup_fraction: float = 0.2,
-    chunk_refs: int | None = None,
-    name: str = "miss-curve-stream",
-) -> DiffReport:
-    """Diff multi-chunk miss-curve replay against the one-chunk sweep.
-
-    Chunks the trace (several boundaries, including ones that land
-    inside the warmup window) and runs
-    :func:`repro.memsys.stream.simulate_miss_curve_stream` through
-    *both* replay paths, comparing every point's complete
-    ``(size, accesses, misses, mpki)`` vector against the
-    whole-trace :func:`repro.memsys.multisim.simulate_miss_curve` —
-    itself validated against the brute-force oracle by
-    :func:`diff_miss_curve`.
-    """
-    from repro.memsys.multisim import simulate_miss_curve
-    from repro.memsys.stream import simulate_miss_curve_stream
-
-    arr = np.asarray(
-        trace.tolist() if isinstance(trace, np.ndarray) else list(trace),
-        dtype=np.uint64,
-    )
-    chunk = chunk_refs if chunk_refs is not None else max(1, int(arr.size) // 7)
-    baseline = simulate_miss_curve(
-        arr, sizes, kind=kind, assoc=assoc, block=block,
-        warmup_fraction=warmup_fraction, fastpath=True,
-    )
-    base_vectors = [(p.size, p.accesses, p.misses, p.mpki) for p in baseline]
-    for fastpath in (True, False):
-        chunks = (
-            arr[start : start + chunk] for start in range(0, int(arr.size), chunk)
-        )
-        streamed = simulate_miss_curve_stream(
-            chunks, int(arr.size), sizes, kind=kind, assoc=assoc,
-            block=block, warmup_fraction=warmup_fraction, fastpath=fastpath,
-        )
-        for i, point in enumerate(streamed):
-            got = (point.size, point.accesses, point.misses, point.mpki)
-            want = base_vectors[i]
+        want = (cfg.size, accesses, misses, mpki)
+        for label, points in replays.items():
+            p = points[i]
+            got = (p.size, p.accesses, p.misses, p.mpki)
             if got != want:
-                path = "fastpath" if fastpath else "scalar"
                 return DiffReport(
-                    name=name, n_refs=int(arr.size), checks=2 * len(sizes),
+                    name=name, n_refs=n_refs, checks=len(sizes),
                     divergence=Divergence(
                         index=i,
                         detail=(
-                            f"size {sizes[i]}: streamed {path} {got}, "
-                            f"one-chunk {want} (chunk={chunk}; vectors "
-                            f"are size/accesses/misses/mpki)"
+                            f"size {sizes[i]}: {label} {got}, oracle {want} "
+                            "(vectors are size/accesses/misses/mpki)"
                         ),
                     ),
                 )
-    return DiffReport(name=name, n_refs=int(arr.size), checks=2 * len(sizes))
+    return DiffReport(name=name, n_refs=n_refs, checks=len(sizes))
 
 
 # -- oracle 2: stack-distance recount ---------------------------------------
@@ -339,80 +291,50 @@ def oracle_stack_histogram(blocks) -> dict[int, int]:
     return hist
 
 
-def diff_stackdist_stream(
-    blocks, chunk_refs: int | None = None, name: str = "stackdist-stream"
-) -> DiffReport:
-    """Diff the chunk-merged histogram against the O(n·m) recount.
+def diff_stackdist(blocks, name: str = "stackdist") -> DiffReport:
+    """Diff every stack-distance histogram against the recount.
 
-    Feeds the blocks to a *streaming*
-    :class:`repro.memsys.stackdist.StackDistanceProfiler` in several
-    chunks (so carried-stack merging across boundaries is exercised),
-    then compares the merged histogram against both the literal
-    move-to-front recount and the one-shot offline pass.
+    The one-shot :class:`repro.memsys.stackdist.StackDistanceProfiler`
+    histogram on both paths (vectorized and scalar Fenwick), and the
+    chunk-merged :class:`repro.memsys.stream.StackAccumulator` histogram
+    over several chunks, so carried-stack merging across boundaries is
+    exercised too.
     """
     from repro.memsys.stackdist import StackDistanceProfiler
 
     blocks_list = blocks.tolist() if isinstance(blocks, np.ndarray) else list(blocks)
-    chunk = chunk_refs if chunk_refs is not None else max(1, len(blocks_list) // 7)
-    streaming = StackDistanceProfiler(streaming=True)
-    for start in range(0, len(blocks_list), chunk):
-        streaming.feed(blocks_list[start : start + chunk])
-    merged = streaming.histogram()
     oracle = oracle_stack_histogram(blocks_list)
-    one_shot = StackDistanceProfiler()
-    one_shot.feed(blocks_list)
-    offline = one_shot.histogram()
-    for label, other in (("oracle recount", oracle), ("one-shot pass", offline)):
-        if merged != other:
-            diffs = sorted(
-                d for d in set(merged) | set(other)
-                if merged.get(d, 0) != other.get(d, 0)
-            )
-            first = diffs[0]
-            return DiffReport(
-                name=name, n_refs=len(blocks_list), checks=2,
-                divergence=Divergence(
-                    index=first,
-                    detail=(
-                        f"chunk-merged histogram[{first}] = "
-                        f"{merged.get(first, 0)}, {label} = "
-                        f"{other.get(first, 0)} ({len(diffs)} buckets differ, "
-                        f"chunk={chunk})"
-                    ),
-                ),
-            )
-    return DiffReport(name=name, n_refs=len(blocks_list), checks=2)
-
-
-def diff_stackdist(blocks, name: str = "stackdist") -> DiffReport:
-    """Diff profiler histograms (both paths) against the recount."""
-    from repro.memsys.stackdist import StackDistanceProfiler
-
-    blocks_list = blocks.tolist() if isinstance(blocks, np.ndarray) else list(blocks)
-    oracle = oracle_stack_histogram(blocks_list)
+    chunk = max(1, len(blocks_list) // 7)
+    histograms = {}
     for fastpath in (True, False):
         profiler = StackDistanceProfiler()
         profiler.feed(blocks_list)
-        hist = profiler.histogram(fastpath=fastpath)
+        histograms["fastpath" if fastpath else "scalar"] = profiler.histogram(
+            fastpath=fastpath
+        )
+    merged = StackAccumulator()
+    for start in range(0, len(blocks_list), chunk):
+        merged.feed(blocks_list[start : start + chunk])
+    histograms[f"chunk-merged (chunk={chunk})"] = merged.histogram()
+    for label, hist in histograms.items():
         if hist != oracle:
             diffs = sorted(
                 d for d in set(hist) | set(oracle)
                 if hist.get(d, 0) != oracle.get(d, 0)
             )
             first = diffs[0]
-            path = "fastpath" if fastpath else "scalar"
             return DiffReport(
-                name=name, n_refs=len(blocks_list), checks=2,
+                name=name, n_refs=len(blocks_list), checks=len(histograms),
                 divergence=Divergence(
                     index=first,
                     detail=(
-                        f"{path} histogram[{first}] = {hist.get(first, 0)}, "
+                        f"{label} histogram[{first}] = {hist.get(first, 0)}, "
                         f"oracle recount = {oracle.get(first, 0)} "
                         f"({len(diffs)} buckets differ)"
                     ),
                 ),
             )
-    return DiffReport(name=name, n_refs=len(blocks_list), checks=2)
+    return DiffReport(name=name, n_refs=len(blocks_list), checks=len(histograms))
 
 
 # -- oracle 3: naive MOSI machine -------------------------------------------
@@ -909,20 +831,28 @@ def diff_hierarchy_replay(
         if mismatch:
             divergence = Divergence(index=seen, detail=mismatch, context=ring_text())
     if divergence is None:
-        # Third model: the same traces through run_trace, which routes
-        # to the compiled coherence kernel when the fast path is
-        # enabled (and the scalar loop when it is not), so diffcheck
-        # validates whichever replay path the figures would use.
-        batched = MemoryHierarchy(machine, protocol=protocol)
-        batched.run_trace(
-            traces, quantum=quantum, warmup_fraction=warmup_fraction
-        )
-        checks += 1
-        mismatch = compare_counter_vectors(batched, oracle)
-        if mismatch:
-            divergence = Divergence(
-                index=seen, detail=f"batched replay: {mismatch}"
+        # The same traces through run_trace, which uses the compiled
+        # coherence kernel when the fast path is enabled (and the scalar
+        # loop when it is not), so diffcheck validates whichever replay
+        # path the figures would use: once as one chunk, and once as a
+        # multi-chunk stream so chunk boundaries are checked too.
+        chunk = max(1, max(len(t) for t in traces) // 7)
+        for label, source in (
+            ("batched replay", traces),
+            (
+                f"streamed replay (chunk={chunk})",
+                TraceStream.from_arrays(traces, chunk_refs=chunk),
+            ),
+        ):
+            replayed = MemoryHierarchy(machine, protocol=protocol)
+            replayed.run_trace(
+                source, quantum=quantum, warmup_fraction=warmup_fraction
             )
+            checks += 1
+            mismatch = compare_counter_vectors(replayed, oracle)
+            if mismatch:
+                divergence = Divergence(index=seen, detail=f"{label}: {mismatch}")
+                break
     return DiffReport(name, total_refs, checks, divergence)
 
 
@@ -1113,7 +1043,6 @@ class FigureDiffConfig:
 
     fig_id: str
     mode: str                    # "hierarchy" | "miss_curve" | "stackdist"
-                                 # | "miss_curve_stream" | "stackdist_stream"
     workload: str = "specjbb"
     scale: int | None = None
     n_procs: int = 4
@@ -1143,13 +1072,8 @@ FIGURE_DIFF_CONFIGS: list[FigureDiffConfig] = [
     FigureDiffConfig("fig10", "hierarchy", "specjbb", None, n_procs=4,
                      with_gc_stream=True),
     FigureDiffConfig("fig11", "stackdist", "specjbb", 8, n_procs=1),
-    FigureDiffConfig("fig11", "stackdist_stream", "specjbb", 8, n_procs=1),
     FigureDiffConfig("fig12", "miss_curve", "ecperf", 8, n_procs=1, kind="instr"),
-    FigureDiffConfig("fig12", "miss_curve_stream", "ecperf", 8, n_procs=1,
-                     kind="instr"),
     FigureDiffConfig("fig13", "miss_curve", "specjbb", 1, n_procs=1, kind="data"),
-    FigureDiffConfig("fig13", "miss_curve_stream", "specjbb", 1, n_procs=1,
-                     kind="data"),
     FigureDiffConfig("fig14", "hierarchy", "specjbb", None, n_procs=4),
     FigureDiffConfig("fig15", "hierarchy", "ecperf", None, n_procs=4),
     FigureDiffConfig("fig16", "hierarchy", "ecperf", None, n_procs=4,
@@ -1217,17 +1141,9 @@ def run_figure_diffcheck(
             merged, DIFF_SWEEP_SIZES, kind=config.kind,
             warmup_fraction=sim.warmup_fraction, name=name,
         )
-    if config.mode == "miss_curve_stream":
-        return diff_miss_curve_stream(
-            merged, DIFF_SWEEP_SIZES, kind=config.kind,
-            warmup_fraction=sim.warmup_fraction, name=name,
-        )
     if config.mode == "stackdist":
         blocks = block_stream(merged, config.kind).tolist()
         return diff_stackdist(blocks, name=name)
-    if config.mode == "stackdist_stream":
-        blocks = block_stream(merged, config.kind).tolist()
-        return diff_stackdist_stream(blocks, name=name)
     raise ConfigError(f"unknown diff mode {config.mode!r}")
 
 

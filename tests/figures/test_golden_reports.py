@@ -73,3 +73,16 @@ def test_figure_stdout_byte_identical_with_obs(capsys, tmp_path):
     )
     golden = _golden_path("fig12").read_text(encoding="utf-8")
     assert captured_out == golden
+
+
+def test_figure_stdout_matches_golden_with_every_trace_spilled(capsys, monkeypatch):
+    """``JMMW_TRACE_PLANE_SPILL=0`` keeps every trace off ``/dev/shm``
+    (all segments become spill files) without changing a byte."""
+    from repro import obs
+
+    monkeypatch.setenv("JMMW_TRACE_PLANE_SPILL", "0")
+    out = _figure_stdout("fig12", capsys)
+    assert out == _golden_path("fig12").read_text(encoding="utf-8")
+    segments = obs.COUNTERS.get("harness/trace_plane/segments")
+    assert segments > 0
+    assert obs.COUNTERS.get("harness/trace_plane/spill_segments") == segments

@@ -16,6 +16,11 @@ The seeded-defect tests prove the gates fail loudly: a kernel bug in
 MSI copyback crediting trips the InvariantChecker conservation
 identity, and a kernel bug in LRU maintenance diverges from the scalar
 replay.
+
+Every kernel replay here goes through ``MemoryHierarchy.run_trace``
+and asserts, via the ``memsys/fastpath/coherent_replay`` counter, that
+the kernel served it; routing tests patch ``KernelSession.begin``, the
+one place the kernel accepts or declines a replay.
 """
 
 import numpy as np
@@ -65,15 +70,34 @@ def full_state(h: MemoryHierarchy):
     )
 
 
+SERVED = "memsys/fastpath/coherent_replay"
+
+
+def unchecked(machine, **kwargs) -> MemoryHierarchy:
+    """A hierarchy the kernel may serve even when the suite runs under
+    ``JMMW_CHECK=1``: an attached checker keeps every replay scalar."""
+    return MemoryHierarchy(machine, check_invariants=False, **kwargs)
+
+
+def kernel_replay(hierarchy, traces, warmup_fraction=0.0):
+    """Replay through ``run_trace``'s fast path; the kernel must serve it."""
+    before = obs.COUNTERS.get(SERVED)
+    hierarchy.run_trace(
+        traces, quantum=64, warmup_fraction=warmup_fraction, fastpath=True
+    )
+    assert obs.COUNTERS.get(SERVED) == before + 1, (
+        "kernel unexpectedly declined a cold replay"
+    )
+
+
 def replay_both(machine, traces, protocol="mosi", warmup_fraction=0.0):
     """Scalar and kernel replays of the same traces; returns both."""
     scalar = MemoryHierarchy(machine, protocol=protocol)
     scalar.run_trace(
         traces, quantum=64, warmup_fraction=warmup_fraction, fastpath=False
     )
-    fast = MemoryHierarchy(machine, protocol=protocol)
-    used = fastpath_coherence.run_trace_kernel(fast, traces, 64, warmup_fraction)
-    assert used, "kernel unexpectedly declined a cold replay"
+    fast = unchecked(machine, protocol=protocol)
+    kernel_replay(fast, traces, warmup_fraction)
     return scalar, fast
 
 
@@ -163,8 +187,8 @@ def test_no_l1_parity():
     machine = small_machine(4)
     scalar = MemoryHierarchy(machine, include_l1=False)
     scalar.run_trace(traces, fastpath=False)
-    fast = MemoryHierarchy(machine, include_l1=False)
-    assert fastpath_coherence.run_trace_kernel(fast, traces, 64, 0.0)
+    fast = unchecked(machine, include_l1=False)
+    kernel_replay(fast, traces)
     assert full_state(fast) == full_state(scalar)
 
 
@@ -174,8 +198,8 @@ def test_untracked_lines_parity():
     machine = small_machine(4)
     scalar = MemoryHierarchy(machine, track_lines=False)
     scalar.run_trace(traces, fastpath=False)
-    fast = MemoryHierarchy(machine, track_lines=False)
-    assert fastpath_coherence.run_trace_kernel(fast, traces, 64, 0.0)
+    fast = unchecked(machine, track_lines=False)
+    kernel_replay(fast, traces)
     assert full_state(fast) == full_state(scalar)
     assert fast.bus.stats.c2c_by_line == {}
     assert fast.bus.stats.touched_lines == set()
@@ -216,10 +240,8 @@ def test_random_traffic_parity(seed, protocol, procs_per_l2, warmup):
 @needs_kernel
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_invariants_hold_after_kernel_replay(protocol):
-    fast = MemoryHierarchy(small_machine(4), protocol=protocol)
-    assert fastpath_coherence.run_trace_kernel(
-        fast, migratory_traces(4), 64, 0.0
-    )
+    fast = unchecked(small_machine(4), protocol=protocol)
+    kernel_replay(fast, migratory_traces(4))
     fast.check_invariants()
     fast.bus.check_invariants()
 
@@ -232,8 +254,8 @@ def test_kernel_state_carries_into_scalar_replay():
     scalar = MemoryHierarchy(small_machine(4))
     scalar.run_trace(first, fastpath=False)
     scalar.run_trace(second, fastpath=False)
-    mixed = MemoryHierarchy(small_machine(4))
-    assert fastpath_coherence.run_trace_kernel(mixed, first, 64, 0.0)
+    mixed = unchecked(small_machine(4))
+    kernel_replay(mixed, first)
     # Warm machine: the kernel declines, the scalar loop continues on
     # the imported state.
     mixed.run_trace(second, fastpath=True)
@@ -249,8 +271,8 @@ def test_seeded_msi_copyback_defect_trips_invariant_checker():
     traces = producer_consumer_traces(4)  # stable dirty supplier: many copybacks
     fastpath_coherence.set_kernel_defect(1)
     try:
-        fast = MemoryHierarchy(small_machine(4), protocol="msi")
-        assert fastpath_coherence.run_trace_kernel(fast, traces, 64, 0.0)
+        fast = unchecked(small_machine(4), protocol="msi")
+        kernel_replay(fast, traces)
     finally:
         fastpath_coherence.set_kernel_defect(0)
     assert fast.bus.stats.c2c_transfers > 0, "pattern produced no copybacks"
@@ -267,8 +289,8 @@ def test_seeded_lru_defect_diverges_from_scalar():
     scalar.run_trace(traces, fastpath=False)
     fastpath_coherence.set_kernel_defect(2)
     try:
-        fast = MemoryHierarchy(machine)
-        assert fastpath_coherence.run_trace_kernel(fast, traces, 64, 0.0)
+        fast = unchecked(machine)
+        kernel_replay(fast, traces)
     finally:
         fastpath_coherence.set_kernel_defect(0)
     assert full_state(fast) != full_state(scalar)
@@ -277,21 +299,22 @@ def test_seeded_lru_defect_diverges_from_scalar():
 # -- routing and escape hatches ---------------------------------------------
 
 
-def test_fastpath_false_never_calls_kernel(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("kernel called despite fastpath=False")
+def refuse_kernel(monkeypatch, why: str) -> None:
+    def boom(hierarchy):
+        raise AssertionError(f"kernel asked despite {why}")
 
-    monkeypatch.setattr(fastpath_coherence, "run_trace_kernel", boom)
+    monkeypatch.setattr(fastpath_coherence.KernelSession, "begin", boom)
+
+
+def test_fastpath_false_never_calls_kernel(monkeypatch):
+    refuse_kernel(monkeypatch, "fastpath=False")
     h = MemoryHierarchy(small_machine(2))
     h.run_trace(one_block_traces(2), fastpath=False)
     assert h.bus.stats.total_misses > 0
 
 
 def test_env_escape_hatch_disables_kernel(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("kernel called despite JMMW_FASTPATH=0")
-
-    monkeypatch.setattr(fastpath_coherence, "run_trace_kernel", boom)
+    refuse_kernel(monkeypatch, "JMMW_FASTPATH=0")
     monkeypatch.setattr(fastpath, "_forced", None)
     monkeypatch.setenv(fastpath.FASTPATH_ENV, "0")
     h = MemoryHierarchy(small_machine(2))
@@ -300,37 +323,38 @@ def test_env_escape_hatch_disables_kernel(monkeypatch):
 
 
 def test_invariant_checker_forces_scalar_path(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("kernel called with an invariant checker attached")
-
-    monkeypatch.setattr(fastpath_coherence, "run_trace_kernel", boom)
+    refuse_kernel(monkeypatch, "an invariant checker attached")
     h = MemoryHierarchy(small_machine(2), check_invariants=True, check_sample=64)
     h.run_trace(one_block_traces(2), fastpath=True)
     assert h.bus.stats.total_misses > 0
 
 
-def test_missing_compiler_falls_back_to_scalar(monkeypatch):
-    monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
-    machine = small_machine(2)
-    traces = one_block_traces(2)
-    assert not fastpath_coherence.run_trace_kernel(
-        MemoryHierarchy(machine), traces, 64, 0.0
-    )
-    h = MemoryHierarchy(machine)
-    h.run_trace(traces, fastpath=True)  # scalar, and counted with its reason
+def assert_declined(machine, traces, reason, setup=None):
+    """A fast-path replay the kernel declines: counted, and scalar-exact."""
+    h = unchecked(machine)
     ref = MemoryHierarchy(machine)
+    for hierarchy in (h, ref):
+        if setup is not None:
+            setup(hierarchy)
+    h.run_trace(traces, fastpath=True)
     ref.run_trace(traces, fastpath=False)
     assert full_state(h) == full_state(ref)
-    assert obs.COUNTERS.get(f"{fastpath_coherence.FALLBACK_COUNTER}/no-kernel") == 2
+    assert obs.COUNTERS.get(f"{fastpath_coherence.FALLBACK_COUNTER}/{reason}") == 1
+    assert obs.COUNTERS.get(SERVED) == 0
+
+
+def test_missing_compiler_falls_back_to_scalar(monkeypatch):
+    monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
+    assert_declined(small_machine(2), one_block_traces(2), "no-kernel")
 
 
 @needs_kernel
 def test_warm_hierarchy_declines_kernel():
-    h = MemoryHierarchy(small_machine(2))
     traces = one_block_traces(2)
-    h.run_trace(traces, fastpath=False)
-    assert not fastpath_coherence.run_trace_kernel(h, traces, 64, 0.0)
-    assert obs.COUNTERS.get(f"{fastpath_coherence.FALLBACK_COUNTER}/warm") == 1
+    assert_declined(
+        small_machine(2), traces, "warm",
+        setup=lambda h: h.run_trace(traces, fastpath=False),
+    )
 
 
 @needs_kernel
@@ -341,8 +365,5 @@ def test_too_many_l2_caches_declines_kernel():
         l1d=CacheConfig(size=1024, assoc=2, block=32, name="L1D"),
         l2=CacheConfig(size=4096, assoc=4, block=64, name="L2"),
     )
-    h = MemoryHierarchy(machine)
-    assert not fastpath_coherence.run_trace_kernel(
-        h, [[] for _ in range(65)], 64, 0.0
-    )
-    assert obs.COUNTERS.get(f"{fastpath_coherence.FALLBACK_COUNTER}/unsupported") == 1
+    traces = [[encode_ref(cpu % 3 * 64, LOAD)] for cpu in range(65)]
+    assert_declined(machine, traces, "unsupported")

@@ -16,6 +16,7 @@ from repro.memsys.invariants import (
     checking_enabled,
     sample_period,
 )
+from repro.memsys.stream import TraceStream
 
 #: Tiny caches so short traces still trigger evictions, upgrades and
 #: cross-cache sharing — the paths an invariant checker must survive.
@@ -160,6 +161,18 @@ def test_sampling_period_counts_checks():
     h.run_trace(traces)
     # 32 accesses at period 16 -> 2 sampled checks + 1 end-of-trace.
     assert h.checker.checks_run == 3
+
+
+@pytest.mark.parametrize("as_stream", [False, True])
+def test_warmup_replay_runs_full_check_after_each_phase(as_stream):
+    # A sampling period the trace never reaches: only the guaranteed
+    # per-phase checks run, one after warmup and one after measurement.
+    h = MemoryHierarchy(TINY, check_invariants=True, check_sample=10**9)
+    traces = [[_ref(a * 64, 1) for a in range(32)], []]
+    if as_stream:
+        traces = TraceStream.from_arrays(traces, chunk_refs=5)
+    h.run_trace(traces, warmup_fraction=0.5)
+    assert h.checker.checks_run == 2
 
 
 def test_checker_rejects_bad_parameters():

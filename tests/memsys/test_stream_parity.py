@@ -228,6 +228,15 @@ def _workload_streams(chunk: int):
 @pytest.mark.parametrize("fastpath", [False, True])
 @pytest.mark.parametrize("chunk", [1, 277, 1_000_000])
 def test_streamed_hierarchy_replay_matches_materialized(fastpath, chunk):
+    """Every chunking, on both paths, matches the scalar one-chunk replay.
+
+    A materialized trace is itself replayed as a one-chunk stream, so
+    the reference is pinned to the scalar loop; a fast-path replay must
+    also have been served by the kernel, or the comparison would be
+    scalar against scalar.
+    """
+    from repro import obs
+
     if fastpath:
         from repro.memsys.fastpath_coherence import kernel_available
 
@@ -236,17 +245,20 @@ def test_streamed_hierarchy_replay_matches_materialized(fastpath, chunk):
     sim, bundle, stream = _workload_streams(chunk)
     machine = e6000_machine(2)
 
-    materialized = MemoryHierarchy(machine, protocol="mosi")
-    materialized.run_trace(
+    reference = MemoryHierarchy(machine, protocol="mosi")
+    reference.run_trace(
         list(bundle.per_cpu), quantum=sim.interleave_quantum,
-        warmup_fraction=sim.warmup_fraction, fastpath=fastpath,
+        warmup_fraction=sim.warmup_fraction, fastpath=False,
     )
-    streamed = MemoryHierarchy(machine, protocol="mosi")
+    # Pinned unchecked: under JMMW_CHECK=1 a checker would keep the
+    # fast path scalar.
+    streamed = MemoryHierarchy(machine, protocol="mosi", check_invariants=False)
     streamed.run_trace(
         stream, quantum=sim.interleave_quantum,
         warmup_fraction=sim.warmup_fraction, fastpath=fastpath,
     )
-    assert _machine_state(streamed) == _machine_state(materialized)
+    assert _machine_state(streamed) == _machine_state(reference)
+    assert obs.COUNTERS.get("memsys/fastpath/coherent_replay") == int(fastpath)
 
 
 # -- seeded defect: the suite must fail loudly -------------------------------

@@ -3,7 +3,8 @@
 A validation harness that has never caught a bug is indistinguishable
 from one that cannot.  These tests monkeypatch a deliberate defect into
 the production simulators — a skipped LRU refresh, a MOSI supply that
-forgets to downgrade the dirty holder — and assert that the
+forgets to downgrade the dirty holder, carried state dropped at chunk
+boundaries — and assert that the
 differential checks report a divergence at the exact reference that
 exposes it, and that the runtime invariant checker independently
 catches the coherence violation.
@@ -18,7 +19,12 @@ from repro.memsys.cache import CLEAN, DIRTY, SetAssociativeCache
 from repro.memsys.coherence import MOSIBus, State
 from repro.memsys.config import CacheConfig, MachineConfig
 from repro.memsys.hierarchy import MemoryHierarchy
-from repro.obs.diffcheck import diff_hierarchy_replay, diff_lru
+from repro.obs.diffcheck import (
+    diff_hierarchy_replay,
+    diff_lru,
+    diff_miss_curve,
+    diff_stackdist,
+)
 
 SMALL_MACHINE = MachineConfig(
     n_procs=2,
@@ -121,3 +127,27 @@ def test_invariant_checker_catches_sticky_modified(monkeypatch):
     )
     with pytest.raises(InvariantViolation, match="MODIFIED copy is not exclusive"):
         hierarchy.run_trace([list(t) for t in TRACES], quantum=1)
+
+
+# -- defect 3: carried state dropped at every chunk boundary -----------------
+
+
+def test_figure_diffchecks_catch_dropped_carried_state(monkeypatch):
+    """The one-row-per-figure sweep and profile checks replay several
+    chunks too, so a chunk-boundary defect fails them loudly."""
+    from repro.memsys import stream
+
+    # Two blocks ping-ponging in one set: all hits after the cold
+    # misses, unless a boundary forgets what the cache held.
+    refs = [encode_ref(a * 64, LOAD) for a in [1, 9] * 70]
+    blocks = [1, 2, 3, 4] * 35
+    assert diff_miss_curve(refs, [512], kind="data", assoc=2).ok
+    assert diff_stackdist(blocks).ok
+
+    monkeypatch.setattr(stream, "_drop_carried_state", True)
+    report = diff_miss_curve(refs, [512], kind="data", assoc=2)
+    assert not report.ok
+    assert "fastpath chunk=" in report.divergence.detail
+    report = diff_stackdist(blocks)
+    assert not report.ok
+    assert "chunk-merged" in report.divergence.detail

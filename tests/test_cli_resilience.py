@@ -198,6 +198,28 @@ def test_missing_kernel_notice_on_stderr_only(
     assert patched.err.count("fell back to the scalar path") == 1
 
 
+def test_figures_setup_never_loads_the_kernel(cli_env, stub_figures, monkeypatch):
+    """Cache keys and campaign signatures carry no kernel bit, so a
+    run that replays nothing coherently never builds or loads it."""
+    from repro.memsys import fastpath_coherence
+
+    def refuse():
+        raise AssertionError("coherence kernel loaded during set-up")
+
+    monkeypatch.setattr(fastpath_coherence, "_load_library", refuse)
+    assert main(["figures", "fig04", "--quick", "--no-cache"]) == 0
+
+
+@pytest.mark.parametrize("value", ["64M", "-1"])
+def test_malformed_spill_threshold_exits_2(cli_env, stub_figures, monkeypatch,
+                                           capsys, value):
+    monkeypatch.setenv("JMMW_TRACE_PLANE_SPILL", value)
+    assert main(["figures", "fig12", "--quick", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert "JMMW_TRACE_PLANE_SPILL" in captured.err
+    assert captured.out == ""
+
+
 def test_resume_without_prior_campaign_just_runs(cli_env, stub_figures, capsys):
     rc = main(["figures", "fig04", "--quick", "--no-cache", "--resume"])
     assert rc == 0
