@@ -10,15 +10,14 @@ difference into a CPI effect.
 from bench_support import BENCH_SIM
 
 from repro.cpu import InOrderCpuModel, UltraSparcIIParams
-from repro.figures.common import simulate_multiprocessor, workload_for_procs
+from repro.figures.common import figure_trace, simulate_multiprocessor
+from repro.harness.traceplane import TraceSpec
 from repro.memsys.block import IFETCH
 from repro.osmodel.ism import IsmSetting, tlb_for
-from repro.rng import RngFactory
 
 
 def _measure() -> dict:
-    workload = workload_for_procs("ecperf", 2)
-    bundle = workload.generate(2, BENCH_SIM, RngFactory(seed=BENCH_SIM.seed))
+    bundle = figure_trace(TraceSpec.official("ecperf", 2, BENCH_SIM))
     out = {}
     for enabled in (False, True):
         tlb = tlb_for(IsmSetting(enabled=enabled))
@@ -31,7 +30,7 @@ def _measure() -> dict:
                 tlb.access(ref >> 2)
         out["ism_on" if enabled else "ism_off"] = tlb.mpki(instructions)
     # CPI effect: run the cache hierarchy once, apply both TLB rates.
-    hierarchy = simulate_multiprocessor(workload, 2, BENCH_SIM)
+    hierarchy = simulate_multiprocessor(bundle, BENCH_SIM)
     for key in list(out):
         model = InOrderCpuModel(UltraSparcIIParams(tlb_mpki=out[key]))
         out[key + "_cpi"] = model.cpi_for_machine(hierarchy).total

@@ -11,7 +11,8 @@ behavior — the paper's argument for why OLTP-like workloads are
 from bench_support import BENCH_SIM
 
 from repro.cpu import InOrderCpuModel, UltraSparcIIParams
-from repro.figures.common import simulate_multiprocessor, workload_for_procs
+from repro.figures.common import figure_trace, simulate_multiprocessor
+from repro.harness.traceplane import TraceSpec
 from repro.memsys.latency import E6000_LATENCIES, numa
 
 N_PROCS = 8
@@ -20,9 +21,8 @@ N_PROCS = 8
 def _measure() -> dict:
     out = {}
     for name in ("ecperf", "specjbb"):
-        hierarchy = simulate_multiprocessor(
-            workload_for_procs(name, N_PROCS), N_PROCS, BENCH_SIM
-        )
+        bundle = figure_trace(TraceSpec.official(name, N_PROCS, BENCH_SIM))
+        hierarchy = simulate_multiprocessor(bundle, BENCH_SIM)
         row = {}
         for label, book in (("e6000", E6000_LATENCIES), ("numa", numa(2.5))):
             model = InOrderCpuModel(UltraSparcIIParams(latencies=book))

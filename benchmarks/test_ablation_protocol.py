@@ -10,7 +10,8 @@ locks MOSI and MSI tie — which is itself the interesting result.
 
 from bench_support import BENCH_SIM
 
-from repro.figures.common import simulate_multiprocessor, workload_for_procs
+from repro.figures.common import figure_trace, simulate_multiprocessor
+from repro.harness.traceplane import TraceSpec
 
 N_PROCS = 8
 
@@ -18,9 +19,8 @@ N_PROCS = 8
 def _measure(protocol: str) -> dict:
     out = {}
     for name in ("ecperf", "specjbb"):
-        hierarchy = simulate_multiprocessor(
-            workload_for_procs(name, N_PROCS), N_PROCS, BENCH_SIM, protocol=protocol
-        )
+        bundle = figure_trace(TraceSpec.official(name, N_PROCS, BENCH_SIM))
+        hierarchy = simulate_multiprocessor(bundle, BENCH_SIM, protocol=protocol)
         out[name] = {
             "c2c": hierarchy.total_c2c_fills,
             "writebacks": hierarchy.bus.stats.writebacks,

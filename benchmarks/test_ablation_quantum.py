@@ -11,17 +11,16 @@ would be doing the work instead of the workload structure.
 from bench_support import BENCH_SIM
 
 from repro.core.config import e6000_machine
-from repro.figures.common import workload_for_procs
+from repro.figures.common import figure_trace
+from repro.harness.traceplane import TraceSpec
 from repro.memsys.hierarchy import MemoryHierarchy
-from repro.rng import RngFactory
 
 QUANTA = [16, 64, 256, 1024]
 N_PROCS = 8
 
 
 def _sweep() -> dict:
-    workload = workload_for_procs("specjbb", N_PROCS)
-    bundle = workload.generate(N_PROCS, BENCH_SIM, RngFactory(seed=BENCH_SIM.seed))
+    bundle = figure_trace(TraceSpec.official("specjbb", N_PROCS, BENCH_SIM))
     out = {}
     for quantum in QUANTA:
         hierarchy = MemoryHierarchy(e6000_machine(N_PROCS))

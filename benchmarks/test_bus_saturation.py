@@ -12,7 +12,8 @@ from bench_support import BENCH_SIM
 
 from repro.core.sweep import sweep
 from repro.cpu import InOrderCpuModel
-from repro.figures.common import simulate_multiprocessor, workload_for_procs
+from repro.figures.common import figure_trace, simulate_multiprocessor
+from repro.harness.traceplane import TraceSpec
 from repro.memsys.bandwidth import BusModel
 
 PROCS = [2, 4, 8, 14]
@@ -23,7 +24,8 @@ def _utilization(name: str):
     model = InOrderCpuModel()
 
     def measure(p):
-        hierarchy = simulate_multiprocessor(workload_for_procs(name, p), p, BENCH_SIM)
+        bundle = figure_trace(TraceSpec.official(name, p, BENCH_SIM))
+        hierarchy = simulate_multiprocessor(bundle, BENCH_SIM)
         cpi = model.cpi_for_machine(hierarchy).total
         return bus.utilization_of(hierarchy, cpi=cpi)
 

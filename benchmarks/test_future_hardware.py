@@ -18,22 +18,21 @@ from bench_support import BENCH_SIM
 
 from repro.core.config import e6000_machine, next_generation_machine
 from repro.cpu import InOrderCpuModel, UltraSparcIIParams
-from repro.figures.common import measured_cpi_fn, workload_for_procs
+from repro.figures.common import figure_trace, measured_cpi_fn
+from repro.harness.traceplane import TraceSpec
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.perfmodel import ThroughputModel, WorkloadScalingParams
-from repro.rng import RngFactory
 
 N_PROCS = 8
 
 
 def _machine_comparison() -> dict:
     out = {}
+    bundle = figure_trace(TraceSpec.official("ecperf", N_PROCS, BENCH_SIM))
     for label, machine in (
         ("e6000", e6000_machine(N_PROCS)),
         ("next_gen", next_generation_machine(N_PROCS)),
     ):
-        workload = workload_for_procs("ecperf", N_PROCS)
-        bundle = workload.generate(N_PROCS, BENCH_SIM, RngFactory(BENCH_SIM.seed))
         hierarchy = MemoryHierarchy(machine)
         hierarchy.run_trace(bundle.per_cpu, warmup_fraction=0.5)
         model = InOrderCpuModel(UltraSparcIIParams(latencies=machine.latencies))

@@ -26,7 +26,8 @@ def _measure() -> dict:
     }
     out = {}
     for name, workload in workloads.items():
-        hierarchy = simulate_multiprocessor(workload, N_PROCS, BENCH_SIM)
+        bundle = workload.generate(N_PROCS, BENCH_SIM, RngFactory(seed=BENCH_SIM.seed))
+        hierarchy = simulate_multiprocessor(bundle, BENCH_SIM)
         bundle_meta = workload.generate(
             1, BENCH_SIM.with_refs(2_000), RngFactory(1)
         ).meta

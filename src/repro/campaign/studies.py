@@ -48,12 +48,13 @@ def ablation_cell(
     repetitions sample the workload's intrinsic variability exactly the
     way ``characterize --runs N`` does.
     """
-    from repro.figures.common import QUICK_SIM, simulate_multiprocessor, workload_for_procs
+    from repro.figures.common import QUICK_SIM, figure_trace, simulate_multiprocessor
+    from repro.harness.traceplane import TraceSpec
 
     sim = replace(QUICK_SIM, seed=QUICK_SIM.seed + rep, refs_per_proc=refs)
-    workload = workload_for_procs(point["workload"], n_procs)
+    spec = TraceSpec.official(point["workload"], n_procs, sim)
     hierarchy = simulate_multiprocessor(
-        workload, n_procs, sim, protocol=point["protocol"]
+        figure_trace(spec), sim, protocol=point["protocol"]
     )
     return {
         "data_mpki": hierarchy.data_mpki(),

@@ -38,8 +38,9 @@ Figure and replica execution goes through :mod:`repro.harness`:
 are bit-identical to serial), and results are cached on disk keyed by
 config + code version (``--no-cache`` disables), so stdout stays
 byte-stable across serial, parallel and cached runs.
-``jmmw figures`` generates each sweep trace once per campaign and
-shares it with workers through the :mod:`repro.harness.traceplane`
+``jmmw figures`` generates each distinct trace once per campaign: the
+traces two or more of its figures declare (``trace_specs``) are
+shared with workers through the :mod:`repro.harness.traceplane`
 shared-memory plane (``JMMW_TRACE_PLANE_SPILL=0`` keeps every trace
 in spill files instead of ``/dev/shm``), with every segment unlinked
 at campaign end — including interrupted and crashed runs.

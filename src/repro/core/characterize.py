@@ -55,13 +55,16 @@ def characterize(
     """Measure one workload on an ``n_procs`` E6000-style machine."""
     from repro.figures.common import (
         FIGURE_SIM,
+        figure_trace,
+        make_workload,
         simulate_multiprocessor,
-        workload_for_procs,
     )
+    from repro.harness.traceplane import TraceSpec
 
     sim = sim if sim is not None else FIGURE_SIM
-    workload = workload_for_procs(workload_name, n_procs)
-    hierarchy = simulate_multiprocessor(workload, n_procs, sim)
+    spec = TraceSpec.official(workload_name, n_procs, sim)
+    workload = make_workload(spec.workload, spec.scale)
+    hierarchy = simulate_multiprocessor(figure_trace(spec), sim)
     stats = hierarchy.proc_stats
     instructions = hierarchy.total_instructions
     cpi = InOrderCpuModel().cpi_for_machine(hierarchy)

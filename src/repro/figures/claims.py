@@ -21,35 +21,47 @@ from repro.core.config import SimConfig
 from repro.figures.common import (
     FIGURE_SIM,
     FigureResult,
+    figure_trace,
     make_workload,
     simulate_multiprocessor,
-    workload_for_procs,
+    sweep_specs,
 )
+from repro.figures import fig16_sharedcache
+from repro.harness.traceplane import TraceSpec
 from repro.memsys.fastpath import block_stream
 from repro.memsys.stackdist import StackDistanceProfiler
-from repro.rng import RngFactory
-from repro.units import mb
+
+
+def trace_specs(sim: SimConfig) -> list[TraceSpec]:
+    """Every trace :func:`run` replays, two per claim: claim 1's short
+    uniprocessor traces, claim 2's at 14 processors, and claim 5's
+    Figure 16 traces."""
+    short = sim.with_refs(60_000)
+    return (
+        [TraceSpec(name, 4, 1, short) for name in ("specjbb", "ecperf")]
+        + sweep_specs(sim, [14], ("specjbb", "ecperf"))
+        + fig16_sharedcache.trace_specs(sim)
+    )
 
 
 def run(sim: SimConfig | None = None) -> FigureResult:
     """Measure the five abstract claims."""
     sim = sim if sim is not None else FIGURE_SIM
+    specs = trace_specs(sim)
+    working_set, sharing, design = specs[:2], specs[2:4], specs[4:]
     rows = []
 
     # Claim 1: primary working sets are small (90% of warm reuse, bytes).
-    for name in ("specjbb", "ecperf"):
-        workload = make_workload(name, scale=4)
-        bundle = workload.generate(1, sim.with_refs(60_000), RngFactory(sim.seed))
+    for spec in working_set:
         profiler = StackDistanceProfiler()
-        profiler.feed(block_stream(bundle.per_cpu[0], kind="data"))
-        rows.append(
-            ("working_set_90pct_kb", name, profiler.working_set_size(0.9) * 64 / 1024)
-        )
+        profiler.feed(block_stream(figure_trace(spec).per_cpu[0], kind="data"))
+        size_kb = profiler.working_set_size(0.9) * 64 / 1024
+        rows.append(("working_set_90pct_kb", spec.workload, size_kb))
 
     # Claim 2: sharing misses at 14 processors.
-    for name in ("specjbb", "ecperf"):
-        hierarchy = simulate_multiprocessor(workload_for_procs(name, 14), 14, sim)
-        rows.append(("c2c_miss_fraction_14p", name, hierarchy.c2c_ratio()))
+    for spec in sharing:
+        hierarchy = simulate_multiprocessor(figure_trace(spec), sim)
+        rows.append(("c2c_miss_fraction_14p", spec.workload, hierarchy.c2c_ratio()))
 
     # Claim 3: instruction footprints.
     for name in ("specjbb", "ecperf"):
@@ -64,13 +76,10 @@ def run(sim: SimConfig | None = None) -> FigureResult:
         rows.append(("live_memory_growth_5_to_25", name, growth))
 
     # Claim 5: the shared-cache design flip (private vs fully shared).
-    for label, name, scale in (("ecperf", "ecperf", 8), ("specjbb-25", "specjbb", 25)):
-        private = simulate_multiprocessor(
-            make_workload(name, scale), 8, sim, procs_per_l2=1
-        ).data_mpki()
-        shared = simulate_multiprocessor(
-            make_workload(name, scale), 8, sim, procs_per_l2=8
-        ).data_mpki()
+    for (label, _name, _scale), spec in zip(fig16_sharedcache.CONFIGS, design):
+        bundle = figure_trace(spec)
+        private = simulate_multiprocessor(bundle, sim, procs_per_l2=1).data_mpki()
+        shared = simulate_multiprocessor(bundle, sim, procs_per_l2=8).data_mpki()
         rows.append(("shared_over_private_mpki", label, shared / private))
 
     return FigureResult(

@@ -1,4 +1,10 @@
-"""Shared scaffolding for the figure drivers."""
+"""Shared scaffolding for the figure drivers.
+
+Every figure module defines ``run(sim)``, ``checks(result)`` and
+``trace_specs(sim)``: the :class:`~repro.harness.traceplane.TraceSpec`
+list its ``run`` iterates, fetching each trace through
+:func:`figure_trace` (Figure 11, analytic, declares none).
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ from repro import obs as _obs
 from repro.core.config import SimConfig, e6000_machine
 from repro.core.report import render_table
 from repro.errors import ConfigError
+from repro.harness.traceplane import TraceSpec, resolve
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.rng import RngFactory
 from repro.workloads.base import TraceBundle, os_background_trace
@@ -18,6 +25,12 @@ from repro.workloads import layout
 
 #: Processor counts the paper sweeps in Figures 4-9.
 PAPER_PROC_SWEEP = [1, 2, 4, 6, 8, 10, 12, 14, 15]
+
+#: The workloads the processor-count figures sweep, in row order.
+WORKLOADS = ("ecperf", "specjbb")
+
+#: Processor counts whose simulated CPI anchors the throughput model.
+ANCHOR_PROCS = (1, 2, 4, 8, 14)
 
 #: Default simulation effort for figure reproduction (per processor).
 FIGURE_SIM = SimConfig(seed=1234, refs_per_proc=250_000, warmup_fraction=0.5)
@@ -96,101 +109,55 @@ def make_workload(name: str, scale: int | None = None):
     raise ConfigError(f"unknown workload {name!r}")
 
 
-def workload_for_procs(name: str, n_procs: int):
-    """The configuration an official run would use at ``n_procs``.
+def figure_trace(spec: TraceSpec) -> TraceBundle:
+    """The trace ``spec`` names: the one way figure code gets a trace.
 
-    SPECjbb's optimal warehouse count tracks the processor count (one
-    thread per warehouse); ECperf's injection rate is tuned to keep
-    the middle tier saturated but its footprint barely moves.
+    A zero-copy view of the plane's segment when the running task
+    carries a ref for ``spec``; otherwise generated here, bit-identically.
     """
-    if name == "specjbb":
-        return SpecJbbWorkload(warehouses=max(1, n_procs))
-    if name == "ecperf":
-        return EcperfWorkload(injection_rate=max(1, n_procs))
-    raise ConfigError(f"unknown workload {name!r}")
-
-
-def figure_trace(name: str, scale: int | None, n_procs: int, sim: SimConfig):
-    """One workload trace, from the trace plane when one is attached.
-
-    The shared-memory fast path for sweep figures: when the running
-    task carries a :class:`~repro.harness.traceplane.TraceRef` for
-    this exact (workload, scale, n_procs, sim) spec — published by the
-    campaign's :class:`~repro.harness.traceplane.TracePlane` — the
-    bundle is a zero-copy view of the shared segment.  Otherwise it is
-    generated locally, from the same stateless RNG streams, producing
-    a bit-identical bundle.
-    """
-    from repro.harness.traceplane import TraceSpec, resolve
-
-    spec = TraceSpec(workload=name, scale=scale, n_procs=n_procs, sim=sim)
     bundle = resolve(spec)
-    if bundle is not None:
-        return bundle
-    return spec.generate()
+    return bundle if bundle is not None else spec.generate()
 
 
-def figure_trace_chunks(name: str, scale: int | None, n_procs: int, sim: SimConfig):
-    """One workload trace as a chunked :class:`TraceStream`.
+def sweep_specs(
+    sim: SimConfig, procs: Sequence[int], workloads: Sequence[str] = WORKLOADS
+) -> list[TraceSpec]:
+    """The official-run trace of each workload at each processor count."""
+    return [TraceSpec.official(name, p, sim) for name in workloads for p in procs]
 
-    The streaming counterpart of :func:`figure_trace`: plane-resolved
-    bundles are sliced into chunk views (zero-copy over the shared
-    segment); otherwise chunks are generated lazily from the same
-    stateless RNG streams.  Either way the concatenated chunks are
-    bit-identical to the materialized bundle.
+
+def os_processor_trace(n_procs: int, sim: SimConfig) -> list[int]:
+    """The OS stream of one processor outside an ``n_procs`` processor set.
+
+    It touches network buffers and the application processors' run
+    queues — why the paper sees copybacks even on "1-processor" runs
+    (Section 4.3).
     """
-    from repro.harness.traceplane import TraceSpec, resolve
-    from repro.memsys.stream import TraceStream
-    from repro.rng import RngFactory
-
-    spec = TraceSpec(workload=name, scale=scale, n_procs=n_procs, sim=sim)
-    bundle = resolve(spec)
-    if bundle is not None:
-        return TraceStream.from_bundle(bundle)
-    workload = make_workload(name, scale=scale)
-    return TraceStream.from_workload(workload, n_procs, sim, RngFactory(seed=sim.seed))
+    shared = [layout.NET_BUFFER_POOL + i * 256 for i in range(16)]
+    shared += [layout.RUNQUEUE_BASE + cpu * 64 for cpu in range(n_procs)]
+    rng = RngFactory(seed=sim.seed).stream("os-background")
+    return os_background_trace(rng, max(1, sim.refs_per_proc // 10), shared)
 
 
 def simulate_multiprocessor(
-    workload,
-    n_procs: int,
+    bundle: TraceBundle,
     sim: SimConfig,
+    *,
     include_os_processor: bool = False,
     procs_per_l2: int = 1,
     protocol: str = "mosi",
-    bundle: TraceBundle | None = None,
 ) -> MemoryHierarchy:
-    """Generate traces and run them through an E6000-style machine.
+    """Replay ``bundle`` through an E6000-style machine.
 
-    With ``include_os_processor`` an extra processor outside the
-    processor set runs a light OS stream touching some shared kernel
-    lines — the reason the paper sees snoop copybacks even on
-    "1-processor" runs (Section 4.3).
-
-    ``bundle`` short-circuits trace generation with an
-    already-materialized bundle for exactly this (workload, n_procs,
-    sim) — the generate-once path Figure 16 uses to replay one trace
-    against several cache-sharing levels.  The caller guarantees the
-    bundle is what ``workload.generate(n_procs, sim, ...)`` would have
-    produced; generation is deterministic, so a plane-published bundle
-    satisfies this by construction.
+    One processor per stream in the bundle, plus, with
+    ``include_os_processor``, one running :func:`os_processor_trace`.
+    The bundle is replayed as given, so a caller that runs one trace
+    on several machines fetches it once.
     """
-    rng_factory = RngFactory(seed=sim.seed)
-    if bundle is None:
-        with _obs.span(
-            "workload/trace-gen", workload=type(workload).__name__, procs=n_procs
-        ):
-            bundle = workload.generate(n_procs, sim, rng_factory)
     traces = list(bundle.per_cpu)
-    total_procs = n_procs
     if include_os_processor:
-        total_procs += 1
-        os_rng = rng_factory.stream("os-background")
-        shared = [layout.NET_BUFFER_POOL + i * 256 for i in range(16)]
-        shared += [layout.RUNQUEUE_BASE + cpu * 64 for cpu in range(n_procs)]
-        traces.append(
-            os_background_trace(os_rng, max(1, sim.refs_per_proc // 10), shared)
-        )
+        traces.append(os_processor_trace(bundle.n_procs, sim))
+    total_procs = len(traces)
     machine = e6000_machine(total_procs).with_shared_l2(procs_per_l2)
     if total_procs % procs_per_l2 != 0:
         machine = e6000_machine(total_procs)  # fall back to private L2s
@@ -199,8 +166,9 @@ def simulate_multiprocessor(
     return hierarchy
 
 
-#: Memo for measured CPI anchor sets, keyed by (workload, refs, seed).
-_CPI_ANCHOR_CACHE: dict[tuple, dict[int, float]] = {}
+def anchor_specs(sim: SimConfig) -> list[TraceSpec]:
+    """The traces behind the measured CPI anchors (Figures 4, 5, 9)."""
+    return sweep_specs(sim, ANCHOR_PROCS)
 
 
 def throughput_model(workload_name: str, sim: SimConfig):
@@ -218,27 +186,25 @@ def throughput_model(workload_name: str, sim: SimConfig):
 def measured_cpi_fn(
     workload_name: str,
     sim: SimConfig,
-    anchor_procs: Sequence[int] = (1, 2, 4, 8, 14),
+    anchor_procs: Sequence[int] = ANCHOR_PROCS,
 ) -> Callable[[int], float]:
     """CPI(p) from memory-hierarchy simulations, interpolated.
 
-    Simulates the workload at the anchor processor counts and returns
-    a piecewise-linear interpolant — the measured input the throughput
-    model composes for Figures 4, 5 and 9.
+    Replays the workload's traces at the anchor processor counts (by
+    default its :func:`anchor_specs`) and returns a piecewise-linear
+    interpolant — the measured input the throughput model composes for
+    Figures 4, 5 and 9.  Nothing is memoized: every call replays its
+    anchors at exactly the ``sim`` it is given.
     """
     from repro.cpu import InOrderCpuModel
 
-    key = (workload_name, sim.refs_per_proc, sim.seed, tuple(anchor_procs))
-    if key in _CPI_ANCHOR_CACHE:
-        anchors = _CPI_ANCHOR_CACHE[key]
-    else:
-        model = InOrderCpuModel()
-        anchors = {}
-        for p in anchor_procs:
-            workload = workload_for_procs(workload_name, p)
-            hierarchy = simulate_multiprocessor(workload, p, sim)
-            anchors[p] = model.cpi_for_machine(hierarchy).total
-        _CPI_ANCHOR_CACHE[key] = anchors
+    model = InOrderCpuModel()
+    anchors = {
+        spec.n_procs: model.cpi_for_machine(
+            simulate_multiprocessor(figure_trace(spec), sim)
+        ).total
+        for spec in sweep_specs(sim, anchor_procs, (workload_name,))
+    }
 
     xs = sorted(anchors)
 

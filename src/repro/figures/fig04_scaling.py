@@ -11,7 +11,9 @@ from repro.core.config import SimConfig
 from repro.figures.common import (
     FIGURE_SIM,
     PAPER_PROC_SWEEP,
+    WORKLOADS,
     FigureResult,
+    anchor_specs as trace_specs,  # noqa: F401 (the anchors run replays)
     throughput_model,
 )
 
@@ -21,7 +23,7 @@ def run(sim: SimConfig | None = None) -> FigureResult:
     sim = sim if sim is not None else FIGURE_SIM
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for name in ("ecperf", "specjbb"):
+    for name in WORKLOADS:
         model = throughput_model(name, sim)
         points = model.curve(PAPER_PROC_SWEEP)
         series[name] = [(pt.n_procs, pt.speedup) for pt in points]

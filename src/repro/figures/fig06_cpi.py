@@ -12,40 +12,41 @@ from repro.cpu import InOrderCpuModel
 from repro.figures.common import (
     FIGURE_SIM,
     FigureResult,
+    figure_trace,
     simulate_multiprocessor,
-    workload_for_procs,
+    sweep_specs,
 )
 
 #: Processor counts actually simulated (the paper's axis, thinned for cost).
 CPI_SWEEP = [1, 2, 4, 8, 12, 15]
 
 
+def trace_specs(sim: SimConfig, sweep: list[int] | None = None):
+    """One official-run trace per workload and processor count."""
+    return sweep_specs(sim, sweep if sweep is not None else CPI_SWEEP)
+
+
 def run(sim: SimConfig | None = None, sweep: list[int] | None = None) -> FigureResult:
     """Reproduce Figure 6."""
     sim = sim if sim is not None else FIGURE_SIM
-    sweep = sweep if sweep is not None else CPI_SWEEP
     model = InOrderCpuModel()
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for name in ("ecperf", "specjbb"):
-        points = []
-        for p in sweep:
-            workload = workload_for_procs(name, p)
-            hierarchy = simulate_multiprocessor(workload, p, sim)
-            cpi = model.cpi_for_machine(hierarchy)
-            rows.append(
-                (
-                    name,
-                    p,
-                    cpi.total,
-                    cpi.instruction_stall,
-                    cpi.data_stall.total,
-                    cpi.other,
-                    cpi.data_stall_fraction,
-                )
+    for spec in trace_specs(sim, sweep):
+        hierarchy = simulate_multiprocessor(figure_trace(spec), sim)
+        cpi = model.cpi_for_machine(hierarchy)
+        rows.append(
+            (
+                spec.workload,
+                spec.n_procs,
+                cpi.total,
+                cpi.instruction_stall,
+                cpi.data_stall.total,
+                cpi.other,
+                cpi.data_stall_fraction,
             )
-            points.append((p, cpi.total))
-        series[name] = points
+        )
+        series.setdefault(spec.workload, []).append((spec.n_procs, cpi.total))
     return FigureResult(
         figure_id="fig06",
         title="CPI breakdown vs processors",

@@ -13,41 +13,44 @@ from repro.cpu import InOrderCpuModel
 from repro.figures.common import (
     FIGURE_SIM,
     FigureResult,
+    figure_trace,
     simulate_multiprocessor,
-    workload_for_procs,
+    sweep_specs,
 )
 
 DATASTALL_SWEEP = [1, 2, 4, 8, 12, 15]
 
 
+def trace_specs(sim: SimConfig, sweep: list[int] | None = None):
+    """One official-run trace per workload and processor count."""
+    return sweep_specs(sim, sweep if sweep is not None else DATASTALL_SWEEP)
+
+
 def run(sim: SimConfig | None = None, sweep: list[int] | None = None) -> FigureResult:
     """Reproduce Figure 7."""
     sim = sim if sim is not None else FIGURE_SIM
-    sweep = sweep if sweep is not None else DATASTALL_SWEEP
     model = InOrderCpuModel()
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for name in ("ecperf", "specjbb"):
-        c2c_points = []
-        for p in sweep:
-            workload = workload_for_procs(name, p)
-            hierarchy = simulate_multiprocessor(workload, p, sim)
-            cpi = model.cpi_for_machine(hierarchy)
-            fr = cpi.data_stall.fractions()
-            rows.append(
-                (
-                    name,
-                    p,
-                    fr["store_buffer"],
-                    fr["raw_hazard"],
-                    fr["l2_hit"],
-                    fr["cache_to_cache"],
-                    fr["memory"],
-                    cpi.data_stall.store_buffer / cpi.total,
-                )
+    for spec in trace_specs(sim, sweep):
+        hierarchy = simulate_multiprocessor(figure_trace(spec), sim)
+        cpi = model.cpi_for_machine(hierarchy)
+        fr = cpi.data_stall.fractions()
+        rows.append(
+            (
+                spec.workload,
+                spec.n_procs,
+                fr["store_buffer"],
+                fr["raw_hazard"],
+                fr["l2_hit"],
+                fr["cache_to_cache"],
+                fr["memory"],
+                cpi.data_stall.store_buffer / cpi.total,
             )
-            c2c_points.append((p, fr["cache_to_cache"]))
-        series[f"{name}.c2c_share"] = c2c_points
+        )
+        series.setdefault(f"{spec.workload}.c2c_share", []).append(
+            (spec.n_procs, fr["cache_to_cache"])
+        )
     return FigureResult(
         figure_id="fig07",
         title="Data stall decomposition vs processors",

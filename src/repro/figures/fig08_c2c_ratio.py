@@ -12,32 +12,33 @@ from repro.core.config import SimConfig
 from repro.figures.common import (
     FIGURE_SIM,
     FigureResult,
+    figure_trace,
     simulate_multiprocessor,
-    workload_for_procs,
+    sweep_specs,
 )
 
 C2C_SWEEP = [1, 2, 4, 6, 8, 10, 12, 14]
 
 
+def trace_specs(sim: SimConfig, sweep: list[int] | None = None):
+    """One official-run trace per workload and processor count."""
+    return sweep_specs(sim, sweep if sweep is not None else C2C_SWEEP)
+
+
 def run(sim: SimConfig | None = None, sweep: list[int] | None = None) -> FigureResult:
     """Reproduce Figure 8."""
     sim = sim if sim is not None else FIGURE_SIM
-    sweep = sweep if sweep is not None else C2C_SWEEP
     rows = []
     series: dict[str, list[tuple[float, float]]] = {}
-    for name in ("ecperf", "specjbb"):
-        points = []
-        for p in sweep:
-            workload = workload_for_procs(name, p)
-            # The OS runs on processors outside the set (psrset), which
-            # is what makes the 1-processor ratio non-zero.
-            hierarchy = simulate_multiprocessor(
-                workload, p, sim, include_os_processor=True
-            )
-            ratio = hierarchy.c2c_ratio()
-            rows.append((name, p, ratio, hierarchy.total_l2_misses))
-            points.append((p, ratio))
-        series[name] = points
+    for spec in trace_specs(sim, sweep):
+        # The OS runs on processors outside the set (psrset), which is
+        # what makes the 1-processor ratio non-zero.
+        hierarchy = simulate_multiprocessor(
+            figure_trace(spec), sim, include_os_processor=True
+        )
+        ratio = hierarchy.c2c_ratio()
+        rows.append((spec.workload, spec.n_procs, ratio, hierarchy.total_l2_misses))
+        series.setdefault(spec.workload, []).append((spec.n_procs, ratio))
     return FigureResult(
         figure_id="fig08",
         title="Cache-to-cache transfer ratio vs processors",

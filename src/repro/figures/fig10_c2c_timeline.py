@@ -12,11 +12,16 @@ copybacks, and all other processors are idle.
 from __future__ import annotations
 
 from repro.core.config import SimConfig, e6000_machine
-from repro.figures.common import FIGURE_SIM, FigureResult
+from repro.figures.common import (
+    FIGURE_SIM,
+    FigureResult,
+    figure_trace,
+    make_workload,
+    sweep_specs,
+)
 from repro.jvm.gc import GenerationalCollector
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.rng import RngFactory
-from repro.workloads.specjbb import SpecJbbWorkload
 
 #: Timeline structure: bins of "100 ms"; three collections in the window.
 N_BINS = 36
@@ -24,12 +29,17 @@ GC_BINS = {9, 10, 21, 22, 33, 34}
 N_PROCS = 8
 
 
+def trace_specs(sim: SimConfig):
+    """The one trace this figure replays: SPECjbb on 8 processors."""
+    return sweep_specs(sim, [N_PROCS], ["specjbb"])
+
+
 def run(sim: SimConfig | None = None) -> FigureResult:
     """Reproduce Figure 10 (normalized C2C rate per time bin)."""
     sim = sim if sim is not None else FIGURE_SIM
-    workload = SpecJbbWorkload(warehouses=N_PROCS)
-    rng_factory = RngFactory(seed=sim.seed)
-    bundle = workload.generate(N_PROCS, sim, rng_factory)
+    (spec,) = trace_specs(sim)
+    workload = make_workload(spec.workload, spec.scale)
+    bundle = figure_trace(spec)
     hierarchy = MemoryHierarchy(e6000_machine(N_PROCS))
 
     # Warm up on the first half of every trace.
@@ -41,7 +51,7 @@ def run(sim: SimConfig | None = None) -> FigureResult:
     # Split the measurement half into mutator bins.
     mutator_bins = max(1, N_BINS - len(GC_BINS))
     bin_len = min(len(t) for t in rest) // mutator_bins
-    collector_rng = rng_factory.stream("gc-copy")
+    collector_rng = RngFactory(seed=sim.seed).stream("gc-copy")
     gc_refs_per_bin = bin_len  # the collector is memory-bound too
 
     rates = []

@@ -16,9 +16,14 @@ from repro.figures.common import FigureResult, make_workload
 SCALES = list(range(1, 41))
 
 
+def trace_specs(sim: SimConfig):
+    """None: the live-memory curves are model outputs, not trace stats."""
+    return []
+
+
 def run(sim: SimConfig | None = None) -> FigureResult:
     """Reproduce Figure 11 (analytic heap model; no trace simulation)."""
-    del sim  # the live-memory curves are model outputs, not trace stats
+    del sim  # no traces: see trace_specs
     rows = []
     series: dict[str, list[tuple[float, float]]] = {"specjbb": [], "ecperf": []}
     jbb = make_workload("specjbb", scale=1)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from repro.analysis.curves import MissCurve
 from repro.core.config import SimConfig
-from repro.figures.common import FIGURE_SIM, FigureResult, figure_trace_chunks
-from repro.memsys.stream import simulate_miss_curve_stream
+from repro.figures.common import FIGURE_SIM, FigureResult, figure_trace
+from repro.harness.traceplane import TraceSpec
+from repro.memsys.stream import TraceStream, simulate_miss_curve_stream
 from repro.units import kb, mb
 
 #: The paper's x axis (Figures 12/13).
@@ -40,12 +41,10 @@ def _sweep_sim(sim: SimConfig, scale: int) -> SimConfig:
 def trace_specs(sim: SimConfig):
     """The traces this figure replays (shared with Figure 13).
 
-    Published once per campaign by the trace plane; every
-    (instruction *and* data) sweep over a configuration replays the
-    same single-CPU trace.
+    The instruction *and* data sweeps over a configuration replay the
+    same single-CPU trace, so ``jmmw figures fig12 fig13`` publishes
+    each once.
     """
-    from repro.harness.traceplane import TraceSpec
-
     return [
         TraceSpec(workload=name, scale=scale, n_procs=1, sim=_sweep_sim(sim, scale))
         for _label, name, scale in CONFIGS
@@ -57,16 +56,14 @@ def curves(
 ) -> dict[str, MissCurve]:
     """Miss curves for every configuration, one trace each.
 
-    Each trace is replayed chunk by chunk
-    (:func:`repro.figures.common.figure_trace_chunks`) through
+    Each trace is replayed chunk by chunk through
     :func:`repro.memsys.stream.simulate_miss_curve_stream`;
     ``fastpath`` is forwarded to it, and both replay paths produce
     bit-identical curves.
     """
     out = {}
-    for label, name, scale in CONFIGS:
-        config = _sweep_sim(sim, scale)
-        stream = figure_trace_chunks(name, scale, 1, config)
+    for (label, _name, _scale), spec in zip(CONFIGS, trace_specs(sim)):
+        stream = TraceStream.from_bundle(figure_trace(spec))
         points = simulate_miss_curve_stream(
             stream.chunks_merged(),
             stream.total_refs,
@@ -74,7 +71,7 @@ def curves(
             kind=kind,
             assoc=4,
             block=64,
-            warmup_fraction=config.warmup_fraction,
+            warmup_fraction=spec.sim.warmup_fraction,
             fastpath=fastpath,
         )
         out[label] = MissCurve.from_points(label, points)

@@ -15,21 +15,26 @@ from repro.core.config import SimConfig
 from repro.figures.common import (
     FIGURE_SIM,
     FigureResult,
+    figure_trace,
     simulate_multiprocessor,
-    workload_for_procs,
+    sweep_specs,
 )
 
 N_PROCS = 8
 
 
+def trace_specs(sim: SimConfig):
+    """The traces :func:`footprints` replays (shared with Figure 15)."""
+    return sweep_specs(sim, [N_PROCS])
+
+
 def footprints(sim: SimConfig) -> dict[str, CommunicationFootprint]:
     """Communication footprints from 8-processor simulations."""
     out = {}
-    for name in ("ecperf", "specjbb"):
-        workload = workload_for_procs(name, N_PROCS)
-        hierarchy = simulate_multiprocessor(workload, N_PROCS, sim)
+    for spec in trace_specs(sim):
+        hierarchy = simulate_multiprocessor(figure_trace(spec), sim)
         stats = hierarchy.bus.stats
-        out[name] = CommunicationFootprint(
+        out[spec.workload] = CommunicationFootprint(
             c2c_by_line=dict(stats.c2c_by_line),
             touched_lines=len(stats.touched_lines),
         )

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from repro.core.config import SimConfig
 from repro.figures.common import FIGURE_SIM, FigureResult
-from repro.figures.fig14_c2c_cdf import footprints
+# trace_specs is re-exported: the same footprints as Figure 14, from
+# the same 8-processor traces.
+from repro.figures.fig14_c2c_cdf import footprints, trace_specs  # noqa: F401
 
 
 def run(sim: SimConfig | None = None) -> FigureResult:

@@ -16,9 +16,9 @@ from repro.figures.common import (
     FIGURE_SIM,
     FigureResult,
     figure_trace,
-    make_workload,
     simulate_multiprocessor,
 )
+from repro.harness.traceplane import TraceSpec
 
 N_PROCS = 8
 SHARING = [1, 2, 4, 8]
@@ -32,11 +32,8 @@ CONFIGS = [
 def trace_specs(sim: SimConfig):
     """The traces this figure replays: one 8-CPU bundle per workload.
 
-    All four cache-sharing levels replay the *same* trace — the
-    generate-once/replay-many case the trace plane exists for.
+    All four cache-sharing levels replay the *same* trace, fetched once.
     """
-    from repro.harness.traceplane import TraceSpec
-
     return [
         TraceSpec(workload=name, scale=scale, n_procs=N_PROCS, sim=sim)
         for _label, name, scale in CONFIGS
@@ -48,14 +45,11 @@ def run(sim: SimConfig | None = None) -> FigureResult:
     sim = sim if sim is not None else FIGURE_SIM
     rows = []
     series = {}
-    for label, name, scale in CONFIGS:
+    for (label, _name, _scale), spec in zip(CONFIGS, trace_specs(sim)):
         points = []
-        workload = make_workload(name, scale=scale)
-        bundle = figure_trace(name, scale, N_PROCS, sim)
+        bundle = figure_trace(spec)
         for procs_per_l2 in SHARING:
-            hierarchy = simulate_multiprocessor(
-                workload, N_PROCS, sim, procs_per_l2=procs_per_l2, bundle=bundle
-            )
+            hierarchy = simulate_multiprocessor(bundle, sim, procs_per_l2=procs_per_l2)
             mpki = hierarchy.data_mpki()
             rows.append(
                 (

@@ -10,17 +10,20 @@ cache keys.
 
 Builders take an optional
 :class:`~repro.harness.traceplane.TracePlane` (``jmmw figures`` always
-passes one): with one, the traces a batch replays are generated
-**once** in the parent and published as shared-memory segments, each
-task carries only the tiny :class:`~repro.harness.traceplane.TraceRef`
-handles it needs (``plane_refs``), and the runner refcounts segment
-lifetime through ``Task.plane_keys``.  Without one, every task
-regenerates its traces — bit-identical results either way, so cache
-keys do not record which.
+passes one): with one, a trace that several tasks of a batch replay
+is generated **once** in the parent and published as a shared-memory
+segment, each task carries only the tiny
+:class:`~repro.harness.traceplane.TraceRef` handles it needs
+(``plane_refs``), and the runner refcounts segment lifetime through
+``Task.plane_keys``.  Every other trace is generated inside the one
+task that replays it — bit-identical results either way, so cache
+keys do not record which.  Figure tasks learn their traces from each
+module's ``trace_specs(sim)`` (:func:`figure_trace_specs`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING, Sequence
@@ -59,17 +62,11 @@ def figure_cache_key(module_name: str, sim: SimConfig) -> str:
 
 
 def figure_trace_specs(module_name: str, sim: SimConfig) -> "list[TraceSpec]":
-    """The traces one figure module replays, as plane-publishable specs.
-
-    Figure modules opt in by exposing ``trace_specs(sim)``; modules
-    without it (analytic figures, figures whose traces are unique per
-    point) return an empty list and run exactly as before.
-    """
+    """The traces one figure module's ``run`` replays: its ``trace_specs(sim)``."""
     import importlib
 
     module = importlib.import_module(f"repro.figures.{module_name}")
-    spec_fn = getattr(module, "trace_specs", None)
-    return list(spec_fn(sim)) if spec_fn is not None else []
+    return list(module.trace_specs(sim))
 
 
 def build_figure_tasks(
@@ -81,41 +78,38 @@ def build_figure_tasks(
 ) -> list[Task]:
     """One harness task per figure module, keyed by figure id.
 
-    With a ``plane``, each figure's declared traces are published once
-    here in the parent and the task ships only their refs; figures
-    with no declared traces are untouched.  ``cache``/``manifest``
-    (when given) let the builder skip publishing for figures that will
-    be served back without running — a warm rerun must not pay trace
-    generation.  The hint is advisory: a task that runs after all
-    (quarantined entry, torn journal) simply finds no refs installed
-    and regenerates its traces, bit-identically.
+    With a ``plane``, a trace that two or more to-run tasks declare is
+    published once here and those tasks ship its ref; a trace only one
+    task declares is generated inside that task, instead of holding
+    shared memory for the whole run.  A task ``cache`` or ``manifest``
+    will serve back uses no trace.  The hint is advisory: a task that
+    runs after all (quarantined entry, torn journal) finds no refs
+    installed and generates its traces, bit-identically.
     """
     from repro.figures.common import run_figure
 
-    tasks = []
+    planned = []
     for name in module_names:
         key = name.split("_", 1)[0]
         cache_key = figure_cache_key(name, sim)
-        kwargs = {}
-        plane_keys: tuple = ()
-        will_run = True
-        if manifest is not None and key in manifest.completed:
-            will_run = False
-        elif cache is not None and cache.probably_has(cache_key):
-            will_run = False
-        if plane is not None and will_run:
-            refs = plane.refs_for(figure_trace_specs(name, sim))
-            if refs:
-                kwargs["plane_refs"] = refs
-                plane_keys = tuple(refs)
+        served = (manifest is not None and key in manifest.completed) or (
+            cache is not None and cache.probably_has(cache_key)
+        )
+        specs = [] if plane is None or served else figure_trace_specs(name, sim)
+        planned.append((name, key, cache_key, {s.key(): s for s in specs}))
+    users = Counter(spec_key for *_, specs in planned for spec_key in specs)
+    tasks = []
+    for name, key, cache_key, specs in planned:
+        shared = [spec for spec_key, spec in specs.items() if users[spec_key] > 1]
+        refs = plane.refs_for(shared) if shared else {}
         tasks.append(
             Task(
                 key=key,
                 fn=run_figure,
                 args=(name, sim),
-                kwargs=kwargs,
+                kwargs={"plane_refs": refs} if refs else {},
                 cache_key=cache_key,
-                plane_keys=plane_keys,
+                plane_keys=tuple(refs),
             )
         )
     return tasks
@@ -132,21 +126,20 @@ def miss_curve_shard(
 ) -> list[tuple[int, int, int, float]]:
     """Replay one shard (a subset of cache sizes) of a miss-curve sweep.
 
-    The trace comes from the plane when a ref for ``spec`` is
-    attached, and is regenerated locally otherwise — the simulated
-    points are identical either way, because generation is a pure
-    function of the spec.  Returns plain ``(size, accesses, misses,
-    mpki)`` tuples so the result pickles small.
+    The trace comes through :func:`~repro.figures.common.figure_trace`:
+    from the plane when a ref for ``spec`` is installed, generated
+    locally otherwise — the simulated points are identical either way,
+    because generation is a pure function of the spec.  Returns plain
+    ``(size, accesses, misses, mpki)`` tuples so the result pickles
+    small.
     """
+    from repro.figures.common import figure_trace
     from repro.harness import traceplane
     from repro.memsys.multisim import simulate_miss_curve
 
     with traceplane.use_refs(plane_refs):
-        bundle = traceplane.resolve(spec)
-        if bundle is None:
-            bundle = spec.generate()
         points = simulate_miss_curve(
-            bundle.merged(),
+            figure_trace(spec).merged(),
             list(sizes),
             kind=kind,
             assoc=assoc,

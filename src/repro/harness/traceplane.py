@@ -1,18 +1,18 @@
 """Shared-memory trace plane: generate once, replay many.
 
-The paper's sweeps replay the *same* reference streams against many
-memory-system configurations (Figures 12/13/16, the miss-curve
-sweeps).  Without help, every harness task regenerates its trace — or
-worse, the parent pickles megabytes of ``uint64`` arrays through a
-pipe per task — so campaign cost scales with ``configs x trace size``
-instead of ``trace size + configs``.
+The paper's figures replay the *same* reference streams against many
+memory-system configurations, in many tasks.  Without help, every
+harness task regenerates its trace — or worse, the parent pickles
+megabytes of ``uint64`` arrays through a pipe per task — so campaign
+cost scales with ``tasks x trace size`` instead of ``trace size``.
 
 The trace plane fixes the scaling:
 
 - the parent materializes each :class:`~repro.workloads.base.TraceBundle`
   **once**, content-addressed by a :class:`TraceSpec` (workload name +
   scale + processor count + SimConfig, through
-  :func:`~repro.harness.cache.content_key`);
+  :func:`~repro.harness.cache.content_key`); ``jmmw figures``
+  publishes the specs that two or more of its to-run figures declare;
 - the bundle's arrays are published into a named
   :mod:`multiprocessing.shared_memory` segment — or an mmap-backed
   *spill file* when the trace reaches :data:`DEFAULT_SPILL_BYTES`,
@@ -21,7 +21,9 @@ The trace plane fixes the scaling:
   keeps every trace off ``/dev/shm``);
 - workers receive only a :class:`TraceRef` — a few hundred bytes —
   and :func:`attach` maps the segment read-only and rebuilds the
-  bundle as zero-copy array views.
+  bundle as zero-copy array views.  A mapping lasts one task: the
+  parent unmaps a segment once written, and :func:`use_refs` closes
+  a task's mappings when the task ends.
 
 Lifecycle and crash safety:
 
@@ -45,9 +47,8 @@ Lifecycle and crash safety:
 
 Everything is deterministic: trace generation draws from stateless
 :class:`~repro.rng.RngFactory` streams, so a plane-published bundle is
-bit-identical to the one a worker would have regenerated.  ``jmmw
-figures`` always publishes through a plane, and a task that runs
-without refs regenerates locally with byte-identical results.
+bit-identical to the one a worker would have regenerated: a task that
+runs without a ref generates locally with byte-identical results.
 
 Obs counters (``jmmw ... --obs``): ``harness/trace_plane/segments``
 (published), ``segments_live`` (published minus unlinked),
@@ -130,6 +131,13 @@ class TraceSpec:
     scale: int | None
     n_procs: int
     sim: SimConfig
+
+    @classmethod
+    def official(cls, workload: str, n_procs: int, sim: SimConfig) -> "TraceSpec":
+        """The trace an official run of ``workload`` uses at ``n_procs``:
+        SPECjbb runs one warehouse per processor, and ECperf's injection
+        rate tracks the processor count (its footprint barely moves)."""
+        return cls(workload=workload, scale=max(1, n_procs), n_procs=n_procs, sim=sim)
 
     def key(self) -> str:
         from repro.harness.cache import content_key
@@ -281,9 +289,10 @@ class _Attachment:
             self._closer = None
 
 
-#: Process-local attachment cache: a worker running many tasks against
-#: the same trace maps it once.  Keyed by (generation, spec_key) so a
-#: ref from a different plane generation can never hit a stale entry.
+#: Process-local attachment cache: a task that fetches one trace twice
+#: maps it once, and :func:`use_refs` closes the task's mappings when
+#: the task ends.  Keyed by (generation, spec_key) so a ref from a
+#: different plane generation can never hit a stale entry.
 _ATTACH_CACHE: dict[tuple[str, str], _Attachment] = {}
 
 
@@ -352,8 +361,8 @@ def attach(ref: TraceRef) -> "TraceBundle":
 
     Validates the segment's magic, generation and payload size against
     the ref and raises :class:`~repro.errors.TracePlaneError` on any
-    mismatch.  Mappings are cached per process, so a worker replaying
-    many tasks against one trace pays the map cost once.
+    mismatch.  A mapping is cached until the :func:`use_refs` block
+    that installed ``ref`` exits (or :func:`detach_all`).
     """
     if ref.backend not in ("shm", "spill"):
         raise TracePlaneError(f"unknown trace-plane backend {ref.backend!r}")
@@ -389,7 +398,12 @@ _ACTIVE_REFS: dict[str, TraceRef] = {}
 
 @contextlib.contextmanager
 def use_refs(refs: Mapping[str, TraceRef] | None) -> Iterator[None]:
-    """Install ``refs`` for the duration of one task body."""
+    """Install ``refs`` for the duration of one task body.
+
+    On exit the mappings the body opened for them are closed, so a
+    mapping lasts one task: once the parent unlinks a segment after
+    its last task, no process holds its pages.
+    """
     if not refs:
         yield
         return
@@ -400,6 +414,10 @@ def use_refs(refs: Mapping[str, TraceRef] | None) -> Iterator[None]:
     finally:
         _ACTIVE_REFS.clear()
         _ACTIVE_REFS.update(previous)
+        for key in refs.keys() - previous.keys():
+            attachment = _ATTACH_CACHE.pop((refs[key].generation, key), None)
+            if attachment is not None:
+                attachment.close()
 
 
 def resolve(spec: TraceSpec) -> "TraceBundle | None":
@@ -581,6 +599,9 @@ class TracePlane:
                     view[start : start + arr.size] = arr
                     start += int(arr.size)
                 del view
+            # From here on the parent only names the segment: its pages
+            # are mapped by the tasks that attach it, while they run.
+            _close_shm_mapping(shm)
             ref = TraceRef(backend="shm", location=name, **common)
             segment = _Segment(ref, shm=shm, spill=None)
         self._segments[key] = segment
@@ -622,9 +643,8 @@ class TracePlane:
         if segment is None:
             return
         if segment.shm is not None:
-            with contextlib.suppress(BufferError, OSError):
+            with contextlib.suppress(OSError):
                 segment.shm.unlink()
-            _close_shm_mapping(segment.shm)
         if segment.spill is not None:
             with contextlib.suppress(OSError):
                 segment.spill.unlink()

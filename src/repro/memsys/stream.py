@@ -6,8 +6,8 @@ replay can start before generation finishes:
 
 - :class:`TraceStream` — per-processor iterators of fixed-size
   ``uint64`` chunks plus *declared* lengths, built from a materialized
-  bundle (:meth:`TraceStream.from_bundle`), from chunked generation
-  (:meth:`TraceStream.from_workload`), or from raw iterators;
+  bundle (:meth:`TraceStream.from_bundle`), from a workload's
+  ``generate_chunks`` output, or from raw iterators;
 - :func:`run_trace_stream` — the windowed round-robin scheduler behind
   every :meth:`repro.memsys.hierarchy.MemoryHierarchy.run_trace` (a
   materialized trace is replayed as a one-chunk stream):
@@ -215,19 +215,6 @@ class TraceStream:
         return cls.from_arrays(
             bundle.per_cpu, chunk_refs=chunk_refs, workload=bundle.workload
         )
-
-    @classmethod
-    def from_workload(
-        cls,
-        workload,
-        n_procs: int,
-        sim,
-        rng_factory,
-        chunk_refs: int = DEFAULT_CHUNK_REFS,
-    ) -> "TraceStream":
-        """Chunked *generation*: no full trace ever materializes."""
-        chunked = workload.generate_chunks(n_procs, sim, rng_factory, chunk_refs)
-        return cls(chunked.lengths, chunked.per_cpu, workload=workload.name)
 
 
 # -- carried LRU state -------------------------------------------------------

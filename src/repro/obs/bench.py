@@ -94,12 +94,18 @@ class Regression:
 
 def _bench_trace(sim: SimConfig):
     """One seeded single-CPU SPECjbb trace, shared by kernel stages."""
-    from repro.figures.common import make_workload
-    from repro.rng import RngFactory
+    from repro.figures.common import figure_trace
+    from repro.harness.traceplane import TraceSpec
 
-    workload = make_workload("specjbb", scale=8)
-    bundle = workload.generate(1, sim, RngFactory(seed=sim.seed))
-    return bundle.per_cpu[0]
+    return figure_trace(TraceSpec("specjbb", 8, 1, sim)).per_cpu[0]
+
+
+def _hierarchy_traces(sim: SimConfig) -> list[list[int]]:
+    """The 4-processor SPECjbb trace both hierarchy stages replay."""
+    from repro.figures.common import figure_trace
+    from repro.harness.traceplane import TraceSpec
+
+    return figure_trace(TraceSpec.official("specjbb", 4, sim)).per_cpu_lists()
 
 
 def _stage_lru_kernel(sim: SimConfig) -> Callable[[], None]:
@@ -145,16 +151,11 @@ def _stage_scalar_sweep(sim: SimConfig) -> Callable[[], None]:
 
 
 def _stage_scalar_hierarchy(sim: SimConfig) -> Callable[[], None]:
-    from repro.figures.common import workload_for_procs
     from repro.memsys.config import e6000_machine
     from repro.memsys.hierarchy import MemoryHierarchy
-    from repro.rng import RngFactory
 
-    n_procs = 4
-    workload = workload_for_procs("specjbb", n_procs)
-    bundle = workload.generate(n_procs, sim, RngFactory(seed=sim.seed))
-    traces = bundle.per_cpu_lists()
-    machine = e6000_machine(n_procs)
+    traces = _hierarchy_traces(sim)
+    machine = e6000_machine(len(traces))
 
     def run() -> None:
         hierarchy = MemoryHierarchy(machine)
@@ -170,16 +171,11 @@ def _stage_scalar_hierarchy(sim: SimConfig) -> Callable[[], None]:
 
 def _stage_coherent_replay(sim: SimConfig) -> Callable[[], None]:
     """Same replay as ``scalar/hierarchy_4p`` through the C kernel."""
-    from repro.figures.common import workload_for_procs
     from repro.memsys.config import e6000_machine
     from repro.memsys.hierarchy import MemoryHierarchy
-    from repro.rng import RngFactory
 
-    n_procs = 4
-    workload = workload_for_procs("specjbb", n_procs)
-    bundle = workload.generate(n_procs, sim, RngFactory(seed=sim.seed))
-    traces = bundle.per_cpu_lists()
-    machine = e6000_machine(n_procs)
+    traces = _hierarchy_traces(sim)
+    machine = e6000_machine(len(traces))
 
     def run() -> None:
         hierarchy = MemoryHierarchy(machine)

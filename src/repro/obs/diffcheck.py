@@ -1082,34 +1082,29 @@ FIGURE_DIFF_CONFIGS: list[FigureDiffConfig] = [
 
 
 def _figure_traces(config: FigureDiffConfig, sim: SimConfig) -> list:
-    """Seeded per-CPU traces matching a figure's workload setup."""
-    from repro.figures.common import make_workload, workload_for_procs
+    """Seeded per-CPU traces matching a figure's workload setup.
+
+    Built from a :class:`~repro.harness.traceplane.TraceSpec` through
+    :func:`~repro.figures.common.figure_trace`, with the OS processor's
+    stream from :func:`~repro.figures.common.os_processor_trace`: the
+    same sources the figures replay.
+    """
+    from repro.figures.common import figure_trace, os_processor_trace
+    from repro.harness.traceplane import TraceSpec
     from repro.jvm.gc import GenerationalCollector
-    from repro.rng import RngFactory
-    from repro.workloads import layout
-    from repro.workloads.base import os_background_trace
 
     if config.scale is not None:
-        workload = make_workload(config.workload, scale=config.scale)
+        spec = TraceSpec(config.workload, config.scale, config.n_procs, sim)
     else:
-        workload = workload_for_procs(config.workload, config.n_procs)
-    rng_factory = RngFactory(seed=sim.seed)
-    bundle = workload.generate(config.n_procs, sim, rng_factory)
-    traces = [t.tolist() for t in bundle.per_cpu]
+        spec = TraceSpec.official(config.workload, config.n_procs, sim)
+    traces = [t.tolist() for t in figure_trace(spec).per_cpu]
     if config.with_gc_stream:
         # Figure 10 replays the collector's private copy traffic.
         traces[0] = traces[0] + GenerationalCollector.copy_ref_stream(
             from_base=0x6000_0000, to_base=0x6800_0000, nbytes=64 * 1024
         )
     if config.include_os:
-        os_rng = rng_factory.stream("os-background")
-        shared = [layout.NET_BUFFER_POOL + i * 256 for i in range(16)]
-        shared += [layout.RUNQUEUE_BASE + cpu * 64 for cpu in range(config.n_procs)]
-        traces.append(
-            os_background_trace(
-                os_rng, max(1, sim.refs_per_proc // 10), shared
-            )
-        )
+        traces.append(os_processor_trace(config.n_procs, sim))
     return traces
 
 

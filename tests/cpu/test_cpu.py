@@ -120,10 +120,12 @@ def test_cpi_breakdown_properties():
 
 
 def test_machine_average_weighted(small_sim, rng_factory):
-    from repro.figures.common import simulate_multiprocessor
-    from repro.workloads.specjbb import SpecJbbWorkload
+    from repro.figures.common import figure_trace, simulate_multiprocessor
+    from repro.harness.traceplane import TraceSpec
 
-    h = simulate_multiprocessor(SpecJbbWorkload(warehouses=2), 2, small_sim)
+    h = simulate_multiprocessor(
+        figure_trace(TraceSpec("specjbb", 2, 2, small_sim)), small_sim
+    )
     model = InOrderCpuModel()
     machine = model.cpi_for_machine(h)
     assert 1.3 < machine.total < 4.0

@@ -1,16 +1,19 @@
 """Figure scaffolding: workload construction, CPI interpolation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SimConfig
 from repro.errors import ConfigError
 from repro.figures.common import (
     FigureResult,
+    figure_trace,
     make_workload,
     measured_cpi_fn,
     simulate_multiprocessor,
-    workload_for_procs,
 )
+from repro.harness.traceplane import TraceSpec
 
 SIM = SimConfig(seed=13, refs_per_proc=20_000, warmup_fraction=0.5)
 
@@ -22,17 +25,29 @@ def test_make_workload():
         make_workload("tpcc")
 
 
-def test_workload_for_procs_scales_specjbb():
-    assert workload_for_procs("specjbb", 6).warehouses == 6
-    assert workload_for_procs("ecperf", 6).injection_rate == 6
+def test_official_spec_scales_with_procs():
+    spec = TraceSpec.official("specjbb", 6, SIM)
+    assert (spec.scale, spec.n_procs, spec.sim) == (6, 6, SIM)
+    assert TraceSpec.official("ecperf", 6, SIM).scale == 6
+    assert make_workload("specjbb", spec.scale).warehouses == 6
 
 
 def test_os_processor_adds_a_cache():
-    plain = simulate_multiprocessor(workload_for_procs("specjbb", 2), 2, SIM)
-    with_os = simulate_multiprocessor(
-        workload_for_procs("specjbb", 2), 2, SIM, include_os_processor=True
-    )
+    bundle = figure_trace(TraceSpec.official("specjbb", 2, SIM))
+    plain = simulate_multiprocessor(bundle, SIM)
+    with_os = simulate_multiprocessor(bundle, SIM, include_os_processor=True)
     assert len(with_os.bus.caches) == len(plain.bus.caches) + 1
+
+
+def test_measured_cpi_fn_follows_the_interleave_quantum():
+    """Every call replays at the SimConfig it is given: nothing memoized
+    can serve one quantum's anchors to a call at another."""
+    fine = dataclasses.replace(SIM, interleave_quantum=3)
+    assert fine.interleave_quantum != SIM.interleave_quantum
+    first = measured_cpi_fn("specjbb", SIM, anchor_procs=(4,))(4)
+    second = measured_cpi_fn("specjbb", fine, anchor_procs=(4,))(4)
+    assert second != first
+    assert measured_cpi_fn("specjbb", SIM, anchor_procs=(4,))(4) == first
 
 
 def test_measured_cpi_fn_interpolates():

@@ -33,9 +33,9 @@ def _golden_path(fig_id: str) -> Path:
     return GOLDEN_DIR / f"{fig_id}.quick.txt"
 
 
-def _figure_stdout(fig_id: str, capsys, extra: tuple[str, ...] = ()) -> str:
-    rc = main(["figures", fig_id, "--quick", "--no-cache", *extra])
-    assert rc == 0, f"{fig_id} exited {rc}"
+def _figure_stdout(fig_ids: str, capsys, extra: tuple[str, ...] = ()) -> str:
+    rc = main(["figures", *fig_ids.split(), "--quick", "--no-cache", *extra])
+    assert rc == 0, f"{fig_ids} exited {rc}"
     return capsys.readouterr().out
 
 
@@ -77,12 +77,16 @@ def test_figure_stdout_byte_identical_with_obs(capsys, tmp_path):
 
 def test_figure_stdout_matches_golden_with_every_trace_spilled(capsys, monkeypatch):
     """``JMMW_TRACE_PLANE_SPILL=0`` keeps every trace off ``/dev/shm``
-    (all segments become spill files) without changing a byte."""
+    (all segments become spill files) without changing a byte.  fig12
+    and fig13 replay the same four traces, so the pair publishes them."""
     from repro import obs
 
     monkeypatch.setenv("JMMW_TRACE_PLANE_SPILL", "0")
-    out = _figure_stdout("fig12", capsys)
-    assert out == _golden_path("fig12").read_text(encoding="utf-8")
+    out = _figure_stdout("fig12 fig13", capsys)
+    assert out == "".join(
+        _golden_path(fig_id).read_text(encoding="utf-8")
+        for fig_id in ("fig12", "fig13")
+    )
     segments = obs.COUNTERS.get("harness/trace_plane/segments")
     assert segments > 0
     assert obs.COUNTERS.get("harness/trace_plane/spill_segments") == segments

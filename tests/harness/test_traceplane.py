@@ -344,7 +344,10 @@ def test_sigint_drained_figures_campaign_leaks_nothing(monkeypatch, tmp_path):
     monkeypatch.setenv("JMMW_CACHE_DIR", str(tmp_path))
     plane_root = tmp_path / "traceplane"
 
+    published = []
+
     def interrupting(module_name, sim, plane_refs=None):
+        published.append(len(plane_refs or ()))
         if module_name.startswith("fig12"):
             os.kill(os.getpid(), signal.SIGINT)
         return FigureResult(
@@ -356,8 +359,11 @@ def test_sigint_drained_figures_campaign_leaks_nothing(monkeypatch, tmp_path):
     monkeypatch.setattr(
         common, "figure_checks", lambda module_name, result: []
     )
-    rc = main(["figures", "fig12", "fig16", "--quick", "--no-cache"])
+    # fig12 and fig13 share four traces, so segments exist when the
+    # interrupt lands.
+    rc = main(["figures", "fig12", "fig13", "--quick", "--no-cache"])
     assert rc == 130
+    assert published and published[0] == 4
     assert _plane_files(plane_root) == []
 
 

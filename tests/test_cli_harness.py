@@ -67,10 +67,13 @@ def test_figures_harness_summary_goes_to_stderr(smoke_env, capsys):
 
 
 def test_obs_prints_each_counter_once(capsys):
-    """One registry, one table: no counter is listed twice on stderr."""
+    """One registry, one table: no counter is listed twice on stderr.
+
+    fig12 and fig13 share their traces, so the run publishes segments
+    and the trace-plane counters are in the table too."""
     from repro import obs
 
-    assert main(["figures", "fig13", "--quick", "--no-cache", "--obs"]) == 0
+    assert main(["figures", "fig12", "fig13", "--quick", "--no-cache", "--obs"]) == 0
     err = capsys.readouterr().err
     names = [line.split()[0] for line in err.splitlines() if line.strip()]
     for name in obs.COUNTERS.snapshot():

@@ -13,6 +13,7 @@ import signal
 import pytest
 
 import repro.figures.common as common
+import repro.harness.tasks as harness_tasks
 from repro.cli import main
 from repro.core.config import SimConfig
 from repro.figures.common import FigureResult
@@ -40,13 +41,18 @@ def _stub_result(module_name: str) -> FigureResult:
 
 @pytest.fixture
 def stub_figures(monkeypatch):
-    """Replace figure execution with a fast deterministic stub."""
+    """Replace figure execution with a fast deterministic stub.
+
+    The stubs replay nothing, so they declare no traces either: the
+    campaign publishes no segment and passes no ``plane_refs``.
+    """
     monkeypatch.setattr(
         common, "run_figure", lambda module_name, sim: _stub_result(module_name)
     )
     monkeypatch.setattr(
         common, "figure_checks", lambda module_name, result: [("stub claim", True)]
     )
+    monkeypatch.setattr(harness_tasks, "figure_trace_specs", lambda name, sim: [])
 
 
 # -- exit-code hygiene -------------------------------------------------------

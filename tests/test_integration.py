@@ -5,13 +5,18 @@ import pytest
 from repro.core.config import SimConfig, e6000_machine
 from repro.core.experiment import run_repeated
 from repro.cpu import InOrderCpuModel
-from repro.figures.common import simulate_multiprocessor, workload_for_procs
+from repro.figures.common import figure_trace, simulate_multiprocessor
+from repro.harness.traceplane import TraceSpec
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.rng import RngFactory
 from repro.workloads.ecperf import EcperfWorkload
 from repro.workloads.specjbb import SpecJbbWorkload
 
 SIM = SimConfig(seed=21, refs_per_proc=40_000, warmup_fraction=0.5)
+
+
+def _trace(name: str, n_procs: int):
+    return figure_trace(TraceSpec.official(name, n_procs, SIM))
 
 
 @pytest.mark.parametrize("workload_cls", [SpecJbbWorkload, EcperfWorkload])
@@ -27,19 +32,16 @@ def test_full_pipeline_produces_plausible_cpi(workload_cls):
 
 
 def test_multiprocessor_sharing_appears_above_two_procs():
-    one = simulate_multiprocessor(workload_for_procs("specjbb", 1), 1, SIM)
-    four = simulate_multiprocessor(workload_for_procs("specjbb", 4), 4, SIM)
+    one = simulate_multiprocessor(_trace("specjbb", 1), SIM)
+    four = simulate_multiprocessor(_trace("specjbb", 4), SIM)
     assert one.c2c_ratio() == 0.0
     assert four.c2c_ratio() > 0.15
 
 
 def test_shared_cache_removes_coherence_misses():
-    private = simulate_multiprocessor(
-        workload_for_procs("ecperf", 4), 4, SIM, procs_per_l2=1
-    )
-    shared = simulate_multiprocessor(
-        workload_for_procs("ecperf", 4), 4, SIM, procs_per_l2=4
-    )
+    bundle = _trace("ecperf", 4)
+    private = simulate_multiprocessor(bundle, SIM, procs_per_l2=1)
+    shared = simulate_multiprocessor(bundle, SIM, procs_per_l2=4)
     assert shared.total_c2c_fills == 0
     assert private.total_c2c_fills > 0
 
@@ -53,12 +55,9 @@ def test_msi_vs_mosi_copybacks():
     fewer copybacks and as the extra writebacks MSI's supply path
     performs.
     """
-    mosi = simulate_multiprocessor(
-        workload_for_procs("ecperf", 4), 4, SIM, protocol="mosi"
-    )
-    msi = simulate_multiprocessor(
-        workload_for_procs("ecperf", 4), 4, SIM, protocol="msi"
-    )
+    bundle = _trace("ecperf", 4)
+    mosi = simulate_multiprocessor(bundle, SIM, protocol="mosi")
+    msi = simulate_multiprocessor(bundle, SIM, protocol="msi")
     assert mosi.total_c2c_fills >= msi.total_c2c_fills
     assert msi.bus.stats.writebacks > mosi.bus.stats.writebacks
 
@@ -80,8 +79,8 @@ def test_variability_methodology_end_to_end():
 
 
 def test_same_seed_same_results():
-    a = simulate_multiprocessor(workload_for_procs("ecperf", 2), 2, SIM)
-    b = simulate_multiprocessor(workload_for_procs("ecperf", 2), 2, SIM)
+    a = simulate_multiprocessor(_trace("ecperf", 2), SIM)
+    b = simulate_multiprocessor(_trace("ecperf", 2), SIM)
     assert a.total_l2_misses == b.total_l2_misses
     assert a.total_c2c_fills == b.total_c2c_fills
 
