@@ -117,22 +117,33 @@ def _apply_env_flags(args: argparse.Namespace) -> None:
             raise SystemExit(2) from None
 
 
+#: The cause each counted kernel decline names on stderr; ``warm`` is
+#: silent, since fig10 replays its bins into a warm hierarchy by design.
+_FALLBACK_NOTICES = {
+    "no-kernel": "the compiled coherence kernel is unavailable (no C compiler?)",
+    "unsupported": "the kernel cannot hold the geometry (over 64 L2 caches, "
+    "or inclusive L2 lines smaller than L1 lines)",
+    "alloc": "the kernel could not allocate its machine state",
+}
+
+
 def _finish_obs(table: bool = True) -> None:
     """End-of-run stderr report: the counter table when ``table`` is set
-    or under ``--obs`` (spans first), and a notice for replays that ran
-    scalar for want of the compiled kernel."""
+    or under ``--obs`` (spans first), and one notice per reason that
+    made coherent replays run scalar instead of in the compiled kernel."""
     from repro import obs
     from repro.memsys.fastpath_coherence import FALLBACK_COUNTER
 
     if table or obs.enabled():
         print(obs.render_summary(), file=sys.stderr)
-    no_kernel = obs.COUNTERS.get(f"{FALLBACK_COUNTER}/no-kernel")
-    if no_kernel:
-        print(
-            f"note: {no_kernel} coherent replay(s) fell back to the scalar "
-            "path: the compiled coherence kernel is unavailable (no C compiler?)",
-            file=sys.stderr,
-        )
+    for reason, cause in _FALLBACK_NOTICES.items():
+        count = obs.COUNTERS.get(f"{FALLBACK_COUNTER}/{reason}")
+        if count:
+            print(
+                f"note: {count} coherent replay(s) fell back to the scalar "
+                f"path: {cause}",
+                file=sys.stderr,
+            )
 
 
 def _make_cache(args: argparse.Namespace):

@@ -1,9 +1,11 @@
 """Memory-reference encoding shared by workload generators and simulators.
 
-A reference is a single Python int: ``(byte_address << 2) | kind``.
-Packing into ints (rather than tuples or dataclasses) matters: traces
-run to millions of references and the cache simulators are pure Python,
-so every object allocation per reference would dominate runtime.
+A reference is a single int: ``(byte_address << 2) | kind``.  Packing
+into ints (rather than tuples or dataclasses) matters: traces run to
+millions of references, held as ``uint64`` arrays for the compiled
+coherence kernel and the vectorized miss-curve sweep, and walked one
+Python int at a time by the scalar reference simulators, where any
+object allocation per reference would dominate runtime.
 
 Workloads emit instruction fetches at 32-byte granularity (one fetch
 per half of a 64-byte line) and data references at their natural byte
@@ -14,6 +16,8 @@ lets one generated trace be replayed against any block size >= 32 B.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 #: Reference kinds (2-bit field).
 IFETCH = 0
@@ -36,6 +40,22 @@ def encode_ref(addr: int, kind: int) -> int:
     if addr < 0:
         raise ValueError(f"negative address {addr:#x}")
     return (addr << 2) | kind
+
+
+def encode_refs(addrs, kind: int) -> np.ndarray:
+    """Vectorized :func:`encode_ref`: one ``int64`` array for ``addrs``.
+
+    Raises the :class:`ValueError` that :func:`encode_ref` raises for
+    an invalid kind, or for the first negative address.  Addresses
+    must be below ``2**61``, so the packed values fit ``int64``.
+    """
+    if kind not in _KIND_NAMES:
+        raise ValueError(f"invalid reference kind {kind}")
+    addrs = np.asarray(addrs, dtype=np.int64)
+    negative = addrs[addrs < 0]
+    if negative.size:
+        raise ValueError(f"negative address {int(negative[0]):#x}")
+    return (addrs << 2) | kind
 
 
 def decode_ref(ref: int) -> tuple[int, int]:

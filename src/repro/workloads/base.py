@@ -5,8 +5,11 @@ A workload turns (processor count, simulation config, RNG) into a
 instruction counts and metadata.  The :class:`StreamBuilder` is the
 small emission API the concrete workloads compose — fetch bursts,
 loads/stores, lock round-trips, tree descents, allocation runs —
-keeping every workload's generator readable while the emitted streams
-stay flat lists of ints for the simulators.
+keeping every workload's generator readable.  A builder collects one
+processor's references as Python ints; the finished streams become
+the bundle's ``uint64`` arrays.  Long runs are built with numpy, bit
+for bit: only consecutive RNG draws with the same method and bounds
+become one sized draw.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.core.config import SimConfig
 from repro.errors import WorkloadError
 from repro.jvm.heap import AllocationCursor
 from repro.jvm.objects import ObjectTree
-from repro.memsys.block import LOAD, STORE, encode_ref
+from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref, encode_refs
 from repro.rng import RngFactory
 from repro.workloads.codepath import CodeLayout
 
@@ -161,18 +164,18 @@ class StreamBuilder:
         )
         self.refs.extend(refs)
         self.instructions += n_instr
-        rng = self.rng
         n_loads = int(n_instr * self.LOADS_PER_INSTR)
         n_stores = int(n_instr * self.STORES_PER_INSTR)
-        # Locals cycle within a ~2 KB window of live frames.
+        # Locals cycle within a ~2 KB window of live frames: the loads,
+        # then the stores, each at a random 8-byte slot k.  Address
+        # window + 8k encodes as encode_ref(window) + 32k, and k >= 0,
+        # so the one encode_ref checks every address.
         window = self.stack_base + (self._frame_cursor % 4) * 512
         self._frame_cursor += 1
-        for _ in range(n_loads):
-            offset = int(rng.integers(0, 64)) * 8
-            self.refs.append(encode_ref(window + offset, LOAD))
-        for _ in range(n_stores):
-            offset = int(rng.integers(0, 64)) * 8
-            self.refs.append(encode_ref(window + offset, STORE))
+        slots = self.rng.integers(0, 64, size=n_loads + n_stores)
+        local = encode_ref(window, LOAD) + 32 * slots
+        local[n_loads:] += STORE - LOAD
+        self.refs.extend(local.tolist())
 
     def code_bursts(
         self, layout: CodeLayout, n: int, mean_burst_instr: int = 100
@@ -272,18 +275,16 @@ def code_sweep_refs(layout: CodeLayout) -> list[int]:
     measured rates never charge first-touch misses on code that would
     be warm in any real run.
     """
-    from repro.memsys.block import IFETCH
-
     refs: list[int] = []
     for segment in layout.segments:
-        for offset in range(0, segment.code_bytes, 32):
-            refs.append(encode_ref(segment.base + offset, IFETCH))
+        addrs = segment.base + np.arange(0, segment.code_bytes, 32)
+        refs.extend(encode_refs(addrs, IFETCH).tolist())
     return refs
 
 
 def region_sweep_refs(base: int, nbytes: int, stride: int = 64) -> list[int]:
     """Read every line of a data region once (pre-warm preamble)."""
-    return [encode_ref(base + off, LOAD) for off in range(0, nbytes, stride)]
+    return encode_refs(base + np.arange(0, nbytes, stride), LOAD).tolist()
 
 
 @runtime_checkable
@@ -332,8 +333,6 @@ def os_background_trace(
     """
     if n_refs < 0:
         raise WorkloadError("n_refs must be non-negative")
-    from repro.memsys.block import IFETCH  # local to keep module header lean
-
     refs: list[int] = []
     shared = shared_lines or []
     while len(refs) < n_refs:

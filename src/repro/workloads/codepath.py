@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.appserver.container import CodeRegionSpec
 from repro.errors import ConfigError
-from repro.memsys.block import IFETCH, IFETCH_BYTES, encode_ref
+from repro.memsys.block import IFETCH, IFETCH_BYTES, INSTRUCTIONS_PER_IFETCH, encode_ref
 
 #: Base of the text segment in the simulated address space.
 CODE_REGION_BASE = 0x1000_0000
@@ -143,22 +143,12 @@ class CodeLayout:
             u = float(rng.random()) ** offset_skew
             start = int(u * segment.instructions)
         n_instr = max(16, int(rng.exponential(mean_burst_instr)))
-        # Loop window: 2-8 fetch lines revisited until the burst retires.
-        window_lines = int(rng.integers(2, 9))
-        window_instr = window_lines * (IFETCH_BYTES // 4)
-        refs: list[int] = []
-        start_byte = (start * 4) % segment.code_bytes
-        start_byte -= start_byte % IFETCH_BYTES
-        remaining = n_instr
-        while remaining > 0:
-            span = min(remaining, window_instr)
-            offset = start_byte
-            for _ in range((span + IFETCH_BYTES // 4 - 1) // (IFETCH_BYTES // 4)):
-                refs.append(encode_ref(segment.base + offset, IFETCH))
-                offset += IFETCH_BYTES
-                if offset >= segment.code_bytes:
-                    offset = 0
-            remaining -= span
+        # Loop window: 2-8 fetch lines revisited until the burst retires;
+        # a partial last iteration fetches the lines it reaches.
+        window_instr = int(rng.integers(2, 9)) * INSTRUCTIONS_PER_IFETCH
+        window = segment.fetch_refs(start, window_instr)
+        loops, tail = divmod(n_instr, window_instr)
+        refs = window * loops + window[: -(-tail // INSTRUCTIONS_PER_IFETCH)]
         end_pos = (start + n_instr) % segment.instructions
         return refs, n_instr, (segment, end_pos)
 

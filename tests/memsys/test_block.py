@@ -1,5 +1,6 @@
 """Reference encoding round-trips."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from repro.memsys.block import (
     Ref,
     decode_ref,
     encode_ref,
+    encode_refs,
     is_data_kind,
     is_write_kind,
     kind_name,
@@ -46,3 +48,31 @@ def test_ref_dataclass():
     assert ref.is_write and ref.is_data
     assert Ref.from_encoded(ref.encoded()) == ref
     assert ref.block(6) == 0x1234 >> 6
+
+
+@given(
+    addrs=st.lists(st.integers(min_value=0, max_value=2**40), max_size=50),
+    kind=st.sampled_from([IFETCH, LOAD, STORE]),
+)
+def test_encode_refs_matches_encode_ref(addrs, kind):
+    got = encode_refs(addrs, kind)
+    assert got.tolist() == [encode_ref(a, kind) for a in addrs]
+
+
+def _error(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_encode_refs_raises_what_encode_ref_raises():
+    # The first negative address is the one a per-reference loop hits.
+    want = _error(encode_ref, -0x20, LOAD)
+    assert _error(encode_refs, [0x40, -0x20, -1], LOAD) == want
+    assert _error(encode_refs, np.arange(-2, 2), STORE) == _error(encode_ref, -2, STORE)
+    assert _error(encode_refs, [0x40], 3) == _error(encode_ref, 0x40, 3)
+
+
+def test_encode_refs_empty():
+    assert encode_refs([], IFETCH).size == 0
+    assert encode_refs(np.arange(0), STORE).tolist() == []

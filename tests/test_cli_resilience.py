@@ -204,6 +204,57 @@ def test_missing_kernel_notice_on_stderr_only(
     assert patched.err.count("fell back to the scalar path") == 1
 
 
+#: The stderr notice each counted fallback reason must print.
+FALLBACK_NOTES = {
+    "no-kernel": "the compiled coherence kernel is unavailable (no C compiler?)",
+    "unsupported": "the kernel cannot hold the geometry (over 64 L2 caches, "
+    "or inclusive L2 lines smaller than L1 lines)",
+    "alloc": "the kernel could not allocate its machine state",
+}
+
+
+@pytest.mark.parametrize(
+    "declines",
+    [
+        {"no-kernel": 2},
+        {"unsupported": 1},
+        {"alloc": 3},
+        {"warm": 36},
+        {"no-kernel": 1, "unsupported": 4, "alloc": 1, "warm": 5},
+    ],
+    ids=["no-kernel", "unsupported", "alloc", "warm", "all"],
+)
+def test_fallback_notice_per_reason(
+    cli_env, stub_figures, monkeypatch, capsys, declines
+):
+    """Every reason that ran replays scalar gets one stderr line naming
+    its cause; ``warm`` (fig10's design) stays silent; stdout is
+    untouched."""
+    from repro import obs
+    from repro.memsys.fastpath_coherence import FALLBACK_COUNTER
+
+    argv = ["figures", "fig04", "--quick", "--no-cache"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+
+    def declining_figure(module_name, sim):
+        for reason, n in declines.items():
+            obs.incr(f"{FALLBACK_COUNTER}/{reason}", n)
+        return _stub_result(module_name)
+
+    monkeypatch.setattr(common, "run_figure", declining_figure)
+    assert main(argv) == 0
+    seeded = capsys.readouterr()
+    assert seeded.out == plain.out
+    notes = [line for line in seeded.err.splitlines() if "fell back" in line]
+    assert notes == [
+        f"note: {declines[reason]} coherent replay(s) fell back to the scalar "
+        f"path: {cause}"
+        for reason, cause in FALLBACK_NOTES.items()
+        if reason in declines
+    ]
+
+
 def test_figures_setup_never_loads_the_kernel(cli_env, stub_figures, monkeypatch):
     """Cache keys and campaign signatures carry no kernel bit, so a
     run that replays nothing coherently never builds or loads it."""

@@ -5,7 +5,7 @@ import pytest
 
 from repro.jvm.heap import GenerationalHeap
 from repro.jvm.objects import ObjectTree
-from repro.memsys.block import IFETCH, LOAD, STORE, decode_ref
+from repro.memsys.block import IFETCH, LOAD, STORE, decode_ref, encode_ref
 from repro.workloads.base import (
     StreamBuilder,
     TraceBundle,
@@ -48,6 +48,14 @@ def test_code_burst_emits_fetches_and_locals():
     # Locals land in the active stack window.
     data_addrs = [decode_ref(r)[0] for r in b.refs if decode_ref(r)[1] != IFETCH]
     assert all(0xF000_0000 <= a < 0xF000_0000 + 4096 for a in data_addrs)
+    # The stream stays a flat list of Python ints, whatever built it.
+    assert all(type(r) is int for r in b.refs)
+
+
+def test_code_burst_rejects_negative_stack_addresses():
+    b = StreamBuilder(np.random.default_rng(11), stack_base=-0x1000)
+    with pytest.raises(ValueError, match="negative address"):
+        b.code_burst(CodeLayout(jvm_runtime_regions()))
 
 
 def test_tree_descent_reads_path():
@@ -82,7 +90,11 @@ def test_sweeps():
     expected = sum((s.code_bytes + 31) // 32 for s in layout.segments)
     assert len(code) == expected
     data = region_sweep_refs(0x9000, 512)
-    assert len(data) == 8
+    assert data == [encode_ref(0x9000 + 64 * i, LOAD) for i in range(8)]
+    assert all(type(r) is int for r in code + data)
+    assert region_sweep_refs(0x9000, 0) == []
+    with pytest.raises(ValueError, match="negative address"):
+        region_sweep_refs(-0x40, 512)
 
 
 def test_os_background_trace():
