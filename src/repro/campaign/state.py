@@ -3,10 +3,12 @@
 The scheduler persists through :class:`repro.harness.checkpoint.
 CampaignManifest` (JSONL journal + checksummed result store).  This
 module adds the *read-only* side the ``jmmw campaign status|report``
-subcommands need: parse a journal without opening it for writing.
-That matters because :meth:`CampaignManifest.open_resume` **truncates**
-a journal whose signature mismatches — a status query must never be
-able to destroy state, so it goes through :func:`read_journal` instead.
+subcommands need: rebuild a result from a journal without opening it
+for writing.  That matters because
+:meth:`CampaignManifest.open_resume` **truncates** a journal it cannot
+resume — a status query must never be able to destroy state, so it
+parses with the manifest's own read-only
+:func:`repro.harness.checkpoint.read_journal` instead.
 
 Journals live under ``<cache dir>/campaigns/<study>.jsonl`` (honouring
 ``JMMW_CACHE_DIR``), one per named study, alongside their ``.store``
@@ -15,7 +17,6 @@ result sidecars.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.campaign.scheduler import (
@@ -28,6 +29,7 @@ from repro.campaign.scheduler import (
 )
 from repro.campaign.table import CampaignSpec
 from repro.harness.cache import ResultCache, default_cache_dir
+from repro.harness.checkpoint import read_journal
 
 #: Read-only status for a cell the journal has no final record for.
 STATUS_PENDING = "pending"
@@ -42,39 +44,6 @@ def journal_path(study: str) -> Path:
     return campaign_root() / f"{study}.jsonl"
 
 
-def read_journal(path: str | Path) -> tuple[str | None, dict[str, dict]]:
-    """``(signature, {cell_key: last record})`` from a journal, read-only.
-
-    Mirrors the manifest's own loader: blank lines skipped, a torn
-    final line (writer died mid-append) ends the parse, the last record
-    per key wins.  Returns ``(None, {})`` for a missing or headerless
-    journal.
-    """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError:
-        return None, {}
-    records = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            break
-    if not records or "campaign" not in records[0]:
-        return None, {}
-    signature = records[0]["campaign"]
-    by_key: dict[str, dict] = {}
-    for record in records[1:]:
-        key = record.get("task")
-        if isinstance(key, str):
-            by_key[key] = record
-    return signature, by_key
-
-
 def result_from_journal(
     spec: CampaignSpec, path: str | Path | None = None
 ) -> CampaignResult:
@@ -86,8 +55,9 @@ def result_from_journal(
     mean ± std tables match the live run's exactly.
     """
     path = Path(path) if path is not None else journal_path(spec.name)
-    signature, by_key = read_journal(path)
-    store = ResultCache(path.with_suffix(".store")) if signature else None
+    header, records = read_journal(path)
+    by_key = {r["task"]: r for r in records if isinstance(r.get("task"), str)}
+    store = ResultCache(path.with_suffix(".store")) if header else None
     outcomes = []
     for cell in spec.table.cells():
         record = by_key.get(cell.key)
@@ -129,7 +99,7 @@ def result_from_journal(
                 error=str(record.get("error") or ""), attempts=attempts,
             )
         )
-    desc = "(from journal)" if signature else "(no journal found)"
+    desc = "(from journal)" if header else "(no journal found)"
     return CampaignResult(
         spec=spec, outcomes=tuple(outcomes), executor_desc=desc
     )

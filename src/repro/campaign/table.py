@@ -133,16 +133,12 @@ class CampaignSpec:
 
         Content-keyed (:func:`repro.harness.cache.content_key`), so the
         package code version is folded in automatically, along with the
-        executor-visible switches whose cached result would skip
-        requested work (the scalar-reference fastpath switch and
-        invariant checking).
+        :func:`~repro.harness.cache.run_switches`.
         The executor *kind* and worker count are deliberately excluded:
         results are bit-identical across executors by contract, so a
         campaign interrupted on a fleet may resume on a local pool.
         """
-        from repro.harness.cache import content_key
-        from repro.memsys.fastpath import fastpath_enabled
-        from repro.memsys.invariants import checking_enabled
+        from repro.harness.cache import content_key, run_switches
 
         return content_key(
             kind="campaign",
@@ -150,6 +146,5 @@ class CampaignSpec:
             table=self.table.signature_fields(),
             fn=f"{self.fn.__module__}.{self.fn.__qualname__}",
             fn_kwargs=dict(self.kwargs),
-            fastpath=fastpath_enabled(),
-            checked=checking_enabled(),
+            **run_switches(),
         )

@@ -8,9 +8,9 @@ Subcommands::
                                        reproduce paper figures (default all)
     jmmw characterize WORKLOAD [-p N] [--runs R] [--jobs N] ...
                                        one-call workload characterization
-    jmmw bench [--quick] [--reps N] [--threshold X] [--out-dir D]
-                                       time the pipeline, snapshot, and fail
-                                       on regression vs the prior BENCH_*.json
+    jmmw bench [--obs [P]]             time each fast path against its
+                                       reference (ratio gates; exit 1 when
+                                       results differ, 3 when a ratio misses)
     jmmw diffcheck [IDS...] [--refs N]  differentially validate the simulators
                                        against brute-force reference oracles
     jmmw campaign run STUDY [--executor serial|local|fleet] [--jobs N]
@@ -340,33 +340,18 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the benchmark suite; exit 3 when a stage regressed."""
-    from repro.errors import ConfigError
-    from repro.obs.bench import run_bench
+    """Run the ratio gates; exit 1 when results differ, 3 when a
+    median misses its bound."""
+    from repro.obs import bench
 
     _apply_env_flags(args)
-    try:
-        _path, regressions, report = run_bench(
-            out_dir=args.out_dir,
-            reps=args.reps,
-            quick=args.quick,
-            threshold=args.threshold,
-            stages=args.stage or None,
-            compare=not args.no_compare,
-        )
-    except ConfigError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    print(report)
+    results = bench.run_bench()
+    print(bench.render(results))
     _finish_obs(table=False)
-    if regressions:
-        print(
-            f"bench: {len(regressions)} stage(s) regressed past "
-            f"{args.threshold:.2f}x",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+    for result in results:
+        if result.status.startswith("FAIL"):
+            print(f"bench: gate {result.gate.name!r}: {result.status}", file=sys.stderr)
+    return bench.exit_code(results)
 
 
 def cmd_diffcheck(args: argparse.Namespace) -> int:
@@ -489,23 +474,24 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
     """Cell-level progress, read-only from the journal (never truncates)."""
     from collections import Counter
 
-    from repro.campaign.state import journal_path, read_journal, result_from_journal
+    from repro.campaign.state import journal_path, result_from_journal
+    from repro.harness.checkpoint import read_journal, resumable
 
     spec = _campaign_spec(args)
     path = journal_path(args.study)
-    signature, _ = read_journal(path)
+    header, _ = read_journal(path)
     result = result_from_journal(spec, path)
     counts = Counter(outcome.status for outcome in result.outcomes)
     print(f"campaign {spec.name!r}: {spec.table.shape()}")
     print(f"journal: {path}")
-    if signature is None:
+    if header is None:
         print("signature: (no journal; run `jmmw campaign run` first)")
-    elif signature == spec.signature():
+    elif resumable(header, spec.signature()):
         print("signature: match (resumable)")
     else:
         print(
-            "signature: MISMATCH (different code version, reps or config; "
-            "a run without --resume will start fresh)"
+            "signature: MISMATCH (different code version, reps, config or "
+            "journal format; every run starts fresh, --resume included)"
         )
     print(
         "cells: "
@@ -669,38 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
     character.set_defaults(fn=cmd_characterize)
 
     bench = sub.add_parser(
-        "bench", help="time the pipeline and fail on regression"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="smaller workloads and at most 3 reps (CI smoke mode)",
-    )
-    bench.add_argument(
-        "--reps", type=int, default=5, metavar="N",
-        help="repetitions per stage (default 5; median/IQR reported)",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=1.5, metavar="X",
-        help="fail when a stage's median exceeds X times the previous "
-        "snapshot's (default 1.5)",
-    )
-    bench.add_argument(
-        "--out-dir", default=".", metavar="DIR",
-        help="directory for BENCH_*.json snapshots (default: repo root)",
-    )
-    bench.add_argument(
-        "--stage", action="append", metavar="NAME",
-        help="run only this stage (repeatable)",
-    )
-    bench.add_argument(
-        "--no-compare", action="store_true",
-        help="record a snapshot without comparing to the previous one",
-    )
-    bench.add_argument(
-        "--no-fastpath", action="store_true", help=argparse.SUPPRESS
+        "bench",
+        help="time each fast path against its reference; fail when a "
+        "median speedup misses its bound or the results differ",
     )
     _add_obs_flag(bench)
-    bench.set_defaults(fn=cmd_bench, check_invariants=False)
+    bench.set_defaults(fn=cmd_bench)
 
     diffcheck = sub.add_parser(
         "diffcheck",

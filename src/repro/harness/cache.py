@@ -88,6 +88,21 @@ def content_key(**fields: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def run_switches() -> dict[str, bool]:
+    """The process-wide switches every result key and campaign
+    signature records, as ``content_key`` fields.
+
+    A hit across either would silently skip work the run asked for:
+    the replay path (``fastpath``: a scalar-reference run must not be
+    served a vectorized result) and invariant checking (``checked``: a
+    checked run must not be served an unchecked one).
+    """
+    from repro.memsys.fastpath import fastpath_enabled
+    from repro.memsys.invariants import checking_enabled
+
+    return {"fastpath": fastpath_enabled(), "checked": checking_enabled()}
+
+
 def default_cache_dir() -> Path:
     """Where the CLI keeps its cache unless ``JMMW_CACHE_DIR`` says else."""
     override = os.environ.get("JMMW_CACHE_DIR")

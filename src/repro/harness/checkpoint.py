@@ -42,6 +42,45 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MANIFEST_FORMAT = 1
 
 
+def read_journal(path: str | Path) -> tuple[dict | None, list[dict]]:
+    """``(header, records)`` of a journal; never writes.
+
+    Blank lines are skipped and a torn line (the writer died
+    mid-append) ends the parse: everything before it is intact,
+    everything after is unreachable anyway.  ``header`` is None for a
+    missing journal or one whose first record is not a header; a
+    journal in another :data:`MANIFEST_FORMAT` yields its header and no
+    records, since its lines need not have this layout.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return None, []
+    records = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            break
+    if not records or not isinstance(records[0], dict) or "campaign" not in records[0]:
+        return None, []
+    header = records[0]
+    return header, records[1:] if header.get("format") == MANIFEST_FORMAT else []
+
+
+def resumable(header: dict | None, signature: str) -> bool:
+    """Whether a journal with ``header`` can resume campaign ``signature``:
+    the same signature, written in this code's :data:`MANIFEST_FORMAT`."""
+    return (
+        header is not None
+        and header.get("campaign") == signature
+        and header.get("format") == MANIFEST_FORMAT
+    )
+
+
 class CampaignManifest:
     """Incremental JSONL journal of one campaign's task outcomes.
 
@@ -79,10 +118,11 @@ class CampaignManifest:
     def open_resume(cls, path: str | Path, signature: str) -> "CampaignManifest":
         """Load completed work from ``path`` if its signature matches.
 
-        A missing journal, an unreadable header, or a signature from a
-        different campaign (other inputs, other code version) all fall
-        back to a fresh journal — resuming foreign results would break
-        the bit-identical guarantee.
+        A missing journal, an unreadable header, a signature from a
+        different campaign (other inputs, other code version) or another
+        journal format all fall back to a fresh journal (:func:`resumable`)
+        — resuming foreign results would break the bit-identical
+        guarantee.
         """
         return cls(path, signature, resume=True)
 
@@ -90,30 +130,10 @@ class CampaignManifest:
 
     def _load(self) -> bool:
         """Parse the existing journal; returns True if it is resumable."""
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except OSError:
+        header, records = read_journal(self.path)
+        if not resumable(header, self.signature):
             return False
-        records = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                # Torn tail from a crashed writer: everything before it
-                # is intact, everything after is unreachable anyway.
-                break
-        if not records:
-            return False
-        header = records[0]
-        if (
-            header.get("campaign") != self.signature
-            or header.get("format") != MANIFEST_FORMAT
-        ):
-            return False
-        for record in records[1:]:
+        for record in records:
             key = record.get("task")
             if not isinstance(key, str):
                 continue

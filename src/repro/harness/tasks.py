@@ -29,7 +29,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import SimConfig
-from repro.harness.cache import content_key
+from repro.harness.cache import content_key, run_switches
 from repro.harness.runner import Task
 from repro.rng import RngFactory
 
@@ -40,25 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 def figure_cache_key(module_name: str, sim: SimConfig) -> str:
     """Cache key for one figure at one simulation effort.
 
-    Beyond the figure and its :class:`SimConfig`, the key records two
-    switches whose cache hit would silently skip requested work: the
-    replay path (``fastpath``: a scalar-reference run must not be
-    served a vectorized result) and invariant checking (a checked run
-    must not serve an unchecked result).  Whether the compiled kernel
-    is available, and whether traces arrived through the trace plane,
-    are left out: both are bit-identical by contract, and the parity
-    suites and ``jmmw diffcheck`` hold that contract.
+    Beyond the figure and its :class:`SimConfig`, the key records the
+    :func:`~repro.harness.cache.run_switches`.  Whether the compiled
+    kernel is available, and whether traces arrived through the trace
+    plane, are left out: both are bit-identical by contract, and the
+    parity suites and ``jmmw diffcheck`` hold that contract.
     """
-    from repro.memsys.fastpath import fastpath_enabled
-    from repro.memsys.invariants import checking_enabled
-
-    return content_key(
-        kind="figure",
-        module=module_name,
-        sim=sim,
-        fastpath=fastpath_enabled(),
-        checked=checking_enabled(),
-    )
+    return content_key(kind="figure", module=module_name, sim=sim, **run_switches())
 
 
 def figure_trace_specs(module_name: str, sim: SimConfig) -> "list[TraceSpec]":
@@ -154,66 +142,37 @@ def build_miss_curve_sweep_tasks(
     sizes: Sequence[int],
     kind: str,
     *,
-    shards: int | None = None,
     plane: "TracePlane | None" = None,
     assoc: int = 4,
     block: int = 64,
     warmup_fraction: float = 0.5,
-    cacheable: bool = False,
 ) -> list[Task]:
     """A generate-once/replay-many miss-curve sweep over one trace.
 
-    The sweep's sizes are split into ``shards`` contiguous chunks
-    (default: one task per size), each an independent harness task;
-    concatenating the shard results in task order reproduces the
-    single-call :func:`repro.memsys.multisim.simulate_miss_curve`
-    points exactly, because each size's simulation is independent and
-    the warmup split depends only on the trace.
+    One independent harness task per cache size; concatenating their
+    results in task order reproduces the single-call
+    :func:`repro.memsys.multisim.simulate_miss_curve` points exactly,
+    because each size's simulation is independent and the warmup split
+    depends only on the trace.
     """
-    sizes = list(sizes)
-    shards = len(sizes) if shards is None else max(1, min(shards, len(sizes)))
-    chunks: list[list[int]] = [[] for _ in range(shards)]
-    base, extra = divmod(len(sizes), shards)
-    start = 0
-    for index in range(shards):
-        stop = start + base + (1 if index < extra else 0)
-        chunks[index] = sizes[start:stop]
-        start = stop
     kwargs: dict = {}
     plane_keys: tuple = ()
     if plane is not None:
         refs = plane.refs_for([spec])
         kwargs["plane_refs"] = refs
         plane_keys = tuple(refs)
-    tasks = []
-    for index, chunk in enumerate(chunks):
-        cache_key = None
-        if cacheable:
-            cache_key = content_key(
-                kind="miss-curve-shard",
-                spec=spec.key(),
-                sizes=chunk,
-                curve=kind,
-                assoc=assoc,
-                block=block,
-                warmup_fraction=warmup_fraction,
-            )
-        tasks.append(
-            Task(
-                key=f"sweep/{kind}/shard{index}",
-                fn=miss_curve_shard,
-                args=(spec, chunk, kind),
-                kwargs=dict(
-                    assoc=assoc,
-                    block=block,
-                    warmup_fraction=warmup_fraction,
-                    **kwargs,
-                ),
-                cache_key=cache_key,
-                plane_keys=plane_keys,
-            )
+    return [
+        Task(
+            key=f"sweep/{kind}/shard{index}",
+            fn=miss_curve_shard,
+            args=(spec, [size], kind),
+            kwargs=dict(
+                assoc=assoc, block=block, warmup_fraction=warmup_fraction, **kwargs
+            ),
+            plane_keys=plane_keys,
         )
-    return tasks
+        for index, size in enumerate(sizes)
+    ]
 
 
 def characterize_replica(
@@ -251,9 +210,8 @@ def characterize_run_fn(workload: str, n_procs: int, sim: SimConfig):
 def characterize_cache_key(
     workload: str, n_procs: int, sim: SimConfig, seed: int, run_index: int
 ) -> str:
-    """Cache key for one characterization replica."""
-    from repro.memsys.invariants import checking_enabled
-
+    """Cache key for one characterization replica (with the
+    :func:`~repro.harness.cache.run_switches`)."""
     return content_key(
         kind="characterize-replica",
         workload=workload,
@@ -261,7 +219,7 @@ def characterize_cache_key(
         sim=sim,
         seed=seed,
         run_index=run_index,
-        checked=checking_enabled(),
+        **run_switches(),
     )
 
 
@@ -275,15 +233,8 @@ def characterize_cache_key(
 
 def figures_campaign_signature(module_names: list[str], sim: SimConfig) -> str:
     """Signature of one ``jmmw figures`` campaign."""
-    from repro.memsys.fastpath import fastpath_enabled
-    from repro.memsys.invariants import checking_enabled
-
     return content_key(
-        kind="figures-campaign",
-        modules=tuple(module_names),
-        sim=sim,
-        fastpath=fastpath_enabled(),
-        checked=checking_enabled(),
+        kind="figures-campaign", modules=tuple(module_names), sim=sim, **run_switches()
     )
 
 
@@ -291,15 +242,11 @@ def characterize_campaign_signature(
     workload: str, n_procs: int, sim: SimConfig, n_runs: int
 ) -> str:
     """Signature of one ``jmmw characterize --runs N`` campaign."""
-    from repro.memsys.fastpath import fastpath_enabled
-    from repro.memsys.invariants import checking_enabled
-
     return content_key(
         kind="characterize-campaign",
         workload=workload,
         n_procs=n_procs,
         sim=sim,
         n_runs=n_runs,
-        fastpath=fastpath_enabled(),
-        checked=checking_enabled(),
+        **run_switches(),
     )

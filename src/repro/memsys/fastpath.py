@@ -33,9 +33,9 @@ Two kernels:
 
 Both kernels are O(n log n) in numpy primitives.  The Figure 12/13
 sweep built on ``lru_miss_mask`` is
-:class:`repro.memsys.stream.MissCurveAccumulator`;
-``benchmarks/test_fastpath_speedup.py`` gates it at >= 3x over the
-scalar path on a Figure-12-sized trace.
+:class:`repro.memsys.stream.MissCurveAccumulator`; the ``miss-curve``
+gate of ``jmmw bench`` (:mod:`repro.obs.bench`) holds it at >= 3x over
+the scalar path on a Figure-12-sized trace.
 """
 
 from __future__ import annotations
@@ -54,19 +54,9 @@ from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH
 #: implementation.  The harness cache key records the resolved value.
 FASTPATH_ENV = "JMMW_FASTPATH"
 
-_forced: bool | None = None
-
-
-def set_fastpath(enabled: bool | None) -> None:
-    """Process-wide override (CLI ``--no-fastpath``); ``None`` clears it."""
-    global _forced
-    _forced = enabled
-
 
 def fastpath_enabled() -> bool:
     """Whether default-path consumers use the vectorized kernels."""
-    if _forced is not None:
-        return _forced
     return os.environ.get(FASTPATH_ENV, "1").lower() not in ("0", "false", "no")
 
 

@@ -12,11 +12,9 @@ are small" claim, complementing the exact set-associative sweeps in
 Implementation: a vectorized offline pass (see
 :func:`repro.memsys.fastpath.stack_distances`) with the classic
 O(n log n) Fenwick-tree formulation retained as the scalar reference
-(``histogram(fastpath=False)``); both produce identical histograms.
-For chunked block streams, :class:`repro.memsys.stream.StackAccumulator`
-folds each chunk into the histogram as it arrives, carrying only the
-LRU stack between chunks (O(footprint) memory instead of
-O(references)), with a bit-identical merged histogram.
+(``histogram(fastpath=False)``); both produce identical histograms,
+and ``jmmw diffcheck`` recounts both with a move-to-front oracle
+(:func:`repro.obs.diffcheck.diff_stackdist`).
 """
 
 from __future__ import annotations

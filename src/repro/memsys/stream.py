@@ -24,16 +24,12 @@ replay can start before generation finishes:
   which reproduces every per-access miss flag exactly (Mattson
   inclusion: a block's hit/miss depends only on the distinct same-set
   blocks since its previous access, and the carried prefix preserves
-  both membership and recency order);
-- :class:`StackAccumulator` — the mergeable stack-distance
-  formulation: the carried state is the full LRU stack (distinct
-  blocks in last-access order, O(footprint) not O(refs)), and
-  per-chunk histograms merge by addition into the exact one-shot
-  histogram.
+  both membership and recency order).
 
 Results do not depend on where chunk boundaries fall — enforced by
 ``tests/memsys/test_stream_parity.py`` and by the multi-chunk replays
-in every row of :data:`repro.obs.diffcheck.FIGURE_DIFF_CONFIGS`.
+in the hierarchy and miss-curve rows of
+:data:`repro.obs.diffcheck.FIGURE_DIFF_CONFIGS`.
 """
 
 from __future__ import annotations
@@ -50,7 +46,6 @@ from repro.memsys.fastpath import (
     _previous_occurrence,
     fastpath_enabled,
     lru_miss_mask,
-    stack_distances,
 )
 from repro.memsys.multisim import MissCurvePoint, MultiConfigSimulator
 
@@ -58,8 +53,8 @@ from repro.memsys.multisim import MissCurvePoint, MultiConfigSimulator
 DEFAULT_CHUNK_REFS = 1_000_000
 
 
-#: Seeded-defect knob (tests only): when set, the streaming
-#: accumulators discard their carried state at every chunk boundary.
+#: Seeded-defect knob (tests only): when set, the miss-curve
+#: accumulator discards its carried state at every chunk boundary.
 #: The parity suite flips this to prove it fails loudly on exactly the
 #: class of bug the carried-state contract exists to prevent.
 _drop_carried_state = False
@@ -475,54 +470,6 @@ def simulate_miss_curve_stream(
                 "references fed"
             )
         return sim.results()
-
-
-# -- mergeable stack distances -----------------------------------------------
-
-
-class StackAccumulator:
-    """Mergeable LRU stack-distance histogram over chunked block streams.
-
-    The carried state is the full LRU stack — every distinct block seen
-    so far, ordered by last access (oldest first).  Prepending it to
-    the next chunk makes every in-chunk distance exact: the distinct
-    blocks between an access and its previous occurrence are precisely
-    the blocks whose last occurrence falls in that window, and the
-    stack preserves last-occurrence order.  Memory is O(footprint),
-    independent of trace length, and per-chunk histograms merge by
-    addition into exactly the one-shot histogram.
-    """
-
-    #: Histogram bucket for cold (first-touch) accesses.
-    COLD = -1
-
-    def __init__(self) -> None:
-        self._stack = np.empty(0, dtype=np.int64)
-        self._hist: dict[int, int] = {}
-        self.n_accesses = 0
-
-    def feed(self, blocks) -> None:
-        arr = np.asarray(blocks, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ConfigError(f"blocks must be one-dimensional, got {arr.shape}")
-        if arr.size == 0:
-            return
-        self.n_accesses += int(arr.size)
-        prefix = self._stack
-        if _drop_carried_state:
-            prefix = prefix[:0]
-        seq = np.concatenate([prefix, arr]) if prefix.size else arr
-        dist = stack_distances(seq)[prefix.size :]
-        values, counts = np.unique(dist, return_counts=True)
-        for value, count in zip(values.tolist(), counts.tolist()):
-            self._hist[value] = self._hist.get(value, 0) + count
-        rev = seq[::-1]
-        _, first = np.unique(rev, return_index=True)
-        self._stack = rev[np.sort(first)][::-1]  # oldest -> newest
-
-    def histogram(self) -> dict[int, int]:
-        """``{distance: count}``; COLD (-1) counts first touches."""
-        return dict(self._hist)
 
 
 # -- hierarchy replay --------------------------------------------------------

@@ -6,9 +6,10 @@
   always on;
 - :mod:`repro.obs.spans` — nestable timed spans over the pipeline
   (trace-gen -> replay -> analysis -> figure render); opt-in;
-- :mod:`repro.obs.bench` — the ``jmmw bench`` suite: times
-  representative stages over N repetitions, writes ``BENCH_*.json``
-  snapshots, and fails on regression against the previous snapshot;
+- :mod:`repro.obs.bench` — the ``jmmw bench`` ratio gates: each fast
+  path timed against its reference in alternating rounds of one
+  process, with equal results required and the median speedup held
+  to a bound;
 - :mod:`repro.obs.diffcheck` — differential validation: replays the
   same seeded traces through independent brute-force oracles
   (per-set LRU, naive MOSI machine, stack-distance recount) and

@@ -22,8 +22,7 @@ counter vectors**, not just miss totals:
   and as a multi-chunk stream;
 - :func:`oracle_stack_histogram` — an O(n·m) move-to-front stack
   distance recount diffed against
-  :class:`repro.memsys.stackdist.StackDistanceProfiler` (both paths)
-  and the chunk-merged :class:`repro.memsys.stream.StackAccumulator`;
+  :class:`repro.memsys.stackdist.StackDistanceProfiler` (both paths);
 - the miss-curve sweep (both replay paths, one chunk and several)
   recounted point-for-point with :class:`OracleLRUCache`
   (:func:`diff_miss_curve`);
@@ -57,11 +56,7 @@ from repro.errors import ConfigError
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH, LOAD, STORE
 from repro.memsys.config import CacheConfig, MachineConfig, e6000_machine
 from repro.memsys.hierarchy import MemoryHierarchy
-from repro.memsys.stream import (
-    StackAccumulator,
-    TraceStream,
-    simulate_miss_curve_stream,
-)
+from repro.memsys.stream import TraceStream, simulate_miss_curve_stream
 
 _KIND_NAMES = {IFETCH: "ifetch", LOAD: "load", STORE: "store"}
 
@@ -292,19 +287,13 @@ def oracle_stack_histogram(blocks) -> dict[int, int]:
 
 
 def diff_stackdist(blocks, name: str = "stackdist") -> DiffReport:
-    """Diff every stack-distance histogram against the recount.
-
-    The one-shot :class:`repro.memsys.stackdist.StackDistanceProfiler`
-    histogram on both paths (vectorized and scalar Fenwick), and the
-    chunk-merged :class:`repro.memsys.stream.StackAccumulator` histogram
-    over several chunks, so carried-stack merging across boundaries is
-    exercised too.
-    """
+    """Diff the :class:`repro.memsys.stackdist.StackDistanceProfiler`
+    histogram on both paths (vectorized and scalar Fenwick) against the
+    recount."""
     from repro.memsys.stackdist import StackDistanceProfiler
 
     blocks_list = blocks.tolist() if isinstance(blocks, np.ndarray) else list(blocks)
     oracle = oracle_stack_histogram(blocks_list)
-    chunk = max(1, len(blocks_list) // 7)
     histograms = {}
     for fastpath in (True, False):
         profiler = StackDistanceProfiler()
@@ -312,10 +301,6 @@ def diff_stackdist(blocks, name: str = "stackdist") -> DiffReport:
         histograms["fastpath" if fastpath else "scalar"] = profiler.histogram(
             fastpath=fastpath
         )
-    merged = StackAccumulator()
-    for start in range(0, len(blocks_list), chunk):
-        merged.feed(blocks_list[start : start + chunk])
-    histograms[f"chunk-merged (chunk={chunk})"] = merged.histogram()
     for label, hist in histograms.items():
         if hist != oracle:
             diffs = sorted(

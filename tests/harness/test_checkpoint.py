@@ -97,6 +97,14 @@ def test_missing_journal_starts_fresh(tmp_path):
         assert not manifest.resumed
 
 
+@pytest.mark.parametrize("first_line", ["5", "[]", '{"task": "t1"}'])
+def test_journal_without_a_header_object_starts_fresh(tmp_path, first_line):
+    path = tmp_path / "c.jsonl"
+    path.write_text(first_line + "\n")
+    with CampaignManifest.open_resume(path, SIG) as manifest:
+        assert not manifest.resumed
+
+
 # -- runner integration ------------------------------------------------------
 
 

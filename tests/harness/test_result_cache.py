@@ -9,7 +9,12 @@ from repro.core.config import SimConfig
 from repro.harness import ResultCache, code_version, content_key, default_cache_dir
 from repro.harness.cache import QUARANTINE_DIR
 from repro.harness.chaos import CORRUPTION_MODES, corrupt_cache_entry
-from repro.harness.tasks import figure_cache_key
+from repro.harness.tasks import (
+    characterize_cache_key,
+    characterize_campaign_signature,
+    figure_cache_key,
+    figures_campaign_signature,
+)
 
 
 def test_content_key_is_stable_and_order_insensitive():
@@ -37,6 +42,43 @@ def test_figure_cache_key_varies_by_module_and_sim():
     assert figure_cache_key("fig04_scaling", sim) != figure_cache_key(
         "fig04_scaling", sim.with_refs(999)
     )
+
+
+def _campaign_signature():
+    from repro.campaign import CampaignSpec
+    from repro.campaign.studies import smoke_cell
+    from repro.campaign.table import Axis, RunTable
+
+    table = RunTable(name="s", axes=(Axis("a", (1, 2)),), reps=1)
+    return CampaignSpec(name="s", table=table, fn=smoke_cell).signature()
+
+
+#: Every result key and campaign signature, at one fixed input.
+KEYS = {
+    "figure": lambda: figure_cache_key("fig04_scaling", SimConfig()),
+    "characterize-replica": lambda: characterize_cache_key(
+        "specjbb", 2, SimConfig(), 1234, 0
+    ),
+    "figures-campaign": lambda: figures_campaign_signature(
+        ["fig04_scaling"], SimConfig()
+    ),
+    "characterize-campaign": lambda: characterize_campaign_signature(
+        "specjbb", 2, SimConfig(), 2
+    ),
+    "campaign": _campaign_signature,
+}
+
+
+@pytest.mark.parametrize("switch", ["JMMW_FASTPATH", "JMMW_CHECK"])
+@pytest.mark.parametrize("key", KEYS.values(), ids=KEYS.keys())
+def test_every_key_records_both_run_switches(key, switch, monkeypatch):
+    """A scalar-reference or checked run is never served a result
+    computed with the switch the other way."""
+    monkeypatch.setenv("JMMW_FASTPATH", "1")
+    monkeypatch.setenv("JMMW_CHECK", "0")
+    before = key()
+    monkeypatch.setenv(switch, "0" if switch == "JMMW_FASTPATH" else "1")
+    assert key() != before
 
 
 def test_code_version_is_memoized_hex():

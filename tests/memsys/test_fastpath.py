@@ -175,7 +175,6 @@ def test_profiler_routes_both_paths_identically():
 
 
 def test_env_toggle(monkeypatch):
-    fastpath.set_fastpath(None)
     monkeypatch.delenv(fastpath.FASTPATH_ENV, raising=False)
     assert fastpath.fastpath_enabled()  # default on
     for off in ("0", "false", "no", "FALSE"):
@@ -184,15 +183,3 @@ def test_env_toggle(monkeypatch):
     monkeypatch.setenv(fastpath.FASTPATH_ENV, "1")
     assert fastpath.fastpath_enabled()
 
-
-def test_set_fastpath_overrides_env(monkeypatch):
-    monkeypatch.setenv(fastpath.FASTPATH_ENV, "0")
-    try:
-        fastpath.set_fastpath(True)
-        assert fastpath.fastpath_enabled()
-        fastpath.set_fastpath(False)
-        assert not fastpath.fastpath_enabled()
-        fastpath.set_fastpath(None)
-        assert not fastpath.fastpath_enabled()  # env takes over again
-    finally:
-        fastpath.set_fastpath(None)

@@ -315,7 +315,6 @@ def test_fastpath_false_never_calls_kernel(monkeypatch):
 
 def test_env_escape_hatch_disables_kernel(monkeypatch):
     refuse_kernel(monkeypatch, "JMMW_FASTPATH=0")
-    monkeypatch.setattr(fastpath, "_forced", None)
     monkeypatch.setenv(fastpath.FASTPATH_ENV, "0")
     h = MemoryHierarchy(small_machine(2))
     h.run_trace(one_block_traces(2))

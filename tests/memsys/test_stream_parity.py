@@ -27,12 +27,11 @@ from repro.memsys import stream as stream_mod
 from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref
 from repro.memsys.cache import SetAssociativeCache
 from repro.memsys.config import CacheConfig, e6000_machine
-from repro.memsys.fastpath import lru_miss_mask, stack_distance_histogram
+from repro.memsys.fastpath import lru_miss_mask
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.multisim import simulate_miss_curve
 from repro.memsys.stream import (
     MissCurveAccumulator,
-    StackAccumulator,
     TraceStream,
     lru_carried_state,
     set_carried_state_defect,
@@ -182,23 +181,6 @@ def test_carried_state_reproduces_scalar_cache_contents(blocks, split):
     assert flags.tolist() == whole.tolist()
 
 
-# -- stack distances ---------------------------------------------------------
-
-
-@settings(max_examples=25, deadline=None)
-@given(blocks=st.lists(st.integers(min_value=0, max_value=127), min_size=0,
-                       max_size=300))
-def test_stack_accumulator_merges_exactly(blocks):
-    arr = np.asarray(blocks, dtype=np.int64)
-    want = stack_distance_histogram(blocks)
-    for chunk in _chunk_sizes(max(1, arr.size)):
-        acc = StackAccumulator()
-        for part in _chunks(arr, chunk):
-            acc.feed(part)
-        assert acc.histogram() == want, chunk
-        assert acc.n_accesses == arr.size
-
-
 # -- full-hierarchy replay ---------------------------------------------------
 
 
@@ -283,20 +265,6 @@ def test_dropped_carried_state_breaks_miss_curve_parity():
                 fastpath=True,
             )
         )
-    finally:
-        set_carried_state_defect(False)
-    assert got != want, "defect injection must break parity"
-
-
-def test_dropped_carried_state_breaks_stackdist_parity():
-    blocks = np.asarray([1, 2, 3, 4] * 25, dtype=np.int64)
-    want = stack_distance_histogram(blocks.tolist())
-    set_carried_state_defect(True)
-    try:
-        acc = StackAccumulator()
-        for part in _chunks(blocks, 7):
-            acc.feed(part)
-        got = acc.histogram()
     finally:
         set_carried_state_defect(False)
     assert got != want, "defect injection must break parity"

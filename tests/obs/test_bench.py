@@ -1,181 +1,216 @@
-"""Bench suite: timing math, snapshots, regression gate, CLI exit codes."""
+"""``jmmw bench``: the ratio-gate runner, its exit codes, and the real
+gates' parity checks at tiny trace sizes."""
 
-import json
+import re
+import time
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
-from repro.errors import ConfigError
 from repro.obs import bench
 
-#: Cheapest suite stage (pure kernel; setup is one tiny trace-gen).
-KERNEL_STAGE = "fastpath/lru_miss_mask"
-#: Cheapest stage whose runtime clears the comparison noise floor.
-SLOW_STAGE = "scalar/miss_curve"
+#: References per CPU for the real gates' one-round parity runs.
+TINY = 3_000
 
 
-def test_stage_result_median_and_iqr():
-    r = bench.StageResult(name="s", reps=[3.0, 1.0, 2.0, 4.0])
-    assert r.median_s == 2.5
-    assert r.iqr_s == pytest.approx(1.5)
-    assert bench.StageResult(name="s", reps=[5.0]).iqr_s == 0.0
+def _gate(name: str) -> bench.Gate:
+    return next(gate for gate in bench.GATES if gate.name == name)
 
 
-def test_regression_ratio_and_text():
-    r = bench.Regression(stage="s", baseline_s=0.1, current_s=0.3, threshold=1.5)
-    assert r.ratio == pytest.approx(3.0)
-    assert "3.00x > 1.50x" in str(r)
+def _synthetic(name, fast_s=0.0, reference_s=0.0, fast_value=1, calls=None):
+    """A gate whose sides sleep; ``calls`` records which side ran."""
+
+    def setup(sim, workdir):
+        def side(label, seconds, value):
+            def run():
+                if calls is not None:
+                    calls.append(label)
+                time.sleep(seconds)
+                return value
+
+            return run
+
+        return side("fast", fast_s, fast_value), side("reference", reference_s, 1)
+
+    return bench.Gate(name, setup, bound=2.0, refs=1)
 
 
-def test_run_suite_validates_inputs():
-    with pytest.raises(ConfigError, match="reps"):
-        bench.run_suite(reps=0)
-    with pytest.raises(ConfigError, match="unknown stages"):
-        bench.run_suite(reps=1, stages=["no/such/stage"])
+def _row(out: str, name: str) -> str:
+    return next(line for line in out.splitlines() if line.split()[:1] == [name])
 
 
-def test_run_suite_quick_caps_reps():
-    results = bench.run_suite(reps=5, quick=True, stages=[KERNEL_STAGE])
-    assert [r.name for r in results] == [KERNEL_STAGE]
-    assert len(results[0].reps) == 3  # quick caps reps at 3
-    assert all(t >= 0.0 for t in results[0].reps)
+def test_run_bench_end_to_end(tmp_path, monkeypatch):
+    """Rounds alternate which side runs first; the gate's work directory
+    is removed and nothing is written to the current directory."""
+    monkeypatch.chdir(tmp_path)
+    calls, workdirs = [], []
+    toy = _synthetic("toy", reference_s=0.005, calls=calls)
+
+    def setup(sim, workdir):
+        workdirs.append(workdir)
+        (workdir / "cache").mkdir()
+        return toy.setup(sim, workdir)
+
+    results = bench.run_bench((replace(toy, setup=setup),))
+    assert calls == ["reference", "fast", "fast", "reference"] * 2 + [
+        "reference", "fast"
+    ]
+    assert [r.status for r in results] == ["ok"]
+    assert len(results[0].ratios) == bench.ROUNDS
+    assert not workdirs[0].exists()
+    assert list(tmp_path.iterdir()) == []
+    assert ">= 2x" in _row(bench.render(results), "toy")
+    assert bench.exit_code(results) == 0
 
 
-def _payload(stages: dict, quick: bool = True) -> dict:
-    return {
-        "schema": bench.SCHEMA_VERSION,
-        "quick": quick,
-        "reps": 1,
-        "stages": {
-            name: {"median_s": median, "iqr_s": 0.0, "reps_s": [median]}
-            for name, median in stages.items()
-        },
-    }
-
-
-def test_compare_snapshots_flags_regression():
-    baseline = _payload({"a": 0.010, "b": 0.010})
-    current = _payload({"a": 0.020, "b": 0.011})
-    regressions = bench.compare_snapshots(current, baseline, threshold=1.5)
-    assert [r.stage for r in regressions] == ["a"]
-    assert regressions[0].ratio == pytest.approx(2.0)
-
-
-def test_compare_snapshots_threshold_validation():
-    with pytest.raises(ConfigError, match="threshold"):
-        bench.compare_snapshots(_payload({}), _payload({}), threshold=1.0)
-
-
-def test_compare_snapshots_never_crosses_quick_and_full():
-    slow = _payload({"a": 0.010}, quick=False)
-    fast = _payload({"a": 1.000}, quick=True)
-    assert bench.compare_snapshots(fast, slow) == []
-
-
-def test_compare_snapshots_noise_floor_and_missing_stage():
-    baseline = _payload({"tiny": 0.0002, "gone": 0.010})
-    current = _payload({"tiny": 0.0009, "new": 5.0})
-    # 4.5x "regression" below MIN_COMPARABLE_S is timer noise; "new"
-    # has no baseline; "gone" no longer runs.
-    assert bench.compare_snapshots(current, baseline) == []
-
-
-def test_write_snapshot_never_overwrites(tmp_path):
-    payload = _payload({"a": 0.01})
-    first = bench.write_snapshot(payload, tmp_path)
-    second = bench.write_snapshot(payload, tmp_path)
-    assert first != second
-    assert first.name.startswith(bench.SNAPSHOT_PREFIX)
-    assert json.loads(first.read_text())["stages"]["a"]["median_s"] == 0.01
-    assert bench.previous_snapshot(tmp_path) == second
-
-
-def test_previous_snapshot_empty_dir(tmp_path):
-    assert bench.previous_snapshot(tmp_path) is None
-
-
-def test_run_bench_end_to_end(tmp_path):
-    path, regressions, report = bench.run_bench(
-        out_dir=tmp_path, reps=1, quick=True, stages=[KERNEL_STAGE]
-    )
-    assert path.exists()
-    assert regressions == []
-    assert KERNEL_STAGE in report
-    assert "snapshot:" in report
-
-
-def test_run_bench_detects_regression_against_doctored_baseline(tmp_path):
-    # A baseline claiming the stage once ran just above the noise floor
-    # (sorts after any real timestamp, so it is the comparison target).
-    doctored = tmp_path / f"{bench.SNAPSHOT_PREFIX}zz-doctored.json"
-    doctored.write_text(json.dumps(_payload({SLOW_STAGE: 0.0011})))
-    path, regressions, report = bench.run_bench(
-        out_dir=tmp_path, reps=1, quick=True, stages=[SLOW_STAGE],
-        threshold=1.5,
-    )
-    assert [r.stage for r in regressions] == [SLOW_STAGE]
-    assert "REGRESSION" in report
-    assert str(doctored) in report
-
-
-def test_run_bench_tolerates_corrupt_baseline(tmp_path):
-    (tmp_path / f"{bench.SNAPSHOT_PREFIX}zz-corrupt.json").write_text("{oops")
-    _, regressions, _ = bench.run_bench(
-        out_dir=tmp_path, reps=1, quick=True, stages=[KERNEL_STAGE]
-    )
-    assert regressions == []
-
-
-def test_run_bench_no_compare_skips_baseline(tmp_path):
-    doctored = tmp_path / f"{bench.SNAPSHOT_PREFIX}zz-doctored.json"
-    doctored.write_text(json.dumps(_payload({SLOW_STAGE: 0.0011})))
-    _, regressions, report = bench.run_bench(
-        out_dir=tmp_path, reps=1, quick=True, stages=[SLOW_STAGE],
-        compare=False,
-    )
-    assert regressions == []
-    assert str(doctored) not in report
-
-
-# -- CLI ---------------------------------------------------------------------
-
-
-def test_cli_bench_writes_snapshot(tmp_path, capsys):
-    rc = main(
-        ["bench", "--quick", "--reps", "1", "--out-dir", str(tmp_path),
-         "--stage", KERNEL_STAGE]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert KERNEL_STAGE in out
-    assert list(tmp_path.glob(f"{bench.SNAPSHOT_PREFIX}*.json"))
-
-
-def test_cli_bench_obs_flag_records_spans(tmp_path, capsys):
-    rc = main(
-        ["bench", "--quick", "--reps", "1", "--stage", "fastpath/lru_miss_mask",
-         "--no-compare", "--out-dir", str(tmp_path), "--obs"]
-    )
-    assert rc == 0
-    assert "bench/run/fastpath/lru_miss_mask" in capsys.readouterr().err
-
-
-def test_cli_bench_exits_3_on_regression(tmp_path, capsys):
-    doctored = tmp_path / f"{bench.SNAPSHOT_PREFIX}zz-doctored.json"
-    doctored.write_text(
-        json.dumps(_payload({SLOW_STAGE: 0.0011}))
-    )
-    rc = main(
-        ["bench", "--quick", "--reps", "1", "--out-dir", str(tmp_path),
-         "--stage", SLOW_STAGE]
-    )
-    assert rc == 3
+def test_cli_bench_exits_3_on_regression(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "GATES", (
+        _synthetic("brisk", reference_s=0.01),
+        _synthetic("sluggish", fast_s=0.01),
+    ))
+    assert main(["bench"]) == 3
     captured = capsys.readouterr()
-    assert "REGRESSION" in captured.out
-    assert "regress" in captured.err.lower()
+    assert _row(captured.out, "brisk").rstrip().endswith("ok")
+    assert _row(captured.out, "sluggish").rstrip().endswith("FAIL")
+    assert "gate 'sluggish': FAIL" in captured.err
+    assert "brisk" not in captured.err
 
 
-def test_cli_bench_unknown_stage(tmp_path, capsys):
-    rc = main(["bench", "--out-dir", str(tmp_path), "--stage", "bogus"])
-    assert rc == 2
-    assert "unknown stages" in capsys.readouterr().err
+def test_cli_bench_exits_1_when_results_differ(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "GATES", (
+        _synthetic("sluggish", fast_s=0.01),
+        _synthetic("wrong", reference_s=0.01, fast_value=2),
+    ))
+    assert main(["bench"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL: results differ in round 0" in _row(captured.out, "wrong")
+    assert "gate 'wrong': FAIL: results differ in round 0" in captured.err
+
+
+def test_cli_bench_writes_no_snapshot(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench, "GATES", (_synthetic("brisk", reference_s=0.01),))
+    assert main(["bench"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_bench_obs_flag_records_spans(monkeypatch, capsys):
+    monkeypatch.setattr(bench, "GATES", (_synthetic("brisk", reference_s=0.01),))
+    assert main(["bench", "--obs"]) == 0
+    err = capsys.readouterr().err
+    for span in ("bench/brisk/setup", "bench/brisk/fast", "bench/brisk/reference"):
+        assert span in err
+
+
+def test_cli_bench_help_lists_only_obs(capsys):
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--obs"}
+
+
+# -- the real gates -----------------------------------------------------------
+
+
+def _flip_last_miss_flag(monkeypatch):
+    """The vectorized sweep misjudges one access per geometry."""
+    from repro.memsys import stream
+
+    lru_miss_mask = stream.lru_miss_mask
+
+    def flipped(*args, **kwargs):
+        mask = lru_miss_mask(*args, **kwargs).copy()
+        mask[-1] = not mask[-1]
+        return mask
+
+    monkeypatch.setattr(stream, "lru_miss_mask", flipped)
+
+
+def _export_one_miss_too_many(monkeypatch):
+    """The kernel hands back one L2 miss more than it counted."""
+    from repro.memsys import fastpath_coherence
+
+    export = fastpath_coherence._export_stats
+
+    def wrong(lib, m, hierarchy):
+        export(lib, m, hierarchy)
+        hierarchy.proc_stats[0].l2_misses += 1
+
+    monkeypatch.setattr(fastpath_coherence, "_export_stats", wrong)
+
+
+def _publish_another_seed(monkeypatch):
+    """The plane shares a trace generated from the wrong seed."""
+    from repro.harness.traceplane import TracePlane
+
+    publish = TracePlane.publish
+
+    def wrong(self, spec, bundle=None):
+        other = replace(spec, sim=replace(spec.sim, seed=spec.sim.seed + 1))
+        return publish(self, spec, other.generate())
+
+    monkeypatch.setattr(TracePlane, "publish", wrong)
+
+
+def _serve_stale_hits(monkeypatch):
+    """The result cache serves a figure other than the one stored."""
+    from repro.harness import ResultCache
+
+    get = ResultCache.get
+
+    def stale(self, key):
+        hit, value = get(self, key)
+        return hit, replace(value, title=value.title + " (stale)") if hit else value
+
+    monkeypatch.setattr(ResultCache, "get", stale)
+
+
+PERTURB = {
+    "miss-curve": _flip_last_miss_flag,
+    "coherent": _export_one_miss_too_many,
+    "plane": _publish_another_seed,
+    "warm-cache": _serve_stale_hits,
+}
+
+
+def test_every_gate_has_a_perturbation():
+    assert sorted(PERTURB) == sorted(gate.name for gate in bench.GATES)
+
+
+@pytest.mark.parametrize("gate", bench.GATES, ids=lambda gate: gate.name)
+def test_real_gate_parity_at_tiny_size(gate, tmp_path):
+    result = bench.run_gate(replace(gate, refs=TINY), tmp_path, rounds=1)
+    assert result.differs is None, result.status
+
+
+@pytest.mark.parametrize("gate", bench.GATES, ids=lambda gate: gate.name)
+def test_real_gate_catches_a_perturbed_fast_side(gate, tmp_path, monkeypatch):
+    reason = gate.declines()
+    if reason is not None:
+        pytest.skip(reason)
+    PERTURB[gate.name](monkeypatch)
+    result = bench.run_gate(replace(gate, refs=TINY), tmp_path, rounds=1)
+    assert result.status == "FAIL: results differ in round 0"
+
+
+@pytest.mark.parametrize("degraded", ["no-kernel", "checked"])
+def test_coherent_gate_skipped_when_the_kernel_cannot_serve(
+    degraded, monkeypatch, capsys
+):
+    """Both degraded modes skip the coherent row, name the reason, and
+    still assert parity; the exit code follows the other gates."""
+    from repro.memsys import fastpath_coherence
+
+    if degraded == "no-kernel":
+        monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
+        reason = "skipped: the coherence kernel is unavailable (no C compiler?)"
+    else:
+        monkeypatch.setenv("JMMW_CHECK", "1")
+        reason = "skipped: JMMW_CHECK=1 attaches an invariant checker"
+    coherent = replace(_gate("coherent"), refs=TINY)
+    brisk = _synthetic("brisk", reference_s=0.01)
+    monkeypatch.setattr(bench, "GATES", (coherent, brisk))
+    assert main(["bench"]) == 0
+    out = capsys.readouterr().out
+    assert reason in _row(out, "coherent")
+    assert _row(out, "brisk").rstrip().endswith("ok")

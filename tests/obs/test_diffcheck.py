@@ -99,7 +99,7 @@ def test_diff_stackdist_agrees_on_random_blocks():
     blocks = rng.integers(0, 48, size=500, dtype=np.uint64).tolist()
     report = diff_stackdist(blocks)
     assert report.ok, report.render()
-    assert report.checks == 3  # fastpath, scalar and chunk-merged all diffed
+    assert report.checks == 2  # fastpath and scalar both diffed
 
 
 # -- miss-curve sweep --------------------------------------------------------

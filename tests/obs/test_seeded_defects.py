@@ -23,7 +23,6 @@ from repro.obs.diffcheck import (
     diff_hierarchy_replay,
     diff_lru,
     diff_miss_curve,
-    diff_stackdist,
 )
 
 SMALL_MACHINE = MachineConfig(
@@ -133,21 +132,16 @@ def test_invariant_checker_catches_sticky_modified(monkeypatch):
 
 
 def test_figure_diffchecks_catch_dropped_carried_state(monkeypatch):
-    """The one-row-per-figure sweep and profile checks replay several
-    chunks too, so a chunk-boundary defect fails them loudly."""
+    """The one-row-per-figure sweep check replays several chunks too,
+    so a chunk-boundary defect fails it loudly."""
     from repro.memsys import stream
 
     # Two blocks ping-ponging in one set: all hits after the cold
     # misses, unless a boundary forgets what the cache held.
     refs = [encode_ref(a * 64, LOAD) for a in [1, 9] * 70]
-    blocks = [1, 2, 3, 4] * 35
     assert diff_miss_curve(refs, [512], kind="data", assoc=2).ok
-    assert diff_stackdist(blocks).ok
 
     monkeypatch.setattr(stream, "_drop_carried_state", True)
     report = diff_miss_curve(refs, [512], kind="data", assoc=2)
     assert not report.ok
     assert "fastpath chunk=" in report.divergence.detail
-    report = diff_stackdist(blocks)
-    assert not report.ok
-    assert "chunk-merged" in report.divergence.detail

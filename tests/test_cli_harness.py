@@ -122,3 +122,19 @@ def test_characterize_injected_failure_degrades_gracefully(
     assert "injected replica failure" in captured.err
     failures = [r for r in _records(trace) if r.get("event") == "task/error"]
     assert failures and "injected replica failure" in failures[0]["error"]
+
+
+def test_characterize_no_fastpath_is_not_served_fast_path_replicas(
+    smoke_env, monkeypatch
+):
+    from repro import obs
+
+    # setenv first so monkeypatch restores the variable afterwards (the
+    # CLI writes --no-fastpath through os.environ for workers).
+    monkeypatch.setenv("JMMW_FASTPATH", "1")
+    argv = ["characterize", "specjbb", "--quick", "-p", "2", "-n", "2"]
+    assert main(argv) == 0
+    assert obs.COUNTERS.get("cache/miss") == 2
+    assert main(argv + ["--no-fastpath"]) == 0
+    assert obs.COUNTERS.get("cache/miss") == 2
+    assert obs.COUNTERS.get("cache/hit") == 0

@@ -415,6 +415,38 @@ def test_campaign_status_without_journal(cli_env, capsys):
     assert "12 pending" in captured.out
 
 
+@pytest.mark.parametrize("journal_format", [1, 2])
+def test_campaign_status_and_resume_agree_on_the_journal(
+    cli_env, capsys, journal_format
+):
+    """`status` calls a journal resumable exactly when `--resume` serves
+    its cells: a foreign journal format is neither."""
+    from repro import obs
+    from repro.campaign.state import journal_path
+
+    argv = ["campaign", "run", "smoke", "--executor", "serial", "--reps", "1"]
+    assert main(argv) == 0
+    path = journal_path("smoke")
+    header, *records = path.read_text().splitlines()
+    header = {**json.loads(header), "format": journal_format}
+    path.write_text("\n".join([json.dumps(header), *records]) + "\n")
+    capsys.readouterr()
+
+    assert main(["campaign", "status", "smoke", "--reps", "1"]) == 0
+    status = capsys.readouterr().out
+    assert main(argv + ["--resume"]) == 0
+    started = obs.COUNTERS.get("campaign/cell-start")
+    skipped = obs.COUNTERS.get("campaign/resume-skip")
+    if journal_format == 1:
+        assert "signature: match (resumable)" in status
+        assert "cells: 6 ok" in status
+        assert (started, skipped) == (0, 6)
+    else:
+        assert "signature: MISMATCH" in status
+        assert "6 pending" in status
+        assert (started, skipped) == (6, 0)
+
+
 def test_check_invariants_flag_passes_clean_run(cli_env, monkeypatch, capsys):
     # setenv first so monkeypatch restores the variable afterwards
     # (the CLI writes it through os.environ for workers to inherit).
