@@ -14,12 +14,27 @@ Two interfaces are exposed:
 - ``probe / touch / set_state / insert / remove`` — the primitive
   operations the MOSI snooping bus composes, where the per-line state
   is a coherence state.
+
+The per-set dicts are built on first use.  A fresh cache builds them
+empty; a cache whose final contents the compiled coherence kernel
+handed over as arrays (:meth:`SetAssociativeCache.load_contents`)
+builds them from those arrays, so a replay whose caches nothing reads
+never pays for one Python dict per set.  The operations index the
+plain instance attribute ``_set_dicts``; until the dicts are built it
+holds an :class:`_Unbuilt` placeholder whose first lookup builds them,
+so once built the operations run exactly as with eager dicts.  Other
+readers use the building property ``_sets``.  (A class-level
+descriptor named like the hot attribute would, on CPython 3.11, keep
+every read of it unspecialized.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from dataclasses import dataclass
+from itertools import islice, repeat
+from typing import Hashable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.memsys.config import CacheConfig
 
@@ -53,6 +68,25 @@ CLEAN = 0
 DIRTY = 1
 
 
+class _Unbuilt(list):
+    """A cache's per-set dicts before they are built.
+
+    Indexing it builds them (:attr:`SetAssociativeCache._sets`), which
+    replaces this placeholder with the plain list, and returns the
+    asked-for set.  Only the operations index ``_set_dicts``; nothing
+    else reads this placeholder.
+    """
+
+    __slots__ = ("_cache",)
+
+    def __init__(self, cache: "SetAssociativeCache") -> None:
+        super().__init__()
+        self._cache = cache
+
+    def __getitem__(self, index):
+        return self._cache._sets[index]
+
+
 class SetAssociativeCache:
     """One physical cache array.
 
@@ -70,7 +104,54 @@ class SetAssociativeCache:
         self._set_mask = config.set_mask
         self._n_sets = config.n_sets
         self._assoc = config.assoc
-        self._sets: list[dict[int, Hashable]] = [{} for _ in range(config.n_sets)]
+        # The per-set dicts (see _sets), or a placeholder until built.
+        self._set_dicts: list[dict[int, Hashable]] = _Unbuilt(self)
+        # Arrays handed over by load_contents, until the dicts are built.
+        self._contents: tuple | None = None
+
+    @property
+    def _sets(self) -> list[dict[int, Hashable]]:
+        """One dict per set, tag -> state, least recently used first.
+
+        Built on first read, from the arrays :meth:`load_contents` handed
+        over (which are then dropped), or empty when there are none.
+        """
+        if type(self._set_dicts) is list:
+            return self._set_dicts
+        sets: list[dict[int, Hashable]] = [{} for _ in range(self._n_sets)]
+        contents, self._contents = self._contents, None
+        if contents is not None:
+            set_counts, blocks, states, state_values = contents
+            if states is None:
+                values: Iterable[Hashable] = repeat(CLEAN)
+            else:
+                values = [state_values[code] for code in states.tolist()]
+            # islice over one (block, state) iterator is cheaper than
+            # slicing two lists per set.
+            pairs = zip(blocks.tolist(), values)
+            for index, count in enumerate(set_counts.tolist()):
+                if count:
+                    sets[index] = dict(islice(pairs, count))
+        self._set_dicts = sets
+        return sets
+
+    def load_contents(
+        self,
+        set_counts: np.ndarray,
+        blocks: np.ndarray,
+        states: np.ndarray | None = None,
+        state_values: Sequence[Hashable] = (),
+    ) -> None:
+        """Replace the contents with arrays, built into dicts on first read.
+
+        ``blocks`` lists the resident blocks set by set in index order,
+        ``set_counts[s]`` of them for set ``s``, least recently used
+        first.  ``states`` gives each line's state as an integer code,
+        stored as ``state_values[code]``; without it every line is
+        ``CLEAN``.  Statistics are left alone.
+        """
+        self._set_dicts = _Unbuilt(self)
+        self._contents = (set_counts, blocks, states, state_values)
 
     # -- access-mode interface (uniprocessor / L1 filtering) ------------
 
@@ -82,7 +163,7 @@ class SetAssociativeCache:
         evict the LRU way when the set is full, counting a writeback if
         the victim was dirty.
         """
-        line_set = self._sets[block & self._set_mask]
+        line_set = self._set_dicts[block & self._set_mask]
         self.stats.accesses += 1
         state = line_set.get(block)
         if state is not None:
@@ -104,17 +185,17 @@ class SetAssociativeCache:
 
     def probe(self, block: int) -> Hashable | None:
         """Return the line's state without touching LRU, or None."""
-        return self._sets[block & self._set_mask].get(block)
+        return self._set_dicts[block & self._set_mask].get(block)
 
     def touch(self, block: int) -> None:
         """Refresh the LRU position of a resident line."""
-        line_set = self._sets[block & self._set_mask]
+        line_set = self._set_dicts[block & self._set_mask]
         state = line_set.pop(block)
         line_set[block] = state
 
     def set_state(self, block: int, state: Hashable) -> None:
         """Change a resident line's state and refresh its LRU position."""
-        line_set = self._sets[block & self._set_mask]
+        line_set = self._set_dicts[block & self._set_mask]
         if block not in line_set:
             raise KeyError(f"block {block:#x} not resident")
         del line_set[block]
@@ -122,7 +203,7 @@ class SetAssociativeCache:
 
     def insert(self, block: int, state: Hashable) -> tuple[int, Hashable] | None:
         """Insert a line, returning the evicted ``(block, state)`` if any."""
-        line_set = self._sets[block & self._set_mask]
+        line_set = self._set_dicts[block & self._set_mask]
         victim = None
         if block in line_set:
             del line_set[block]
@@ -135,9 +216,16 @@ class SetAssociativeCache:
 
     def remove(self, block: int) -> Hashable | None:
         """Remove a line (invalidation); returns its state or None."""
-        return self._sets[block & self._set_mask].pop(block, None)
+        return self._set_dicts[block & self._set_mask].pop(block, None)
 
     # -- introspection ---------------------------------------------------
+
+    def is_empty(self) -> bool:
+        """True when no line is resident; builds no per-set dicts."""
+        if type(self._set_dicts) is list:
+            # any() over the dicts runs at C speed; occupancy() would not.
+            return not any(self._set_dicts)
+        return self._contents is None or not self._contents[1].size
 
     def resident_blocks(self) -> Iterator[int]:
         """Iterate over all resident block addresses (test helper)."""
@@ -149,7 +237,7 @@ class SetAssociativeCache:
         return sum(len(s) for s in self._sets)
 
     def contains(self, block: int) -> bool:
-        return block in self._sets[block & self._set_mask]
+        return block in self._set_dicts[block & self._set_mask]
 
     def set_of(self, block: int) -> int:
         """Index of the set this block maps to (test helper)."""
@@ -157,8 +245,8 @@ class SetAssociativeCache:
 
     def flush(self) -> None:
         """Drop all contents (stats are retained)."""
-        for line_set in self._sets:
-            line_set.clear()
+        self._set_dicts = _Unbuilt(self)
+        self._contents = None
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()

@@ -12,7 +12,11 @@ The protocol is directory-less: the bus mirrors cache contents in a
 ``holders`` map (block -> set of cache ids) so a snoop is an O(1)
 lookup instead of probing every cache.  Caches report their evictions
 back through the return value of ``insert``, keeping the mirror exact;
-an invariant-checking helper is provided for the test suite.
+an invariant-checking helper is provided for the test suite.  After a
+replay by the compiled coherence kernel the map arrives as per-block
+holder bitmasks (:meth:`MOSIBus.load_holders`) and is built on first
+use; the protocol reads the plain attribute ``_mirror`` and falls back
+to the building property ``_holders`` only while it is None or empty.
 
 An MSI variant (``protocol="msi"``) is provided for the protocol
 ablation: without the OWNED state, a read snoop hitting a MODIFIED
@@ -30,6 +34,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable
 
+import numpy as np
+
 from repro.errors import ConfigError, SimulationError
 from repro.memsys.cache import SetAssociativeCache
 from repro.memsys.misses import MissClassifier, MissKind
@@ -46,6 +52,13 @@ class State(IntEnum):
     OWNED = 2
     MODIFIED = 3
     EXCLUSIVE = 4
+
+
+#: The ``State`` member for each integer value (index 0 is INVALID,
+#: never stored): the ``state_values`` an L2's integer-coded contents
+#: are loaded with (:meth:`SetAssociativeCache.load_contents`).
+#: Indexing a tuple is far cheaper than ``State(value)`` per line.
+STATE_BY_VALUE = (None, State.SHARED, State.OWNED, State.MODIFIED, State.EXCLUSIVE)
 
 
 #: Fill sources returned by ``read``/``write``.
@@ -134,11 +147,50 @@ class MOSIBus:
         self.stats = CoherenceStats()
         self.cache_stats = [CacheSideStats() for _ in caches]
         self.classifiers = [MissClassifier() for _ in caches]
-        self._holders: dict[int, set[int]] = {}
+        # The holders mirror once built (see _holders), else None.
+        self._mirror: dict[int, set[int]] | None = {}
+        # Arrays handed over by load_holders, until the mirror is built.
+        self._holder_masks: tuple[np.ndarray, np.ndarray] | None = None
         self._mosi = protocol == "mosi"
         self._mesi = protocol == "mesi"
         self._track = track_lines
         self._on_invalidate = on_invalidate
+
+    @property
+    def _holders(self) -> dict[int, set[int]]:
+        """The mirror, block -> ids of the caches holding it.
+
+        Built on first read from the bitmasks :meth:`load_holders`
+        handed over (which are then dropped).  A fresh bus starts with
+        an empty mirror, so ``self._mirror or self._holders`` reads the
+        plain attribute except while the mirror is None or empty.
+        """
+        if self._mirror is not None:
+            return self._mirror
+        holders: dict[int, set[int]] = {}
+        blocks, masks = self._holder_masks
+        self._holder_masks = None
+        held = masks != 0
+        # Few distinct masks occur in practice: decompose each one once
+        # instead of scanning every cache id per block.
+        ids_of: dict[int, tuple[int, ...]] = {}
+        for block, mask in zip(blocks[held].tolist(), masks[held].tolist()):
+            ids = ids_of.get(mask)
+            if ids is None:
+                ids = tuple(cid for cid in range(len(self.caches)) if mask >> cid & 1)
+                ids_of[mask] = ids
+            holders[block] = set(ids)
+        self._mirror = holders
+        return holders
+
+    def load_holders(self, blocks: np.ndarray, masks: np.ndarray) -> None:
+        """Replace the mirror with arrays, built into the map on first read.
+
+        ``masks[i]`` has bit ``c`` set when cache ``c`` holds
+        ``blocks[i]``; blocks with an all-zero mask are held nowhere.
+        """
+        self._mirror = None
+        self._holder_masks = (blocks, masks)
 
     # -- public operations ----------------------------------------------
 
@@ -166,7 +218,7 @@ class MOSIBus:
         else:
             side.mem_fills += 1
         state = State.SHARED
-        if self._mesi and not self._holders.get(block):
+        if self._mesi and not (self._mirror or self._holders).get(block):
             state = State.EXCLUSIVE  # sole copy: silent-upgrade eligible
         self._install(cache_id, block, state)
         return source
@@ -216,7 +268,7 @@ class MOSIBus:
 
     def _supply(self, requester: int, block: int, exclusive: bool) -> str:
         """Find the data source for a miss and apply snoop side effects."""
-        holders = self._holders.get(block)
+        holders = (self._mirror or self._holders).get(block)
         if holders:
             for holder_id in holders:
                 holder = self.caches[holder_id]
@@ -248,7 +300,8 @@ class MOSIBus:
 
     def _invalidate_others(self, requester: int, block: int) -> None:
         """Invalidate every copy of ``block`` outside ``requester``."""
-        holders = self._holders.get(block)
+        mirror = self._mirror or self._holders
+        holders = mirror.get(block)
         if not holders:
             return
         for holder_id in list(holders):
@@ -262,7 +315,7 @@ class MOSIBus:
             if self._on_invalidate is not None:
                 self._on_invalidate(holder_id, block)
         if not holders:
-            del self._holders[block]
+            del mirror[block]
 
     def _install(self, cache_id: int, block: int, state: State) -> None:
         """Insert the filled line, processing any eviction.
@@ -276,16 +329,17 @@ class MOSIBus:
         """
         victim = self.caches[cache_id].insert(block, state)
         self.classifiers[cache_id].note_insert(block)
-        self._holders.setdefault(block, set()).add(cache_id)
+        mirror = self._mirror or self._holders
+        mirror.setdefault(block, set()).add(cache_id)
         if victim is None:
             return
         vblock, vstate = victim
         self.classifiers[cache_id].note_eviction(vblock)
-        vholders = self._holders.get(vblock)
+        vholders = mirror.get(vblock)
         if vholders is not None:
             vholders.discard(cache_id)
             if not vholders:
-                del self._holders[vblock]
+                del mirror[vblock]
         if vstate in (State.MODIFIED, State.OWNED):
             self.stats.writebacks += 1
             self.cache_stats[cache_id].writebacks += 1

@@ -35,9 +35,18 @@ kernel accepts or declines a replay, and :func:`run_trace_kernel`,
 which replays one warmup or measurement phase through an accepted
 session.
 
-After a replay the full machine state — cache contents in LRU order,
-coherence states, holders mirror, classifier history, every counter —
-is exported back into the Python objects, so a kernel-replayed
+After a replay, :meth:`KernelSession.finish` copies every counter into
+the hierarchy's stat objects, and the per-line C2C counts and
+touched-line set into the bus stats.  The rest of the final state goes
+to its owner as the numpy arrays the kernel's export fills: each
+cache's per-set counts, blocks and states
+(:meth:`~repro.memsys.cache.SetAssociativeCache.load_contents`), the
+holder bitmasks (:meth:`~repro.memsys.coherence.MOSIBus.load_holders`)
+and each classifier's ever-held and invalidated bitmasks
+(:meth:`~repro.memsys.misses.MissClassifier.load_history`).  Each owner
+builds its Python structure only when something first reads it, so a
+figure that reads counters alone never pays for per-set dicts, the
+holders map or miss history.  Built or not, a kernel-replayed
 hierarchy is indistinguishable from a scalar-replayed one (the parity
 suites in ``tests/memsys/test_fastpath_coherence.py`` compare the
 complete state, and ``jmmw diffcheck`` diffs both paths against the
@@ -74,14 +83,13 @@ import os
 import shutil
 import subprocess
 import tempfile
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs as _obs
 from repro.memsys.block import INSTRUCTIONS_PER_IFETCH
-from repro.memsys.coherence import CacheSideStats, CoherenceStats, State
+from repro.memsys.coherence import STATE_BY_VALUE, CacheSideStats, CoherenceStats
 from repro.memsys.misses import MissKind
 from repro.memsys.stream import DEFAULT_CHUNK_REFS
 
@@ -842,9 +850,7 @@ def _is_cold(hierarchy) -> bool:
     if any(s.ifetches or s.loads or s.stores for s in hierarchy.proc_stats):
         return False
     caches = list(bus.caches) + list(hierarchy._l1i) + list(hierarchy._l1d)
-    # any() over the per-set dicts runs at C speed; occupancy() would
-    # cost real milliseconds per replay on big-cache machines.
-    return not any(any(cache._sets) for cache in caches)
+    return all(cache.is_empty() for cache in caches)
 
 
 def _supported(hierarchy) -> bool:
@@ -905,14 +911,15 @@ def _export_stats(lib, m, hierarchy) -> None:
 
 
 def _export_table(lib, m, hierarchy) -> None:
-    """Rebuild holders mirror, classifier sets and per-line counts."""
+    """Hand the sharing table to the bus and its classifiers; copy the
+    per-line C2C counts and touched lines into the bus stats."""
     used = int(lib.jmmw_table_used(m))
-    keys = np.zeros(used, dtype=np.uint64)
-    holders = np.zeros(used, dtype=np.uint64)
-    ever = np.zeros(used, dtype=np.uint64)
-    inval = np.zeros(used, dtype=np.uint64)
-    c2c = np.zeros(used, dtype=np.int64)
-    touched = np.zeros(used, dtype=np.uint8)
+    keys = np.empty(used, dtype=np.uint64)
+    holders = np.empty(used, dtype=np.uint64)
+    ever = np.empty(used, dtype=np.uint64)
+    inval = np.empty(used, dtype=np.uint64)
+    c2c = np.empty(used, dtype=np.int64)
+    touched = np.empty(used, dtype=np.uint8)
     if used:
         lib.jmmw_export_table(
             m, _ptr(keys, ctypes.c_uint64), _ptr(holders, ctypes.c_uint64),
@@ -920,24 +927,9 @@ def _export_table(lib, m, hierarchy) -> None:
             _ptr(c2c, ctypes.c_int64), _ptr(touched, ctypes.c_uint8),
         )
     bus = hierarchy.bus
-    n_l2 = hierarchy.machine.n_l2_caches
-    # Few distinct holder masks occur in practice; memoize the bit
-    # decomposition instead of scanning all cache ids per block.
-    mask_cids: dict[int, tuple[int, ...]] = {}
-    sel = holders != 0
-    holders_dict = {}
-    for block, mask in zip(keys[sel].tolist(), holders[sel].tolist()):
-        cids = mask_cids.get(mask)
-        if cids is None:
-            cids = tuple(cid for cid in range(n_l2) if mask >> cid & 1)
-            mask_cids[mask] = cids
-        holders_dict[block] = set(cids)
-    bus._holders = holders_dict
+    bus.load_holders(keys, holders)
     for cid, classifier in enumerate(bus.classifiers):
-        ever_sel = (ever >> np.uint64(cid) & np.uint64(1)).astype(bool)
-        inval_sel = (inval >> np.uint64(cid) & np.uint64(1)).astype(bool)
-        classifier._ever_held = set(keys[ever_sel].tolist())
-        classifier._invalidated = set(keys[inval_sel].tolist())
+        classifier.load_history(keys, ever, inval, cid)
     if bus._track:
         sel = c2c > 0
         bus.stats.c2c_by_line = dict(
@@ -947,43 +939,23 @@ def _export_table(lib, m, hierarchy) -> None:
 
 
 def _export_caches(lib, m, hierarchy) -> None:
-    """Rebuild every cache's per-set dicts in exact LRU order."""
+    """Hand every cache its contents as arrays, LRU first in each set."""
     machine = hierarchy.machine
-    groups = [
-        (0, hierarchy._l1i, machine.l1i, None),
-        (1, hierarchy._l1d, machine.l1d, None),
-        (2, list(hierarchy.bus.caches), machine.l2, State),
-    ]
-    for which, caches, config, state_enum in groups:
-        if which in (0, 1) and not hierarchy.include_l1:
-            continue
+    groups = [(2, hierarchy.bus.caches, machine.l2)]
+    if hierarchy.include_l1:
+        groups += [(0, hierarchy._l1i, machine.l1i), (1, hierarchy._l1d, machine.l1d)]
+    for which, caches, config in groups:
         for idx, cache in enumerate(caches):
             total = int(lib.jmmw_cache_entries(m, which, idx))
-            set_counts = np.zeros(config.n_sets, dtype=np.int32)
-            blocks = np.zeros(max(total, 1), dtype=np.uint64)
-            states = np.zeros(max(total, 1), dtype=np.int32)
+            set_counts = np.empty(config.n_sets, dtype=np.int32)
+            blocks = np.empty(total, dtype=np.uint64)
+            states = np.empty(total, dtype=np.int32) if which == 2 else None
             lib.jmmw_export_cache(
                 m, which, idx, _ptr(set_counts, ctypes.c_int32),
-                _ptr(blocks, ctypes.c_uint64), _ptr(states, ctypes.c_int32),
+                _ptr(blocks, ctypes.c_uint64),
+                None if states is None else _ptr(states, ctypes.c_int32),
             )
-            block_list = blocks.tolist()
-            sets = cache._sets
-            if state_enum:
-                # Map int -> enum member by index (Enum.__call__ is
-                # far too slow for tens of thousands of lines), then
-                # consume (block, state) pairs per set via islice —
-                # cheaper than materializing two slices per set.
-                lut = [None, State.SHARED, State.OWNED,
-                       State.MODIFIED, State.EXCLUSIVE]
-                pairs = zip(block_list, [lut[s] for s in states.tolist()])
-                for si, count in enumerate(set_counts.tolist()):
-                    if count:  # cold precondition: empty dicts stay
-                        sets[si] = dict(islice(pairs, count))
-            else:
-                blocks_iter = iter(block_list)
-                for si, count in enumerate(set_counts.tolist()):
-                    if count:
-                        sets[si] = dict.fromkeys(islice(blocks_iter, count), 0)
+            cache.load_contents(set_counts, blocks, states, STATE_BY_VALUE)
 
 
 def _new_machine(lib, hierarchy):
@@ -1069,8 +1041,8 @@ class KernelSession:
     carried state.  The lifecycle is :meth:`begin` (None means "the
     kernel cannot serve this hierarchy: use the scalar loop"), any
     number of ``run``/``reset_stats`` calls, then :meth:`finish` to
-    export everything back into the Python hierarchy (or :meth:`abort`
-    to free without exporting).
+    hand everything back to the Python hierarchy (or :meth:`abort` to
+    free without exporting).
 
     Once begun there is no fallback: the chunks already replayed cannot
     be replayed again scalar, so an allocation failure inside ``run``
@@ -1149,7 +1121,12 @@ class KernelSession:
         return counters.tolist()
 
     def finish(self) -> None:
-        """Export machine state into the hierarchy and free it."""
+        """Hand the machine's final state to the hierarchy and free it.
+
+        Counters are copied now; cache contents, the holders mirror and
+        classifier history go over as numpy-owned arrays, built into
+        Python structures only when first read.
+        """
         if self._closed:
             return
         self._closed = True

@@ -12,11 +12,17 @@ three-way taxonomy:
   uniprocessor);
 - ``REPLACEMENT`` — capacity/conflict: the block was evicted by this
   cache's own replacement decisions.
+
+After a replay by the compiled coherence kernel a classifier's history
+arrives as per-block bitmasks (:meth:`MissClassifier.load_history`) and
+is built into its two sets on first use.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+
+import numpy as np
 
 
 class MissKind(Enum):
@@ -36,26 +42,75 @@ class MissClassifier:
     """
 
     def __init__(self) -> None:
-        self._ever_held: set[int] = set()
-        self._invalidated: set[int] = set()
+        # (ever held, invalidated) once built (see _built), else None.
+        self._history: tuple[set[int], set[int]] | None = (set(), set())
+        # Arrays handed over by load_history, until the sets are built.
+        self._history_masks: tuple | None = None
+
+    def _built(self) -> tuple[set[int], set[int]]:
+        """Both sets, built from the arrays :meth:`load_history` handed
+        over (which are then dropped) if that has not happened yet.
+
+        The pair is never empty, so ``self._history or self._built()``
+        reads the plain attribute once built.
+        """
+        if self._history is None:
+            blocks, ever_held, invalidated, cache_id = self._history_masks
+            self._history_masks = None
+            bit = np.uint64(1 << cache_id)
+            self._history = (
+                set(blocks[(ever_held & bit) != 0].tolist()),
+                set(blocks[(invalidated & bit) != 0].tolist()),
+            )
+        return self._history
+
+    @property
+    def _ever_held(self) -> set[int]:
+        """Blocks this cache has held."""
+        return self._built()[0]
+
+    @property
+    def _invalidated(self) -> set[int]:
+        """Blocks a remote write invalidated here since this cache last
+        held them."""
+        return self._built()[1]
+
+    def load_history(
+        self,
+        blocks: np.ndarray,
+        ever_held: np.ndarray,
+        invalidated: np.ndarray,
+        cache_id: int,
+    ) -> None:
+        """Replace the history with arrays, built into sets on first read.
+
+        ``ever_held[i]`` and ``invalidated[i]`` are bitmasks over cache
+        ids for ``blocks[i]``; this classifier's cache is bit
+        ``cache_id``.  The arrays may be shared by every classifier on
+        one bus.
+        """
+        self._history = None
+        self._history_masks = (blocks, ever_held, invalidated, cache_id)
 
     def note_insert(self, block: int) -> None:
         """Record that the cache now holds ``block``."""
-        self._ever_held.add(block)
-        self._invalidated.discard(block)
+        ever_held, invalidated = self._history or self._built()
+        ever_held.add(block)
+        invalidated.discard(block)
 
     def note_coherence_invalidation(self, block: int) -> None:
         """Record that a remote write invalidated ``block`` here."""
-        self._invalidated.add(block)
+        (self._history or self._built())[1].add(block)
 
     def note_eviction(self, block: int) -> None:
         """Record a local replacement decision for ``block``."""
-        self._invalidated.discard(block)
+        (self._history or self._built())[1].discard(block)
 
     def classify(self, block: int) -> MissKind:
         """Classify a miss on ``block`` (call before note_insert)."""
-        if block not in self._ever_held:
+        ever_held, invalidated = self._history or self._built()
+        if block not in ever_held:
             return MissKind.COLD
-        if block in self._invalidated:
+        if block in invalidated:
             return MissKind.COHERENCE
         return MissKind.REPLACEMENT

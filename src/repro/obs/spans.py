@@ -11,6 +11,13 @@ the span log::
         with SPANS.span("memsys/replay", refs=500_000):
             ...
 
+Every finished record also carries ``peak_rss_mb``, the process's
+peak resident set size so far in MB, taken as the span closes, so a
+run's span log shows where its peak memory rose.  It is ``getrusage``'s
+``ru_maxrss``, which macOS reports in bytes and Linux in KiB
+(:data:`MAXRSS_PER_MB`).  Within one process the field never
+decreases.
+
 Overhead when disabled is one attribute lookup plus returning a shared
 no-op context manager: :meth:`SpanTracker.span` is a class-level no-op
 method, and :meth:`SpanTracker.enable` shadows it with the live
@@ -28,6 +35,8 @@ to the parent over the result pipe (see
 
 from __future__ import annotations
 
+import resource
+import sys
 import time
 from collections import defaultdict
 from typing import Any
@@ -46,6 +55,9 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+
+#: ``ru_maxrss`` units per MB: bytes on macOS, KiB on Linux.
+MAXRSS_PER_MB = 1 << 20 if sys.platform == "darwin" else 1 << 10
 
 
 class _LiveSpan:
@@ -75,6 +87,9 @@ class _LiveSpan:
             "t": round(self._t0 - tracker._origin, 6),
             "duration_s": round(t1 - self._t0, 6),
             "depth": self._depth,
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / MAXRSS_PER_MB, 1
+            ),
         }
         if self._parent is not None:
             record["parent"] = self._parent

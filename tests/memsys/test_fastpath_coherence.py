@@ -17,6 +17,12 @@ MSI copyback crediting trips the InvariantChecker conservation
 identity, and a kernel bug in LRU maintenance diverges from the scalar
 replay.
 
+The kernel hands its final caches, holders mirror and classifier
+history back as arrays, built into Python structures on first read:
+the laziness tests pin that a kernel-served replay and a fresh
+hierarchy build none of them, and ``full_state`` (which reads them
+all) is the equality check on what the builders produce.
+
 Every kernel replay here goes through ``MemoryHierarchy.run_trace``
 and asserts, via the ``memsys/fastpath/coherent_replay`` counter, that
 the kernel served it; routing tests patch ``KernelSession.begin``, the
@@ -32,7 +38,9 @@ from repro import obs
 from repro.errors import InvariantViolation
 from repro.memsys import fastpath, fastpath_coherence
 from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref
-from repro.memsys.config import CacheConfig, MachineConfig
+from repro.memsys.cache import CLEAN, SetAssociativeCache
+from repro.memsys.coherence import State
+from repro.memsys.config import CacheConfig, MachineConfig, e6000_machine
 from repro.memsys.hierarchy import MemoryHierarchy
 
 needs_kernel = pytest.mark.skipif(
@@ -260,6 +268,120 @@ def test_kernel_state_carries_into_scalar_replay():
     # the imported state.
     mixed.run_trace(second, fastpath=True)
     assert full_state(mixed) == full_state(scalar)
+
+
+# -- the final state is built on first read ----------------------------------
+
+
+def built_structures(h: MemoryHierarchy) -> list[str]:
+    """Which lazily built structures of ``h`` exist so far: a cache's
+    ``_set_dicts`` is a plain list once built, the bus's ``_mirror`` and
+    a classifier's ``_history`` are None until built."""
+    built = [
+        f"{name}[{i}]._set_dicts"
+        for name, caches in (("L2", h.bus.caches), ("L1I", h._l1i), ("L1D", h._l1d))
+        for i, cache in enumerate(caches)
+        if type(cache._set_dicts) is list
+    ]
+    if h.bus._mirror is not None:
+        built.append("bus._mirror")
+    built += [
+        f"classifiers[{i}]._history"
+        for i, c in enumerate(h.bus.classifiers)
+        if c._history is not None
+    ]
+    return built
+
+
+@needs_kernel
+def test_kernel_replay_builds_no_python_state():
+    """A kernel-served replay copies counters and hands the rest over as
+    arrays: no per-set dict, holders map or classifier set is built."""
+    traces = random_traces(11, 8, 4000, 4096)
+    fast = unchecked(e6000_machine(8))
+    kernel_replay(fast, traces, warmup_fraction=0.5)
+    assert built_structures(fast) == []
+    assert fast.bus.stats.total_misses > 0
+    assert fast.bus.stats.touched_lines
+    assert not any(c.is_empty() for c in fast.bus.caches)
+    assert built_structures(fast) == []
+    # Reading builds exactly the scalar replay's state.
+    scalar = MemoryHierarchy(e6000_machine(8))
+    scalar.run_trace(traces, quantum=64, warmup_fraction=0.5, fastpath=False)
+    assert full_state(fast) == full_state(scalar)
+
+
+@needs_kernel
+def test_built_state_has_scalar_types():
+    """``State`` members on L2 lines, ``CLEAN`` on L1 lines, Python ints
+    for blocks and cache ids: equality alone would let ``1 == SHARED``
+    and numpy scalars through."""
+    traces = migratory_traces(4)
+    scalar, fast = replay_both(small_machine(4), traces)
+
+    def types(h):
+        lines = [
+            (name, type(block), type(state), state == CLEAN)
+            for name, caches in (("L2", h.bus.caches), ("L1", h._l1i + h._l1d))
+            for cache in caches
+            for line_set in cache._sets
+            for block, state in line_set.items()
+        ]
+        holders = {
+            (type(block), type(ids), *map(type, ids))
+            for block, ids in h.bus._holders.items()
+        }
+        history = {
+            type(block)
+            for c in h.bus.classifiers
+            for block in c._ever_held | c._invalidated
+        }
+        return sorted(set(lines), key=repr), holders, history
+
+    assert types(fast) == types(scalar)
+    lines, holders, history = types(fast)
+    assert {(n, s) for n, _, s, _ in lines} == {("L2", State), ("L1", int)}
+    assert all(clean for n, _, _, clean in lines if n == "L1")
+    assert holders == {(int, set, int)} and history == {int}
+
+
+def test_fresh_hierarchy_builds_no_per_set_dicts():
+    """A fresh bus and classifiers start with their (cheap) empty
+    structures; no cache builds its per-set dicts, not even ``_is_cold``."""
+    h = MemoryHierarchy(e6000_machine(15), check_invariants=False)
+    fresh = ["bus._mirror"] + [f"classifiers[{i}]._history" for i in range(15)]
+    assert built_structures(h) == fresh
+    assert fastpath_coherence._is_cold(h)
+    assert built_structures(h) == fresh
+
+
+def test_is_empty_reads_arrays_without_building():
+    config = CacheConfig(size=512, assoc=2, block=64)  # 4 sets
+    fresh = SetAssociativeCache(config)
+    loaded_nothing = SetAssociativeCache(config)
+    loaded_nothing.load_contents(
+        np.zeros(4, dtype=np.int32), np.zeros(0, dtype=np.uint64)
+    )
+    loaded = SetAssociativeCache(config)
+    loaded.load_contents(
+        np.array([0, 2, 0, 0], dtype=np.int32), np.array([5, 1], dtype=np.uint64)
+    )
+    assert fresh.is_empty()
+    assert loaded_nothing.is_empty()
+    assert not loaded.is_empty()
+    assert all(type(c._set_dicts) is not list for c in (fresh, loaded_nothing, loaded))
+    # Set 1 holds 5 then 1, least recently used first.
+    assert [list(s.items()) for s in loaded._sets] == [
+        [], [(5, CLEAN), (1, CLEAN)], [], [],
+    ]
+    assert not loaded.is_empty()
+    loaded.flush()
+    assert loaded.is_empty()
+    built = SetAssociativeCache(config)
+    built.access(3, write=True)
+    assert not built.is_empty()
+    built.flush()
+    assert built.is_empty() and built.occupancy() == 0
 
 
 # -- seeded defects: the gates fail loudly ----------------------------------

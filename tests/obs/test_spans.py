@@ -1,6 +1,11 @@
 """Span tracker: free when off, structured when on."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from repro import obs
 from repro.obs.spans import _NULL_SPAN, SpanTracker
@@ -48,6 +53,50 @@ def test_nesting_records_depth_and_parent():
     assert "parent" not in outer
     assert outer["module"] == "fig12"
     assert outer["duration_s"] >= inner["duration_s"] >= 0.0
+
+
+def test_records_carry_non_decreasing_peak_rss():
+    """Each closed span records the process's peak RSS so far, which
+    cannot fall within one process, not even across a freed buffer."""
+    tracker = SpanTracker()
+    tracker.enable()
+    with tracker.span("outer"):
+        with tracker.span("alloc"):
+            buffer = b"x" * (32 << 20)  # written, so resident
+        del buffer
+        with tracker.span("after-free"):
+            pass
+    peaks = [record["peak_rss_mb"] for record in tracker.finished]
+    assert [r["span"] for r in tracker.finished] == ["alloc", "after-free", "outer"]
+    assert all(peak > 0 for peak in peaks)
+    assert peaks == sorted(peaks)
+
+
+_ALLOC_PROBE = textwrap.dedent(
+    """
+    from repro.obs.spans import SpanTracker
+
+    tracker = SpanTracker()
+    tracker.enable()
+    with tracker.span("alloc"):
+        buffer = b"x" * (64 << 20)  # written, so resident
+    print(tracker.finished[0]["peak_rss_mb"])
+    """
+)
+
+
+def test_peak_rss_is_in_megabytes():
+    """In a fresh interpreter a span around a written 64 MB buffer
+    records a peak of at least 64 MB, and not ``ru_maxrss``'s unit
+    (1024x) away from it in either direction."""
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _ALLOC_PROBE], capture_output=True, text=True,
+        env=env, check=True, timeout=120,
+    )
+    peak = float(out.stdout)
+    assert 64 <= peak < 64 + 512, peak
 
 
 def test_drain_clears_and_ingest_merges():
