@@ -35,6 +35,23 @@ class ThreadPool:
             self.peak_in_use = self.in_use
         return True
 
+    def try_acquire_many(self, k: int) -> int:
+        """Take up to ``k`` idle workers; returns how many were taken.
+
+        Counts as ``k`` calls of :meth:`try_acquire` with no release
+        between them: the calls that find an idle worker take it, the
+        rest are rejected.
+        """
+        if k < 0:
+            raise SimulationError("cannot acquire a negative number of threads")
+        taken = min(k, self.size - self.in_use)
+        self.acquires += k
+        self.rejected += k - taken
+        self.in_use += taken
+        if self.in_use > self.peak_in_use:
+            self.peak_in_use = self.in_use
+        return taken
+
     def release(self) -> None:
         if self.in_use <= 0:
             raise SimulationError("release on an empty thread pool")

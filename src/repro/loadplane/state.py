@@ -15,8 +15,14 @@ membership operations without per-user objects:
   Uniform sampling is what makes the Gillespie engine exact: when one
   of ``k`` exponential clocks fires, the winner is uniform among the
   ``k`` (memorylessness), so "pick a uniform member" IS the race.
-- :class:`FifoRing` — a fixed-capacity FIFO of user indices (an int32
+- :class:`FifoRing` — a fixed-capacity FIFO of user indices (an int64
   ring buffer) for the thread- and connection-pool wait queues.
+
+Both also take a contiguous user range in one call
+(:meth:`IndexPool.add_range`, :meth:`FifoRing.push_range`), leaving
+the state that many single-user calls would; the warm start places a
+population with them.  A range is written :data:`BULK_CHUNK` entries
+at a time, so no temporary grows with the population.
 
 All three are sized once, up front, so a run's memory footprint is a
 function of the configured population, never of simulated time.
@@ -38,6 +44,20 @@ FREE = np.int8(5)  # open loop: an unused request slot
 
 #: Phases in which the user occupies the appserver station system.
 IN_SYSTEM_PHASES = (Q_THREAD, CPU, Q_CONN, DB)
+
+#: Longest run of user indices a bulk write computes at once.
+BULK_CHUNK = 8192
+
+#: Offsets 0 .. BULK_CHUNK - 1, added in place to each chunk's first
+#: index, so a bulk write allocates nothing per chunk.
+_RAMP = np.arange(BULK_CHUNK, dtype=np.int64)
+
+
+def _write_range(out: np.ndarray, first: int) -> None:
+    """Fill ``out`` with ``first, first + 1, ...``, a chunk at a time."""
+    for lo in range(0, len(out), BULK_CHUNK):
+        chunk = out[lo:lo + BULK_CHUNK]
+        np.add(_RAMP[:len(chunk)], first + lo, out=chunk)
 
 
 class UserColumns:
@@ -107,6 +127,21 @@ class IndexPool:
         self.slot_of[user] = self.size
         self.size += 1
 
+    def add_range(self, start: int, stop: int) -> None:
+        """Add users ``start .. stop - 1``, as that many :meth:`add` calls would.
+
+        An empty range is a no-op; a range that does not fit raises
+        :meth:`add`'s overflow error before anything is written.
+        """
+        n = stop - start
+        if n <= 0:
+            return
+        if self.size + n > len(self.members):
+            raise SimulationError("index pool overflow")
+        _write_range(self.members[self.size:self.size + n], start)
+        _write_range(self.slot_of[start:stop], self.size)
+        self.size += n
+
     def remove(self, user: int) -> None:
         slot = int(self.slot_of[user])
         if slot < 0 or slot >= self.size or self.members[slot] != user:
@@ -144,7 +179,7 @@ class IndexPool:
 
 
 class FifoRing:
-    """Fixed-capacity FIFO queue of user indices (int32 ring buffer)."""
+    """Fixed-capacity FIFO queue of user indices (int64 ring buffer)."""
 
     __slots__ = ("buf", "head", "size")
 
@@ -160,6 +195,24 @@ class FifoRing:
             raise SimulationError("FIFO ring overflow")
         self.buf[(self.head + self.size) % len(self.buf)] = user
         self.size += 1
+
+    def push_range(self, start: int, stop: int) -> None:
+        """Push users ``start .. stop - 1`` in order, as :meth:`push` calls would.
+
+        An empty range is a no-op; a range that does not fit raises
+        :meth:`push`'s overflow error before anything is written.
+        """
+        n = stop - start
+        if n <= 0:
+            return
+        capacity = len(self.buf)
+        if self.size + n > capacity:
+            raise SimulationError("FIFO ring overflow")
+        tail = (self.head + self.size) % capacity
+        before_wrap = min(n, capacity - tail)
+        _write_range(self.buf[tail:tail + before_wrap], start)
+        _write_range(self.buf[:n - before_wrap], start + before_wrap)
+        self.size += n
 
     def pop(self) -> int:
         if self.size <= 0:

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import AnalysisError, ConfigError, SimulationError
 from repro.loadplane import (
     LatencyHistogram,
@@ -260,3 +261,25 @@ def test_obs_counters_published_when_enabled(obs_enabled):
     counters = obs_enabled.COUNTERS.snapshot()
     assert counters.get("loadplane/events", 0) > 0
     assert counters.get("loadplane/completions", 0) > 0
+
+
+_PLACE_RUN = LoadPlaneConfig(
+    n_users=20_000, threads=8, connections=8, service_s=0.02, think_s=1.2,
+    windows=2, window_s=0.5,
+)
+
+
+def test_placement_span_nests_inside_simulate(obs_enabled):
+    simulate_loadplane(_PLACE_RUN)
+    spans = obs_enabled.SPANS.finished
+    (place,) = [r for r in spans if r["span"] == "loadplane/place"]
+    (sim,) = [r for r in spans if r["span"] == "loadplane/simulate"]
+    assert place["parent"] == "loadplane/simulate"
+    assert place["depth"] == sim["depth"] + 1
+    assert place["placed"] == 19_520  # the closed M/M/c//N fixed point
+    assert place["duration_s"] <= sim["duration_s"]
+
+
+def test_no_placement_span_with_spans_off():
+    simulate_loadplane(_PLACE_RUN)
+    assert obs.SPANS.finished == []
