@@ -126,24 +126,34 @@ _FALLBACK_NOTICES = {
     "alloc": "the kernel could not allocate its machine state",
 }
 
+#: The same for traces whose code bursts ran in the Python reference.
+_BURST_FALLBACK_NOTICES = {
+    "no-kernel": "the compiled kernel is unavailable (no C compiler?)",
+    "no-npyrandom": "numpy's libnpyrandom.a was not found, so the kernel "
+    "has no burst step",
+}
+
 
 def _finish_obs(table: bool = True) -> None:
     """End-of-run stderr report: the counter table when ``table`` is set
     or under ``--obs`` (spans first), and one notice per reason that
-    made coherent replays run scalar instead of in the compiled kernel."""
+    made coherent replays or code bursts run in Python instead of in the
+    compiled kernel."""
     from repro import obs
-    from repro.memsys.fastpath_coherence import FALLBACK_COUNTER
+    from repro.memsys.fastpath_coherence import BURST_FALLBACK_COUNTER, FALLBACK_COUNTER
 
     if table or obs.enabled():
         print(obs.render_summary(), file=sys.stderr)
-    for reason, cause in _FALLBACK_NOTICES.items():
-        count = obs.COUNTERS.get(f"{FALLBACK_COUNTER}/{reason}")
-        if count:
-            print(
-                f"note: {count} coherent replay(s) fell back to the scalar "
-                f"path: {cause}",
-                file=sys.stderr,
-            )
+    for counter, what, causes in (
+        (FALLBACK_COUNTER, "coherent replay(s) fell back to the scalar path",
+         _FALLBACK_NOTICES),
+        (BURST_FALLBACK_COUNTER, "trace(s) drew their code bursts in Python",
+         _BURST_FALLBACK_NOTICES),
+    ):
+        for reason, cause in causes.items():
+            count = obs.COUNTERS.get(f"{counter}/{reason}")
+            if count:
+                print(f"note: {count} {what}: {cause}", file=sys.stderr)
 
 
 def _make_cache(args: argparse.Namespace):

@@ -154,16 +154,19 @@ class TraceSpec:
         """Materialize the trace (deterministic; no plane involved)."""
         from repro.figures.common import make_workload
         from repro.rng import RngFactory
+        from repro.workloads.base import burst_mode
 
         workload = make_workload(self.workload, scale=self.scale)
         with obs.span(
             "workload/trace-gen",
             workload=type(workload).__name__,
             procs=self.n_procs,
-        ):
-            return workload.generate(
+        ) as span:
+            bundle = workload.generate(
                 self.n_procs, self.sim, RngFactory(seed=self.sim.seed)
             )
+            span.annotate(bursts=burst_mode())
+        return bundle
 
 
 @dataclass(frozen=True)

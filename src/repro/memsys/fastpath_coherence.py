@@ -70,9 +70,31 @@ Fallback conditions (the scalar path is always the reference):
 Once a session has accepted, there is no fallback: an allocation
 failure inside the kernel raises :class:`~repro.errors.SimulationError`.
 
+The same library holds a second step, for trace generation:
+``jmmw_burst`` is one instruction burst of
+:meth:`repro.workloads.base.StreamBuilder.code_burst` (pick or continue
+a segment, draw the burst length and loop window, emit the window's
+fetches, draw and encode the stack loads and stores).  It draws
+through the builder's ``numpy.random.Generator``, calling on its bit
+generator the C functions numpy's methods call: ``next_double`` for
+``random()``, ``random_bounded_uint64_fill`` for ``integers`` and
+``random_standard_exponential`` for ``exponential``, the last two
+from numpy's C-API static library ``numpy/random/lib/libnpyrandom.a``.
+So its traces are byte-identical to the Python reference's by
+construction, and Python draws between bursts stay in step: PCG64
+keeps its buffered 32-bit half in the bit-generator state both sides
+share.  :func:`burst_frame` hands a builder its link to the step; a
+trace whose bursts ran in Python with the fast path on is counted
+under :data:`BURST_FALLBACK_COUNTER` (``no-kernel``, or
+``no-npyrandom`` when numpy ships no ``libnpyrandom.a`` and the
+library is built without the burst step).
+
 The compiled ``.so`` is cached under ``$XDG_CACHE_HOME/jmmw`` (or
-``~/.cache/jmmw``) keyed by a hash of the embedded source, so the
-build cost is paid once per machine, not per process.
+``~/.cache/jmmw``) as ``coherence-<digest>.so``, the digest covering
+the embedded source and, with the burst step, numpy's version and the
+bytes of ``libnpyrandom.a``, so the build cost is paid once per
+machine, not per process.  It is loaded on first use, never at
+import.
 """
 
 from __future__ import annotations
@@ -83,13 +105,16 @@ import os
 import shutil
 import subprocess
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs as _obs
+from repro.errors import WorkloadError
 from repro.memsys.block import INSTRUCTIONS_PER_IFETCH
 from repro.memsys.coherence import STATE_BY_VALUE, CacheSideStats, CoherenceStats
+from repro.memsys.fastpath import fastpath_enabled
 from repro.memsys.misses import MissKind
 from repro.memsys.stream import DEFAULT_CHUNK_REFS
 
@@ -123,7 +148,8 @@ _PROTOCOL_IDS = {"mosi": 0, "msi": 1, "mesi": 2}
 #: Seeded-defect switch for the parity-gate tests: 0 = off,
 #: 1 = drop the supplying holder's writeback credit on MSI copybacks
 #: (re-introduces the pre-fix accounting bug), 2 = skip the LRU
-#: refresh on L2 read hits (corrupts replacement decisions).
+#: refresh on L2 read hits (corrupts replacement decisions),
+#: 3 = :data:`BURST_DEFECT_NO_REENTRY` (code bursts).
 _defect = 0
 
 
@@ -721,6 +747,156 @@ void jmmw_export_cache(Machine *m, int32_t which, int64_t idx,
         }
     }
 }
+
+#ifdef JMMW_BURST
+/* ---- Code bursts: CodeLayout.burst + StreamBuilder.code_burst ------ */
+
+#include <math.h>
+#include <stdbool.h>
+
+/* numpy's bit-generator interface, as numpy/random/bitgen.h declares
+ * it (numpy/random/distributions.h would pull in Python.h). */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* From numpy/random/lib/libnpyrandom.a: the samplers behind
+ * Generator.integers and Generator.exponential. */
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
+                                uint64_t rng, intptr_t cnt, bool use_masked,
+                                uint64_t *out);
+double random_standard_exponential(bitgen_t *bitgen_state);
+
+/* A burst frame (FRAME_FIELDS in Python): the inputs jmmw_burst reads,
+ * then the results it writes.  Doubles travel as their bit patterns. */
+enum {
+    F_BITGEN, F_OUT, F_CAP, F_DEFECT, F_TABLE, F_PREV_SEG, F_PREV_POS,
+    F_WINDOW, F_MEAN,
+    F_RC, F_SEG, F_INSTR, F_END, F_FETCH, F_LOOPS, F_TAIL, F_DATA, F_ADDR,
+    N_FRAME
+};
+/* Return codes (BURST_* in Python). */
+enum { BURST_OK, BURST_NEG_FETCH, BURST_NEG_STACK, BURST_OVERRUN,
+       BURST_DECLINE };
+
+#define FETCH_BYTES 32      /* repro.memsys.block.IFETCH_BYTES */
+#define FETCH_INSTR 8       /* repro.memsys.block.INSTRUCTIONS_PER_IFETCH */
+#define REF_IFETCH 0
+#define REF_LOAD 1
+#define REF_STORE 2
+#define MAX_MEAN 4096.0     /* BURST_MAX_MEAN */
+#define ADDRESS_LIMIT ((int64_t)1 << 60)  /* BURST_ADDRESS_LIMIT */
+#define DEFECT_NO_REENTRY 3
+
+static double as_double(int64_t bits) {
+    double d;
+    memcpy(&d, &bits, sizeof d);
+    return d;
+}
+
+/* Generator.random() */
+static double draw_random(bitgen_t *bg) {
+    return bg->next_double(bg->state);
+}
+
+/* Generator.integers(lo, hi, size=n) */
+static void draw_integers(bitgen_t *bg, int64_t lo, int64_t hi, int64_t n,
+                          uint64_t *out) {
+    random_bounded_uint64_fill(bg, (uint64_t)lo, (uint64_t)(hi - lo - 1),
+                               (intptr_t)n, false, out);
+}
+
+/* np.searchsorted(cum, u, side="right"), numpy's binary search. */
+static int64_t search_right(const double *cum, int64_t n, double u) {
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = lo + ((hi - lo) >> 1);
+        double c = cum[mid];
+        if (u < c || c != c) hi = mid; else lo = mid + 1;
+    }
+    return lo;
+}
+
+/* One code burst of the packed layout f[F_TABLE] (n segments,
+ * locality, offset_skew, then base and instructions per segment, then
+ * the hotness CDF), continuing segment f[F_PREV_SEG] at f[F_PREV_POS]
+ * unless that is negative.  Every draw is the reference's, in its
+ * order.  The loop window's fetches, then the loads and stores at
+ * stack address f[F_WINDOW], go to f[F_OUT].  A negative fetch address
+ * stops before the stack slots are drawn, a negative stack address
+ * after; both leave the address in f[F_ADDR].  A mean the buffer
+ * cannot bound declines before any draw. */
+void jmmw_burst(int64_t *f) {
+    bitgen_t *bg = (bitgen_t *)(intptr_t)f[F_BITGEN];
+    const int64_t *t = (const int64_t *)(intptr_t)f[F_TABLE];
+    int64_t n_seg = t[0];
+    const int64_t *seg = t + 3;
+    const double *cum = (const double *)(t + 3 + 2 * n_seg);
+    double mean = as_double(f[F_MEAN]);
+    if (!(mean > 0.0 && mean <= MAX_MEAN) || f[F_WINDOW] >= ADDRESS_LIMIT) {
+        f[F_RC] = BURST_DECLINE;
+        return;
+    }
+    int64_t index, start;
+    uint64_t draw;
+    if (f[F_PREV_SEG] >= 0 && draw_random(bg) < as_double(t[1])) {
+        index = f[F_PREV_SEG];
+        if (draw_random(bg) < 0.45 && f[F_DEFECT] != DEFECT_NO_REENTRY) {
+            start = f[F_PREV_POS];
+        } else {
+            draw_integers(bg, 0, 64, 1, &draw);
+            start = (f[F_PREV_POS] + (int64_t)draw) % seg[2 * index + 1];
+        }
+    } else {
+        index = search_right(cum, n_seg, draw_random(bg));
+        if (index > n_seg - 1) index = n_seg - 1;
+        double u = pow(draw_random(bg), as_double(t[2]));
+        start = (int64_t)(u * (double)seg[2 * index + 1]);
+    }
+    int64_t base = seg[2 * index], instr = seg[2 * index + 1];
+    int64_t n_instr = (int64_t)(mean * random_standard_exponential(bg));
+    if (n_instr < 16) n_instr = 16;
+    draw_integers(bg, 2, 9, 1, &draw);
+    int64_t window_instr = (int64_t)draw * FETCH_INSTR;
+    int64_t n_fetch = window_instr / FETCH_INSTR;
+    int64_t n_loads = (int64_t)((double)n_instr * 0.25);
+    int64_t n_data = n_loads + (int64_t)((double)n_instr * 0.10);
+    f[F_SEG] = index;
+    f[F_INSTR] = n_instr;
+    f[F_END] = (start + n_instr) % instr;
+    f[F_FETCH] = n_fetch;
+    f[F_LOOPS] = n_instr / window_instr;
+    f[F_TAIL] = (n_instr % window_instr + FETCH_INSTR - 1) / FETCH_INSTR;
+    f[F_DATA] = n_data;
+    if (n_fetch + n_data > f[F_CAP]) { f[F_RC] = BURST_OVERRUN; return; }
+    /* CodeSegment.fetch_refs(start, window_instr), wrapping. */
+    int64_t *out = (int64_t *)(intptr_t)f[F_OUT];
+    int64_t code_bytes = instr * 4;
+    int64_t offset = (start * 4) % code_bytes;
+    offset -= offset % FETCH_BYTES;
+    for (int64_t i = 0; i < n_fetch; i++) {
+        int64_t addr = base + offset;
+        if (addr < 0) { f[F_ADDR] = addr; f[F_RC] = BURST_NEG_FETCH; return; }
+        out[i] = (addr << 2) | REF_IFETCH;
+        offset += FETCH_BYTES;
+        if (offset >= code_bytes) offset = 0;
+    }
+    /* The stack slots, drawn in one sized call, then checked. */
+    int64_t *data = out + n_fetch;
+    draw_integers(bg, 0, 64, n_data, (uint64_t *)data);
+    int64_t window = f[F_WINDOW];
+    if (window < 0) { f[F_ADDR] = window; f[F_RC] = BURST_NEG_STACK; return; }
+    int64_t load = (window << 2) | REF_LOAD;
+    int64_t store = load + (REF_STORE - REF_LOAD);
+    for (int64_t i = 0; i < n_loads; i++) data[i] = load + 32 * data[i];
+    for (int64_t i = n_loads; i < n_data; i++) data[i] = store + 32 * data[i];
+    f[F_RC] = BURST_OK;
+}
+#endif
 """
 
 
@@ -742,15 +918,41 @@ def _find_compiler() -> str | None:
     return None
 
 
+def _npyrandom_archive() -> Path | None:
+    """numpy's C-API sampler library, ``numpy/random/lib/libnpyrandom.a``."""
+    path = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    return path if path.is_file() else None
+
+
 def _build_library() -> Path | None:
-    """Compile the embedded source (cached by source hash), or None."""
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    out = _cache_dir() / f"coherence-{digest}.so"
+    """Compile the embedded source (cached by its digest), or None.
+
+    With numpy's ``libnpyrandom.a`` the library also holds the burst
+    step, linked against numpy's own samplers; the digest then covers
+    numpy's version and the archive's bytes, since the ``.so`` freezes
+    a copy of them.  Without the archive, or if that link fails, the
+    library is built without the burst step.
+    """
+    archive = _npyrandom_archive()
+    if archive is not None:
+        built = _compile(archive)
+        if built is not None:
+            return built
+    return _compile(None)
+
+
+def _compile(archive: Path | None) -> Path | None:
+    digest = hashlib.sha256(_C_SOURCE.encode())
+    if archive is not None:
+        digest.update(np.__version__.encode())
+        digest.update(archive.read_bytes())
+    out = _cache_dir() / f"coherence-{digest.hexdigest()[:16]}.so"
     if out.exists():
         return out
     compiler = _find_compiler()
     if compiler is None:
         return None
+    link = [] if archive is None else ["-DJMMW_BURST", str(archive), "-lm"]
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix="jmmw-cc-") as tmp:
@@ -758,7 +960,8 @@ def _build_library() -> Path | None:
             src.write_text(_C_SOURCE, encoding="utf-8")
             built = Path(tmp) / "coherence.so"
             result = subprocess.run(
-                [compiler, "-O3", "-fPIC", "-shared", "-o", str(built), str(src)],
+                [compiler, "-O3", "-fPIC", "-shared", "-o", str(built), str(src)]
+                + link,
                 capture_output=True,
                 timeout=120,
             )
@@ -815,6 +1018,11 @@ def _load_library() -> ctypes.CDLL | None:
     lib.jmmw_export_cache.argtypes = [
         ctypes.c_void_p, _i32, _i64, _i32p, _u64p, _i32p,
     ]
+    if hasattr(lib, "jmmw_burst"):
+        # One pointer in (a prebuilt c_void_p), nothing out: the
+        # cheapest ctypes call; results travel in the frame.
+        lib.jmmw_burst.restype = None
+        lib.jmmw_burst.argtypes = [ctypes.c_void_p]
     _lib = lib
     return _lib
 
@@ -827,6 +1035,145 @@ def kernel_available() -> bool:
     default-path replay fall back to the scalar machine.
     """
     return _load_library() is not None
+
+
+# -- code bursts ------------------------------------------------------------
+
+#: Slots of a burst frame, the C ``F_*`` enum: what ``jmmw_burst``
+#: reads (``mean`` as a double), then what it writes.
+FRAME_FIELDS = (
+    "bitgen", "out", "cap", "defect", "table", "prev_seg", "prev_pos",
+    "window", "mean",
+    "rc", "seg", "instructions", "end", "fetches", "loops", "tail", "data",
+    "address",
+)
+(
+    F_BITGEN, F_OUT, F_CAP, F_DEFECT, F_TABLE, F_PREV_SEG, F_PREV_POS,
+    F_WINDOW, F_MEAN,
+    F_RC, F_SEG, F_INSTR, F_END, F_FETCH, F_LOOPS, F_TAIL, F_DATA, F_ADDR,
+) = range(len(FRAME_FIELDS))
+
+#: ``frame[F_RC]`` after a burst, the C ``BURST_*`` enum.
+BURST_OK, BURST_NEG_FETCH, BURST_NEG_STACK, BURST_OVERRUN, BURST_DECLINE = range(5)
+
+#: References the process-wide output buffer holds: one burst's loop
+#: window, loads and stores (512 KB, of which a burst touches a few KB).
+BURST_CAPACITY = 1 << 16
+
+#: Largest mean burst the compiled step serves (C ``MAX_MEAN``).  numpy's
+#: exponential sampler never returns more than about 44.4, so such a
+#: burst writes at most ``8 + 0.35 * 44.4 * 4096`` references, which fit
+#: :data:`BURST_CAPACITY`.  Larger means run the reference step.
+BURST_MAX_MEAN = 4096
+
+#: Addresses the compiled step encodes lie in ``(-LIMIT, LIMIT)``, so
+#: every packed reference fits ``int64`` (C ``ADDRESS_LIMIT``).  A layout
+#: or stack window beyond it runs the reference step.
+BURST_ADDRESS_LIMIT = 1 << 60
+
+#: Seeded burst defect for the parity tests (``set_kernel_defect``):
+#: never re-enter the loop just executed.
+BURST_DEFECT_NO_REENTRY = 3
+
+#: Traces whose code bursts ran in the Python reference although the
+#: fast path was on, one counter per reason: ``no-kernel`` (no compiler,
+#: or the build failed) and ``no-npyrandom`` (numpy's ``libnpyrandom.a``
+#: was not found, so the library holds no burst step).
+BURST_FALLBACK_COUNTER = "workloads/fastpath/burst_fallback"
+
+_burst_out: np.ndarray | None = None
+
+
+def burst_step_declines() -> str | None:
+    """Why code bursts cannot run compiled here, or None when they can.
+
+    Loads (and on first use builds) the library.
+    """
+    lib = _load_library()
+    if lib is None:
+        return "no-kernel"
+    if not hasattr(lib, "jmmw_burst"):
+        return "no-npyrandom"
+    return None
+
+
+class BurstFrame:
+    """One stream builder's link to the compiled burst step.
+
+    ``ints`` and ``floats`` view the frame's slots; :meth:`run` draws
+    one burst from the generator the frame was opened on, into
+    :attr:`out`, the process-wide output buffer, and :meth:`burst`
+    fills the inputs, runs it and reads the results.  A burst's
+    references are read out of the buffer before the next burst runs,
+    so every builder of a process shares it (generation is
+    single-threaded).
+    """
+
+    __slots__ = ("_bit_generator", "_array", "ints", "floats", "out", "run")
+
+    def __init__(self, rng: np.random.Generator, lib: ctypes.CDLL) -> None:
+        global _burst_out
+        if _burst_out is None:
+            _burst_out = np.empty(BURST_CAPACITY, dtype=np.int64)
+        # The frame holds the bit generator's address: keep it alive.
+        self._bit_generator = rng.bit_generator
+        self._array = np.zeros(len(FRAME_FIELDS), dtype=np.int64)
+        self.ints = memoryview(self._array)
+        self.floats = self.ints.cast("B").cast("d")
+        self.out = _burst_out
+        self.ints[F_BITGEN] = rng.bit_generator.ctypes.bit_generator.value
+        self.ints[F_OUT] = _burst_out.ctypes.data
+        self.ints[F_CAP] = BURST_CAPACITY
+        self.ints[F_DEFECT] = _defect
+        self.run = partial(lib.jmmw_burst, ctypes.c_void_p(self._array.ctypes.data))
+
+    def burst(self, table: int, prev_seg: int, prev_pos: int, window: int, mean):
+        """One burst of the packed layout at ``table``, continuing segment
+        ``prev_seg`` (-1: none) at ``prev_pos``, with locals at stack
+        address ``window``.
+
+        Returns ``(instructions, segment, end, fetches, loops, tail,
+        data, stack_error)``: the loop window's fetch references, to be
+        repeated ``loops`` times and then cut to ``tail`` lines, and the
+        loads and stores.  ``stack_error`` is the ``ValueError`` to
+        raise once the fetches are emitted, when ``window`` is negative.
+        None, before any draw, when only the reference can draw the
+        burst.  A negative fetch address raises at once.
+        """
+        ints = self.ints
+        try:
+            ints[F_WINDOW] = window
+            self.floats[F_MEAN] = mean
+        except (TypeError, ValueError, OverflowError):
+            return None  # beyond a frame slot: the reference decides
+        ints[F_TABLE] = table
+        ints[F_PREV_SEG] = prev_seg
+        ints[F_PREV_POS] = prev_pos
+        self.run()
+        rc, seg, n_instr, end, n_fetch, loops, tail, n_data = ints[F_RC:F_ADDR]
+        if rc == BURST_DECLINE:
+            return None
+        if rc == BURST_NEG_FETCH:
+            raise ValueError(f"negative address {ints[F_ADDR]:#x}")
+        if rc == BURST_OVERRUN:
+            raise WorkloadError(f"a {n_instr}-instruction burst overruns the burst buffer")
+        stack_error = None
+        if rc == BURST_NEG_STACK:
+            stack_error = ValueError(f"negative address {ints[F_ADDR]:#x}")
+        emitted = self.out[: n_fetch + n_data].tolist()
+        return n_instr, seg, end, emitted[:n_fetch], loops, tail, emitted[n_fetch:], stack_error
+
+
+def burst_frame(rng) -> BurstFrame | None:
+    """A frame drawing ``rng``'s code bursts in the compiled step, or
+    None when they run in the Python reference: ``JMMW_FASTPATH=0``
+    (the kernel is not asked), a generator other than
+    :class:`numpy.random.Generator`, or :func:`burst_step_declines`."""
+    if not fastpath_enabled() or not isinstance(rng, np.random.Generator):
+        return None
+    if burst_step_declines() is not None:
+        return None
+    return BurstFrame(rng, _lib)
 
 
 # -- replay ----------------------------------------------------------------

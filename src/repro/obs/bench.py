@@ -5,9 +5,10 @@ phases, but the ratio of two implementations timed in one process, in
 alternation, can: both sides run through the same machine phases.
 :data:`GATES` is the one table of such gates: the vectorized miss-curve
 sweep (>= 3x its scalar reference), the compiled coherence kernel
-(>= 10x), the trace plane (>= 1.5x regenerating per task) and the warm
-result cache (>= 4x a cold one, i.e. warm within 0.25x of cold), each
-at the trace size its bound was measured at.
+(>= 10x), trace generation with compiled code bursts (>= 1x the
+Python reference), the trace plane (>= 1.5x regenerating per task) and
+the warm result cache (>= 4x a cold one, i.e. warm within 0.25x of
+cold), each at the trace size its bound was measured at.
 
 :func:`run_gate` times :data:`ROUNDS` rounds, the reference first in
 every other round, requires equal results in every round, and gates
@@ -21,6 +22,7 @@ The plane and result caches live in a temporary directory that
 
 from __future__ import annotations
 
+import os
 import statistics
 import tempfile
 import time
@@ -194,6 +196,62 @@ def _kernel_declines() -> str | None:
     return None
 
 
+def _generation(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
+    """One 8-CPU SPECjbb trace generated with code bursts in the
+    compiled step vs in the Python reference (``JMMW_FASTPATH=0`` for
+    the call), equal per-CPU streams, instruction counts and final
+    generator states."""
+    from repro.figures.common import make_workload
+    from repro.memsys.fastpath import FASTPATH_ENV
+    from repro.rng import RngFactory
+
+    class Recording(RngFactory):
+        """Hands out streams as usual and keeps them for their state."""
+
+        def __init__(self, seed: int) -> None:
+            super().__init__(seed)
+            self.streams = []
+
+        def stream(self, name: str):
+            rng = super().stream(name)
+            self.streams.append(rng)
+            return rng
+
+    def generate() -> tuple:
+        factory = Recording(sim.seed)
+        bundle = make_workload("specjbb", scale=8).generate(8, sim, factory)
+        return (
+            [t.tobytes() for t in bundle.per_cpu],
+            bundle.instructions,
+            [rng.bit_generator.state for rng in factory.streams],
+        )
+
+    def reference() -> tuple:
+        previous = os.environ.get(FASTPATH_ENV)
+        os.environ[FASTPATH_ENV] = "0"
+        try:
+            return generate()
+        finally:
+            if previous is None:
+                del os.environ[FASTPATH_ENV]
+            else:
+                os.environ[FASTPATH_ENV] = previous
+
+    return generate, reference
+
+
+def _burst_step_declines() -> str | None:
+    from repro.memsys.fastpath import FASTPATH_ENV, fastpath_enabled
+    from repro.memsys.fastpath_coherence import burst_step_declines
+
+    if not fastpath_enabled():
+        return f"{FASTPATH_ENV}=0 switches the compiled burst step off"
+    reason = burst_step_declines()
+    if reason is not None:
+        return f"code bursts run in Python here ({reason})"
+    return None
+
+
 def _plane(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
     """Figure 12's instruction-side sweep, one task per size on two
     workers: the trace generated once and shared through the plane
@@ -242,6 +300,8 @@ def _warm_cache(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
 GATES: tuple[Gate, ...] = (
     Gate("miss-curve", _miss_curve, bound=3.0, refs=250_000),
     Gate("coherent", _coherent, bound=10.0, refs=250_000, declines=_kernel_declines),
+    # Measured 1.9-2.1x (median of three runs); the bound is about half.
+    Gate("generation", _generation, bound=1.0, refs=60_000, declines=_burst_step_declines),
     Gate("plane", _plane, bound=1.5, refs=25_000),
     Gate("warm-cache", _warm_cache, bound=4.0, refs=25_000),
 )

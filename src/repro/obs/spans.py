@@ -53,6 +53,9 @@ class _NullSpan:
     def __exit__(self, *exc_info: object) -> bool:
         return False
 
+    def annotate(self, **attrs: Any) -> None:
+        pass
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -97,6 +100,10 @@ class _LiveSpan:
             record.update(self._attrs)
         tracker.finished.append(record)
         return False
+
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes known only once the span's work has run."""
+        self._attrs.update(attrs)
 
 
 class SpanTracker:

@@ -10,22 +10,34 @@ processor's references as Python ints; the finished streams become
 the bundle's ``uint64`` arrays.  Long runs are built with numpy, bit
 for bit: only consecutive RNG draws with the same method and bounds
 become one sized draw.
+
+Code bursts, where most of generation's draws are, run as one call of
+a compiled step (:func:`repro.memsys.fastpath_coherence.burst_frame`)
+that draws from the builder's own generator through numpy's own C
+samplers, so the trace and the generator's state come out byte for
+byte as :meth:`StreamBuilder.reference_burst`, the Python reference,
+leaves them.  A builder chooses its step once, at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro import obs
 from repro.core.config import SimConfig
 from repro.errors import WorkloadError
 from repro.jvm.heap import AllocationCursor
 from repro.jvm.objects import ObjectTree
 from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref, encode_refs
+from repro.memsys.fastpath import fastpath_enabled
 from repro.rng import RngFactory
 from repro.workloads.codepath import CodeLayout
+
+if TYPE_CHECKING:
+    from repro.memsys.fastpath_coherence import BurstFrame
 
 
 @dataclass
@@ -143,6 +155,11 @@ class StreamBuilder:
         self.stack_base = stack_base
         self._frame_cursor = 0
         self._code_prev = None
+        # The burst step, chosen once: the compiled one when it can
+        # serve.  Imported here, so importing workloads loads no kernel.
+        from repro.memsys.fastpath_coherence import burst_frame
+
+        self._burst_frame = burst_frame(rng)
 
     def set_stack(self, stack_base: int) -> None:
         """Switch the active thread context (its stack frames)."""
@@ -157,8 +174,16 @@ class StreamBuilder:
         The burst's loads/stores land in the active thread's stack
         window — hot, private lines that mostly hit in the L1, exactly
         like real locals — so per-1000-instruction miss rates are
-        denominated against a realistic reference mix.
+        denominated against a realistic reference mix.  The compiled
+        step emits exactly what :meth:`reference_burst` emits.
         """
+        frame = self._burst_frame
+        if frame is None or not self._kernel_burst(frame, layout, mean_burst_instr):
+            self.reference_burst(layout, mean_burst_instr)
+
+    def reference_burst(self, layout: CodeLayout, mean_burst_instr: int = 100) -> None:
+        """:meth:`code_burst` in Python: :meth:`CodeLayout.burst`, then
+        the burst's loads and stores."""
         refs, n_instr, self._code_prev = layout.burst(
             self.rng, mean_burst_instr, prev=self._code_prev
         )
@@ -176,6 +201,42 @@ class StreamBuilder:
         local = encode_ref(window, LOAD) + 32 * slots
         local[n_loads:] += STORE - LOAD
         self.refs.extend(local.tolist())
+
+    def _kernel_burst(self, frame: BurstFrame, layout: CodeLayout, mean: int) -> bool:
+        """:meth:`reference_burst` in one call of the compiled step.
+
+        Returns False, before any draw, for what only the reference
+        serves: a layout or stack window beyond the packed encoding, a
+        mean beyond the output buffer's bound, a continuation in
+        another layout's segment.  The loop window comes back once and
+        is repeated here, so repeated fetches share one int object.
+        """
+        table = layout.burst_table
+        if table is None:
+            return False
+        prev = self._code_prev
+        if prev is None:
+            prev_seg, prev_pos = -1, 0
+        else:
+            prev_seg = table.index.get(prev[0])
+            if prev_seg is None:
+                return False
+            prev_pos = prev[1]
+        window = self.stack_base + (self._frame_cursor % 4) * 512
+        burst = frame.burst(table.address, prev_seg, prev_pos, window, mean)
+        if burst is None:
+            return False
+        n_instr, seg, end, fetches, loops, tail, data, stack_error = burst
+        refs = self.refs
+        refs += fetches * loops
+        refs += fetches[:tail]
+        self.instructions += n_instr
+        self._code_prev = (layout.segments[seg], end)
+        self._frame_cursor += 1
+        if stack_error is not None:
+            raise stack_error
+        refs += data
+        return True
 
     def code_bursts(
         self, layout: CodeLayout, n: int, mean_burst_instr: int = 100
@@ -263,6 +324,26 @@ class StreamBuilder:
             self.refs.append(encode_ref(base, STORE))
             self.refs.append(encode_ref(base + 32, STORE))
             self.refs.append(encode_ref(base, LOAD))
+
+
+def burst_mode() -> str:
+    """Which step draws this process's code bursts: ``kernel`` or
+    ``reference``.
+
+    Called once per generated trace (``TraceSpec.generate``): a trace
+    whose bursts ran in the reference although the fast path is on is
+    counted under ``BURST_FALLBACK_COUNTER``, by reason.  Under
+    ``JMMW_FASTPATH=0`` the kernel is not asked, and nothing is counted.
+    """
+    if not fastpath_enabled():
+        return "reference"
+    from repro.memsys.fastpath_coherence import BURST_FALLBACK_COUNTER, burst_step_declines
+
+    reason = burst_step_declines()
+    if reason is None:
+        return "kernel"
+    obs.incr(f"{BURST_FALLBACK_COUNTER}/{reason}")
+    return "reference"
 
 
 def code_sweep_refs(layout: CodeLayout) -> list[int]:

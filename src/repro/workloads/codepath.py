@@ -8,9 +8,16 @@ with a skewed distribution produces the smooth miss-rate-vs-size
 curves of Figure 12, and the *total* amount of hot code — much larger
 for ECperf (servlet engine + EJB container + JDBC + XML + beans) than
 for SPECjbb — sets where the curve falls off.
+
+:meth:`CodeLayout.burst` is the reference for one burst's fetches.
+The compiled burst step draws the same bursts from a
+:class:`BurstTable`, the layout packed once, on first use
+(:attr:`CodeLayout.burst_table`).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -152,9 +159,48 @@ class CodeLayout:
         end_pos = (start + n_instr) % segment.instructions
         return refs, n_instr, (segment, end_pos)
 
+    @cached_property
+    def burst_table(self) -> "BurstTable | None":
+        """This layout packed for the compiled burst step, on first use.
+
+        None when a segment lies beyond
+        :data:`~repro.memsys.fastpath_coherence.BURST_ADDRESS_LIMIT`:
+        then every burst of this layout runs :meth:`burst`.
+        """
+        from repro.memsys.fastpath_coherence import BURST_ADDRESS_LIMIT as LIMIT
+
+        if all(-LIMIT < s.base and s.base + s.code_bytes < LIMIT for s in self.segments):
+            return BurstTable(self)
+        return None
+
     def describe(self) -> str:
         kb_total = self.total_code_bytes / 1024
         return f"{len(self.segments)} code regions, {kb_total:.0f} KB hot code"
+
+
+class BurstTable:
+    """A :class:`CodeLayout` as the compiled burst step reads it.
+
+    One ``int64`` array at :attr:`address`: the segment count,
+    ``locality`` and ``offset_skew`` (float64 bits), each segment's base
+    and instruction count, then the hotness CDF (float64).  ``index``
+    maps each segment to its position, so a continuation
+    ``(segment, position)`` crosses into the kernel as two ints.
+    """
+
+    __slots__ = ("_array", "address", "index")
+
+    def __init__(self, layout: CodeLayout) -> None:
+        n = len(layout.segments)
+        self._array = np.zeros(3 + 3 * n, dtype=np.int64)
+        self._array[0] = n
+        self._array[1:3].view(np.float64)[:] = (layout.locality, layout.offset_skew)
+        self._array[3 : 3 + 2 * n] = [
+            v for s in layout.segments for v in (s.base, s.instructions)
+        ]
+        self._array[3 + 2 * n :].view(np.float64)[:] = layout._cumulative
+        self.address = self._array.ctypes.data
+        self.index = {segment: i for i, segment in enumerate(layout.segments)}
 
 
 def jvm_runtime_regions() -> list[CodeRegionSpec]:

@@ -172,3 +172,28 @@ def test_measured_knee_none_in_linear_regime():
     assert measured_knee(points, think_s=1.2, base_response_s=0.02) is None
     with pytest.raises(ConfigError):
         measured_knee(points, think_s=0.0, base_response_s=0.0)
+
+
+def test_saturation_point_solves_its_chain_once():
+    """A serial sweep's warm start and its report row share one solve
+    of each population's chain."""
+    from repro.loadplane import SweepConfig
+    from repro.loadplane.sweep import run_saturation
+
+    sweep = SweepConfig(
+        populations=(64, 512), threads=4, connections=2, service_s=0.02,
+        think_s=0.8, windows=2, window_s=0.5, seed=77,
+    )
+    closed_mmc_metrics.cache_clear()
+    run_saturation(sweep, jobs=1).render()
+    info = closed_mmc_metrics.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_closed_chain_memo_keys_on_argument_types():
+    """An int and a float server count are separate solves, so a cached
+    record never reports another call's argument types."""
+    closed_mmc_metrics.cache_clear()
+    assert closed_mmc_metrics(10, 1.0, 0.01, 4).servers == 4
+    assert type(closed_mmc_metrics(10, 1.0, 0.01, 4.0).servers) is float
+    assert closed_mmc_metrics.cache_info().misses == 2

@@ -139,6 +139,15 @@ def _export_one_miss_too_many(monkeypatch):
     monkeypatch.setattr(fastpath_coherence, "_export_stats", wrong)
 
 
+def _skip_loop_reentry(monkeypatch):
+    """The compiled burst step never re-enters the loop just executed."""
+    from repro.memsys import fastpath_coherence
+
+    monkeypatch.setattr(
+        fastpath_coherence, "_defect", fastpath_coherence.BURST_DEFECT_NO_REENTRY
+    )
+
+
 def _publish_another_seed(monkeypatch):
     """The plane shares a trace generated from the wrong seed."""
     from repro.harness.traceplane import TracePlane
@@ -168,6 +177,7 @@ def _serve_stale_hits(monkeypatch):
 PERTURB = {
     "miss-curve": _flip_last_miss_flag,
     "coherent": _export_one_miss_too_many,
+    "generation": _skip_loop_reentry,
     "plane": _publish_another_seed,
     "warm-cache": _serve_stale_hits,
 }
@@ -191,6 +201,16 @@ def test_real_gate_catches_a_perturbed_fast_side(gate, tmp_path, monkeypatch):
     PERTURB[gate.name](monkeypatch)
     result = bench.run_gate(replace(gate, refs=TINY), tmp_path, rounds=1)
     assert result.status == "FAIL: results differ in round 0"
+
+
+def test_generation_gate_skipped_under_the_reference_switch(monkeypatch, capsys):
+    """With ``JMMW_FASTPATH=0`` both sides draw in Python: the row is
+    skipped, names the switch, and still asserts parity."""
+    monkeypatch.setenv("JMMW_FASTPATH", "0")
+    generation = replace(_gate("generation"), refs=TINY)
+    monkeypatch.setattr(bench, "GATES", (generation,))
+    assert main(["bench"]) == 0
+    assert "skipped: JMMW_FASTPATH=0" in _row(capsys.readouterr().out, "generation")
 
 
 @pytest.mark.parametrize("degraded", ["no-kernel", "checked"])

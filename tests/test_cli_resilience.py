@@ -255,6 +255,73 @@ def test_fallback_notice_per_reason(
     ]
 
 
+def generating_figure(module_name, sim):
+    """A stub figure that also generates one small trace."""
+    from dataclasses import replace
+
+    from repro.harness.traceplane import TraceSpec
+
+    TraceSpec("specjbb", 2, 2, replace(sim, refs_per_proc=2_000)).generate()
+    return _stub_result(module_name)
+
+
+#: The stderr notice each counted burst decline must print.
+BURST_FALLBACK_NOTES = {
+    "no-kernel": "the compiled kernel is unavailable (no C compiler?)",
+    "no-npyrandom": "numpy's libnpyrandom.a was not found, so the kernel "
+    "has no burst step",
+}
+
+
+def test_burst_fallback_notice_once_per_trace(cli_env, stub_figures, monkeypatch, capsys):
+    """A trace generated without the compiled burst step prints one
+    stderr line for the trace, not one per processor or burst; stdout
+    is untouched."""
+    from repro.memsys import fastpath_coherence
+
+    monkeypatch.setattr(common, "run_figure", generating_figure)
+    argv = ["figures", "fig04", "--quick", "--no-cache"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    if fastpath_coherence.burst_step_declines() is None:
+        assert "code bursts" not in plain.err
+    monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
+    assert main(argv) == 0
+    patched = capsys.readouterr()
+    assert patched.out == plain.out
+    notes = [line for line in patched.err.splitlines() if "code bursts" in line]
+    assert notes == [
+        "note: 1 trace(s) drew their code bursts in Python: "
+        + BURST_FALLBACK_NOTES["no-kernel"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "declines",
+    [{"no-kernel": 3}, {"no-npyrandom": 1}, {"no-kernel": 1, "no-npyrandom": 2}],
+    ids=["no-kernel", "no-npyrandom", "both"],
+)
+def test_burst_fallback_notice_per_reason(
+    cli_env, stub_figures, monkeypatch, capsys, declines
+):
+    from repro import obs
+    from repro.memsys.fastpath_coherence import BURST_FALLBACK_COUNTER
+
+    def declining_figure(module_name, sim):
+        for reason, n in declines.items():
+            obs.incr(f"{BURST_FALLBACK_COUNTER}/{reason}", n)
+        return _stub_result(module_name)
+
+    monkeypatch.setattr(common, "run_figure", declining_figure)
+    assert main(["figures", "fig04", "--quick", "--no-cache"]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if "note:" in line]
+    assert notes == [
+        f"note: {declines[reason]} trace(s) drew their code bursts in Python: {cause}"
+        for reason, cause in BURST_FALLBACK_NOTES.items()
+        if reason in declines
+    ]
+
+
 def test_figures_setup_never_loads_the_kernel(cli_env, stub_figures, monkeypatch):
     """Cache keys and campaign signatures carry no kernel bit, so a
     run that replays nothing coherently never builds or loads it."""
