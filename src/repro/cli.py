@@ -19,6 +19,9 @@ Subcommands::
                                        fault-tolerant executor fleet
     jmmw campaign status STUDY         cell-level progress from the journal
     jmmw campaign report STUDY         mean ± std report from the journal
+    jmmw loadplane [--quick] [--users N...] [--workload W] ...
+                                       closed-loop saturation sweep over
+                                       the appserver stations
     jmmw info                          inventory: machine, workloads, figures
 
 Campaign exit codes: 0 when every cell completed, 4 when the campaign
@@ -41,9 +44,8 @@ byte-stable across serial, parallel and cached runs.
 ``jmmw figures`` generates each distinct trace once per campaign: the
 traces two or more of its figures declare (``trace_specs``) are
 shared with workers through the :mod:`repro.harness.traceplane`
-shared-memory plane (``JMMW_TRACE_PLANE_SPILL=0`` keeps every trace
-in spill files instead of ``/dev/shm``), with every segment unlinked
-at campaign end — including interrupted and crashed runs.
+plane: one memory-mapped file per trace, all of them removed at
+campaign end — including interrupted and crashed runs.
 
 Resilience: every campaign journals completed tasks to a manifest as
 they finish, so a run cut down by Ctrl-C, SIGTERM or a crash can be
@@ -208,7 +210,7 @@ def _finish_interrupted(interrupt, manifest) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     """Reproduce the requested figures; non-zero exit on check failures."""
-    from repro.errors import CampaignInterrupted, ConfigError
+    from repro.errors import CampaignInterrupted
     from repro.figures.common import FIGURE_SIM, QUICK_SIM, figure_checks
     from repro.harness import TracePlane, run_tasks
     from repro.harness.tasks import build_figure_tasks, figures_campaign_signature
@@ -226,11 +228,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     cache = _make_cache(args)
     modules = [ids[fig_id] for fig_id in wanted]
-    try:
-        plane = TracePlane()
-    except ConfigError as exc:
-        print(f"figures: {exc}", file=sys.stderr)
-        return 2
+    plane = TracePlane()
     manifest = _open_manifest(args, figures_campaign_signature(modules, sim))
     try:
         tasks = build_figure_tasks(
@@ -248,9 +246,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
     except CampaignInterrupted as interrupt:
         return _finish_interrupted(interrupt, manifest)
     finally:
-        # Campaign over (or interrupted): every shared trace segment
-        # and spill file this invocation published is unlinked here,
-        # whatever happened to the workers.
+        # Campaign over (or interrupted): every trace file this
+        # invocation published is removed here, whatever happened to
+        # the workers.
         plane.close()
 
     failures = 0

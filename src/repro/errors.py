@@ -83,12 +83,12 @@ class HarnessError(ReproError):
 
 
 class TracePlaneError(HarnessError):
-    """The shared-memory trace plane refused an unsafe operation.
+    """The trace plane refused an unsafe operation.
 
     Raised when attaching a :class:`repro.harness.traceplane.TraceRef`
-    that no longer matches reality: the segment was unlinked (campaign
-    ended), the spill file is truncated, or the ref belongs to a
-    different plane *generation* than the segment it points at.  The
+    that no longer matches reality: the trace file was removed
+    (campaign ended), it is truncated, or the ref belongs to a
+    different plane *generation* than the file it points at.  The
     contract is fail-loud: a stale or damaged ref must never resolve
     to silently wrong trace data.
     """

@@ -73,9 +73,9 @@ def run_figure(
 
     ``plane_refs`` (spec key -> :class:`~repro.harness.traceplane.TraceRef`)
     are installed for the duration of the run: figure code that fetches
-    traces through :func:`figure_trace` attaches to the published
-    shared-memory segments instead of regenerating.  Results are
-    bit-identical with or without refs.
+    traces through :func:`figure_trace` maps the published trace files
+    instead of regenerating.  Results are bit-identical with or without
+    refs.
     """
     import importlib
 
@@ -112,7 +112,7 @@ def make_workload(name: str, scale: int | None = None):
 def figure_trace(spec: TraceSpec) -> TraceBundle:
     """The trace ``spec`` names: the one way figure code gets a trace.
 
-    A zero-copy view of the plane's segment when the running task
+    A zero-copy view of the plane's trace file when the running task
     carries a ref for ``spec``; otherwise generated here, bit-identically.
     """
     bundle = resolve(spec)

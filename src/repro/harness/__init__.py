@@ -22,10 +22,11 @@ and campaign:
 - :mod:`repro.harness.tasks` — the picklable task functions the CLI
   and experiment layer fan out;
 - :mod:`repro.harness.traceplane` — generate-once/replay-many trace
-  sharing over POSIX shared memory: the campaign parent publishes each
-  trace bundle once, workers attach by :class:`TraceRef`, and every
-  segment is unlinked at campaign end (crash-safe via an fsynced
-  ledger swept on the next campaign start).
+  sharing through memory-mapped files: the campaign parent publishes
+  each trace bundle once into the plane's own directory, workers
+  attach by :class:`TraceRef`, and the directory is removed at
+  campaign end (crash-safe: the next campaign start removes the
+  directories of dead processes).
 
 Quickstart::
 

@@ -255,10 +255,9 @@ class ResultCache:
         Does **not** verify the checksum (that costs a full read), so a
         True may still turn into a miss-with-quarantine at
         :meth:`get` time.  Used by task builders to skip expensive
-        preparation (e.g. publishing traces to the shared-memory
-        plane) for work that will almost certainly be served from
-        cache; a wrong hint costs only the skipped optimization, never
-        correctness.
+        preparation (e.g. publishing traces to the trace plane) for
+        work that will almost certainly be served from cache; a wrong
+        hint costs only the skipped optimization, never correctness.
         """
         return self._path(key).exists()
 

@@ -63,8 +63,8 @@ def crash_while_attached(
 
     The nastiest trace-plane failure mode: a worker is SIGKILL-hard
     dead (``os._exit`` skips every ``atexit``/``finally``) *while its
-    shared-memory mapping is live*.  The parent must still be able to
-    unlink the segment at campaign end — ownership never transferred —
+    mapping of a trace file is live*.  The parent must still be able to
+    remove the file at campaign end — ownership never transferred —
     and a respawned worker must be able to re-attach and finish the
     task.  Touches the data before dying so the mapping is genuinely
     faulted in, not just reserved.

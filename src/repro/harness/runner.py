@@ -67,8 +67,8 @@ class Task:
     trace-plane spec keys this task replays (see
     :mod:`repro.harness.traceplane`): the runner retains them while the
     task is pending and releases them at its final outcome, so a
-    shared-memory trace segment is unlinked the moment its last
-    consumer completes.
+    shared trace file is removed the moment its last consumer
+    completes.
     """
 
     key: str
@@ -199,7 +199,7 @@ def run_tasks(
     ``plane`` is a :class:`repro.harness.traceplane.TracePlane`: each
     pending task's ``plane_keys`` are retained up front and released
     when the task reaches its final outcome (success, failure or
-    abort), unlinking shared trace segments as their consumers drain.
+    abort), removing shared trace files as their consumers drain.
     Tasks served from cache or manifest never retain — their traces
     are not replayed.  A drained interrupt leaves retained keys to
     :meth:`TracePlane.close`, which the campaign owner runs either

@@ -11,10 +11,10 @@ cache keys.
 Builders take an optional
 :class:`~repro.harness.traceplane.TracePlane` (``jmmw figures`` always
 passes one): with one, a trace that several tasks of a batch replay
-is generated **once** in the parent and published as a shared-memory
-segment, each task carries only the tiny
+is generated **once** in the parent and published as a memory-mapped
+trace file, each task carries only the tiny
 :class:`~repro.harness.traceplane.TraceRef` handles it needs
-(``plane_refs``), and the runner refcounts segment lifetime through
+(``plane_refs``), and the runner refcounts each file's lifetime through
 ``Task.plane_keys``.  Every other trace is generated inside the one
 task that replays it — bit-identical results either way, so cache
 keys do not record which.  Figure tasks learn their traces from each
@@ -69,7 +69,7 @@ def build_figure_tasks(
     With a ``plane``, a trace that two or more to-run tasks declare is
     published once here and those tasks ship its ref; a trace only one
     task declares is generated inside that task, instead of holding
-    shared memory for the whole run.  A task ``cache`` or ``manifest``
+    a trace file for the whole run.  A task ``cache`` or ``manifest``
     will serve back uses no trace.  The hint is advisory: a task that
     runs after all (quarantined entry, torn journal) finds no refs
     installed and generates its traces, bit-identically.

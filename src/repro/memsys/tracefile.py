@@ -46,7 +46,7 @@ def save_trace(bundle: TraceBundle, path: str | Path) -> Path:
         "workload": bundle.workload,
         "n_procs": bundle.n_procs,
         "instructions": bundle.instructions,
-        "meta": _jsonable(bundle.meta),
+        "meta": jsonable_meta(bundle.meta),
     }
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8
@@ -133,8 +133,10 @@ def _read_stream(data, idx: int, path: Path) -> np.ndarray:
     return array
 
 
-def _jsonable(meta: dict) -> dict:
-    """Keep only JSON-serializable metadata entries."""
+def jsonable_meta(meta: dict) -> dict:
+    """``meta`` with every value JSON cannot encode replaced by its
+    ``str``: the form both the ``.npz`` header and the trace plane's
+    :class:`~repro.harness.traceplane.TraceRef` carry."""
     out = {}
     for key, value in meta.items():
         try:

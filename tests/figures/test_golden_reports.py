@@ -88,20 +88,3 @@ def test_figure_stdout_byte_identical_with_obs(capsys, tmp_path):
     )
     golden = _golden_path("fig12").read_text(encoding="utf-8")
     assert captured_out == golden
-
-
-def test_figure_stdout_matches_golden_with_every_trace_spilled(capsys, monkeypatch):
-    """``JMMW_TRACE_PLANE_SPILL=0`` keeps every trace off ``/dev/shm``
-    (all segments become spill files) without changing a byte.  fig12
-    and fig13 replay the same four traces, so the pair publishes them."""
-    from repro import obs
-
-    monkeypatch.setenv("JMMW_TRACE_PLANE_SPILL", "0")
-    out = _figure_stdout("fig12 fig13", capsys)
-    assert out == "".join(
-        _golden_path(fig_id).read_text(encoding="utf-8")
-        for fig_id in ("fig12", "fig13")
-    )
-    segments = obs.COUNTERS.get("harness/trace_plane/segments")
-    assert segments > 0
-    assert obs.COUNTERS.get("harness/trace_plane/spill_segments") == segments

@@ -72,8 +72,8 @@ def test_plane_and_generated_traces_render_identically(
 
 
 def test_run_figure_leaves_no_mapping_open(tmp_path):
-    """A task's mappings close when it ends, so unlinking a segment after
-    its last task frees its pages in every process that attached it."""
+    """A task's mappings close when it ends, so removing a trace file
+    after its last task frees its pages in every process that mapped it."""
     generated = run_figure("fig16_sharedcache", SMALL_SIM)
     with TracePlane(root=tmp_path) as plane:
         refs = plane.refs_for(figure_trace_specs("fig16_sharedcache", SMALL_SIM))

@@ -2,24 +2,26 @@
 
 The trace plane's contract has two halves, and this suite pins both:
 
-1. **Parity** — a bundle replayed through a shared-memory (or spill)
-   attachment is bit-identical to one regenerated from its spec, so
-   plane-on, plane-off and serial campaigns produce identical results;
+1. **Parity** — a bundle replayed through a mapped trace file is
+   bit-identical to one regenerated from its spec, so plane-on,
+   plane-off and serial campaigns produce identical results;
 2. **No leaks, ever** — after a clean campaign, a SIGINT-drained
    campaign, a chaos campaign (workers crashing *while attached*,
-   hanging past the watchdog, being respawned), and even a parent
-   killed dead without cleanup (via :func:`sweep_stale`), zero
-   ``/dev/shm`` segments, spill files, or ledgers remain.
+   hanging past the watchdog, being respawned), a publish that fails
+   part-way, and even a parent killed dead without cleanup (via
+   :func:`sweep_stale`), the plane root holds no file and no directory.
 
-Every test that creates segments asserts the ``/dev/shm`` delta is
-empty on the way out; the ``_no_leaks`` helper is the single source of
-truth for what "leaked" means.
+The autouse ``_no_leaks`` fixture is the single source of truth for
+what "leaked" means: no trace file and no plane directory anywhere
+under the test's ``tmp_path``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import errno
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -38,7 +40,6 @@ from repro.harness import traceplane
 from repro.harness.chaos import crash_while_attached, hang_task
 from repro.harness.tasks import build_miss_curve_sweep_tasks, miss_curve_shard
 from repro.harness.traceplane import (
-    SEGMENT_PREFIX,
     TracePlane,
     TraceSpec,
     attach,
@@ -59,28 +60,26 @@ def _spec(n_procs: int = 1, seed: int = 1234) -> TraceSpec:
     return TraceSpec(workload="specjbb", scale=2, n_procs=n_procs, sim=sim)
 
 
-def _shm_segments() -> set[str]:
-    shm = Path("/dev/shm")
-    if not shm.is_dir():  # pragma: no cover - non-Linux
-        return set()
-    return {p.name for p in shm.iterdir() if p.name.startswith(SEGMENT_PREFIX)}
+#: A plane's own directory: ``<pid>-<generation>``.
+_PLANE_DIR = re.compile(r"\d+-[0-9a-f]{32}")
 
 
 @pytest.fixture(autouse=True)
-def _no_leaks():
-    """Every test in this file must leave /dev/shm and the cache clean."""
+def _no_leaks(tmp_path):
+    """Every test in this file must leave its ``tmp_path`` clean."""
     detach_all()
-    before = _shm_segments()
     yield
     detach_all()
-    leaked = _shm_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-
-def _plane_files(root: Path) -> list[str]:
-    return sorted(
-        p.name for p in root.glob("*") if p.suffix in (".trace", ".ledger")
+    leaked = sorted(
+        str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+        if p.suffix == ".trace" or _PLANE_DIR.fullmatch(p.name)
     )
+    assert not leaked, f"leaked trace-plane files: {leaked}"
+
+
+def _plane_entries(root: Path) -> list[str]:
+    """Everything under a plane root, files and directories alike."""
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
 
 # -- publish / attach parity -------------------------------------------------
@@ -91,7 +90,7 @@ def test_publish_attach_roundtrip_is_bit_identical(tmp_path):
     reference = spec.generate()
     with TracePlane(root=tmp_path) as plane:
         ref = plane.publish(spec)
-        assert ref.backend == "shm"
+        assert Path(ref.location).parent == plane.directory
         assert ref.lengths == tuple(t.size for t in reference.per_cpu)
         got = attach(ref)
         assert got.workload == reference.workload
@@ -100,7 +99,8 @@ def test_publish_attach_roundtrip_is_bit_identical(tmp_path):
             assert mine.dtype == np.uint64
             assert np.array_equal(mine, theirs)
         detach_all()
-    assert _plane_files(tmp_path) == []
+    # The trace file and the plane's directory both go at close.
+    assert _plane_entries(tmp_path) == []
 
 
 def test_publish_is_idempotent_per_spec(tmp_path):
@@ -110,20 +110,6 @@ def test_publish_is_idempotent_per_spec(tmp_path):
         second = plane.publish(spec)
         assert first is second or first == second
         assert len(plane.refs) == 1
-
-
-def test_spill_backend_roundtrip(tmp_path):
-    spec = _spec(n_procs=2)
-    reference = spec.generate()
-    with TracePlane(root=tmp_path, spill_bytes=1) as plane:
-        ref = plane.publish(spec)
-        assert ref.backend == "spill"
-        assert Path(ref.location).exists()
-        got = attach(ref)
-        assert np.array_equal(got.merged(), reference.merged())
-        detach_all()
-    # Spill file and ledger both retired at close.
-    assert _plane_files(tmp_path) == []
 
 
 def test_resolve_uses_installed_refs_and_misses_without(tmp_path):
@@ -195,7 +181,7 @@ def test_wrong_generation_ref_raises_typed_error(tmp_path):
 
 def test_truncated_spill_file_raises_typed_error(tmp_path):
     spec = _spec()
-    with TracePlane(root=tmp_path, spill_bytes=1) as plane:
+    with TracePlane(root=tmp_path) as plane:
         ref = plane.publish(spec)
         path = Path(ref.location)
         path.write_bytes(path.read_bytes()[: ref.nbytes // 2])
@@ -205,18 +191,10 @@ def test_truncated_spill_file_raises_typed_error(tmp_path):
 
 def test_garbage_spill_header_raises_typed_error(tmp_path):
     spec = _spec()
-    with TracePlane(root=tmp_path, spill_bytes=1) as plane:
+    with TracePlane(root=tmp_path) as plane:
         ref = plane.publish(spec)
         Path(ref.location).write_bytes(b"\xff" * 256)
         with pytest.raises(TracePlaneError, match="magic"):
-            attach(ref)
-
-
-def test_unknown_backend_rejected(tmp_path):
-    spec = _spec()
-    with TracePlane(root=tmp_path) as plane:
-        ref = dataclasses.replace(plane.publish(spec), backend="carrier-pigeon")
-        with pytest.raises(TracePlaneError, match="backend"):
             attach(ref)
 
 
@@ -240,13 +218,13 @@ def test_release_to_zero_unlinks_before_campaign_end(tmp_path):
         plane.retain((drop_key,))
 
         plane.release((drop_key,))
-        assert refs[drop_key].location not in _shm_segments()
-        assert refs[keep_key].location in _shm_segments()
+        assert not Path(refs[drop_key].location).exists()
+        assert Path(refs[keep_key].location).exists()
 
         plane.release((keep_key,))
-        assert refs[keep_key].location in _shm_segments()  # one holder left
+        assert Path(refs[keep_key].location).exists()  # one holder left
         plane.release((keep_key,))
-        assert refs[keep_key].location not in _shm_segments()
+        assert not Path(refs[keep_key].location).exists()
 
 
 def test_runner_releases_plane_keys_as_tasks_finish(tmp_path):
@@ -257,7 +235,7 @@ def test_runner_releases_plane_keys_as_tasks_finish(tmp_path):
         outcomes = run_tasks(tasks, jobs=2, plane=plane)
         assert all(o.ok for o in outcomes)
         # Every consumer finished: the runner's release() calls already
-        # unlinked the segment, before plane.close() ran.
+        # removed the trace file, before plane.close() ran.
         assert plane.refs == {}
 
 
@@ -273,7 +251,7 @@ def test_clean_parallel_campaign_leaves_nothing(tmp_path):
         assert all(o.ok for o in outcomes)
     finally:
         plane.close()
-    assert _plane_files(tmp_path) == []
+    assert _plane_entries(tmp_path) == []
 
 
 def test_worker_crash_while_attached_retries_and_leaks_nothing(tmp_path):
@@ -311,7 +289,7 @@ def test_worker_crash_while_attached_retries_and_leaks_nothing(tmp_path):
         assert by_key["ok"].ok
     finally:
         plane.close()
-    assert _plane_files(tmp_path / "plane") == []
+    assert _plane_entries(tmp_path / "plane") == []
 
 
 def test_hung_worker_killed_while_attached_leaks_nothing(tmp_path):
@@ -336,11 +314,11 @@ def test_hung_worker_killed_while_attached_leaks_nothing(tmp_path):
         assert by_key["ok"].ok
     finally:
         plane.close()
-    assert _plane_files(tmp_path / "plane") == []
+    assert _plane_entries(tmp_path / "plane") == []
 
 
 def test_sigint_drained_figures_campaign_leaks_nothing(monkeypatch, tmp_path):
-    """A drained interrupt still unlinks every published segment."""
+    """A drained interrupt still removes every published trace file."""
     monkeypatch.setenv("JMMW_CACHE_DIR", str(tmp_path))
     plane_root = tmp_path / "traceplane"
 
@@ -359,12 +337,12 @@ def test_sigint_drained_figures_campaign_leaks_nothing(monkeypatch, tmp_path):
     monkeypatch.setattr(
         common, "figure_checks", lambda module_name, result: []
     )
-    # fig12 and fig13 share four traces, so segments exist when the
+    # fig12 and fig13 share four traces, so trace files exist when the
     # interrupt lands.
     rc = main(["figures", "fig12", "fig13", "--quick", "--no-cache"])
     assert rc == 130
     assert published and published[0] == 4
-    assert _plane_files(plane_root) == []
+    assert _plane_entries(plane_root) == []
 
 
 def test_fork_inherited_plane_never_closes_parents_segments(tmp_path):
@@ -375,7 +353,7 @@ def test_fork_inherited_plane_never_closes_parents_segments(tmp_path):
         original = plane._owner_pid
         plane._owner_pid = original + 1
         plane.close()
-        assert ref.location in _shm_segments()  # untouched
+        assert Path(ref.location).exists()  # untouched
         plane._owner_pid = original
 
 
@@ -384,14 +362,6 @@ def test_fork_inherited_plane_never_closes_parents_segments(tmp_path):
 _ORPHAN_SCRIPT = """
 import os, sys
 sys.path.insert(0, {src!r})
-from multiprocessing import resource_tracker
-# Simulate a SIGKILL of the *whole process tree*: the resource tracker
-# dies too, so its unlink-on-death backstop never fires and only the
-# ledger sweep can reclaim the segment.
-_orig = resource_tracker.register
-resource_tracker.register = (
-    lambda path, rtype: None if rtype == "shared_memory" else _orig(path, rtype)
-)
 from repro.core.config import SimConfig
 from repro.harness.traceplane import TracePlane, TraceSpec
 sim = SimConfig(seed=1234, refs_per_proc=4000, warmup_fraction=0.5)
@@ -416,20 +386,19 @@ def _orphan_a_segment(root: Path) -> str:
 
 def test_sweep_stale_reaps_segments_of_dead_processes(tmp_path):
     location = _orphan_a_segment(tmp_path)
-    assert location in _shm_segments()  # genuinely leaked by the kill
-    assert len(list(tmp_path.glob("*.ledger"))) == 1
+    assert Path(location).exists()  # genuinely leaked by the kill
+    assert _PLANE_DIR.fullmatch(Path(location).parent.name)
     reaped = sweep_stale(tmp_path)
     assert reaped == 1
-    assert location not in _shm_segments()
-    assert _plane_files(tmp_path) == []
+    assert _plane_entries(tmp_path) == []
 
 
 def test_new_plane_sweeps_predecessors_leak_on_construction(tmp_path):
     location = _orphan_a_segment(tmp_path)
-    assert location in _shm_segments()
-    with TracePlane(root=tmp_path):
-        assert location not in _shm_segments()
-    assert _plane_files(tmp_path) == []
+    assert Path(location).exists()
+    with TracePlane(root=tmp_path) as plane:
+        assert _plane_entries(tmp_path) == [plane.directory.name]
+    assert _plane_entries(tmp_path) == []
 
 
 def test_sweep_leaves_live_planes_alone(tmp_path):
@@ -437,7 +406,56 @@ def test_sweep_leaves_live_planes_alone(tmp_path):
     with TracePlane(root=tmp_path) as plane:
         ref = plane.publish(spec)
         assert sweep_stale(tmp_path) == 0  # our pid is alive
-        assert ref.location in _shm_segments()
+        assert Path(ref.location).exists()
+        # A second plane on the same root sweeps on construction, and
+        # must leave the first plane's directory and file in place.
+        with TracePlane(root=tmp_path) as second:
+            assert Path(ref.location).exists()
+            assert _plane_entries(tmp_path) == sorted([
+                plane.directory.name,
+                str(Path(plane.directory.name) / Path(ref.location).name),
+                second.directory.name,
+            ])
+        assert np.array_equal(attach(ref).merged(), spec.generate().merged())
+        detach_all()
+    assert _plane_entries(tmp_path) == []
+
+
+def test_publish_that_fails_part_way_leaks_nothing(tmp_path, monkeypatch):
+    """A full disk mid-write: publish raises, and close() still removes
+    the partial trace file with the plane's directory."""
+    real_open = open
+
+    class FullDisk:
+        def __init__(self, fh) -> None:
+            self.fh = fh
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info) -> None:
+            self.fh.close()
+
+        def write(self, data) -> int:
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return self.fh.write(data)
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode else fh
+
+    plane = TracePlane(root=tmp_path)
+    monkeypatch.setattr(traceplane, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError) as failure:
+        plane.publish(_spec(n_procs=2))
+    assert failure.value.errno == errno.ENOSPC
+    assert plane.refs == {}
+    assert len(list(plane.directory.glob("*.trace"))) == 1  # the partial file
+    plane.close()
+    assert _plane_entries(tmp_path) == []
 
 
 def test_normal_interpreter_exit_runs_atexit_backstop(tmp_path):
@@ -453,8 +471,7 @@ def test_normal_interpreter_exit_runs_atexit_backstop(tmp_path):
     )
     location = out.stdout.strip()
     assert location, out.stderr
-    assert location not in _shm_segments()
-    assert _plane_files(tmp_path) == []
+    assert _plane_entries(tmp_path) == []
 
 
 # -- obs counters ------------------------------------------------------------
@@ -479,16 +496,14 @@ def test_plane_obs_counters(tmp_path, obs_enabled):
 
 
 def test_publish_never_concatenates_the_bundle(tmp_path, monkeypatch):
-    """Publishing streams per-CPU arrays into the segment one by one.
+    """Publishing streams per-CPU arrays into the file one by one.
 
-    The spill cliff this pins down: publish used to build one merged
-    payload array before deciding shm vs spill, doubling peak memory
-    at exactly the trace sizes the spill path exists for.  Outlawing
-    payload-sized ``np.concatenate`` calls for the whole publish
-    proves the payload is written per-array, on both backends, with
-    round-trips still bit-identical.  (Tiny concatenations — RNG seed
-    derivation during generation — stay legal; the cliff is about the
-    payload.)
+    Building one merged payload array first would double peak memory
+    at the largest traces.  Outlawing payload-sized ``np.concatenate``
+    calls for the whole publish proves the payload is written
+    per-array, with round-trips still bit-identical.  (Tiny
+    concatenations — RNG seed derivation during generation — stay
+    legal; the cliff is about the payload.)
     """
     spec = _spec(n_procs=2)
     reference = spec.generate()
@@ -504,11 +519,9 @@ def test_publish_never_concatenates_the_bundle(tmp_path, monkeypatch):
         return original(arrays, *args, **kwargs)
 
     monkeypatch.setattr(traceplane.np, "concatenate", guarded)
-    for backend, kwargs in (("shm", {}), ("spill", {"spill_bytes": 1})):
-        with TracePlane(root=tmp_path / backend, **kwargs) as plane:
-            ref = plane.publish(spec)
-            assert ref.backend == backend
-            got = attach(ref)
-            for mine, theirs in zip(got.per_cpu, reference.per_cpu):
-                assert np.array_equal(mine, theirs)
-            detach_all()
+    with TracePlane(root=tmp_path) as plane:
+        ref = plane.publish(spec)
+        got = attach(ref)
+        for mine, theirs in zip(got.per_cpu, reference.per_cpu):
+            assert np.array_equal(mine, theirs)
+        detach_all()

@@ -2,9 +2,9 @@
 
 Hypothesis generates arbitrary bundles — empty streams, zero
 processors, extreme ``uint64`` values, odd lengths — and round-trips
-them through (1) ``save_trace``/``load_trace``, (2) a shared-memory
-publish/attach, and (3) an mmap spill publish/attach, asserting array
-equality, dtype, and per-CPU split stability on every path.  Seeded
+them through (1) ``save_trace``/``load_trace`` and (2) a trace-plane
+publish/attach of a memory-mapped file, asserting array equality,
+dtype, and per-CPU split stability on both paths.  Seeded
 defects (truncation, garbage) then prove the load path fails with the
 typed :class:`~repro.errors.TraceFileError`, never a raw
 numpy/zipfile exception.
@@ -72,7 +72,7 @@ def test_save_load_roundtrip(bundle):
 @settings(max_examples=40, deadline=None)
 @given(bundle=bundles())
 def test_shm_publish_attach_roundtrip(bundle):
-    """Arbitrary bundles survive the shared-memory plane unchanged."""
+    """Arbitrary bundles survive the trace plane's mapped files unchanged."""
     from repro.harness.traceplane import TraceSpec, attach
     from repro.core.config import SimConfig
 
@@ -83,28 +83,7 @@ def test_shm_publish_attach_roundtrip(bundle):
     with tempfile.TemporaryDirectory() as tmp:
         with TracePlane(root=tmp) as plane:
             ref = plane.publish(spec, bundle=bundle)
-            assert ref.backend == "shm"
             assert ref.lengths == tuple(t.size for t in bundle.per_cpu)
-            got = attach(ref)
-            _assert_equal_bundles(got, bundle)
-            detach_all()
-
-
-@settings(max_examples=40, deadline=None)
-@given(bundle=bundles())
-def test_spill_publish_attach_roundtrip(bundle):
-    """The mmap spill path is byte-for-byte the same as shm."""
-    from repro.harness.traceplane import TraceSpec, attach
-    from repro.core.config import SimConfig
-
-    spec = TraceSpec(
-        workload=bundle.workload, scale=None, n_procs=bundle.n_procs,
-        sim=SimConfig(seed=1, refs_per_proc=1, warmup_fraction=0.5),
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        with TracePlane(root=tmp, spill_bytes=0) as plane:
-            ref = plane.publish(spec, bundle=bundle)
-            assert ref.backend == "spill"
             got = attach(ref)
             _assert_equal_bundles(got, bundle)
             detach_all()

@@ -38,6 +38,24 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_help_names_every_subcommand():
+    """The module docstring is ``jmmw --help``'s description, so it
+    must list every subcommand the parser accepts."""
+    import argparse
+
+    import repro.cli
+
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    missing = [
+        name for name in subparsers.choices
+        if f"jmmw {name}" not in repro.cli.__doc__
+    ]
+    assert not missing, f"jmmw --help does not name: {missing}"
+
+
 def test_loadplane_tiny_ladder(capsys):
     assert main([
         "loadplane", "--users", "4", "16", "--threads", "2",
