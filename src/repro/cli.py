@@ -135,20 +135,32 @@ _BURST_FALLBACK_NOTICES = {
     "has no burst step",
 }
 
+#: The same for miss-curve sweeps that ran the scalar reference.
+_SWEEP_FALLBACK_NOTICES = {
+    "no-kernel": "the compiled kernel is unavailable (no C compiler?)",
+    "alloc": "the kernel could not allocate the sweep's caches",
+}
+
 
 def _finish_obs(table: bool = True) -> None:
     """End-of-run stderr report: the counter table when ``table`` is set
     or under ``--obs`` (spans first), and one notice per reason that
-    made coherent replays or code bursts run in Python instead of in the
-    compiled kernel."""
+    made coherent replays, miss-curve sweeps or code bursts run in
+    Python instead of in the compiled kernel."""
     from repro import obs
-    from repro.memsys.fastpath_coherence import BURST_FALLBACK_COUNTER, FALLBACK_COUNTER
+    from repro.memsys.fastpath_coherence import (
+        BURST_FALLBACK_COUNTER,
+        FALLBACK_COUNTER,
+        SWEEP_FALLBACK_COUNTER,
+    )
 
     if table or obs.enabled():
         print(obs.render_summary(), file=sys.stderr)
     for counter, what, causes in (
         (FALLBACK_COUNTER, "coherent replay(s) fell back to the scalar path",
          _FALLBACK_NOTICES),
+        (SWEEP_FALLBACK_COUNTER, "miss-curve sweep(s) ran the scalar reference",
+         _SWEEP_FALLBACK_NOTICES),
         (BURST_FALLBACK_COUNTER, "trace(s) drew their code bursts in Python",
          _BURST_FALLBACK_NOTICES),
     ):
@@ -231,9 +243,18 @@ def cmd_figures(args: argparse.Namespace) -> int:
     plane = TracePlane()
     manifest = _open_manifest(args, figures_campaign_signature(modules, sim))
     try:
-        tasks = build_figure_tasks(
-            modules, sim, plane=plane, cache=cache, manifest=manifest
-        )
+        try:
+            # Publishing shared traces comes before run_tasks installs
+            # its drain handler, so Ctrl-C here arrives as a plain
+            # KeyboardInterrupt, with no task run yet.
+            tasks = build_figure_tasks(
+                modules, sim, plane=plane, cache=cache, manifest=manifest
+            )
+        except KeyboardInterrupt:
+            from repro import obs
+
+            obs.emit("run/interrupted", completed=0, remaining=len(wanted))
+            raise CampaignInterrupted(0, tuple(wanted)) from None
         outcomes = run_tasks(
             tasks,
             jobs=args.jobs,

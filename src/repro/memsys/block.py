@@ -3,7 +3,7 @@
 A reference is a single int: ``(byte_address << 2) | kind``.  Packing
 into ints (rather than tuples or dataclasses) matters: traces run to
 millions of references, held as ``uint64`` arrays for the compiled
-coherence kernel and the vectorized miss-curve sweep, and walked one
+coherence kernel and miss-curve sweep, and walked one
 Python int at a time by the scalar reference simulators, where any
 object allocation per reference would dominate runtime.
 

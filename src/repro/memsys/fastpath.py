@@ -1,41 +1,25 @@
-"""Vectorized trace replay: numpy-native buffers and exact LRU kernels.
+"""Vectorized trace replay: numpy-native buffers and stack distances.
 
-The scalar simulators (:mod:`repro.memsys.multisim`,
-:mod:`repro.memsys.stackdist`) walk traces one reference at a time in
-Python.  That loop dominates the Figure 12/13 cache-size sweeps and the
-working-set profiles once traces reach hundreds of thousands of
-references.  This module replays the *same* trace encoding —
-``(byte_address << 2) | kind`` packed in ``uint64`` arrays, exactly as
-:mod:`repro.memsys.block` defines it — through numpy kernels that are
-bit-identical to the scalar implementations (enforced by
-``tests/memsys/test_fastpath.py``).
-
-Two kernels:
-
-``lru_miss_mask``
-    Exact per-access hit/miss for a set-associative true-LRU cache.
-    Per-set LRU obeys Mattson's inclusion property, so an access misses
-    iff at least ``assoc`` *distinct* blocks of the same set were
-    touched since the previous access to its block.  The kernel tests
-    that condition without per-reference Python: it computes, for every
-    access, the position of the ``assoc``-th most recently used
-    distinct block of its set (``M_A`` below) through a vectorized
-    recurrence, and compares it against the access's own previous
-    occurrence.  Set storage is a handful of flat position arrays — no
-    dicts, no per-set objects.
+The scalar stack-distance profiler
+(:class:`repro.memsys.stackdist.StackDistanceProfiler`) walks a trace
+one reference at a time in Python.  This module replays the *same*
+trace encoding — ``(byte_address << 2) | kind`` packed in ``uint64``
+arrays, exactly as :mod:`repro.memsys.block` defines it — through numpy
+primitives that are bit-identical to the scalar implementation
+(enforced by ``tests/memsys/test_fastpath.py``):
 
 ``stack_distances``
     Full LRU stack distances (the profiler's histogram input) via an
     offline reformulation: the distance of an access equals its reuse
     gap minus the number of consecutive-occurrence intervals nested
     inside it, and the nested-interval counts are per-element inversion
-    counts, computed by a vectorized bottom-up mergesort.
+    counts, computed by a vectorized bottom-up mergesort, O(n log n).
 
-Both kernels are O(n log n) in numpy primitives.  The Figure 12/13
-sweep built on ``lru_miss_mask`` is
-:class:`repro.memsys.stream.MissCurveAccumulator`; the ``miss-curve``
-gate of ``jmmw bench`` (:mod:`repro.obs.bench`) holds it at >= 3x over
-the scalar path on a Figure-12-sized trace.
+Also here: the trace helpers (:func:`as_ref_array`,
+:func:`classify_trace`, :func:`block_stream`) and the
+``JMMW_FASTPATH`` switch that every fast path follows.  The miss-curve
+sweep's fast path is the compiled step of
+:mod:`repro.memsys.fastpath_coherence` (``SweepSession``).
 """
 
 from __future__ import annotations
@@ -56,7 +40,7 @@ FASTPATH_ENV = "JMMW_FASTPATH"
 
 
 def fastpath_enabled() -> bool:
-    """Whether default-path consumers use the vectorized kernels."""
+    """Whether default-path consumers use the fast paths."""
     return os.environ.get(FASTPATH_ENV, "1").lower() not in ("0", "false", "no")
 
 
@@ -132,14 +116,14 @@ def block_stream(trace, kind: str, block_bits: int = 6) -> np.ndarray:
     return (classified.addrs >> np.uint64(block_bits)).astype(np.int64)
 
 
-# -- shared helpers -------------------------------------------------------
+# -- full LRU stack distances --------------------------------------------
 
 
 def _previous_occurrence(values: np.ndarray) -> np.ndarray:
     """Index of the previous equal element, or -1 (vectorized).
 
     ``out[i] = max{j < i : values[j] == values[i]}`` — the reuse
-    structure both kernels are built on.
+    structure stack distances are built on.
     """
     n = values.size
     out = np.full(n, -1, dtype=np.int64)
@@ -150,147 +134,6 @@ def _previous_occurrence(values: np.ndarray) -> np.ndarray:
     same = sorted_vals[1:] == sorted_vals[:-1]
     out[order[1:][same]] = order[:-1][same]
     return out
-
-
-# -- kernel 1: exact set-associative LRU ---------------------------------
-
-
-def _mru_rank_positions(
-    f: np.ndarray, psb_star: np.ndarray, level_prev: np.ndarray
-) -> np.ndarray:
-    """One step of the MRU recurrence: ``M_{r+1}`` from ``M_r``.
-
-    ``M_r[p]`` is the position of the r-th most recently used distinct
-    block of p's set, scanning back from p inclusive (-1 if fewer than
-    r distinct blocks exist).  ``f[p]`` is the previous same-set access
-    with a different block, and ``psb_star[p]`` is the last occurrence
-    of ``blocks[p]`` at or before ``f[p]`` (-1 if none).  Scanning back
-    from ``p`` sees ``blocks[p]`` first, then the scan from ``q = f[p]``
-    with ``blocks[p]``'s own entry deleted.  That entry sits at position
-    ``psb_star[p]`` in the scan, so rank r of the filtered scan is rank
-    r of the unfiltered one while ``M_r[q]`` is still above it::
-
-        M_{r+1}[p] = M_r[q]      if M_r[q] > psb_star[p]
-                   = M_{r+1}[q]  otherwise (entry already skipped)
-
-    The second branch chases strictly decreasing positions, so it
-    resolves by pointer-jumping in O(log n) vectorized rounds.
-    """
-    n = f.size
-    res = np.full(n, -1, dtype=np.int64)
-    has_q = f >= 0
-    q_safe = np.where(has_q, f, 0)
-    mrq = np.where(has_q, level_prev[q_safe], -1)
-    # mrq == -1 never satisfies this (psb_star >= -1), and then
-    # M_{r+1}[p] <= M_r[q] = -1, so res stays -1 without chasing.
-    keep = mrq > psb_star
-    res[keep] = mrq[keep]
-    deferred = ~keep & (mrq >= 0)
-    jump = np.where(deferred, f, -1)
-    idx = np.flatnonzero(deferred)
-    while idx.size:
-        target = jump[idx]
-        target_deferred = deferred[target]
-        done = idx[~target_deferred]
-        res[done] = res[jump[done]]
-        deferred[done] = False
-        idx = idx[target_deferred]
-        jump[idx] = jump[jump[idx]]
-    return res
-
-
-def lru_miss_mask(
-    blocks: np.ndarray,
-    set_mask: int,
-    assoc: int,
-    prev: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-access miss flags for a set-associative true-LRU cache.
-
-    Bit-identical to feeding ``blocks`` one at a time through
-    :meth:`repro.memsys.cache.SetAssociativeCache.access` and recording
-    the inverted return value.  ``prev`` (previous occurrence of each
-    block) can be passed in when already computed.
-    """
-    _obs.incr("memsys/fastpath/lru_miss_mask")
-    blocks = np.asarray(blocks, dtype=np.uint64)
-    n = blocks.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    if prev is None:
-        prev = _previous_occurrence(blocks)
-    cold = prev < 0
-    if assoc <= 0:
-        raise ConfigError(f"assoc must be positive, got {assoc}")
-
-    set_idx = (blocks & np.uint64(set_mask)).astype(np.int64)
-    # Occupancy shortcut: if no set ever holds `assoc` distinct blocks,
-    # nothing is ever evicted and only cold accesses miss.
-    if np.count_nonzero(cold) and set_mask >= 0:
-        occupancy = np.bincount(set_idx[cold])
-        if occupancy.max(initial=0) <= assoc:
-            return cold.copy()
-
-    order = np.argsort(set_idx, kind="stable")
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.arange(n, dtype=np.int64)
-
-    b = blocks[order]
-    group_start = np.empty(n, dtype=bool)
-    group_start[0] = True
-    sorted_sets = set_idx[order]
-    group_start[1:] = sorted_sets[1:] != sorted_sets[:-1]
-
-    # prev same-block occurrence, in sorted coordinates (same block =>
-    # same set, and the stable sort preserves time order per set).
-    prev_sb = np.where(prev >= 0, inverse[np.where(prev >= 0, prev, 0)], -1)[order]
-
-    # Everything below runs on *runs* — maximal stretches of the same
-    # block within a set group.  Accesses past a run's first element
-    # are guaranteed hits (their previous occurrence is the position
-    # just before them), and the M recurrence for every rank >= 2
-    # depends only on the run's start: f and psb_star are constant
-    # across the run, so M_{r+1} is run-constant too.  Real traces
-    # collapse ~10x here, and the rank recurrence is the hot loop.
-    new_run = group_start.copy()
-    new_run[1:] |= b[1:] != b[:-1]
-    rs = np.flatnonzero(new_run)  # run starts, sorted coordinates
-    k = rs.size
-    run_last = np.empty(k, dtype=np.int64)
-    run_last[:-1] = rs[1:] - 1
-    run_last[-1] = n - 1
-
-    # f[j]: the run holding the previous same-set different-block
-    # access — simply the preceding run, unless this run opens its set
-    # group.  psb_star[j]: last occurrence of run j's block at or
-    # before that access, i.e. the same-block predecessor of the run
-    # start (positions inside the run all sit after f[j]'s run).
-    f = np.where(group_start[rs], -1, np.arange(k, dtype=np.int64) - 1)
-    psb_star = prev_sb[rs]
-    cold_run = psb_star < 0  # only a run's first access can be cold
-
-    # M_assoc: position of the assoc-th most recent distinct block,
-    # evaluated at each run's *last* position (M_1[p] = p).
-    level = run_last
-    for _ in range(assoc - 1):
-        level = _mru_rank_positions(f, psb_star, level)
-        if not (level >= 0).any():
-            break
-
-    # Run j's first access (non-cold) misses iff the assoc-th most
-    # recent distinct block just before it — M_assoc of the previous
-    # run — is newer than the access's previous occurrence.
-    jm1 = np.maximum(np.arange(k, dtype=np.int64) - 1, 0)
-    run_miss = cold_run | (~cold_run & (level[jm1] > psb_star))
-
-    miss_sorted = np.zeros(n, dtype=bool)
-    miss_sorted[rs] = run_miss
-    miss = np.empty(n, dtype=bool)
-    miss[order] = miss_sorted
-    return miss
-
-
-# -- kernel 2: full LRU stack distances ----------------------------------
 
 
 def _earlier_greater_counts(values: np.ndarray) -> np.ndarray:

@@ -1,18 +1,20 @@
-"""Batched coherent replay: the MOSI hierarchy path as a compiled kernel.
+"""The compiled kernel: coherent replay, miss-curve sweeps, code bursts.
 
-:func:`repro.memsys.fastpath.lru_miss_mask` vectorized the
-single-cache sweeps, but the paper's headline figures (4-11, 14-16)
-replay *multiprocessor* traces through the full
-:class:`~repro.memsys.hierarchy.MemoryHierarchy` — split L1s, a MOSI
-snooping bus, inclusion shoot-downs, miss classification — one
-reference at a time in Python.  That path cannot be expressed as a
-closed-form numpy recurrence: measurement on the bench workloads shows
-conflict-free epochs between cross-CPU *written-shared* touches are
-only ~40-200 references long (the round-robin quantum alone bounds
-greedy epochs at 64), so epoch partitioning never amortizes the numpy
-per-batch overhead and the issue's alternative branch applies: a
-**state-vector step machine**, compiled from embedded C at first use
-with the system C compiler and loaded through :mod:`ctypes`.
+One embedded C source, compiled at first use with the system C
+compiler and loaded through :mod:`ctypes`, holds three steps: the MOSI
+hierarchy replay, the Figure 12/13 miss-curve sweep and the code
+bursts of trace generation.
+
+The paper's headline figures (4-11, 14-16) replay *multiprocessor*
+traces through the full :class:`~repro.memsys.hierarchy.MemoryHierarchy`
+— split L1s, a MOSI snooping bus, inclusion shoot-downs, miss
+classification — one reference at a time in Python.  That path cannot
+be expressed as a closed-form numpy recurrence: measurement on the
+bench workloads shows conflict-free epochs between cross-CPU
+*written-shared* touches are only ~40-200 references long (the
+round-robin quantum alone bounds greedy epochs at 64), so epoch
+partitioning never amortizes the numpy per-batch overhead.  The
+kernel is a **state-vector step machine** instead.
 
 The kernel is a transliteration of the scalar machine, bit-identical
 by construction and by test:
@@ -70,7 +72,20 @@ Fallback conditions (the scalar path is always the reference):
 Once a session has accepted, there is no fallback: an allocation
 failure inside the kernel raises :class:`~repro.errors.SimulationError`.
 
-The same library holds a second step, for trace generation:
+The second step is the miss-curve sweep of
+:func:`repro.memsys.stream.simulate_miss_curve_stream`, the fast side of
+:class:`~repro.memsys.multisim.MultiConfigSimulator`: one ``Cache`` per
+geometry, built and accessed like the replay's stateless L1s
+(``l1_access``), fed one reference class of each packed chunk, with
+accesses and misses counted before and after the warmup split.
+:class:`SweepSession` keeps that machine across chunks, so a chunk
+boundary has nothing to carry.  A sweep asked of the step with the fast
+path on that runs the scalar reference instead is counted under
+:data:`SWEEP_FALLBACK_COUNTER` (``no-kernel``, or ``alloc`` when a
+geometry's cache cannot be allocated), decided before any chunk is
+consumed.
+
+The third step is for trace generation:
 ``jmmw_burst`` is one instruction burst of
 :meth:`repro.workloads.base.StreamBuilder.code_burst` (pick or continue
 a segment, draw the burst length and loop window, emit the window's
@@ -105,17 +120,19 @@ import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs as _obs
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.memsys.block import INSTRUCTIONS_PER_IFETCH
 from repro.memsys.coherence import STATE_BY_VALUE, CacheSideStats, CoherenceStats
 from repro.memsys.fastpath import fastpath_enabled
 from repro.memsys.misses import MissKind
+from repro.memsys.multisim import MissCurvePoint
 from repro.memsys.stream import DEFAULT_CHUNK_REFS
 
 #: Field order of the flat per-processor stats array, matching
@@ -149,7 +166,8 @@ _PROTOCOL_IDS = {"mosi": 0, "msi": 1, "mesi": 2}
 #: 1 = drop the supplying holder's writeback credit on MSI copybacks
 #: (re-introduces the pre-fix accounting bug), 2 = skip the LRU
 #: refresh on L2 read hits (corrupts replacement decisions),
-#: 3 = :data:`BURST_DEFECT_NO_REENTRY` (code bursts).
+#: 3 = :data:`BURST_DEFECT_NO_REENTRY` (code bursts),
+#: 4 = :data:`SWEEP_DEFECT_FORGET_AT_FEED` (miss-curve sweeps).
 _defect = 0
 
 
@@ -374,15 +392,29 @@ static int cache_remove(Cache *c, uint64_t block) {
     return 1;
 }
 
-/* L1 access-mode (SetAssociativeCache.access, write=False). */
+/* L1 access-mode (SetAssociativeCache.access, write=False) on a
+ * stateless cache: one scan, MRU first, then the hit (or, on a miss,
+ * the LRU entry of a full set) moves out and the block goes in MRU. */
 static int l1_access(Cache *c, uint64_t block, int64_t *ls) {
+    int64_t s = (int64_t)(block & c->set_mask);
+    uint64_t *set = c->blocks + s * c->assoc;
+    int64_t n = c->count[s], i = n - 1;
     ls[L_ACC]++;
-    int64_t idx = cache_find(c, block);
-    if (idx >= 0) { cache_to_mru(c, idx, 0); return 1; }
-    ls[L_MISS]++;
-    uint64_t vb; int32_t vs;
-    if (cache_insert(c, block, 0, &vb, &vs)) ls[L_EVICT]++;
-    return 0;
+    while (i >= 0 && set[i] != block) i--;
+    int hit = i >= 0;
+    if (!hit) {
+        ls[L_MISS]++;
+        if (n < c->assoc) {
+            c->count[s] = (int32_t)++n;
+            i = n - 1;
+        } else {
+            ls[L_EVICT]++;
+            i = 0;
+        }
+    }
+    for (; i < n - 1; i++) set[i] = set[i + 1];
+    set[n - 1] = block;
+    return hit;
 }
 
 static void shoot_down_l1(Machine *m, int64_t cid, uint64_t block) {
@@ -748,6 +780,93 @@ void jmmw_export_cache(Machine *m, int32_t which, int64_t idx,
     }
 }
 
+/* ---- Miss-curve sweep: MultiConfigSimulator over packed chunks ----- */
+
+#define SWEEP_DEFECT_FORGET_AT_FEED 4
+
+/* One access-mode Cache per geometry, all fed one reference class.
+ * The caches live across feeds, so a chunk boundary carries nothing. */
+typedef struct {
+    int64_t  n_geo;
+    Cache   *caches;
+    int64_t *bits;          /* block bits per geometry */
+    int64_t *ls;            /* n_geo * N_L1 counters */
+    int64_t *warm;          /* n_geo * 2: accesses, misses at the split */
+    int64_t  ifetch, warm_ifetch;
+    int32_t  want_instr, defect, fed;
+} Sweep;
+
+void jmmw_sweep_free(Sweep *m) {
+    if (!m) return;
+    if (m->caches)
+        for (int64_t g = 0; g < m->n_geo; g++) cache_destroy(&m->caches[g]);
+    free(m->caches); free(m->bits); free(m->ls); free(m->warm);
+    free(m);
+}
+
+Sweep *jmmw_sweep_new(int64_t n_geo, const int64_t *n_sets,
+                      const int64_t *assoc, const int64_t *block_bits,
+                      int32_t want_instr, int32_t defect) {
+    Sweep *m = calloc(1, sizeof(Sweep));
+    if (!m) return NULL;
+    m->n_geo = n_geo; m->want_instr = want_instr; m->defect = defect;
+    m->caches = calloc((size_t)n_geo, sizeof(Cache));
+    m->bits = malloc((size_t)n_geo * sizeof(int64_t));
+    m->ls = calloc((size_t)(n_geo * N_L1), sizeof(int64_t));
+    m->warm = calloc((size_t)(n_geo * 2), sizeof(int64_t));
+    int ok = m->caches && m->bits && m->ls && m->warm;
+    for (int64_t g = 0; ok && g < n_geo; g++) {
+        ok = cache_init(&m->caches[g], n_sets[g], assoc[g], 0);
+        m->bits[g] = block_bits[g];
+    }
+    if (!ok) { jmmw_sweep_free(m); return NULL; }
+    return m;
+}
+
+static void sweep_range(Sweep *m, const uint64_t *refs, int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; i++) {
+        int ifetch = (refs[i] & 3) == 0;
+        m->ifetch += ifetch;
+        if (ifetch != m->want_instr) continue;
+        uint64_t addr = refs[i] >> 2;
+        for (int64_t g = 0; g < m->n_geo; g++)
+            l1_access(&m->caches[g], addr >> m->bits[g], m->ls + g * N_L1);
+    }
+}
+
+/* Replay refs[0..n), the first split_local of them warmup.  Warmup is a
+ * prefix of the trace, so the snapshot taken after the last chunk that
+ * holds warmup references is the one at the split. */
+void jmmw_sweep_feed(Sweep *m, const uint64_t *refs, int64_t n,
+                     int64_t split_local) {
+    if (m->fed++ && m->defect == SWEEP_DEFECT_FORGET_AT_FEED)
+        for (int64_t g = 0; g < m->n_geo; g++)
+            memset(m->caches[g].count, 0,
+                   (size_t)m->caches[g].n_sets * sizeof(int32_t));
+    sweep_range(m, refs, 0, split_local);
+    if (split_local > 0) {      /* MultiConfigSimulator.mark_warm */
+        for (int64_t g = 0; g < m->n_geo; g++) {
+            m->warm[2 * g] = m->ls[g * N_L1 + L_ACC];
+            m->warm[2 * g + 1] = m->ls[g * N_L1 + L_MISS];
+        }
+        m->warm_ifetch = m->ifetch;
+    }
+    sweep_range(m, refs, split_local, n);
+}
+
+/* Per geometry: accesses, misses, then both at the split; then the
+ * instruction fetches in all and before the split. */
+void jmmw_sweep_get(Sweep *m, int64_t *out) {
+    for (int64_t g = 0; g < m->n_geo; g++) {
+        out[4 * g] = m->ls[g * N_L1 + L_ACC];
+        out[4 * g + 1] = m->ls[g * N_L1 + L_MISS];
+        out[4 * g + 2] = m->warm[2 * g];
+        out[4 * g + 3] = m->warm[2 * g + 1];
+    }
+    out[4 * m->n_geo] = m->ifetch;
+    out[4 * m->n_geo + 1] = m->warm_ifetch;
+}
+
 #ifdef JMMW_BURST
 /* ---- Code bursts: CodeLayout.burst + StreamBuilder.code_burst ------ */
 
@@ -1018,6 +1137,14 @@ def _load_library() -> ctypes.CDLL | None:
     lib.jmmw_export_cache.argtypes = [
         ctypes.c_void_p, _i32, _i64, _i32p, _u64p, _i32p,
     ]
+    lib.jmmw_sweep_new.restype = ctypes.c_void_p
+    lib.jmmw_sweep_new.argtypes = [_i64, _i64p, _i64p, _i64p, _i32, _i32]
+    lib.jmmw_sweep_free.restype = None
+    lib.jmmw_sweep_free.argtypes = [ctypes.c_void_p]
+    lib.jmmw_sweep_feed.restype = None
+    lib.jmmw_sweep_feed.argtypes = [ctypes.c_void_p, _u64p, _i64, _i64]
+    lib.jmmw_sweep_get.restype = None
+    lib.jmmw_sweep_get.argtypes = [ctypes.c_void_p, _i64p]
     if hasattr(lib, "jmmw_burst"):
         # One pointer in (a prebuilt c_void_p), nothing out: the
         # cheapest ctypes call; results travel in the frame.
@@ -1491,3 +1618,88 @@ class KernelSession:
             return
         self._closed = True
         self._lib.jmmw_free(self._m)
+
+
+# -- miss-curve sweeps -------------------------------------------------------
+
+#: Miss-curve sweeps that ran the scalar reference although the fast
+#: path was on, one counter per reason: ``no-kernel`` (no compiler, or
+#: the build failed) and ``alloc`` (a geometry's cache could not be
+#: allocated).
+SWEEP_FALLBACK_COUNTER = "memsys/fastpath/miss_curve_fallback"
+
+#: Seeded sweep defect for the parity tests (``set_kernel_defect``):
+#: every geometry forgets its contents at each feed after the first.
+SWEEP_DEFECT_FORGET_AT_FEED = 4
+
+
+class SweepSession:
+    """One miss-curve sweep in the compiled step.
+
+    The step holds one cache per geometry, the kernel's ``Cache``
+    accessed through the same ``l1_access`` as its L1s, and keeps them
+    across :meth:`feed` calls, so a chunk boundary carries nothing.  The
+    machine is freed when the session is collected.
+    """
+
+    def __init__(self, lib, m, sizes: list[int]) -> None:
+        self._lib = lib
+        self._m = m
+        self._sizes = sizes
+        weakref.finalize(self, lib.jmmw_sweep_free, m)
+
+    @classmethod
+    def begin(cls, configs, kind: str) -> "SweepSession | None":
+        """A sweep of ``kind`` references through ``configs``, or None
+        when only the scalar reference can run it; each decline is
+        counted under :data:`SWEEP_FALLBACK_COUNTER`."""
+        lib = _load_library()
+        reason = "no-kernel"
+        if lib is not None:
+            columns = [
+                np.array([getattr(c, name) for c in configs], dtype=np.int64)
+                for name in ("n_sets", "assoc", "block_bits")
+            ]
+            m = lib.jmmw_sweep_new(
+                len(configs), *(_ptr(col, ctypes.c_int64) for col in columns),
+                int(kind == "instr"), _defect,
+            )
+            if m:
+                return cls(lib, m, [c.size for c in configs])
+            reason = "alloc"
+        _obs.incr(f"{SWEEP_FALLBACK_COUNTER}/{reason}")
+        return None
+
+    def feed(self, refs, warm: int) -> None:
+        """Replay one chunk of packed references whose first ``warm``
+        lie inside the warmup window."""
+        refs = np.ascontiguousarray(refs, dtype=np.uint64)
+        if refs.ndim != 1 or not 0 <= warm <= refs.size:
+            raise ConfigError(
+                f"a sweep chunk must be one-dimensional with 0 <= warm <= its "
+                f"length, got shape {refs.shape} and warm={warm}"
+            )
+        self._lib.jmmw_sweep_feed(
+            self._m, _ptr(refs, ctypes.c_uint64), refs.size, warm
+        )
+
+    def points(self) -> list[MissCurvePoint]:
+        """Post-warmup points, counted as
+        :meth:`~repro.memsys.multisim.MultiConfigSimulator.results` counts
+        them."""
+        n = len(self._sizes)
+        out = np.zeros(4 * n + 2, dtype=np.int64)
+        self._lib.jmmw_sweep_get(self._m, _ptr(out, ctypes.c_int64))
+        *counts, ifetches, warm_ifetches = out.tolist()
+        instr = (ifetches - warm_ifetches) * INSTRUCTIONS_PER_IFETCH
+        points = []
+        for g, size in enumerate(self._sizes):
+            accesses, misses, warm_accesses, warm_misses = counts[4 * g : 4 * g + 4]
+            misses -= warm_misses
+            points.append(MissCurvePoint(
+                size=size,
+                accesses=accesses - warm_accesses,
+                misses=misses,
+                mpki=1000.0 * misses / instr if instr else 0.0,
+            ))
+        return points

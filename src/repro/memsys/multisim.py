@@ -193,9 +193,10 @@ def simulate_miss_curve(
 
     The trace is replayed as a one-chunk stream through
     :func:`repro.memsys.stream.simulate_miss_curve_stream`, so the
-    vectorized sweep and the scalar reference (``fastpath=False``)
+    compiled sweep and the scalar reference (``fastpath=False``)
     each exist once; both produce bit-identical points (enforced by
-    ``tests/memsys/test_fastpath.py``).
+    ``tests/memsys/test_fastpath.py`` and
+    ``tests/memsys/test_sweep_kernel.py``).
     """
     from repro.memsys.fastpath import as_ref_array
     from repro.memsys.stream import simulate_miss_curve_stream

@@ -15,16 +15,14 @@ replay can start before generation finishes:
   by the persistent compiled-kernel machine
   (:class:`repro.memsys.fastpath_coherence.KernelSession`) or simply by
   the live Python hierarchy;
-- :class:`MissCurveAccumulator` — the vectorized miss-curve sweep, and
-  the only one: a materialized trace is replayed as a one-chunk stream
-  (:func:`repro.memsys.multisim.simulate_miss_curve`).  When more
-  references follow a chunk, every geometry's resident blocks are
-  extracted as one recency-ordered prefix per block size
-  (:func:`lru_carried_state`) and replayed in front of the next chunk,
-  which reproduces every per-access miss flag exactly (Mattson
-  inclusion: a block's hit/miss depends only on the distinct same-set
-  blocks since its previous access, and the carried prefix preserves
-  both membership and recency order).
+- :func:`simulate_miss_curve_stream` — the miss-curve sweep, the one
+  path behind :func:`repro.memsys.multisim.simulate_miss_curve` (a
+  materialized trace is replayed as a one-chunk stream): every
+  geometry's cache lives across chunk boundaries, in the compiled
+  sweep step (:class:`repro.memsys.fastpath_coherence.SweepSession`)
+  or in the scalar reference
+  (:class:`repro.memsys.multisim.MultiConfigSimulator`), so a boundary
+  has nothing to carry.
 
 Results do not depend on where chunk boundaries fall — enforced by
 ``tests/memsys/test_stream_parity.py`` and by the multi-chunk replays
@@ -40,30 +38,12 @@ import numpy as np
 
 from repro import obs as _obs
 from repro.errors import ConfigError, SimulationError
-from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH
 from repro.memsys.config import CacheConfig
-from repro.memsys.fastpath import (
-    _previous_occurrence,
-    fastpath_enabled,
-    lru_miss_mask,
-)
+from repro.memsys.fastpath import fastpath_enabled
 from repro.memsys.multisim import MissCurvePoint, MultiConfigSimulator
 
 #: Chunk size: 1 M references (8 MB per chunk).
 DEFAULT_CHUNK_REFS = 1_000_000
-
-
-#: Seeded-defect knob (tests only): when set, the miss-curve
-#: accumulator discards its carried state at every chunk boundary.
-#: The parity suite flips this to prove it fails loudly on exactly the
-#: class of bug the carried-state contract exists to prevent.
-_drop_carried_state = False
-
-
-def set_carried_state_defect(enabled: bool) -> None:
-    """Enable/disable the carried-state-drop defect (tests only)."""
-    global _drop_carried_state
-    _drop_carried_state = bool(enabled)
 
 
 # -- chunk plumbing ----------------------------------------------------------
@@ -212,196 +192,7 @@ class TraceStream:
         )
 
 
-# -- carried LRU state -------------------------------------------------------
-
-
-def lru_carried_state(
-    blocks: np.ndarray,
-    set_mask,
-    assoc,
-    prefix: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact post-replay cache contents, as a synthetic access prefix.
-
-    ``set_mask`` and ``assoc`` describe one true-LRU geometry, or are
-    equal-length sequences describing several geometries that share a
-    block size.  After replaying ``prefix`` (the previous carried
-    state) followed by ``blocks``, a geometry's resident blocks are,
-    per set, the ``assoc`` most recently used distinct blocks; the
-    result holds every geometry's resident blocks, each once, from
-    least to most recently used.
-
-    Replaying the result in front of the next chunk reconstructs each
-    geometry's exact per-set membership *and* recency order, so
-    :func:`repro.memsys.fastpath.lru_miss_mask` over
-    ``concat(carried, chunk)`` produces the chunk's exact miss flags.
-    A block kept only for another geometry is older than every block
-    resident in its set here, so it falls out before the chunk starts.
-    """
-    masks = np.atleast_1d(np.asarray(set_mask, dtype=np.uint64))
-    ways = np.atleast_1d(np.asarray(assoc, dtype=np.int64))
-    if masks.shape != ways.shape or masks.ndim != 1:
-        raise ConfigError("set_mask and assoc must describe the same geometries")
-    if (ways <= 0).any():
-        raise ConfigError(f"assoc must be positive, got {assoc}")
-    blocks = np.asarray(blocks, dtype=np.uint64)
-    if prefix is not None and prefix.size:
-        seq = np.concatenate([np.asarray(prefix, dtype=np.uint64), blocks])
-    else:
-        seq = blocks
-    if seq.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    # Distinct blocks, most-recent-first: first occurrences in the
-    # reversed sequence are last occurrences in the original.
-    rev = seq[::-1]
-    _, first = np.unique(rev, return_index=True)
-    recent = rev[np.sort(first)]
-    k = int(recent.size)
-    arange = np.arange(k, dtype=np.int64)
-    resident = np.zeros(k, dtype=bool)
-    new_group = np.empty(k, dtype=bool)
-    new_group[0] = True
-    for mask, way in zip(masks, ways.tolist()):
-        sets = recent & mask
-        order = np.argsort(sets, kind="stable")  # per set, still recency order
-        sorted_sets = sets[order]
-        new_group[1:] = sorted_sets[1:] != sorted_sets[:-1]
-        group_start = np.maximum.accumulate(np.where(new_group, arange, 0))
-        rank = arange - group_start  # 0 = most recently used within its set
-        resident[order[rank < way]] = True
-    return recent[resident][::-1]
-
-
 # -- streaming miss curves ---------------------------------------------------
-
-
-class MissCurveAccumulator:
-    """The vectorized miss-curve sweep over a chunked trace.
-
-    Feed packed-``uint64`` chunks in trace order; :meth:`points`
-    returns miss-curve points bit-identical to the scalar reference
-    (:class:`repro.memsys.multisim.MultiConfigSimulator`).  Warm and
-    measured accounting follows the global warmup split computed from
-    the *declared* total, so the split lands on the same reference
-    regardless of chunking.
-
-    Per chunk, each block size gets one replay sequence: the carried
-    prefix (if any) then the chunk's blocks, with same-block runs
-    collapsed (a repeat of the block just accessed hits at any
-    associativity and does not change any other access's
-    distinct-block window).  One reuse analysis of that sequence is
-    shared by every geometry of the block size.  The carried prefix is
-    built only while the declared length says more references follow,
-    so a one-chunk stream never pays for it.
-    """
-
-    def __init__(
-        self,
-        configs: list[CacheConfig],
-        kind: str,
-        total_refs: int,
-        warmup_fraction: float = 0.0,
-    ) -> None:
-        if kind not in ("instr", "data"):
-            raise ConfigError(f"kind must be 'instr' or 'data', got {kind!r}")
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ConfigError("warmup_fraction must be in [0, 1)")
-        if total_refs < 0:
-            raise ConfigError("total_refs must be non-negative")
-        self.configs = list(configs)
-        self.kind = kind
-        self.total_refs = int(total_refs)
-        self.split = int(total_refs * warmup_fraction)
-        self.pos = 0
-        self._ifetch_total = 0
-        self._ifetch_warm = 0
-        # accesses, misses, warm_accesses, warm_misses per config.
-        self._acc = [[0, 0, 0, 0] for _ in self.configs]
-        self._groups: dict[int, list[int]] = {}
-        for i, cfg in enumerate(self.configs):
-            self._groups.setdefault(cfg.block_bits, []).append(i)
-        # One carried prefix per block size (see lru_carried_state).
-        self._carried: dict[int, np.ndarray] = {}
-
-    def feed(self, chunk: np.ndarray) -> None:
-        refs = np.asarray(chunk, dtype=np.uint64)
-        n = int(refs.size)
-        if n == 0:
-            return
-        if self.pos + n > self.total_refs:
-            raise SimulationError(
-                f"chunk overruns the declared trace length: {self.pos} + {n} "
-                f"> {self.total_refs}"
-            )
-        is_ifetch = (refs & np.uint64(0x3)) == IFETCH
-        split_local = min(max(self.split - self.pos, 0), n)
-        self._ifetch_total += int(np.count_nonzero(is_ifetch))
-        if split_local:
-            self._ifetch_warm += int(np.count_nonzero(is_ifetch[:split_local]))
-        mask = is_ifetch if self.kind == "instr" else ~is_ifetch
-        addrs = (refs >> np.uint64(2))[mask]
-        n_class = int(addrs.size)
-        class_before = int(np.count_nonzero(mask[:split_local]))
-        self.pos += n
-        more = self.pos < self.total_refs
-        for block_bits, indices in self._groups.items():
-            blocks = addrs >> np.uint64(block_bits)
-            prefix = self._carried.get(block_bits)
-            if prefix is not None and prefix.size:
-                seq = np.concatenate([prefix, blocks])
-                skip = int(prefix.size)
-            else:
-                seq = blocks
-                skip = 0
-            # The prefix holds distinct blocks, so it survives the
-            # collapse whole; the chunk's first access goes only if it
-            # repeats the prefix's most recent block.
-            keep = np.empty(seq.size, dtype=bool)
-            if seq.size:
-                keep[0] = True
-                np.not_equal(seq[1:], seq[:-1], out=keep[1:])
-            kept = seq[keep]
-            kept_before = int(np.count_nonzero(keep[skip : skip + class_before]))
-            prev = _previous_occurrence(kept)
-            for i in indices:
-                cfg = self.configs[i]
-                miss = lru_miss_mask(kept, cfg.set_mask, cfg.assoc, prev=prev)[skip:]
-                acc = self._acc[i]
-                acc[0] += n_class
-                acc[1] += int(np.count_nonzero(miss))
-                acc[2] += class_before
-                acc[3] += int(np.count_nonzero(miss[:kept_before]))
-            if more and not _drop_carried_state:
-                self._carried[block_bits] = lru_carried_state(
-                    kept,
-                    [self.configs[i].set_mask for i in indices],
-                    [self.configs[i].assoc for i in indices],
-                )
-
-    def points(self) -> list[MissCurvePoint]:
-        """Post-warmup miss-curve points; the stream must be complete."""
-        if self.pos != self.total_refs:
-            raise SimulationError(
-                f"stream incomplete: {self.pos} of {self.total_refs} declared "
-                "references fed"
-            )
-        instr = (self._ifetch_total - self._ifetch_warm) * INSTRUCTIONS_PER_IFETCH
-        points = []
-        for cfg, (accesses, misses, warm_acc, warm_miss) in zip(
-            self.configs, self._acc
-        ):
-            post_accesses = accesses - warm_acc
-            post_misses = misses - warm_miss
-            mpki = 1000.0 * post_misses / instr if instr else 0.0
-            points.append(
-                MissCurvePoint(
-                    size=cfg.size,
-                    accesses=post_accesses,
-                    misses=post_misses,
-                    mpki=mpki,
-                )
-            )
-        return points
 
 
 def simulate_miss_curve_stream(
@@ -419,15 +210,19 @@ def simulate_miss_curve_stream(
     ``chunks`` yields the trace in order (e.g.
     :meth:`TraceStream.chunks_merged`, or a single array);
     ``total_refs`` is the declared length, which places the warmup
-    split.  ``fastpath`` selects the vectorized
-    :class:`MissCurveAccumulator`; the default (``None``) follows
-    :func:`repro.memsys.fastpath.fastpath_enabled`, and ``False`` runs
-    the scalar reference :class:`~repro.memsys.multisim.MultiConfigSimulator`
-    (already incremental; the split chunk is cut at the exact
-    boundary).  Both paths give bit-identical points at any chunking.
+    split.  With ``fastpath`` on (the default, ``None``, follows
+    :func:`repro.memsys.fastpath.fastpath_enabled`) the compiled step
+    (:class:`~repro.memsys.fastpath_coherence.SweepSession`) is asked
+    once, before any chunk is consumed; ``False``, or a decline, runs
+    the scalar reference
+    :class:`~repro.memsys.multisim.MultiConfigSimulator`.  Both keep
+    their caches across chunks and give bit-identical points at any
+    chunking.
     """
     if not sizes:
         raise ConfigError("need at least one cache config")
+    if kind not in ("instr", "data"):
+        raise ConfigError(f"kind must be 'instr' or 'data', got {kind!r}")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError("warmup_fraction must be in [0, 1)")
     configs = [
@@ -440,36 +235,42 @@ def simulate_miss_curve_stream(
         "memsys/miss_curve",
         kind=kind, points=len(sizes), refs=total_refs, fastpath=use_fast,
     ):
+        sweep = None
         if use_fast:
-            acc = MissCurveAccumulator(
-                configs, kind, total_refs, warmup_fraction=warmup_fraction
+            from repro.memsys.fastpath_coherence import SweepSession
+
+            sweep = SweepSession.begin(configs, kind)
+        if sweep is None:
+            _obs.incr("memsys/multisim/scalar_replays")
+            sim = MultiConfigSimulator(
+                configs, kind=kind, warmup_fraction=warmup_fraction
             )
-            for chunk in chunks:
-                acc.feed(chunk)
-            return acc.points()
-        _obs.incr("memsys/multisim/scalar_replays")
-        sim = MultiConfigSimulator(
-            configs, kind=kind, warmup_fraction=warmup_fraction
-        )
-        pos = 0
-        if split == 0:
-            sim.mark_warm()
-        for chunk in chunks:
-            arr = np.asarray(chunk, dtype=np.uint64)
-            if pos < split <= pos + int(arr.size):
-                cut = split - pos
-                sim.replay(arr[:cut])
+            if split == 0:
                 sim.mark_warm()
-                sim.replay(arr[cut:])
+        pos = 0
+        for chunk in chunks:
+            refs = np.asarray(chunk, dtype=np.uint64)
+            n = int(refs.size)
+            if pos + n > total_refs:
+                raise SimulationError(
+                    f"chunk overruns the declared trace length: {pos} + {n} "
+                    f"> {total_refs}"
+                )
+            if sweep is not None:
+                sweep.feed(refs, min(max(split - pos, 0), n))
+            elif pos < split <= pos + n:
+                sim.replay(refs[: split - pos])
+                sim.mark_warm()
+                sim.replay(refs[split - pos :])
             else:
-                sim.replay(arr)
-            pos += int(arr.size)
+                sim.replay(refs)
+            pos += n
         if pos != total_refs:
             raise SimulationError(
                 f"stream incomplete: {pos} of {total_refs} declared "
                 "references fed"
             )
-        return sim.results()
+        return sweep.points() if sweep is not None else sim.results()
 
 
 # -- hierarchy replay --------------------------------------------------------

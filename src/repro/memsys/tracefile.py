@@ -68,11 +68,12 @@ def load_trace(path: str | Path) -> TraceBundle:
     path = Path(path)
     if not path.exists():
         raise TraceFileError(f"trace file {path} does not exist")
-    try:
-        archive = np.load(path)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise TraceFileError(f"{path}: unreadable trace archive ({exc})") from exc
-    with archive as data:
+    # The handle is ours, so a failing np.load cannot leak it.
+    with open(path, "rb") as handle:
+        try:
+            data = np.load(handle)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise TraceFileError(f"{path}: unreadable trace archive ({exc})") from exc
         header = _read_header(data, path)
         n_procs = header["n_procs"]
         instructions = header["instructions"]

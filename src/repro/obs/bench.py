@@ -3,7 +3,7 @@
 Absolute times cannot be gated on a machine whose speed swings between
 phases, but the ratio of two implementations timed in one process, in
 alternation, can: both sides run through the same machine phases.
-:data:`GATES` is the one table of such gates: the vectorized miss-curve
+:data:`GATES` is the one table of such gates: the compiled miss-curve
 sweep (>= 3x its scalar reference), the compiled coherence kernel
 (>= 10x), trace generation with compiled code bursts (>= 1x the
 Python reference), the trace plane (>= 1.5x regenerating per task) and
@@ -142,7 +142,7 @@ def _values(outcomes) -> list:
 
 def _miss_curve(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
     """Figures 12/13's nine data-side geometries over one SPECjbb trace:
-    the vectorized sweep vs the scalar simulators, equal points."""
+    the compiled sweep vs the scalar simulators, equal points."""
     from repro.figures.fig12_icache import CACHE_SIZES
     from repro.harness.traceplane import TraceSpec
     from repro.memsys.multisim import simulate_miss_curve
@@ -155,6 +155,14 @@ def _miss_curve(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
         )
 
     return lambda: sweep(True), lambda: sweep(False)
+
+
+def _sweep_declines() -> str | None:
+    from repro.memsys.fastpath_coherence import kernel_available
+
+    if not kernel_available():
+        return "the compiled kernel is unavailable (no C compiler?)"
+    return None
 
 
 def _coherent(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
@@ -298,7 +306,7 @@ def _warm_cache(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
 
 
 GATES: tuple[Gate, ...] = (
-    Gate("miss-curve", _miss_curve, bound=3.0, refs=250_000),
+    Gate("miss-curve", _miss_curve, bound=3.0, refs=250_000, declines=_sweep_declines),
     Gate("coherent", _coherent, bound=10.0, refs=250_000, declines=_kernel_declines),
     # Measured 1.9-2.1x (median of three runs); the bound is about half.
     Gate("generation", _generation, bound=1.0, refs=60_000, declines=_burst_step_declines),

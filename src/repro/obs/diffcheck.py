@@ -2,17 +2,17 @@
 
 The simulators in :mod:`repro.memsys` are optimized: dict-ordered LRU
 sets, a bus-side ``holders`` mirror instead of snooping every cache,
-vectorized replay kernels.  Every optimization is a place where the
-model can drift from its own specification without ever crashing.
+compiled and vectorized replay kernels.  Every optimization is a place
+where the model can drift from its own specification without ever
+crashing.
 This module replays the *same* seeded traces through deliberately
 naive re-implementations — written from the protocol specification,
 sharing no mechanism with the production code — and diffs **full
 counter vectors**, not just miss totals:
 
 - :class:`OracleLRUCache` — brute-force per-set LRU (a list per set,
-  MRU at the tail), diffed per-access against both
-  :class:`repro.memsys.cache.SetAssociativeCache` and the vectorized
-  :func:`repro.memsys.fastpath.lru_miss_mask`;
+  MRU at the tail), diffed per-access against
+  :class:`repro.memsys.cache.SetAssociativeCache` (:func:`diff_lru`);
 - :class:`OracleCoherentMachine` — a naive MOSI/MESI/MSI multi-CPU
   hierarchy that snoops by scanning every cache (no holders mirror),
   run in lockstep with :class:`repro.memsys.hierarchy.MemoryHierarchy`
@@ -23,9 +23,9 @@ counter vectors**, not just miss totals:
 - :func:`oracle_stack_histogram` — an O(n·m) move-to-front stack
   distance recount diffed against
   :class:`repro.memsys.stackdist.StackDistanceProfiler` (both paths);
-- the miss-curve sweep (both replay paths, one chunk and several)
-  recounted point-for-point with :class:`OracleLRUCache`
-  (:func:`diff_miss_curve`);
+- the miss-curve sweep (the compiled step and the scalar reference,
+  one chunk and several) recounted point-for-point with
+  :class:`OracleLRUCache` (:func:`diff_miss_curve`);
 - :class:`OracleStoreBuffer` — a store buffer that rescans its whole
   issue history on every store (no deque, no lazy popping), diffed
   per-issue against :class:`repro.memsys.storebuffer.StoreBuffer`;
@@ -145,23 +145,21 @@ def reference_miss_flags(blocks, n_sets: int, assoc: int) -> list[bool]:
 
 
 def diff_lru(blocks, config: CacheConfig, name: str = "lru") -> DiffReport:
-    """Diff fastpath kernel and scalar cache against the LRU oracle.
+    """Diff the scalar cache against the LRU oracle.
 
-    Compares the three models' per-access hit/miss decisions
-    elementwise and reports the first index where any pair disagrees.
+    Compares the two models' per-access hit/miss decisions elementwise
+    and reports the first index where they disagree.  (The compiled
+    sweep's cache is covered point for point by
+    :func:`diff_miss_curve`.)
     """
     from repro.memsys.cache import SetAssociativeCache
-    from repro.memsys.fastpath import lru_miss_mask
 
     blocks_list = blocks.tolist() if isinstance(blocks, np.ndarray) else list(blocks)
     oracle = reference_miss_flags(blocks_list, config.n_sets, config.assoc)
     scalar_cache = SetAssociativeCache(config)
     scalar = [not scalar_cache.access(int(b), write=False) for b in blocks_list]
-    fast = lru_miss_mask(
-        np.asarray(blocks_list, dtype=np.uint64), config.set_mask, config.assoc
-    ).tolist()
-    for i, (o, s, f) in enumerate(zip(oracle, scalar, fast)):
-        if o != s or o != f:
+    for i, (o, s) in enumerate(zip(oracle, scalar)):
+        if o != s:
             lo = max(0, i - 8)
             ring = ", ".join(
                 f"#{j}:{b:#x}" for j, b in enumerate(blocks_list[lo : i + 1], start=lo)
@@ -176,8 +174,7 @@ def diff_lru(blocks, config: CacheConfig, name: str = "lru") -> DiffReport:
                         f"block {blocks_list[i]:#x} set "
                         f"{blocks_list[i] % config.n_sets}: oracle "
                         f"{'miss' if o else 'hit'}, scalar "
-                        f"{'miss' if s else 'hit'}, fastpath "
-                        f"{'miss' if f else 'hit'}"
+                        f"{'miss' if s else 'hit'}"
                     ),
                     context=f"recent blocks: {ring}",
                 ),
@@ -196,8 +193,8 @@ def diff_miss_curve(
 ) -> DiffReport:
     """Diff the full miss-curve sweep against an oracle recount.
 
-    Runs the sweep through *both* replay paths (vectorized and scalar
-    :class:`MultiConfigSimulator`), each as one chunk
+    Runs the sweep through *both* replay paths (the compiled step and
+    the scalar :class:`MultiConfigSimulator`), each as one chunk
     (:func:`repro.memsys.multisim.simulate_miss_curve`) and as several
     chunks whose boundaries include ones inside the warmup window
     (:func:`repro.memsys.stream.simulate_miss_curve_stream`), recounts

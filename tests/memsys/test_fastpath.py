@@ -1,4 +1,5 @@
-"""Vectorized replay kernels vs. the scalar references (bit-identical)."""
+"""Fast paths vs. the scalar references (bit-identical): trace helpers,
+the compiled miss-curve sweep and vectorized stack distances."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.memsys import fastpath
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH, LOAD, STORE, encode_ref
-from repro.memsys.cache import SetAssociativeCache
-from repro.memsys.config import CacheConfig
 from repro.memsys.multisim import simulate_miss_curve
 from repro.memsys.stackdist import StackDistanceProfiler
 from repro.units import kb
@@ -67,50 +66,13 @@ def test_block_stream_matches_listcomp():
     assert got_i.tolist() == want_i
 
 
-# -- kernel 1: exact set-associative LRU ----------------------------------
-
-
-@pytest.mark.parametrize("assoc", [1, 2, 4, 8])
-@pytest.mark.parametrize("n_sets", [4, 16])
-def test_lru_miss_mask_matches_scalar_cache(assoc, n_sets):
-    rng = np.random.default_rng(assoc * 100 + n_sets)
-    blocks = rng.integers(0, 6 * n_sets, size=3000).astype(np.uint64)
-    cfg = CacheConfig(size=n_sets * assoc * 64, assoc=assoc, block=64)
-    cache = SetAssociativeCache(cfg)
-    expected = [not cache.access(int(b), False) for b in blocks]
-    got = fastpath.lru_miss_mask(blocks, cfg.set_mask, assoc)
-    assert got.tolist() == expected
-
-
-def test_lru_miss_mask_empty_and_validation():
-    empty = fastpath.lru_miss_mask(np.asarray([], dtype=np.uint64), 0, 2)
-    assert empty.size == 0
-    with pytest.raises(ConfigError):
-        fastpath.lru_miss_mask(np.asarray([1], dtype=np.uint64), 0, 0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    blocks=st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=300),
-    assoc=st.sampled_from([1, 2, 3, 4]),
-)
-def test_lru_miss_mask_matches_scalar_cache_random(blocks, assoc):
-    """Adversarial shapes (runs, thrash, singletons) via hypothesis."""
-    n_sets = 8
-    cfg = CacheConfig(size=n_sets * assoc * 64, assoc=assoc, block=64)
-    cache = SetAssociativeCache(cfg)
-    expected = [not cache.access(b, False) for b in blocks]
-    got = fastpath.lru_miss_mask(np.asarray(blocks, dtype=np.uint64), cfg.set_mask, assoc)
-    assert got.tolist() == expected
-
-
 # -- miss-curve parity ----------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["instr", "data"])
 @pytest.mark.parametrize("warmup", [0.0, 0.3])
 def test_miss_curve_parity(kind, warmup):
-    """The tentpole contract: vectorized and scalar sweeps are bit-identical.
+    """The contract: compiled and scalar sweeps are bit-identical.
 
     MissCurvePoint is a dataclass, so ``==`` compares every field —
     including the float mpki, which must match exactly, not approximately.
@@ -143,13 +105,16 @@ def test_miss_curve_empty_trace():
     slow = simulate_miss_curve([], [kb(8)], kind="data", warmup_fraction=0.0, fastpath=False)
     assert fast == slow
     assert fast[0].accesses == 0 and fast[0].mpki == 0.0
-    # An empty sweep is rejected the same way on both paths.
+    # An empty sweep, or an unknown reference class, is rejected the
+    # same way on both paths.
     for path in (True, False):
         with pytest.raises(ConfigError, match="at least one cache config"):
             simulate_miss_curve([], [], kind="data", fastpath=path)
+        with pytest.raises(ConfigError, match="kind must be"):
+            simulate_miss_curve([], [kb(8)], kind="both", fastpath=path)
 
 
-# -- kernel 2: stack distances --------------------------------------------
+# -- stack distances ------------------------------------------------------
 
 
 @settings(max_examples=50, deadline=None)

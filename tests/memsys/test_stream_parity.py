@@ -9,10 +9,12 @@ chunk sizes including the degenerate ones (chunk=1, chunk larger than
 the trace) and on deterministic traces built to straddle chunk
 boundaries with same-set runs.
 
-The suite must also *fail loudly* when carried state is broken:
-:func:`repro.memsys.stream.set_carried_state_defect` drops the carried
-state at every chunk boundary, and the seeded-defect tests assert the
-parity checks then diverge — proof the suite has teeth.
+The suite must also *fail loudly* when carried state is broken: the
+seeded kernel defect
+:data:`repro.memsys.fastpath_coherence.SWEEP_DEFECT_FORGET_AT_FEED`
+makes the compiled sweep forget every cache's contents at each chunk
+after the first, and the seeded-defect tests assert the parity checks
+then diverge — proof the suite has teeth.
 """
 
 from __future__ import annotations
@@ -23,20 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SimConfig
-from repro.memsys import stream as stream_mod
+from repro.errors import SimulationError
+from repro.memsys import fastpath_coherence
 from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref
-from repro.memsys.cache import SetAssociativeCache
 from repro.memsys.config import CacheConfig, e6000_machine
-from repro.memsys.fastpath import lru_miss_mask
+from repro.memsys.fastpath_coherence import SWEEP_DEFECT_FORGET_AT_FEED
 from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.multisim import simulate_miss_curve
-from repro.memsys.stream import (
-    MissCurveAccumulator,
-    TraceStream,
-    lru_carried_state,
-    set_carried_state_defect,
-    simulate_miss_curve_stream,
-)
+from repro.memsys.stream import TraceStream, simulate_miss_curve_stream
 
 #: Tiny sweep sizes so short traces still evict and conflict.
 SIZES = [1024, 2048, 4096]
@@ -107,80 +103,6 @@ def test_streamed_miss_curve_boundary_straddling_same_set_run():
         assert got == want, chunk
 
 
-def test_carried_state_built_only_when_more_references_follow(monkeypatch):
-    """A one-chunk sweep builds no carried state; a two-chunk sweep does.
-
-    Every Figure 12/13 trace fits in one chunk, so carried state built
-    after the last chunk would be pure overhead on those figures.
-    """
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("carried state built")
-
-    monkeypatch.setattr(stream_mod, "lru_carried_state", refuse)
-    rng = np.random.default_rng(12)
-    arr = np.asarray(
-        [
-            encode_ref(int(a), int(k))
-            for a, k in zip(
-                rng.integers(0, 0x3FFF, size=500),
-                rng.choice([IFETCH, LOAD, STORE], size=500),
-            )
-        ],
-        dtype=np.uint64,
-    )
-    for kind in ("instr", "data"):
-        simulate_miss_curve(arr, SIZES, kind=kind, assoc=2, fastpath=True)
-        simulate_miss_curve_stream(
-            [arr], int(arr.size), SIZES, kind=kind, assoc=2, fastpath=True
-        )
-        with pytest.raises(AssertionError, match="carried state built"):
-            simulate_miss_curve_stream(
-                _chunks(arr, 300), int(arr.size), SIZES, kind=kind, assoc=2,
-                fastpath=True,
-            )
-
-
-# -- carried LRU state vs the scalar cache -----------------------------------
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    blocks=st.lists(st.integers(min_value=0, max_value=255), min_size=1,
-                    max_size=300),
-    split=st.integers(min_value=0, max_value=300),
-)
-def test_carried_state_reproduces_scalar_cache_contents(blocks, split):
-    """lru_carried_state == the scalar cache's final per-set LRU order."""
-    config = CacheConfig(size=512, assoc=2, block=64)
-    arr = np.asarray(blocks, dtype=np.int64)
-    split = min(split, arr.size)
-    state = lru_carried_state(arr[:split], config.set_mask, config.assoc)
-    state = lru_carried_state(
-        arr[split:], config.set_mask, config.assoc, prefix=state
-    )
-    cache = SetAssociativeCache(config)
-    for b in blocks:
-        cache.access(int(b), write=False)
-    # The scalar cache keeps insertion-ordered dicts per set with the
-    # MRU block at the tail; the carried state emits each set LRU->MRU.
-    by_set: dict[int, list[int]] = {}
-    for b in state.tolist():
-        by_set.setdefault(int(b) & config.set_mask, []).append(int(b))
-    for set_index, line_set in enumerate(cache._sets):
-        assert by_set.get(set_index, []) == list(line_set.keys()), set_index
-    # And replaying through the prefix yields the exact miss flags.
-    prefix = lru_carried_state(arr[:split], config.set_mask, config.assoc)
-    concat = np.concatenate([prefix, arr[split:]])
-    flags = lru_miss_mask(
-        concat.astype(np.uint64), config.set_mask, config.assoc
-    )[prefix.size:]
-    whole = lru_miss_mask(
-        arr.astype(np.uint64), config.set_mask, config.assoc
-    )[split:]
-    assert flags.tolist() == whole.tolist()
-
-
 # -- full-hierarchy replay ---------------------------------------------------
 
 
@@ -246,19 +168,26 @@ def test_streamed_hierarchy_replay_matches_materialized(fastpath, chunk):
 # -- seeded defect: the suite must fail loudly -------------------------------
 
 
+needs_kernel = pytest.mark.skipif(
+    not fastpath_coherence.kernel_available(),
+    reason="the compiled kernel is unavailable (no C compiler?)",
+)
+
+
+@needs_kernel
 def test_dropped_carried_state_breaks_miss_curve_parity():
     # Two blocks ping-ponging in one set: after the cold misses every
-    # access hits — unless the carried state is dropped at a boundary,
-    # which turns each chunk's first accesses back into misses.
+    # access hits — unless the caches forget their contents at a
+    # boundary, which turns each chunk's first accesses back into misses.
     arr = np.asarray(
         [encode_ref(a * 64, LOAD) for a in [1, 9] * 60],
         dtype=np.uint64,
     )
     want = _curve_vectors(simulate_miss_curve(arr, [512], kind="data", assoc=2))
-    set_carried_state_defect(True)
+    fastpath_coherence.set_kernel_defect(SWEEP_DEFECT_FORGET_AT_FEED)
     try:
-        # The defect lives in the vectorized accumulator; the scalar
-        # reference keeps its caches live and has no state to drop.
+        # The defect lives in the compiled sweep; the scalar reference
+        # keeps its caches live and has no state to drop.
         got = _curve_vectors(
             simulate_miss_curve_stream(
                 _chunks(arr, 7), int(arr.size), [512], kind="data", assoc=2,
@@ -266,12 +195,12 @@ def test_dropped_carried_state_breaks_miss_curve_parity():
             )
         )
     finally:
-        set_carried_state_defect(False)
+        fastpath_coherence.set_kernel_defect(0)
     assert got != want, "defect injection must break parity"
 
 
 def test_defect_flag_restores_cleanly():
-    assert stream_mod._drop_carried_state is False
+    assert fastpath_coherence._defect == 0
     arr = np.asarray([encode_ref(a * 64, LOAD) for a in [1, 9] * 20],
                      dtype=np.uint64)
     want = _curve_vectors(simulate_miss_curve(arr, [512], kind="data", assoc=2))
@@ -283,14 +212,16 @@ def test_defect_flag_restores_cleanly():
     assert got == want
 
 
-# -- accumulator bookkeeping -------------------------------------------------
+# -- stream bookkeeping ------------------------------------------------------
 
 
 def test_miss_curve_accumulator_rejects_incomplete_stream():
-    acc = MissCurveAccumulator(
-        [CacheConfig(size=512, assoc=2, block=64)], kind="data",
-        total_refs=100, warmup_fraction=0.5,
-    )
-    acc.feed(np.asarray([encode_ref(64, LOAD)] * 10, dtype=np.uint64))
-    with pytest.raises(Exception):
-        acc.points()
+    """Both paths refuse a stream shorter, or longer, than declared."""
+    refs = np.asarray([encode_ref(64, LOAD)] * 10, dtype=np.uint64)
+    for declared, error in ((100, "stream incomplete"), (5, "overruns the declared")):
+        for fastpath in (True, False):
+            with pytest.raises(SimulationError, match=error):
+                simulate_miss_curve_stream(
+                    [refs], declared, [512], kind="data", assoc=2,
+                    warmup_fraction=0.5, fastpath=fastpath,
+                )

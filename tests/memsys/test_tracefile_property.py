@@ -12,7 +12,9 @@ numpy/zipfile exception.
 
 from __future__ import annotations
 
+import gc
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,11 +109,17 @@ def test_missing_file_raises_typed_error(tmp_path):
 
 
 def test_truncated_archive_raises_typed_error(tmp_path):
+    """The typed error, and the file it opened is closed."""
     path = save_trace(_sample_bundle(), tmp_path / "t")
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(TraceFileError):
-        load_trace(path)
+    # A warning from a finalizer cannot raise, so record them all.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(TraceFileError):
+            load_trace(path)
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_garbage_file_raises_typed_error(tmp_path):

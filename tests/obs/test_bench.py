@@ -112,18 +112,19 @@ def test_cli_bench_help_lists_only_obs(capsys):
 # -- the real gates -----------------------------------------------------------
 
 
-def _flip_last_miss_flag(monkeypatch):
-    """The vectorized sweep misjudges one access per geometry."""
-    from repro.memsys import stream
+def _sweep_one_miss_too_many(monkeypatch):
+    """The compiled sweep hands back one miss more than it counted, at
+    one geometry."""
+    from repro.memsys.fastpath_coherence import SweepSession
 
-    lru_miss_mask = stream.lru_miss_mask
+    points = SweepSession.points
 
-    def flipped(*args, **kwargs):
-        mask = lru_miss_mask(*args, **kwargs).copy()
-        mask[-1] = not mask[-1]
-        return mask
+    def wrong(self):
+        out = points(self)
+        out[0].misses += 1
+        return out
 
-    monkeypatch.setattr(stream, "lru_miss_mask", flipped)
+    monkeypatch.setattr(SweepSession, "points", wrong)
 
 
 def _export_one_miss_too_many(monkeypatch):
@@ -175,7 +176,7 @@ def _serve_stale_hits(monkeypatch):
 
 
 PERTURB = {
-    "miss-curve": _flip_last_miss_flag,
+    "miss-curve": _sweep_one_miss_too_many,
     "coherent": _export_one_miss_too_many,
     "generation": _skip_loop_reentry,
     "plane": _publish_another_seed,
@@ -211,6 +212,19 @@ def test_generation_gate_skipped_under_the_reference_switch(monkeypatch, capsys)
     monkeypatch.setattr(bench, "GATES", (generation,))
     assert main(["bench"]) == 0
     assert "skipped: JMMW_FASTPATH=0" in _row(capsys.readouterr().out, "generation")
+
+
+def test_miss_curve_gate_skipped_without_the_kernel(monkeypatch, capsys):
+    """Without the compiled library both sides run the scalar sweep: the
+    row is skipped, says why, and still asserts parity."""
+    from repro.memsys import fastpath_coherence
+
+    monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
+    miss_curve = replace(_gate("miss-curve"), refs=TINY)
+    monkeypatch.setattr(bench, "GATES", (miss_curve,))
+    assert main(["bench"]) == 0
+    row = _row(capsys.readouterr().out, "miss-curve")
+    assert "skipped: the compiled kernel is unavailable (no C compiler?)" in row
 
 
 @pytest.mark.parametrize("degraded", ["no-kernel", "checked"])

@@ -3,8 +3,8 @@
 A validation harness that has never caught a bug is indistinguishable
 from one that cannot.  These tests monkeypatch a deliberate defect into
 the production simulators — a skipped LRU refresh, a MOSI supply that
-forgets to downgrade the dirty holder, carried state dropped at chunk
-boundaries — and assert that the
+forgets to downgrade the dirty holder, a compiled sweep that forgets its
+caches at chunk boundaries — and assert that the
 differential checks report a divergence at the exact reference that
 exposes it, and that the runtime invariant checker independently
 catches the coherence violation.
@@ -134,14 +134,18 @@ def test_invariant_checker_catches_sticky_modified(monkeypatch):
 def test_figure_diffchecks_catch_dropped_carried_state(monkeypatch):
     """The one-row-per-figure sweep check replays several chunks too,
     so a chunk-boundary defect fails it loudly."""
-    from repro.memsys import stream
+    from repro.memsys import fastpath_coherence
 
+    if not fastpath_coherence.kernel_available():
+        pytest.skip("the compiled kernel is unavailable (no C compiler?)")
     # Two blocks ping-ponging in one set: all hits after the cold
     # misses, unless a boundary forgets what the cache held.
     refs = [encode_ref(a * 64, LOAD) for a in [1, 9] * 70]
     assert diff_miss_curve(refs, [512], kind="data", assoc=2).ok
 
-    monkeypatch.setattr(stream, "_drop_carried_state", True)
+    monkeypatch.setattr(
+        fastpath_coherence, "_defect", fastpath_coherence.SWEEP_DEFECT_FORGET_AT_FEED
+    )
     report = diff_miss_curve(refs, [512], kind="data", assoc=2)
     assert not report.ok
     assert "fastpath chunk=" in report.divergence.detail

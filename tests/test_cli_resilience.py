@@ -166,6 +166,34 @@ def test_interrupted_run_still_writes_its_obs_file(
     assert "-- counters --" in capsys.readouterr().err
 
 
+def test_interrupt_while_publishing_traces_exits_130(cli_env, monkeypatch, capsys):
+    """Ctrl-C while ``jmmw figures`` publishes its shared traces, before
+    any task runs: the campaign reports itself interrupted, with the
+    resume hint, exits 130, and leaves the plane root empty."""
+    from repro.harness.traceplane import TracePlane
+
+    publish = TracePlane.publish
+    published = []
+
+    def interrupted(self, spec, bundle=None):
+        published.append(spec)
+        if len(published) == 2:
+            raise KeyboardInterrupt
+        return publish(self, spec, bundle)
+
+    monkeypatch.setattr(TracePlane, "publish", interrupted)
+    try:
+        rc = main(["figures", "fig12", "fig13", "--quick", "--no-cache"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped jmmw figures")
+    assert rc == 130
+    err = capsys.readouterr().err
+    assert "campaign interrupted: 0 task(s) completed, 2 remaining" in err
+    assert "rerun with --resume to continue from the checkpoint" in err
+    assert "Traceback" not in err
+    assert list((cli_env / "cache" / "traceplane").iterdir()) == []
+
+
 def test_obs_file_is_fresh_per_run(cli_env, stub_figures):
     path = cli_env / "run.jsonl"
     argv = ["figures", "fig04", "fig05", "--quick", "--no-cache", "--obs", str(path)]
@@ -318,6 +346,39 @@ def test_burst_fallback_notice_per_reason(
     assert notes == [
         f"note: {declines[reason]} trace(s) drew their code bursts in Python: {cause}"
         for reason, cause in BURST_FALLBACK_NOTES.items()
+        if reason in declines
+    ]
+
+
+#: The stderr notice each counted miss-curve sweep decline must print.
+SWEEP_FALLBACK_NOTES = {
+    "no-kernel": "the compiled kernel is unavailable (no C compiler?)",
+    "alloc": "the kernel could not allocate the sweep's caches",
+}
+
+
+@pytest.mark.parametrize(
+    "declines",
+    [{"no-kernel": 8}, {"alloc": 1}, {"no-kernel": 2, "alloc": 3}],
+    ids=["no-kernel", "alloc", "both"],
+)
+def test_sweep_fallback_notice_per_reason(
+    cli_env, stub_figures, monkeypatch, capsys, declines
+):
+    from repro import obs
+    from repro.memsys.fastpath_coherence import SWEEP_FALLBACK_COUNTER
+
+    def declining_figure(module_name, sim):
+        for reason, n in declines.items():
+            obs.incr(f"{SWEEP_FALLBACK_COUNTER}/{reason}", n)
+        return _stub_result(module_name)
+
+    monkeypatch.setattr(common, "run_figure", declining_figure)
+    assert main(["figures", "fig04", "--quick", "--no-cache"]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if "note:" in line]
+    assert notes == [
+        f"note: {declines[reason]} miss-curve sweep(s) ran the scalar reference: {cause}"
+        for reason, cause in SWEEP_FALLBACK_NOTES.items()
         if reason in declines
     ]
 
