@@ -13,7 +13,7 @@ from repro.analysis.curves import MissCurve
 from repro.core.config import SimConfig
 from repro.figures.common import FIGURE_SIM, FigureResult, figure_trace
 from repro.harness.traceplane import TraceSpec
-from repro.memsys.stream import TraceStream, simulate_miss_curve_stream
+from repro.memsys.stream import simulate_miss_curve_stream
 from repro.units import kb, mb
 
 #: The paper's x axis (Figures 12/13).
@@ -56,17 +56,18 @@ def curves(
 ) -> dict[str, MissCurve]:
     """Miss curves for every configuration, one trace each.
 
-    Each trace is replayed chunk by chunk through
-    :func:`repro.memsys.stream.simulate_miss_curve_stream`;
-    ``fastpath`` is forwarded to it, and both replay paths produce
-    bit-identical curves.
+    Each trace is materialized (shared through the trace plane when
+    Figure 13 runs too) and its per-CPU arrays are the chunks of
+    :func:`repro.memsys.stream.simulate_miss_curve_stream`; ``fastpath``
+    is forwarded to it, and both sweep paths produce bit-identical
+    curves.
     """
     out = {}
     for (label, _name, _scale), spec in zip(CONFIGS, trace_specs(sim)):
-        stream = TraceStream.from_bundle(figure_trace(spec))
+        bundle = figure_trace(spec)
         points = simulate_miss_curve_stream(
-            stream.chunks_merged(),
-            stream.total_refs,
+            bundle.per_cpu,
+            bundle.total_refs,
             CACHE_SIZES,
             kind=kind,
             assoc=4,

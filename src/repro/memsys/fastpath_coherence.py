@@ -26,16 +26,17 @@ by construction and by test:
   the bus keys by line: the ``holders`` mirror (bitmask), the miss
   classifier's ever-held/invalidated sets (bitmasks per cache), the
   per-line C2C counts and the touched-line set;
-- the round-robin quantum interleave runs inside the kernel over
-  equal-length per-processor windows, so consecutive windows
-  concatenate to the schedule the scalar loop plays.
+- the round-robin quantum interleave runs inside the kernel over the
+  per-processor slices of a phase, unequal lengths included: a
+  processor drops out once its slice is spent, exactly as in the
+  scalar loop.
 
-Every hierarchy replay goes through one windowed scheduler,
-:func:`repro.memsys.stream.run_trace_stream`, which touches this module
-through two names: :meth:`KernelSession.begin`, the single place the
-kernel accepts or declines a replay, and :func:`run_trace_kernel`,
-which replays one warmup or measurement phase through an accepted
-session.
+Every hierarchy replay goes through one driver,
+:meth:`repro.memsys.hierarchy.MemoryHierarchy.run_trace`, which touches
+this module through two names: :meth:`KernelSession.begin`, the single
+place the kernel accepts or declines a replay, and
+:func:`run_trace_kernel`, which replays one whole warmup or measurement
+phase through an accepted session in one ``jmmw_run`` call.
 
 After a replay, :meth:`KernelSession.finish` copies every counter into
 the hierarchy's stat objects, and the per-line C2C counts and
@@ -127,13 +128,12 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs as _obs
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError, SimulationError, WorkloadError
 from repro.memsys.block import INSTRUCTIONS_PER_IFETCH
 from repro.memsys.coherence import STATE_BY_VALUE, CacheSideStats, CoherenceStats
 from repro.memsys.fastpath import fastpath_enabled
 from repro.memsys.misses import MissKind
 from repro.memsys.multisim import MissCurvePoint
-from repro.memsys.stream import DEFAULT_CHUNK_REFS
 
 #: Field order of the flat per-processor stats array, matching
 #: :class:`repro.memsys.hierarchy.ProcessorStats` declaration order.
@@ -1469,58 +1469,46 @@ def _declined(lib, hierarchy) -> bool:
     return True
 
 
-def run_trace_kernel(session, cursors, budgets, quantum: int) -> None:
-    """Replay one warmup/measurement phase through ``session``, windowed.
+def run_trace_kernel(session, phase, quantum: int) -> None:
+    """Replay one warmup or measurement phase through ``session``.
 
-    ``cursors`` are the stream's per-processor
-    :class:`~repro.memsys.stream.ChunkCursor` readers and ``budgets``
-    the references each processor plays in this phase.  While every
-    live processor has at least a quantum left, a window (a common
-    multiple of the quantum, capped near the stream chunk size) is
-    pulled per processor and replayed in one kernel call — the
-    kernel's internal round-robin over equal-length windows
-    concatenates to the global schedule.  The ragged tail (some
-    processor under a quantum from exhaustion) is replayed one round
-    at a time, which reproduces drop-out exactly.
+    ``phase`` holds each processor's ``uint64`` slice of the phase, of
+    any lengths (empty ones included).  The slices are concatenated and
+    played in one ``jmmw_run`` call, whose round-robin over them is the
+    scalar loop's schedule.  A failure inside the kernel frees the
+    machine and raises :class:`~repro.errors.SimulationError`.  Returns
+    None: perfbench's probe on this name (``perfbench/layers.py``)
+    would count any other value as one more kernel-served replay.
     """
-    n_procs = len(budgets)
-    window = max(quantum, (DEFAULT_CHUNK_REFS // quantum) * quantum)
-    remaining = list(budgets)
-    live = [cpu for cpu, n in enumerate(remaining) if n > 0]
-    while live:
-        floor = min(remaining[cpu] for cpu in live)
-        arrays: list[np.ndarray | None] = [None] * n_procs
-        if floor >= quantum:
-            take = min(window, floor - (floor % quantum))
-            for cpu in live:
-                arrays[cpu] = cursors[cpu].take(take)
-                remaining[cpu] -= take
-        else:
-            # Tail round: every live processor plays one (possibly
-            # short) turn; the shortest drops out afterwards.
-            for cpu in live:
-                turn = min(quantum, remaining[cpu])
-                arrays[cpu] = cursors[cpu].take(turn)
-                remaining[cpu] -= turn
-        session.run(arrays, quantum)
-        live = [cpu for cpu in live if remaining[cpu] > 0]
+    if session._closed:
+        raise SimulationError("kernel session already closed")
+    lens = np.array([t.size for t in phase], dtype=np.int64)
+    offs = np.zeros(len(phase), dtype=np.int64)
+    np.cumsum(lens[:-1], out=offs[1:])
+    flat = np.concatenate(phase) if lens.sum() else np.zeros(1, dtype=np.uint64)
+    rc = session._lib.jmmw_run(
+        session._m, _ptr(flat, ctypes.c_uint64),
+        _ptr(offs, ctypes.c_int64), _ptr(lens, ctypes.c_int64), quantum,
+    )
+    if rc != 0:
+        session.abort()
+        raise SimulationError("coherence kernel allocation failure mid-replay")
 
 
 class KernelSession:
-    """A persistent kernel machine for one hierarchy replay.
+    """A kernel machine for one hierarchy replay.
 
-    The machine stays alive across many :meth:`run` calls: caches, the
-    sharing table, classifier history and every counter carry over,
-    which is exactly what windowed replay needs — the machine *is* the
-    carried state.  The lifecycle is :meth:`begin` (None means "the
-    kernel cannot serve this hierarchy: use the scalar loop"), any
-    number of ``run``/``reset_stats`` calls, then :meth:`finish` to
+    The machine stays alive across the replay's phases: caches, the
+    sharing table and classifier history carry from the warmup phase
+    into the measurement phase, and :meth:`reset_stats` zeroes the
+    counters between them.  The lifecycle is :meth:`begin` (None means
+    "the kernel cannot serve this hierarchy: use the scalar loop"), one
+    :func:`run_trace_kernel` call per phase, then :meth:`finish` to
     hand everything back to the Python hierarchy (or :meth:`abort` to
     free without exporting).
 
-    Once begun there is no fallback: the chunks already replayed cannot
-    be replayed again scalar, so an allocation failure inside ``run``
-    raises :class:`~repro.errors.SimulationError`.
+    Once begun there is no fallback: an allocation failure inside the
+    kernel raises :class:`~repro.errors.SimulationError`.
     """
 
     def __init__(self, lib, m, hierarchy) -> None:
@@ -1544,42 +1532,6 @@ class KernelSession:
             _obs.incr(f"{FALLBACK_COUNTER}/alloc")
             return None
         return cls(lib, m, hierarchy)
-
-    def run(self, per_cpu_arrays, quantum: int) -> None:
-        """Replay one window: ``per_cpu_arrays[cpu]`` is that
-        processor's references for this window (None or empty for
-        processors sitting the window out).
-
-        The kernel round-robins a ``quantum`` per processor exactly
-        like the scalar replay, so consecutive windows concatenate to
-        the same global schedule.
-        """
-        from repro.errors import SimulationError
-
-        if self._closed:
-            raise SimulationError("kernel session already closed")
-        traces = [
-            np.ascontiguousarray(t, dtype=np.uint64)
-            if t is not None else np.zeros(0, dtype=np.uint64)
-            for t in per_cpu_arrays
-        ]
-        lens = np.array([t.size for t in traces], dtype=np.int64)
-        offs = np.zeros(len(traces), dtype=np.int64)
-        np.cumsum(lens[:-1], out=offs[1:])
-        flat = (
-            np.concatenate(traces) if traces and lens.sum()
-            else np.zeros(1, dtype=np.uint64)
-        )
-        rc = self._lib.jmmw_run(
-            self._m, _ptr(flat, ctypes.c_uint64),
-            _ptr(offs, ctypes.c_int64), _ptr(lens, ctypes.c_int64), quantum,
-        )
-        if rc != 0:
-            self.abort()
-            raise SimulationError(
-                "coherence kernel allocation failure mid-replay; the "
-                "consumed chunks cannot be replayed scalar"
-            )
 
     def reset_stats(self) -> None:
         """Zero every counter (warmup/measurement boundary); cache and

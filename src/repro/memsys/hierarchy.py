@@ -12,24 +12,28 @@ invalidates an L2 line, the corresponding L1 lines above that L2 are
 shot down through the bus's invalidation hook.
 
 This module owns the per-reference model (:meth:`MemoryHierarchy.access`,
-the scalar reference).  Trace replay has one form: ``run_trace`` hands
-materialized traces and chunked streams alike to
-:func:`repro.memsys.stream.run_trace_stream`, which drives either this
-access loop or the compiled kernel
-(:mod:`repro.memsys.fastpath_coherence`).
+the scalar reference) and the one trace-replay driver,
+:meth:`MemoryHierarchy.run_trace`: materialized per-processor traces,
+split into a warmup and a measurement phase, each phase played either
+through this access loop or through the compiled kernel
+(:mod:`repro.memsys.fastpath_coherence`) in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
+
+from repro import obs as _obs
 from repro.memsys.config import MachineConfig
 from repro.errors import ConfigError
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH, STORE
 from repro.memsys.cache import SetAssociativeCache
 from repro.memsys.coherence import FILL_C2C, FILL_HIT, FILL_MEM, FILL_UPGRADE, MOSIBus
+from repro.memsys.fastpath import as_ref_array, fastpath_enabled
 from repro.memsys import invariants as _invariants
-from repro.memsys.stream import TraceStream, run_trace_stream
 
 
 @dataclass
@@ -244,45 +248,120 @@ class MemoryHierarchy:
 
     def run_trace(
         self,
-        per_cpu_traces: list[list[int]] | TraceStream,
+        per_cpu_traces: Sequence[Sequence[int] | np.ndarray],
         quantum: int = 64,
         warmup_fraction: float = 0.0,
         fastpath: bool | None = None,
     ) -> None:
         """Interleave per-processor traces round-robin and replay them.
 
-        Each processor consumes up to ``quantum`` references per turn;
-        processors whose traces are exhausted drop out.  Deterministic
-        given the traces, so the variability methodology perturbs the
-        workload generation rather than the interleaving.
+        ``per_cpu_traces`` holds one one-dimensional sequence of encoded
+        references per processor (a list or a ``uint64`` array).  Each
+        processor consumes up to ``quantum`` references per turn, in
+        processor order; processors whose traces are exhausted drop
+        out.  Deterministic given the traces, so the variability
+        methodology perturbs the workload generation rather than the
+        interleaving.
 
         With ``warmup_fraction`` > 0, the first fraction of each trace
-        fills the caches and is then discarded from the counters, so
-        reported rates are steady-state.
-
-        ``per_cpu_traces`` is one sequence of encoded references per
-        processor, or a :class:`~repro.memsys.stream.TraceStream` whose
-        chunks are replayed as they arrive.  A materialized trace is
-        replayed as a one-chunk stream: every replay goes through
-        :func:`repro.memsys.stream.run_trace_stream`, with final state
-        and counters independent of where chunk boundaries fall.
+        is a warmup phase that fills the caches and is then discarded
+        from the counters, so reported rates are steady-state; the rest
+        is the measurement phase, interleaved afresh.
 
         ``fastpath`` controls the compiled coherence kernel
         (:mod:`repro.memsys.fastpath_coherence`): ``None`` follows the
         global ``JMMW_FASTPATH`` switch, ``False`` forces the scalar
-        reference loop.  The kernel only engages on a cold hierarchy
-        with no invariant checker attached; whenever it declines, the
-        scalar loop runs and produces the identical state.
+        reference loop.  The kernel is asked only with no invariant
+        checker attached; ``KernelSession.begin`` accepts or declines
+        (counting the reason: it serves only a cold hierarchy), and a
+        decline runs the scalar loop, which produces the identical
+        state.  An accepted replay plays each phase in one kernel call,
+        and a failure inside the kernel raises
+        :class:`~repro.errors.SimulationError`.  With a checker
+        attached, the full invariant check runs after every phase.
         """
-        if not isinstance(per_cpu_traces, TraceStream):
-            longest = max((len(t) for t in per_cpu_traces), default=0)
-            per_cpu_traces = TraceStream.from_arrays(
-                per_cpu_traces, chunk_refs=max(1, longest)
+        from repro.memsys import fastpath_coherence as _fc
+
+        n_procs = self.machine.n_procs
+        if len(per_cpu_traces) != n_procs:
+            raise ConfigError(
+                f"expected {n_procs} traces, got {len(per_cpu_traces)}"
             )
-        run_trace_stream(
-            self, per_cpu_traces,
-            quantum=quantum, warmup_fraction=warmup_fraction, fastpath=fastpath,
-        )
+        if quantum <= 0:
+            raise ConfigError("quantum must be positive")
+        if not 0.0 <= warmup_fraction < 1.0:
+            raise ConfigError("warmup_fraction must be in [0, 1)")
+        traces = [as_ref_array(t) for t in per_cpu_traces]
+        if warmup_fraction > 0.0:
+            splits = [int(t.size * warmup_fraction) for t in traces]
+            phases = [
+                [t[:s] for t, s in zip(traces, splits)],
+                [t[s:] for t, s in zip(traces, splits)],
+            ]
+        else:
+            phases = [traces]
+        if fastpath is None:
+            fastpath = fastpath_enabled()
+        session = None
+        if fastpath and self.checker is None:
+            session = _fc.KernelSession.begin(self)
+        replay = "reference" if session is None else "kernel"
+
+        def bus_counters() -> list[int]:
+            if session is not None:
+                return session.bus_counters()
+            stats = self.bus.stats
+            return [getattr(stats, name) for name in _fc.BUS_FIELDS]
+
+        try:
+            for index, phase in enumerate(phases):
+                if index > 0:
+                    if session is not None:
+                        session.reset_stats()
+                    else:
+                        self.reset_stats()
+                refs = sum(int(t.size) for t in phase)
+                before = bus_counters()
+                with _obs.span(
+                    "memsys/replay", refs=refs, procs=n_procs, replay=replay
+                ):
+                    if session is not None:
+                        _fc.run_trace_kernel(session, phase, quantum)
+                    else:
+                        self._replay_phase(phase, quantum)
+                for name, b, a in zip(_fc.BUS_FIELDS, before, bus_counters()):
+                    if a != b:
+                        _obs.incr(f"memsys/bus/{name}", a - b)
+                _obs.incr("memsys/replay/refs", refs)
+                if self.checker is not None:
+                    # One guaranteed full check per phase, so corruption
+                    # that slipped between samples still fails the run.
+                    self.checker.check()
+            if session is not None:
+                session.finish()
+                session = None
+        finally:
+            if session is not None:
+                session.abort()
+
+    def _replay_phase(self, phase: list[np.ndarray], quantum: int) -> None:
+        """One phase through the scalar access loop.
+
+        Every live processor plays a quantum per turn, so all of them
+        stand at the same position; a processor drops out once its
+        slice is spent.
+        """
+        access = self.access
+        traces = [t.tolist() for t in phase]
+        live = [cpu for cpu, refs in enumerate(traces) if refs]
+        pos = 0
+        while live:
+            end = pos + quantum
+            for cpu in live:
+                for ref in traces[cpu][pos:end]:
+                    access(cpu, ref)
+            pos = end
+            live = [cpu for cpu in live if len(traces[cpu]) > pos]
 
     # -- aggregates -----------------------------------------------------------
 

@@ -18,8 +18,7 @@ counter vectors**, not just miss totals:
   run in lockstep with :class:`repro.memsys.hierarchy.MemoryHierarchy`
   and diffed on every per-CPU :class:`ProcessorStats` field, every
   per-L2 side counter, the bus totals and the per-line C2C footprint,
-  then against ``run_trace`` replays of the same traces as one chunk
-  and as a multi-chunk stream;
+  then against a ``run_trace`` replay of the same traces;
 - :func:`oracle_stack_histogram` — an O(n·m) move-to-front stack
   distance recount diffed against
   :class:`repro.memsys.stackdist.StackDistanceProfiler` (both paths);
@@ -56,7 +55,7 @@ from repro.errors import ConfigError
 from repro.memsys.block import IFETCH, INSTRUCTIONS_PER_IFETCH, LOAD, STORE
 from repro.memsys.config import CacheConfig, MachineConfig, e6000_machine
 from repro.memsys.hierarchy import MemoryHierarchy
-from repro.memsys.stream import TraceStream, simulate_miss_curve_stream
+from repro.memsys.stream import simulate_miss_curve_stream
 
 _KIND_NAMES = {IFETCH: "ifetch", LOAD: "load", STORE: "store"}
 
@@ -214,7 +213,7 @@ def diff_miss_curve(
             arr, sizes, kind=kind, assoc=assoc, block=block,
             warmup_fraction=warmup_fraction, fastpath=fastpath,
         )
-        chunks = TraceStream.from_arrays([arr], chunk_refs=chunk).chunks_merged()
+        chunks = (arr[start : start + chunk] for start in range(0, n_refs, chunk))
         replays[f"{path} chunk={chunk}"] = simulate_miss_curve_stream(
             chunks, n_refs, sizes, kind=kind, assoc=assoc, block=block,
             warmup_fraction=warmup_fraction, fastpath=fastpath,
@@ -734,7 +733,9 @@ def diff_hierarchy_replay(
     :meth:`MemoryHierarchy.run_trace` (round-robin quanta, optional
     warmup discard), compares the two models' fill-source answer for
     *every reference*, and diffs the full counter vectors every
-    ``check_every`` references and at the end.
+    ``check_every`` references and at the end.  Then one ``run_trace``
+    replay of the same traces (the compiled kernel or the scalar loop,
+    as the figures would run it) is diffed against the oracle.
     """
     if machine is None:
         machine = e6000_machine(len(traces))
@@ -816,25 +817,15 @@ def diff_hierarchy_replay(
         # The same traces through run_trace, which uses the compiled
         # coherence kernel when the fast path is enabled (and the scalar
         # loop when it is not), so diffcheck validates whichever replay
-        # path the figures would use: once as one chunk, and once as a
-        # multi-chunk stream so chunk boundaries are checked too.
-        chunk = max(1, max(len(t) for t in traces) // 7)
-        for label, source in (
-            ("batched replay", traces),
-            (
-                f"streamed replay (chunk={chunk})",
-                TraceStream.from_arrays(traces, chunk_refs=chunk),
-            ),
-        ):
-            replayed = MemoryHierarchy(machine, protocol=protocol)
-            replayed.run_trace(
-                source, quantum=quantum, warmup_fraction=warmup_fraction
-            )
-            checks += 1
-            mismatch = compare_counter_vectors(replayed, oracle)
-            if mismatch:
-                divergence = Divergence(index=seen, detail=f"{label}: {mismatch}")
-                break
+        # path the figures would use.
+        replayed = MemoryHierarchy(machine, protocol=protocol)
+        replayed.run_trace(
+            traces, quantum=quantum, warmup_fraction=warmup_fraction
+        )
+        checks += 1
+        mismatch = compare_counter_vectors(replayed, oracle)
+        if mismatch:
+            divergence = Divergence(index=seen, detail=f"run_trace replay: {mismatch}")
     return DiffReport(name, total_refs, checks, divergence)
 
 

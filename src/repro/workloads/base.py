@@ -91,11 +91,13 @@ class ChunkedTrace:
     yields fixed-size ``uint64`` chunks whose concatenation is exactly
     ``TraceBundle.per_cpu[cpu]``, but nothing is materialized until a
     consumer pulls.  ``lengths`` are declared up front (they depend
-    only on the simulation config), so replay schedules and warmup
-    splits are computed before generation starts.  Iterators for
-    different processors are independent: the emission state behind
-    each (RNG stream, allocation cursors, stream builder) is
-    per-processor, so consumers may interleave them freely.
+    only on the simulation config), so a miss-curve sweep
+    (:func:`repro.memsys.stream.simulate_miss_curve_stream`, the
+    consumer) places its warmup split before generation starts.
+    Iterators for different processors are independent: the emission
+    state behind each (RNG stream, allocation cursors, stream builder)
+    is per-processor, so consumers may interleave them freely.
+    Hierarchy replay takes materialized traces (:class:`TraceBundle`).
     """
 
     lengths: list[int]
@@ -386,7 +388,10 @@ class Workload(Protocol):
         """The same streams as :meth:`generate`, as lazy chunk iterators.
 
         Concatenating processor ``cpu``'s chunks must reproduce
-        ``generate(...).per_cpu[cpu]`` bit-for-bit.
+        ``generate(...).per_cpu[cpu]`` bit-for-bit.  The chunks feed
+        :func:`repro.memsys.stream.simulate_miss_curve_stream` in
+        O(chunk) memory; hierarchy replay takes :meth:`generate`'s
+        materialized traces.
         """
         ...
 

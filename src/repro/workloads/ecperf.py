@@ -146,7 +146,8 @@ class EcperfWorkload:
         each processor's concatenated chunks are bit-identical to
         ``generate(...).per_cpu[cpu]``, and the per-processor
         iterators may be interleaved (the bean cache's hit bookkeeping
-        never feeds back into addresses).
+        never feeds back into addresses).  They are the lazy trace
+        source of :func:`repro.memsys.stream.simulate_miss_curve_stream`.
         """
         n_threads = n_procs * self.threads_per_proc
         per_cpu = [

@@ -145,7 +145,8 @@ class SpecJbbWorkload:
         each processor's concatenated chunks are bit-identical to
         ``generate(...).per_cpu[cpu]``.  Per-processor iterators are
         independent (cursor-local allocation, stateless RNG streams)
-        and may be interleaved.
+        and may be interleaved.  They are the lazy trace source of
+        :func:`repro.memsys.stream.simulate_miss_curve_stream`.
         """
         lengths: list[int] = []
         per_cpu: list = []

@@ -26,7 +26,11 @@ all) is the equality check on what the builders produce.
 Every kernel replay here goes through ``MemoryHierarchy.run_trace``
 and asserts, via the ``memsys/fastpath/coherent_replay`` counter, that
 the kernel served it; routing tests patch ``KernelSession.begin``, the
-one place the kernel accepts or declines a replay.
+one place the kernel accepts or declines a replay.  The kernel plays
+each phase in one call over per-processor slices of any lengths, so
+the ragged-length tests draw empty traces, traces shorter than a
+quantum and lengths that are not multiples of it, as fig08's shorter
+OS-processor stream is.
 """
 
 import numpy as np
@@ -35,7 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.errors import InvariantViolation
+from repro.errors import InvariantViolation, SimulationError
 from repro.memsys import fastpath, fastpath_coherence
 from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref
 from repro.memsys.cache import CLEAN, SetAssociativeCache
@@ -87,25 +91,25 @@ def unchecked(machine, **kwargs) -> MemoryHierarchy:
     return MemoryHierarchy(machine, check_invariants=False, **kwargs)
 
 
-def kernel_replay(hierarchy, traces, warmup_fraction=0.0):
+def kernel_replay(hierarchy, traces, warmup_fraction=0.0, quantum=64):
     """Replay through ``run_trace``'s fast path; the kernel must serve it."""
     before = obs.COUNTERS.get(SERVED)
     hierarchy.run_trace(
-        traces, quantum=64, warmup_fraction=warmup_fraction, fastpath=True
+        traces, quantum=quantum, warmup_fraction=warmup_fraction, fastpath=True
     )
     assert obs.COUNTERS.get(SERVED) == before + 1, (
         "kernel unexpectedly declined a cold replay"
     )
 
 
-def replay_both(machine, traces, protocol="mosi", warmup_fraction=0.0):
+def replay_both(machine, traces, protocol="mosi", warmup_fraction=0.0, quantum=64):
     """Scalar and kernel replays of the same traces; returns both."""
     scalar = MemoryHierarchy(machine, protocol=protocol)
     scalar.run_trace(
-        traces, quantum=64, warmup_fraction=warmup_fraction, fastpath=False
+        traces, quantum=quantum, warmup_fraction=warmup_fraction, fastpath=False
     )
     fast = unchecked(machine, protocol=protocol)
-    kernel_replay(fast, traces, warmup_fraction)
+    kernel_replay(fast, traces, warmup_fraction, quantum)
     return scalar, fast
 
 
@@ -217,9 +221,14 @@ def test_untracked_lines_parity():
 
 
 def random_traces(seed: int, n_procs: int, n: int, n_blocks: int):
+    return ragged_traces(seed, [n] * n_procs, n_blocks)
+
+
+def ragged_traces(seed: int, lengths: list[int], n_blocks: int):
+    """One random trace per processor, ``lengths[cpu]`` references long."""
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(n_procs):
+    for n in lengths:
         kinds = rng.choice([IFETCH, LOAD, STORE], size=n, p=[0.3, 0.45, 0.25])
         addrs = rng.integers(0, n_blocks, size=n) * 32
         out.append(
@@ -242,6 +251,50 @@ def test_random_traffic_parity(seed, protocol, procs_per_l2, warmup):
     scalar, fast = replay_both(
         machine, traces, protocol=protocol, warmup_fraction=warmup
     )
+    assert full_state(fast) == full_state(scalar)
+
+
+@needs_kernel
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(
+        st.sampled_from([0, 1, 5, 63, 64, 65, 200, 777, 1500]),
+        min_size=2, max_size=6,
+    ),
+    quantum=st.sampled_from([1, 3, 64, 100]),
+    warmup=st.sampled_from([0.0, 0.5]),
+    protocol=st.sampled_from(PROTOCOLS),
+    paired=st.booleans(),
+)
+def test_ragged_lengths_parity(seed, lengths, quantum, warmup, protocol, paired):
+    """One kernel call per phase over unequal slices is the scalar
+    schedule: exhausted processors drop out at the same turn."""
+    if paired and len(lengths) % 2:
+        lengths = [*lengths, 0]
+    machine = small_machine(len(lengths), 2 if paired else 1)
+    traces = ragged_traces(seed, lengths, 96)
+    scalar, fast = replay_both(
+        machine, traces, protocol=protocol, warmup_fraction=warmup,
+        quantum=quantum,
+    )
+    assert full_state(fast) == full_state(scalar)
+
+
+@needs_kernel
+def test_os_processor_stream_parity():
+    """fig08's replay: two SPECjbb processors and the OS processor,
+    whose stream is a tenth as long."""
+    from repro.core.config import SimConfig
+    from repro.figures.common import os_processor_trace
+    from repro.rng import RngFactory
+    from repro.workloads.specjbb import SpecJbbWorkload
+
+    sim = SimConfig(seed=77, refs_per_proc=4_000, warmup_fraction=0.5)
+    bundle = SpecJbbWorkload(warehouses=2).generate(2, sim, RngFactory(seed=sim.seed))
+    traces = [*bundle.per_cpu, os_processor_trace(2, sim)]
+    assert len(traces[2]) < min(len(t) for t in bundle.per_cpu) // 5
+    scalar, fast = replay_both(e6000_machine(3), traces, warmup_fraction=0.5)
     assert full_state(fast) == full_state(scalar)
 
 
@@ -467,6 +520,36 @@ def assert_declined(machine, traces, reason, setup=None):
 def test_missing_compiler_falls_back_to_scalar(monkeypatch):
     monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
     assert_declined(small_machine(2), one_block_traces(2), "no-kernel")
+
+
+@needs_kernel
+def test_kernel_failure_mid_replay_raises(monkeypatch):
+    lib = fastpath_coherence._load_library()
+    monkeypatch.setattr(lib, "jmmw_run", lambda *args: 1)
+    h = unchecked(small_machine(2))
+    with pytest.raises(SimulationError, match="mid-replay"):
+        h.run_trace(one_block_traces(2), fastpath=True)
+    assert obs.COUNTERS.get(SERVED) == 0
+
+
+def replay_spans() -> list[str]:
+    return [
+        span["replay"] for span in obs.SPANS.finished
+        if span["span"] == "memsys/replay"
+    ]
+
+
+def test_replay_span_names_the_reference_without_a_kernel(monkeypatch, obs_enabled):
+    monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
+    h = unchecked(small_machine(2))
+    h.run_trace(one_block_traces(2), warmup_fraction=0.5, fastpath=True)
+    assert replay_spans() == ["reference", "reference"]
+
+
+@needs_kernel
+def test_replay_span_names_the_kernel(obs_enabled):
+    kernel_replay(unchecked(small_machine(2)), one_block_traces(2), 0.5)
+    assert replay_spans() == ["kernel", "kernel"]
 
 
 @needs_kernel

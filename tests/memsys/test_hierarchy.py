@@ -1,5 +1,6 @@
 """Multi-processor hierarchy: L1 filtering, write-through, shoot-downs."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -79,6 +80,23 @@ def test_run_trace_wrong_width_rejected():
     h = MemoryHierarchy(e6000_machine(2))
     with pytest.raises(ConfigError):
         h.run_trace([[]])
+
+
+@pytest.mark.parametrize(
+    "traces, kwargs, error",
+    [
+        ([[], []], {"quantum": 0}, "quantum must be positive"),
+        ([[], []], {"warmup_fraction": 1.0}, "warmup_fraction"),
+        ([[], []], {"warmup_fraction": -0.1}, "warmup_fraction"),
+        ([np.zeros((2, 3), dtype=np.uint64), []], {}, "one-dimensional"),
+    ],
+    ids=["quantum", "warmup-one", "warmup-negative", "two-dimensional"],
+)
+def test_run_trace_refuses_bad_arguments(traces, kwargs, error):
+    h = MemoryHierarchy(e6000_machine(2))
+    with pytest.raises(ConfigError, match=error):
+        h.run_trace(traces, **kwargs)
+    assert h.total_instructions == 0
 
 
 def test_run_trace_warmup_discards_counters():

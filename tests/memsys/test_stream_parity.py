@@ -1,13 +1,12 @@
-"""Bit-parity of streamed replay against the materialized paths.
+"""Bit-parity of chunked miss-curve sweeps against one-chunk sweeps.
 
 The streaming contract (:mod:`repro.memsys.stream`) is *exactness*:
-replaying a trace chunk-by-chunk with carried state must produce
-results bit-identical to materializing the whole trace first — every
-counter, every miss class, the final LRU contents of every cache.
-These tests check that contract on hypothesis-generated traces across
-chunk sizes including the degenerate ones (chunk=1, chunk larger than
-the trace) and on deterministic traces built to straddle chunk
-boundaries with same-set runs.
+sweeping a trace chunk by chunk, every geometry's cache kept across
+boundaries, must give points bit-identical to sweeping the whole trace
+at once.  These tests check that contract on hypothesis-generated
+traces across chunk sizes including the degenerate ones (chunk=1,
+chunk larger than the trace) and on deterministic traces built to
+straddle chunk boundaries with same-set runs.
 
 The suite must also *fail loudly* when carried state is broken: the
 seeded kernel defect
@@ -24,15 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SimConfig
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.memsys import fastpath_coherence
 from repro.memsys.block import IFETCH, LOAD, STORE, encode_ref
-from repro.memsys.config import CacheConfig, e6000_machine
+from repro.memsys.config import CacheConfig
 from repro.memsys.fastpath_coherence import SWEEP_DEFECT_FORGET_AT_FEED
-from repro.memsys.hierarchy import MemoryHierarchy
 from repro.memsys.multisim import simulate_miss_curve
-from repro.memsys.stream import TraceStream, simulate_miss_curve_stream
+from repro.memsys.stream import simulate_miss_curve_stream
 
 #: Tiny sweep sizes so short traces still evict and conflict.
 SIZES = [1024, 2048, 4096]
@@ -103,68 +100,6 @@ def test_streamed_miss_curve_boundary_straddling_same_set_run():
         assert got == want, chunk
 
 
-# -- full-hierarchy replay ---------------------------------------------------
-
-
-def _machine_state(hierarchy: MemoryHierarchy):
-    """Every counter and the full final cache state, comparable."""
-    procs = [vars(s).copy() for s in hierarchy.proc_stats]
-    bus = vars(hierarchy.bus.stats).copy()
-    c2c = dict(hierarchy.bus.stats.c2c_by_line)
-    sides = [vars(s).copy() for s in hierarchy.bus.cache_stats]
-    caches = []
-    for cache in [*hierarchy.bus.caches, *hierarchy._l1i, *hierarchy._l1d]:
-        caches.append([list(s.items()) for s in cache._sets])
-    return procs, bus, c2c, sides, caches
-
-
-def _workload_streams(chunk: int):
-    from repro.rng import RngFactory
-    from repro.workloads.specjbb import SpecJbbWorkload
-
-    sim = SimConfig(seed=77, refs_per_proc=3_000, warmup_fraction=0.5)
-    workload = SpecJbbWorkload(warehouses=2)
-    bundle = workload.generate(2, sim, RngFactory(seed=sim.seed))
-    stream = TraceStream.from_arrays(bundle.per_cpu, chunk_refs=chunk)
-    return sim, bundle, stream
-
-
-@pytest.mark.parametrize("fastpath", [False, True])
-@pytest.mark.parametrize("chunk", [1, 277, 1_000_000])
-def test_streamed_hierarchy_replay_matches_materialized(fastpath, chunk):
-    """Every chunking, on both paths, matches the scalar one-chunk replay.
-
-    A materialized trace is itself replayed as a one-chunk stream, so
-    the reference is pinned to the scalar loop; a fast-path replay must
-    also have been served by the kernel, or the comparison would be
-    scalar against scalar.
-    """
-    from repro import obs
-
-    if fastpath:
-        from repro.memsys.fastpath_coherence import kernel_available
-
-        if not kernel_available():
-            pytest.skip("coherence kernel unavailable")
-    sim, bundle, stream = _workload_streams(chunk)
-    machine = e6000_machine(2)
-
-    reference = MemoryHierarchy(machine, protocol="mosi")
-    reference.run_trace(
-        list(bundle.per_cpu), quantum=sim.interleave_quantum,
-        warmup_fraction=sim.warmup_fraction, fastpath=False,
-    )
-    # Pinned unchecked: under JMMW_CHECK=1 a checker would keep the
-    # fast path scalar.
-    streamed = MemoryHierarchy(machine, protocol="mosi", check_invariants=False)
-    streamed.run_trace(
-        stream, quantum=sim.interleave_quantum,
-        warmup_fraction=sim.warmup_fraction, fastpath=fastpath,
-    )
-    assert _machine_state(streamed) == _machine_state(reference)
-    assert obs.COUNTERS.get("memsys/fastpath/coherent_replay") == int(fastpath)
-
-
 # -- seeded defect: the suite must fail loudly -------------------------------
 
 
@@ -216,7 +151,8 @@ def test_defect_flag_restores_cleanly():
 
 
 def test_miss_curve_accumulator_rejects_incomplete_stream():
-    """Both paths refuse a stream shorter, or longer, than declared."""
+    """Both paths refuse a stream shorter, or longer, than declared,
+    and a chunk that is not one-dimensional."""
     refs = np.asarray([encode_ref(64, LOAD)] * 10, dtype=np.uint64)
     for declared, error in ((100, "stream incomplete"), (5, "overruns the declared")):
         for fastpath in (True, False):
@@ -225,3 +161,13 @@ def test_miss_curve_accumulator_rejects_incomplete_stream():
                     [refs], declared, [512], kind="data", assoc=2,
                     warmup_fraction=0.5, fastpath=fastpath,
                 )
+    # A warmup slice of a 2-D chunk cuts rows, not references: taken
+    # as is, the scalar path would count every reference as warmup.
+    square = np.asarray(
+        [encode_ref(a * 64, LOAD) for a in range(40)], dtype=np.uint64
+    ).reshape(2, 20)
+    for fastpath in (True, False):
+        with pytest.raises(ConfigError, match="one-dimensional"):
+            simulate_miss_curve_stream(
+                [square], 40, [1024], kind="data", fastpath=fastpath,
+            )

@@ -11,7 +11,8 @@ chunkings with empty chunks and boundaries inside the warmup window.
 
 Also here: the degraded modes (no library, an allocation decline,
 ``JMMW_FASTPATH=0``), in which the sweep runs the reference and the
-figures do not move.  The seeded sweep defect
+figures do not move, and the ``sweep`` attribute of the
+``memsys/miss_curve`` span, which names the one that ran.  The seeded sweep defect
 (``SWEEP_DEFECT_FORGET_AT_FEED``) is tested where the chunked parity
 checks live, in ``test_stream_parity.py`` and ``test_seeded_defects.py``.
 """
@@ -211,6 +212,31 @@ def test_fastpath_off_never_asks_the_kernel(monkeypatch, capsys):
     assert out == _golden()
     assert _sweep_fallbacks() == {}
     assert "note:" not in err
+
+
+def sweep_spans() -> list[str]:
+    return [
+        span["sweep"] for span in obs.SPANS.finished
+        if span["span"] == "memsys/miss_curve"
+    ]
+
+
+_SPAN_TRACE = np.asarray(
+    [encode_ref(a * 64, k) for a in range(40) for k in (IFETCH, LOAD)],
+    dtype=np.uint64,
+)
+
+
+def test_sweep_span_names_the_reference_without_a_kernel(monkeypatch, obs_enabled):
+    monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
+    simulate_miss_curve(_SPAN_TRACE, [1024], kind="data", fastpath=True)
+    assert sweep_spans() == ["reference"]
+
+
+@needs_kernel
+def test_sweep_span_names_the_kernel(obs_enabled):
+    simulate_miss_curve(_SPAN_TRACE, [1024], kind="data", fastpath=True)
+    assert sweep_spans() == ["kernel"]
 
 
 @needs_kernel

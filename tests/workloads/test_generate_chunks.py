@@ -1,8 +1,9 @@
 """Chunked generation reproduces materialized generation bit for bit.
 
-``generate_chunks`` is the trace source of every miss-curve sweep run
-without the trace plane; ``generate`` feeds the plane and the coherent
-figures.  Concatenating one processor's chunks must give exactly
+``generate_chunks`` is the lazy trace source for
+``simulate_miss_curve_stream`` (no figure uses it: every figure
+materializes its traces through ``generate``, shared by the trace
+plane).  Concatenating one processor's chunks must give exactly
 ``generate(...).per_cpu[cpu]`` at any chunk size, with the pre-warm
 preamble included and processors without threads left empty.
 """
