@@ -8,15 +8,14 @@ end-to-end, surviving the failures long campaigns actually hit:
   (:class:`Axis` / :class:`RunTable` / :class:`CampaignSpec`);
 - :mod:`repro.campaign.scheduler` — :func:`run_campaign`, a thin
   client of the one execution engine
-  (:mod:`repro.harness.engine`): the engine owns leases, retries,
-  poisoned-cell quarantine, straggler speculation and graceful
+  (:mod:`repro.harness.engine`): the engine owns leases, per-cell
+  timeouts, retries, poisoned-cell quarantine and graceful
   degradation, and the scheduler keeps the cells' statuses, resume
   and ``campaign/*`` events;
-- the engine's three executors, re-exported here:
-  :class:`SerialExecutor` (in-process, the reference),
-  :class:`LocalPoolExecutor` (a pool of owned worker processes) and
-  :class:`SubprocessFleetExecutor` (the same pool with heartbeats and
-  private cache shards per worker);
+- the engine's two executors, re-exported here:
+  :class:`SerialExecutor` (in-process, the reference) and
+  :class:`LocalPoolExecutor` (a pool of owned worker processes, the
+  one ``--jobs N`` runs on);
 - :mod:`repro.campaign.report` — deterministic mean ± std reports
   with explicit degradation sections;
 - :mod:`repro.campaign.state` — read-only journal loading for
@@ -24,7 +23,7 @@ end-to-end, surviving the failures long campaigns actually hit:
 - :mod:`repro.campaign.studies` — the named run tables the CLI knows.
 
 Results are bit-identical across executors by contract: the serial
-executor is the reference, and the chaos suite proves a fleet campaign
+executor is the reference, and the chaos suite proves a pool campaign
 ridden with injected faults still reproduces its bits cell for cell.
 """
 
@@ -39,11 +38,7 @@ from repro.campaign.scheduler import (
     run_campaign,
 )
 from repro.campaign.table import Axis, CampaignSpec, Cell, RunTable
-from repro.harness.engine import (
-    LocalPoolExecutor,
-    SerialExecutor,
-    SubprocessFleetExecutor,
-)
+from repro.harness.engine import LocalPoolExecutor, SerialExecutor
 
 __all__ = [
     "Axis",
@@ -59,6 +54,5 @@ __all__ = [
     "STATUS_OK",
     "STATUS_POISONED",
     "SerialExecutor",
-    "SubprocessFleetExecutor",
     "run_campaign",
 ]

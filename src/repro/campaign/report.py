@@ -10,8 +10,7 @@ diffed line by line.
 
 Degradation is never silent: every cell that is not ``ok`` appears in
 an explicit section with its status (``failed`` / ``poisoned`` /
-``missing`` / ``pending``), its attempt count and the exact reason,
-and divergent speculative duplicates get their own loud section.
+``missing`` / ``pending``), its attempt count and the exact reason.
 """
 
 from __future__ import annotations
@@ -103,14 +102,4 @@ def render(result: CampaignResult) -> str:
             lines.append(
                 f"  [{outcome.status}] {outcome.cell.key}{attempts}: {outcome.error}"
             )
-
-    divergent = [outcome for outcome in result.outcomes if outcome.divergent]
-    if divergent:
-        lines.append("")
-        lines.append(
-            "DIVERGENCE: speculative duplicates returned different bits "
-            "(nondeterminism!) for:"
-        )
-        for outcome in divergent:
-            lines.append(f"  {outcome.cell.key}")
     return "\n".join(lines)

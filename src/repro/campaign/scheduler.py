@@ -2,12 +2,11 @@
 
 Expands a :class:`~repro.campaign.table.CampaignSpec` into cells and
 runs them on the harness's execution engine
-(:func:`repro.harness.engine.schedule`) over any of its three
-executors.  The engine owns every failure rule — leases reclaimed on
-heartbeat silence or an over-budget wall clock, bounded retry with
-jittered backoff, quarantine of a cell that kills ``poison_k``
-consecutive workers, straggler speculation (first result wins; a loser
-returning *different bits* is flagged loudly as ``divergent``), and
+(:func:`repro.harness.engine.schedule`), serially or on the worker
+pool that ``--jobs N`` uses.  The engine owns every failure rule —
+worker death seen through the process sentinel, leases reclaimed past
+the per-cell wall-clock budget, bounded retry with jittered backoff,
+quarantine of a cell that kills ``poison_k`` consecutive workers, and
 graceful degradation to ``missing`` cells when the respawn budget runs
 out — and a :class:`CampaignPolicy` tunes them.
 
@@ -22,8 +21,7 @@ drains in-flight cells on SIGINT/SIGTERM and raises
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
@@ -54,9 +52,10 @@ class CampaignPolicy:
     """Resilience knobs for one campaign run.
 
     ``faults`` supplies the retry budget, backoff shape and per-cell
-    wall-clock timeout shared with the harness runner.  The campaign
-    defaults retry twice with capped jittered backoff — campaigns are
-    long; a transient fault must not cost a cell.
+    wall-clock timeout shared with the harness runner; the timeout is
+    the one rule for a hung or wedged worker.  The campaign defaults
+    retry twice with capped jittered backoff — campaigns are long; a
+    transient fault must not cost a cell.
     """
 
     faults: FaultPolicy = field(
@@ -65,25 +64,12 @@ class CampaignPolicy:
             backoff_max_s=2.0, jitter=0.5,
         )
     )
-    #: Heartbeat silence (s) after which a lease is reclaimed by force
-    #: (heartbeat executors only).
-    lease_timeout_s: float = 10.0
     #: Consecutive worker kills that quarantine a cell.
     poison_k: int = 2
-    #: Speculative re-execution of stragglers (first result wins).
-    speculate: bool = True
-    straggler_factor: float = 4.0
-    straggler_min_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.lease_timeout_s <= 0:
-            raise ConfigError("lease_timeout_s must be positive")
         if self.poison_k < 1:
             raise ConfigError("poison_k must be at least 1")
-        if self.straggler_factor <= 1.0:
-            raise ConfigError("straggler_factor must be > 1")
-        if self.straggler_min_s < 0:
-            raise ConfigError("straggler_min_s must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -98,7 +84,6 @@ class CellOutcome:
     wall_s: float = 0.0
     worker: int | None = None
     cached: bool = False  # served from the manifest (resume)
-    divergent: bool = False  # a speculative duplicate returned different bits
 
     @property
     def ok(self) -> bool:
@@ -125,15 +110,6 @@ class CampaignResult:
         return not self.complete
 
 
-def _value_digest(value: object) -> bytes:
-    """Bit-identity fingerprint for speculative-result comparison."""
-    import hashlib
-
-    return hashlib.sha256(
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    ).digest()
-
-
 class _CampaignClient(Client):
     """``run_campaign``'s view of the engine: ``campaign/*`` events, outcomes."""
 
@@ -158,9 +134,7 @@ class _CampaignClient(Client):
             cell=unit.key if unit is not None else None,
         )
 
-    def reclaimed(
-        self, unit: Task, attempt: int, wid: int, kind: str, reason: str
-    ) -> None:
+    def reclaimed(self, unit: Task, attempt: int, wid: int, reason: str) -> None:
         obs.emit("campaign/lease-reclaimed", cell=unit.key, worker=wid, reason=reason)
 
     def overran(self, unit: Task, attempt: int, wall_s: float, kept: bool) -> None:
@@ -169,29 +143,6 @@ class _CampaignClient(Client):
             cell=unit.key, attempt=attempt, wall_s=round(wall_s, 6),
             timeout_s=self.timeout_s,
         )
-
-    def speculating(self, unit: Task, straggler: int, duplicate: int) -> None:
-        obs.emit(
-            "campaign/speculate", cell=unit.key, straggler_worker=straggler,
-            duplicate_worker=duplicate,
-        )
-
-    def late(self, unit: Task, done: Done) -> None:
-        # A speculative loser (or a late duplicate) came back after the
-        # cell already completed: its only job now is to agree.
-        winner = self.completed[unit.key]
-        if (
-            done.ok and winner.ok
-            and _value_digest(done.value) != _value_digest(winner.value)
-        ):
-            obs.emit(
-                "campaign/divergent", cell=unit.key,
-                winner_worker=winner.worker, loser_worker=done.wid,
-            )
-            self.completed[unit.key] = replace(winner, divergent=True)
-
-    def abandoned(self, unit: Task, wid: int) -> None:
-        obs.emit("campaign/duplicate-abandoned", cell=unit.key, worker=wid)
 
     def finished(self, unit: Task, result: Done | TaskFailure) -> None:
         cell = self.cells[unit.key]
@@ -249,9 +200,8 @@ def run_campaign(
     """Run every cell of ``spec`` over ``executor``; never raises for a
     cell — failures, quarantines and degradation land in the result.
 
-    ``executor`` is a :class:`~repro.harness.engine.SerialExecutor`,
-    :class:`~repro.harness.engine.LocalPoolExecutor` or
-    :class:`~repro.harness.engine.SubprocessFleetExecutor`.  Raises
+    ``executor`` is a :class:`~repro.harness.engine.SerialExecutor` or
+    a :class:`~repro.harness.engine.LocalPoolExecutor`.  Raises
     :class:`CampaignInterrupted` after a drained SIGINT/SIGTERM
     (``interruptible=True`` only), with completed cells already
     persisted to ``manifest``.
@@ -285,9 +235,6 @@ def run_campaign(
     schedule(
         units, executor, client, policy.faults,
         interruptible=interruptible, poison_k=policy.poison_k,
-        lease_timeout_s=policy.lease_timeout_s, speculate=policy.speculate,
-        straggler_factor=policy.straggler_factor,
-        straggler_min_s=policy.straggler_min_s,
     )
 
     missing = sum(1 for o in completed.values() if o.status == STATUS_MISSING)

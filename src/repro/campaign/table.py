@@ -136,7 +136,7 @@ class CampaignSpec:
         :func:`~repro.harness.cache.run_switches`.
         The executor *kind* and worker count are deliberately excluded:
         results are bit-identical across executors by contract, so a
-        campaign interrupted on a fleet may resume on a local pool.
+        campaign interrupted on the worker pool may resume serially.
         """
         from repro.harness.cache import content_key, run_switches
 

@@ -13,10 +13,10 @@ Subcommands::
                                        results differ, 3 when a ratio misses)
     jmmw diffcheck [IDS...] [--refs N]  differentially validate the simulators
                                        against brute-force reference oracles
-    jmmw campaign run STUDY [--executor serial|local|fleet] [--jobs N]
-                 [--reps R] [--quick] [--resume] ...
-                                       run a named study's run table over a
-                                       fault-tolerant executor fleet
+    jmmw campaign run STUDY [--executor serial|local] [--jobs N]
+                 [--reps R] [--quick] [--resume] [--timeout S] ...
+                                       run a named study's run table on the
+                                       fault-tolerant worker pool
     jmmw campaign status STUDY         cell-level progress from the journal
     jmmw campaign report STUDY         mean ± std report from the journal
     jmmw loadplane [--quick] [--users N...] [--workload W] ...
@@ -298,7 +298,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     if args.quick:
         sim = SimConfig(seed=1234, refs_per_proc=80_000, warmup_fraction=0.5)
 
-    if args.runs <= 1:
+    if args.runs == 1:
         _apply_env_flags(args)
         report = characterize(args.workload, n_procs=args.procs, sim=sim)
         print(report.render())
@@ -422,17 +422,11 @@ EXIT_PARTIAL_CAMPAIGN = 4
 
 
 def _make_campaign_executor(args: argparse.Namespace):
-    from repro.campaign import (
-        LocalPoolExecutor,
-        SerialExecutor,
-        SubprocessFleetExecutor,
-    )
+    from repro.campaign import LocalPoolExecutor, SerialExecutor
 
     if args.executor == "serial":
         return SerialExecutor()
-    if args.executor == "local":
-        return LocalPoolExecutor(args.jobs, max_respawns=args.max_respawns)
-    return SubprocessFleetExecutor(args.jobs, max_respawns=args.max_respawns)
+    return LocalPoolExecutor(args.jobs, max_respawns=args.max_respawns)
 
 
 def _campaign_spec(args: argparse.Namespace):
@@ -467,9 +461,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
                 jitter=0.5,
                 retry_timeouts=args.retry_timeouts,
             ),
-            lease_timeout_s=args.lease_timeout,
             poison_k=args.poison_k,
-            speculate=not args.no_speculate,
         )
         executor = _make_campaign_executor(args)
     except ConfigError as exc:
@@ -626,9 +618,20 @@ def _add_obs_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes for independent runs (default 1 = serial)",
     )
     parser.add_argument(
@@ -637,9 +640,10 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-fastpath", action="store_true",
-        help="use the scalar replay reference instead of the "
-        "vectorized fast paths (numpy miss-curve sweeps and the "
-        "compiled coherence kernel; results are bit-identical)",
+        help="run the Python reference of each of the compiled kernel's "
+        "three steps instead of the kernel: coherent hierarchy replay, "
+        "the miss-curve sweep and instruction code bursts (results are "
+        "bit-identical; same as JMMW_FASTPATH=0)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -677,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     character.add_argument("-p", "--procs", type=int, default=8)
     character.add_argument("--quick", action="store_true")
     character.add_argument(
-        "-n", "--runs", type=int, default=1, metavar="R",
+        "-n", "--runs", type=_positive_int, default=1, metavar="R",
         help="replicas for mean ± std reporting (default 1)",
     )
     _add_harness_flags(character)
@@ -712,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
-        help="fault-tolerant run-table campaigns over an executor fleet",
+        help="fault-tolerant run-table campaigns on the worker pool",
     )
     campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
 
@@ -733,13 +737,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = campaign_sub.add_parser("run", help="run a study's full run table")
     _add_study_flags(run)
     run.add_argument(
-        "--executor", choices=["serial", "local", "fleet"], default="fleet",
-        help="execution backend (default fleet; results are "
-        "bit-identical across all three)",
+        "--executor", choices=["serial", "local"], default="local",
+        help="execution backend (default local, the --jobs worker pool; "
+        "serial runs in-process; results are bit-identical)",
     )
     run.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="worker slots for local/fleet executors (default 2)",
+        "--jobs", type=_positive_int, default=2, metavar="N",
+        help="worker processes for the local executor (default 2)",
     )
     run.add_argument(
         "--max-respawns", type=int, default=None, metavar="N",
@@ -752,24 +756,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--timeout", type=float, default=None, metavar="S",
-        help="per-cell wall-clock budget in seconds (default none)",
+        help="per-cell wall-clock budget in seconds: a pool worker past "
+        "it is killed and its cell fails unless --retry-timeouts "
+        "(default none)",
     )
     run.add_argument(
         "--retry-timeouts", action="store_true",
         help="retry timed-out cells under the attempt budget",
     )
     run.add_argument(
-        "--lease-timeout", type=float, default=10.0, metavar="S",
-        help="heartbeat silence before a fleet lease is reclaimed "
-        "(default 10)",
-    )
-    run.add_argument(
         "--poison-k", type=int, default=2, metavar="K",
         help="consecutive worker kills that quarantine a cell (default 2)",
-    )
-    run.add_argument(
-        "--no-speculate", action="store_true",
-        help="disable speculative re-execution of stragglers",
     )
     run.add_argument(
         "--resume", action="store_true",

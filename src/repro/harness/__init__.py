@@ -5,8 +5,8 @@ and campaign:
 
 - :mod:`repro.harness.engine` — the one execution engine: one worker
   process pool, the in-process serial executor, and one scheduling
-  loop that owns every failure rule (retry, timeouts, heartbeat
-  leases, quarantine, speculation, degradation, the SIGINT drain);
+  loop that owns every failure rule (retry, timeouts, worker death,
+  quarantine, degradation, the SIGINT drain);
 - :mod:`repro.harness.runner` — :func:`run_tasks`, the engine's client
   for task batches (parallel results are bit-identical to serial);
 - :mod:`repro.harness.cache` — content-addressed on-disk result cache
@@ -17,8 +17,7 @@ and campaign:
 - :mod:`repro.harness.faults` — per-task timeout, bounded retry, and
   graceful degradation (a failed replica is reported, not fatal);
 - :mod:`repro.harness.chaos` — test-only deterministic fault injection
-  (worker crashes, hangs, stalled heartbeats, poisoned cells, corrupt
-  cache entries);
+  (worker crashes, hangs, poisoned cells, corrupt cache entries);
 - :mod:`repro.harness.tasks` — the picklable task functions the CLI
   and experiment layer fan out;
 - :mod:`repro.harness.traceplane` — generate-once/replay-many trace

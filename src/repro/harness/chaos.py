@@ -100,10 +100,11 @@ def error_task(root: str, name: str, value: Any, error_attempts: int = 1) -> Any
 
 # -- campaign-level injectors ---------------------------------------------
 #
-# These wrap a campaign cell function with a scripted fleet failure:
+# These wrap a campaign cell function with a scripted worker failure:
 # the wrapped call computes the *same value* the clean call would (or
 # never returns at all), so a chaos-ridden campaign's surviving cells
-# stay bit-identical to a clean run's.
+# stay bit-identical to a clean run's.  A hung cell is
+# :func:`hang_task`, reclaimed at the wall-clock budget.
 
 
 def kill_executor(
@@ -117,27 +118,6 @@ def kill_executor(
     """
     if take_ticket(root, name) < kill_attempts:
         os._exit(23)
-    return value
-
-
-def stall_heartbeat(
-    root: str, name: str, value: Any, stall_s: float = 60.0,
-    stall_attempts: int = 1,
-) -> Any:
-    """Silence this worker's heartbeats, then hang inside the cell.
-
-    The wedged-remote-host failure: the process stays alive and holds
-    its lease, but stops proving it.  The engine must notice the
-    heartbeat silence, reclaim the lease by force (killing the worker)
-    and reschedule the cell.  On an executor without heartbeats (the
-    local pool) this degrades to a plain :func:`hang_task`, caught by
-    the wall-clock budget instead.
-    """
-    if take_ticket(root, name) < stall_attempts:
-        from repro.harness.engine import stall_heartbeats
-
-        stall_heartbeats()
-        time.sleep(stall_s)
     return value
 
 

@@ -4,16 +4,13 @@
 :func:`repro.campaign.run_campaign` (run tables) are thin clients of
 :func:`schedule`.  Each turns its work into *units* — anything with
 ``key``, ``fn``, ``args`` and ``kwargs``, such as a
-:class:`~repro.harness.runner.Task` — picks one of three executors,
+:class:`~repro.harness.runner.Task` — picks one of two executors,
 and keeps only its own bookkeeping in a :class:`Client`:
 
 - :class:`SerialExecutor` runs each unit in-process, synchronously: the
   bit-identical reference;
 - :class:`LocalPoolExecutor` is a pool of owned worker processes, each
-  running :func:`_worker_main` over its own duplex pipe;
-- :class:`SubprocessFleetExecutor` is the same pool configured like a
-  fleet of remote hosts: every worker gets a private result-cache
-  shard (``JMMW_CACHE_DIR``) and a heartbeat thread.
+  running :func:`_worker_main` over its own duplex pipe.
 
 :func:`schedule` owns every failure rule, identically for both clients.
 """
@@ -61,23 +58,8 @@ def _mp_context() -> multiprocessing.context.BaseContext:
 
 # -- worker processes -------------------------------------------------------
 
-#: Set inside a worker to suppress its heartbeats — the chaos hook behind
-#: :func:`repro.harness.chaos.stall_heartbeat`.  A stalled worker keeps
-#: running its unit; only the "I am alive" signal stops, which is what a
-#: wedged remote host looks like from outside.
-_HB_STALLED = threading.Event()
 
-
-def stall_heartbeats() -> None:
-    """(Chaos hook) stop this worker's heartbeats from now on."""
-    _HB_STALLED.set()
-
-
-def _worker_main(
-    conn: connection.Connection,
-    heartbeat_s: float | None,
-    env: dict[str, str] | None,
-) -> None:
+def _worker_main(conn: connection.Connection) -> None:
     """Worker-process loop: recv a unit, run it, send the outcome back.
 
     The worker ignores SIGINT — interrupts are the parent's to
@@ -85,41 +67,17 @@ def _worker_main(
     and survives any exception a unit raises, including a result that
     fails to pickle on the way back.  Only ``os._exit`` / a signal
     kills it, which the parent observes through the process sentinel.
-    ``env`` (a per-worker environment) is applied before the first
-    unit, under fork and spawn alike; with ``heartbeat_s`` a daemon
-    thread sends ``("hb",)`` over the same pipe under a send lock.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    if env:
-        os.environ.update(env)
     # A fork-started worker inherits whatever the parent had already
     # recorded (e.g. trace-plane publish counters); drop it, or the
     # first unit's drain would ship the parent's numbers back and
     # double-count them.  The parent's JSONL sink is the parent's alone.
     obs.reset()
     obs.drop_sink()
-    _HB_STALLED.clear()
-    lock = threading.Lock()
-    stop_beating = threading.Event()
-
-    def send(message: tuple) -> None:
-        with lock:
-            conn.send(message)
-
-    def beat() -> None:
-        while not stop_beating.wait(heartbeat_s):
-            if _HB_STALLED.is_set():
-                continue
-            try:
-                send(("hb",))
-            except (OSError, ValueError):  # pipe gone: parent left
-                return
-
-    if heartbeat_s:
-        threading.Thread(target=beat, name="jmmw-heartbeat", daemon=True).start()
     while True:
         try:
             message = conn.recv()
@@ -136,20 +94,19 @@ def _worker_main(
         try:
             value = fn(*args, **kwargs)
         except BaseException as exc:
-            send(("error", repr(exc), time.perf_counter() - t0, os.getpid(),
-                  obs.drain_payload()))
+            conn.send(("error", repr(exc), time.perf_counter() - t0, os.getpid(),
+                       obs.drain_payload()))
             continue
         wall_s = time.perf_counter() - t0
         payload = obs.drain_payload()
         try:
-            send(("ok", value, wall_s, os.getpid(), payload))
+            conn.send(("ok", value, wall_s, os.getpid(), payload))
         except Exception as exc:
             # Connection.send pickles before writing, so a value that
             # cannot pickle leaves the channel clean — report it as a
             # unit error instead of dying.
-            send(("error", f"result not picklable: {exc!r}", wall_s,
-                  os.getpid(), payload))
-    stop_beating.set()
+            conn.send(("error", f"result not picklable: {exc!r}", wall_s,
+                       os.getpid(), payload))
     try:
         conn.close()
     except OSError:  # pragma: no cover
@@ -184,13 +141,11 @@ class Dead:
 class _Worker:
     """One owned worker process, its duplex pipe and its current lease."""
 
-    def __init__(
-        self, ctx, wid: int, heartbeat_s: float | None, env: dict | None
-    ) -> None:
+    def __init__(self, ctx, wid: int) -> None:
         self.wid = wid
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(
-            target=_worker_main, args=(child_conn, heartbeat_s, env),
+            target=_worker_main, args=(child_conn,),
             daemon=True, name=f"jmmw-worker-{wid}",
         )
         self.process.start()
@@ -199,7 +154,6 @@ class _Worker:
         self.unit: Any = None  # the leased unit, None while idle
         self.attempt = 0
         self.started = 0.0  # time.monotonic at dispatch
-        self.last_beat = 0.0  # last message of any kind
 
     def shutdown(self) -> None:
         """Best-effort clean stop at end of run."""
@@ -236,7 +190,6 @@ class SerialExecutor:
 
     name = "serial"
     in_process = True
-    heartbeat_s = None
     capacity = 1
 
     def __init__(self) -> None:
@@ -298,7 +251,6 @@ class LocalPoolExecutor:
 
     name = "local"
     in_process = False
-    heartbeat_s: float | None = None
 
     def __init__(self, workers: int = 2, *, max_respawns: int | None = None) -> None:
         if workers < 1:
@@ -313,14 +265,8 @@ class LocalPoolExecutor:
         self._dead: list[Dead] = []  # found at dispatch, reported by poll
         self._ctx = _mp_context()
 
-    def _env(self, wid: int) -> dict[str, str] | None:
-        return None
-
-    def _spawn(self, wid: int) -> _Worker:
-        return _Worker(self._ctx, wid, self.heartbeat_s, self._env(wid))
-
     def start(self) -> None:
-        self._slots = [self._spawn(wid) for wid in range(self.workers)]
+        self._slots = [_Worker(self._ctx, wid) for wid in range(self.workers)]
 
     def stop(self) -> None:
         for worker in self._slots:
@@ -343,7 +289,7 @@ class LocalPoolExecutor:
         ]
 
     def leases(self) -> list[_Worker]:
-        """Every busy worker (``unit``, ``attempt``, ``started``, ``last_beat``)."""
+        """Every busy worker (``unit``, ``attempt``, ``started``)."""
         return [
             worker for worker in self._slots
             if worker is not None and worker.unit is not None
@@ -361,7 +307,7 @@ class LocalPoolExecutor:
             self._dead.append(self._retire(worker))
             return False
         worker.unit, worker.attempt = unit, attempt
-        worker.started = worker.last_beat = time.monotonic()
+        worker.started = time.monotonic()
         return True
 
     def _retire(self, worker: _Worker) -> Dead:
@@ -392,11 +338,7 @@ class LocalPoolExecutor:
                 # Drain everything, including a result a dying worker
                 # managed to send before it went.
                 while worker.conn.poll():
-                    message = worker.conn.recv()
-                    worker.last_beat = time.monotonic()
-                    if message[0] == "hb":
-                        continue
-                    status, payload, wall_s, pid, obs_payload = message
+                    status, payload, wall_s, pid, obs_payload = worker.conn.recv()
                     ok = status == "ok"
                     events.append(
                         Done(worker.wid, worker.unit, worker.attempt, ok,
@@ -421,50 +363,10 @@ class LocalPoolExecutor:
         revived = []
         for wid, worker in enumerate(self._slots):
             if worker is None and self.respawns < self.max_respawns:
-                self._slots[wid] = self._spawn(wid)
+                self._slots[wid] = _Worker(self._ctx, wid)
                 self.respawns += 1
                 revived.append(wid)
         return revived
-
-
-class SubprocessFleetExecutor(LocalPoolExecutor):
-    """The pool configured as N independent hosts with heartbeats.
-
-    The stand-in for a multi-host fleet: per-worker state isolation
-    (``shard_root/worker<wid>`` becomes the worker's ``JMMW_CACHE_DIR``;
-    traces are generated locally, never attached from a parent plane)
-    and heartbeat liveness, so a wedged worker is detected and its
-    lease reclaimed even while its process stays alive.
-    """
-
-    name = "fleet"
-
-    def __init__(
-        self, workers: int = 2, *, heartbeat_s: float = 0.2,
-        max_respawns: int | None = None, shard_root: str | os.PathLike | None = None,
-    ) -> None:
-        super().__init__(workers, max_respawns=max_respawns)
-        if heartbeat_s <= 0:
-            raise ConfigError("heartbeat_s must be positive")
-        self.heartbeat_s = heartbeat_s
-        self._own_shard_root = shard_root is None
-        if shard_root is None:
-            import tempfile
-
-            shard_root = tempfile.mkdtemp(prefix="jmmw-fleet-")
-        self.shard_root = os.fspath(shard_root)
-
-    def _env(self, wid: int) -> dict[str, str]:
-        shard = os.path.join(self.shard_root, f"worker{wid}")
-        os.makedirs(shard, exist_ok=True)
-        return {"JMMW_CACHE_DIR": shard}
-
-    def stop(self) -> None:
-        super().stop()
-        if self._own_shard_root:
-            import shutil
-
-            shutil.rmtree(self.shard_root, ignore_errors=True)
 
 
 # -- the scheduling loop ----------------------------------------------------
@@ -507,7 +409,7 @@ class Client:
     """What a caller of :func:`schedule` hears about its units.
 
     Hooks run in the parent, in event order, and default to nothing.
-    ``finished`` delivers each unit's final outcome: its winning
+    ``finished`` delivers each unit's final outcome: its successful
     :class:`Done`, or a :class:`~repro.harness.faults.TaskFailure`.
     """
 
@@ -526,22 +428,11 @@ class Client:
     def respawned(self, wid: int) -> None:
         """A dead worker slot was revived."""
 
-    def reclaimed(
-        self, unit: Any, attempt: int, wid: int, kind: str, reason: str
-    ) -> None:
-        """A lease expired (wall clock or heartbeat); its worker was killed."""
+    def reclaimed(self, unit: Any, attempt: int, wid: int, reason: str) -> None:
+        """An attempt ran past its wall-clock budget; its worker was killed."""
 
     def overran(self, unit: Any, attempt: int, wall_s: float, kept: bool) -> None:
         """An in-process attempt overran its budget; ``kept``: result stands."""
-
-    def speculating(self, unit: Any, straggler: int, duplicate: int) -> None:
-        """A straggling unit got a duplicate on worker ``duplicate``."""
-
-    def late(self, unit: Any, done: Done) -> None:
-        """A duplicate attempt answered after the unit was decided."""
-
-    def abandoned(self, unit: Any, wid: int) -> None:
-        """A duplicate still running at the end was killed unheard."""
 
     def finished(self, unit: Any, result: Done | TaskFailure) -> None:
         """The unit's final outcome."""
@@ -556,10 +447,6 @@ def schedule(
     interruptible: bool = False,
     fail_fast: bool = False,
     poison_k: int | None = None,
-    lease_timeout_s: float | None = None,
-    speculate: bool = False,
-    straggler_factor: float = 4.0,
-    straggler_min_s: float = 1.0,
 ) -> None:
     """Drive every unit to one final outcome over ``executor``.
 
@@ -573,16 +460,10 @@ def schedule(
       is killed and its lease reclaimed; an in-process attempt is
       judged when it returns — with ``retry_timeouts`` its result is
       discarded and retried, otherwise kept and reported as overrun.
-    - With heartbeats (``executor.heartbeat_s``), a lease silent past
-      ``lease_timeout_s`` is a wedged worker and is reclaimed.
+      It is the one rule for a hung or wedged worker.
     - ``poison_k`` quarantines a unit that killed that many
       consecutive workers (``None``: deaths are plain retryable
       failures); an in-unit error breaks the streak.
-    - ``speculate`` gives a lease running past ``straggler_factor`` x
-      the median finished wall time (at least ``straggler_min_s``) a
-      duplicate on an idle worker; the first result wins, a late one
-      goes to ``client.late``, and duplicates still running when every
-      unit is decided get ``lease_timeout_s`` to answer.
     - When the executor's respawn budget is spent and no worker is
       left, the remaining units end ``missing``.
     - ``fail_fast`` stops dispatching after the first failed unit; the
@@ -593,12 +474,9 @@ def schedule(
     decided: set[str] = set()
     kills: dict[str, int] = {}  # consecutive worker kills per unit
     tried: dict[str, int] = {}  # highest attempt dispatched per unit
-    speculated: set[str] = set()
-    walls: list[float] = []  # wall times of finished units
     aborted = False
     timeout = faults.timeout_s
-    heartbeats = executor.heartbeat_s is not None
-    timed = timeout is not None or heartbeats or speculate
+    timed = timeout is not None
 
     def decide(unit: Any, result: Done | TaskFailure) -> None:
         nonlocal aborted
@@ -615,8 +493,6 @@ def schedule(
     def fail(unit: Any, attempt: int, kind: str, error: str, killed=False) -> None:
         """One failed attempt: quarantine, retry, or the final failure."""
         key = unit.key
-        if key in decided or any(lease.unit.key == key for lease in executor.leases()):
-            return  # the unit already won, or a duplicate is still running
         retryable = faults.retryable(kind)
         if not killed:
             kills.pop(key, None)  # the worker survived: streak broken
@@ -636,30 +512,16 @@ def schedule(
         else:
             decide(unit, TaskFailure(key, kind, error, attempt))
 
-    def dispatch(now: float) -> None:
+    def dispatch() -> None:
         idle = executor.idle()
         while idle and queue:
             unit, attempt = queue.popleft()
-            if unit.key in decided:
-                continue
             wid = idle.pop(0)
             client.started(unit, attempt, wid, executor.pid(wid))
             tried[unit.key] = max(tried.get(unit.key, 0), attempt)
             if not executor.dispatch(wid, unit, attempt):
                 queue.appendleft((unit, attempt))  # dead worker: no attempt charged
                 idle = executor.idle()
-        if not (speculate and idle and not queue and walls):
-            return
-        import statistics  # only a speculating run needs it
-
-        threshold = max(straggler_min_s, straggler_factor * statistics.median(walls))
-        for lease in sorted(executor.leases(), key=lambda lease: lease.started):
-            key = lease.unit.key
-            if idle and key not in speculated and now - lease.started > threshold:
-                wid = idle.pop(0)
-                speculated.add(key)
-                client.speculating(lease.unit, lease.wid, wid)
-                executor.dispatch(wid, lease.unit, lease.attempt)
 
     def handle(event: Done | Dead) -> None:
         unit, attempt = event.unit, event.attempt
@@ -671,9 +533,6 @@ def schedule(
                      killed=True)
             return
         obs.ingest(event.obs_payload)
-        if unit.key in decided:
-            client.late(unit, event)
-            return
         if not event.ok:
             client.errored(unit, attempt, event.error)
             fail(unit, attempt, KIND_ERROR, event.error)
@@ -684,27 +543,19 @@ def schedule(
                 fail(unit, attempt, KIND_TIMEOUT,
                      f"exceeded {timeout}s budget (in-process; result discarded)")
                 return
-        walls.append(event.wall_s)
         decide(unit, event)
 
     def audit() -> None:
-        """Reclaim wedged (heartbeat) and over-budget (wall-clock) leases."""
-        if timeout is None and not heartbeats:
+        """Reclaim every lease past its wall-clock budget."""
+        if not timed:
             return
         now = time.monotonic()
+        reason = f"exceeded {timeout}s budget (worker killed)"
         for lease in executor.leases():
-            if heartbeats and now - lease.last_beat > lease_timeout_s:
-                kind, reason = KIND_BROKEN_POOL, (
-                    f"no heartbeat for {lease_timeout_s}s (worker {lease.wid} wedged)"
-                )
-            elif timeout is not None and now - lease.started > timeout:
-                kind = KIND_TIMEOUT
-                reason = f"exceeded {timeout}s budget (worker killed)"
-            else:
-                continue
-            executor.reclaim(lease.wid)
-            client.reclaimed(lease.unit, lease.attempt, lease.wid, kind, reason)
-            fail(lease.unit, lease.attempt, kind, reason, killed=True)
+            if now - lease.started > timeout:
+                executor.reclaim(lease.wid)
+                client.reclaimed(lease.unit, lease.attempt, lease.wid, reason)
+                fail(lease.unit, lease.attempt, KIND_TIMEOUT, reason, killed=True)
 
     def tick() -> float | None:
         """How long ``poll`` may wait for an event (None: until one comes)."""
@@ -716,22 +567,8 @@ def schedule(
     executor.start()
     try:
         with _InterruptDrain(interruptible) as drain:
-            settled_at: float | None = None
-            while True:
+            while len(decided) < len(units):
                 now = time.monotonic()
-                if len(decided) == len(units):
-                    leases = executor.leases()
-                    if not leases:
-                        break
-                    # Speculative losers still run: wait (bounded) so a
-                    # divergence is observed, not discarded with the worker.
-                    if settled_at is None:
-                        settled_at = now
-                    elif now - settled_at > lease_timeout_s:
-                        for lease in leases:
-                            executor.reclaim(lease.wid)
-                            client.abandoned(lease.unit, lease.wid)
-                        break
                 stopping = aborted or drain.requested
                 ready = [entry for entry in delayed if entry[0] <= now]
                 if ready:  # retries whose backoff is over go first, in order
@@ -739,7 +576,7 @@ def schedule(
                     ready.sort(key=lambda entry: entry[0])
                     queue.extendleft((entry[1], entry[2]) for entry in reversed(ready))
                 if not stopping:
-                    dispatch(now)
+                    dispatch()
                 for event in executor.poll(tick()):
                     handle(event)
                 audit()

@@ -46,7 +46,7 @@ class FaultPolicy:
     Retry delays grow as ``backoff_s * backoff_factor ** (attempt -
     1)``, capped at ``backoff_max_s`` (``None`` = uncapped), then
     spread by up to ``±jitter`` (a fraction of the delay) so
-    simultaneous retries across a worker fleet do not re-synchronize
+    simultaneous retries across the worker pool do not re-synchronize
     into thundering herds.  The jitter is *deterministic*: it hashes
     ``(jitter_seed, key, attempt)``, so :meth:`delay` is a pure
     function and chaos/replay runs stay reproducible.

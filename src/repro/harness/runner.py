@@ -47,7 +47,6 @@ from repro.harness.engine import (
 from repro.harness.faults import (
     KIND_BROKEN_POOL,
     KIND_MISSING,
-    KIND_TIMEOUT,
     FaultPolicy,
     TaskFailure,
 )
@@ -129,9 +128,7 @@ class _TaskClient(Client):
     def respawned(self, wid: int) -> None:
         obs.emit("pool/respawn", worker=wid)
 
-    def reclaimed(
-        self, task: Task, attempt: int, wid: int, kind: str, reason: str
-    ) -> None:
+    def reclaimed(self, task: Task, attempt: int, wid: int, reason: str) -> None:
         obs.emit(
             "task/timeout", task=task.key, attempt=attempt, timeout_s=self.timeout_s
         )
@@ -143,7 +140,7 @@ class _TaskClient(Client):
                 timeout_s=self.timeout_s,
             )
         else:  # discarded, just like a pool worker killed at its budget
-            self.reclaimed(task, attempt, 0, KIND_TIMEOUT, "")
+            self.reclaimed(task, attempt, 0, "")
 
     def finished(self, task: Task, result: Done | TaskFailure) -> None:
         if isinstance(result, TaskFailure):

@@ -21,7 +21,6 @@ from repro.campaign import (
     STATUS_MISSING,
     STATUS_POISONED,
     SerialExecutor,
-    SubprocessFleetExecutor,
     run_campaign,
 )
 from repro.campaign.report import render, summarize
@@ -31,10 +30,7 @@ from repro.harness.chaos import error_task, hang_task, kill_executor, take_ticke
 
 
 def fast_policy(**overrides) -> CampaignPolicy:
-    defaults = dict(
-        faults=FaultPolicy(max_attempts=3, backoff_s=0.0),
-        straggler_min_s=30.0,  # no accidental speculation in fast tests
-    )
+    defaults = dict(faults=FaultPolicy(max_attempts=3, backoff_s=0.0))
     defaults.update(overrides)
     return CampaignPolicy(**defaults)
 
@@ -69,15 +65,6 @@ def slow_cell(point, rep, *, root, victim, sleep_s):
     if point["alpha"] == victim and take_ticket(root, cell_name(point, rep)) == 0:
         time.sleep(sleep_s)
     return smoke_cell(point, rep)
-
-
-def divergent_cell(point, rep, *, root, victim, sleep_s):
-    if point["alpha"] != victim:
-        return smoke_cell(point, rep)
-    ticket = take_ticket(root, cell_name(point, rep))
-    if ticket == 0:
-        time.sleep(sleep_s)
-    return {"which": float(ticket)}  # every attempt returns different bits
 
 
 def hanging_cell(point, rep, *, root, victim, hang_s, hang_attempts=1):
@@ -117,12 +104,7 @@ def test_serial_campaign_completes_in_table_order():
 
 
 @pytest.mark.parametrize(
-    "make_executor",
-    [
-        lambda: LocalPoolExecutor(workers=2),
-        lambda: SubprocessFleetExecutor(workers=2),
-    ],
-    ids=["local", "fleet"],
+    "make_executor", [lambda: LocalPoolExecutor(workers=2)], ids=["local"]
 )
 def test_executors_bit_identical_to_serial(make_executor):
     spec = CampaignSpec(name="s", table=small_table(reps=2, points=2), fn=smoke_cell)
@@ -172,7 +154,7 @@ def test_worker_death_reschedules_cell_and_respawns(tmp_path):
         kwargs={"root": str(tmp_path), "victim": 1},
     )
     result = run_campaign(
-        spec, SubprocessFleetExecutor(workers=2), policy=fast_policy(),
+        spec, LocalPoolExecutor(workers=2), policy=fast_policy(),
     )
     assert result.complete
     clean = run_campaign(spec, SerialExecutor(), policy=fast_policy())
@@ -190,7 +172,7 @@ def test_poisoned_cell_is_quarantined_with_diagnostics(tmp_path):
     )
     result = run_campaign(
         spec,
-        SubprocessFleetExecutor(workers=2, max_respawns=6),
+        LocalPoolExecutor(workers=2, max_respawns=6),
         policy=fast_policy(faults=FaultPolicy(max_attempts=5, backoff_s=0.0)),
     )
     poisoned = result.by_status(STATUS_POISONED)
@@ -211,7 +193,7 @@ def test_respawn_budget_exhaustion_degrades_gracefully(tmp_path):
     )
     result = run_campaign(
         spec,
-        SubprocessFleetExecutor(workers=1, max_respawns=0),
+        LocalPoolExecutor(workers=1, max_respawns=0),
         policy=fast_policy(),
     )
     # One worker, no respawns: the first kill ends all capacity and the
@@ -224,7 +206,7 @@ def test_respawn_budget_exhaustion_degrades_gracefully(tmp_path):
     assert "DEGRADED" in report and "missing" in report
 
 
-# -- timeouts and stragglers -------------------------------------------------
+# -- timeouts ----------------------------------------------------------------
 
 
 def test_lease_timeout_kills_hung_worker_not_retried(tmp_path):
@@ -235,7 +217,7 @@ def test_lease_timeout_kills_hung_worker_not_retried(tmp_path):
     t0 = time.monotonic()
     result = run_campaign(
         spec,
-        SubprocessFleetExecutor(workers=2),
+        LocalPoolExecutor(workers=2),
         policy=fast_policy(faults=FaultPolicy(timeout_s=0.4, backoff_s=0.0)),
     )
     assert time.monotonic() - t0 < 15.0
@@ -252,7 +234,7 @@ def test_lease_timeout_retried_when_policy_allows(tmp_path):
     )
     result = run_campaign(
         spec,
-        SubprocessFleetExecutor(workers=2),
+        LocalPoolExecutor(workers=2),
         policy=fast_policy(
             faults=FaultPolicy(
                 timeout_s=0.4, max_attempts=3, backoff_s=0.0,
@@ -261,40 +243,6 @@ def test_lease_timeout_retried_when_policy_allows(tmp_path):
         ),
     )
     assert result.complete  # the hang was scripted for one attempt only
-
-
-def test_straggler_speculation_first_result_wins(tmp_path):
-    spec = CampaignSpec(
-        name="s", table=small_table(points=6), fn=slow_cell,
-        kwargs={"root": str(tmp_path), "victim": 0, "sleep_s": 3.0},
-    )
-    result = run_campaign(
-        spec,
-        SubprocessFleetExecutor(workers=2),
-        policy=fast_policy(straggler_min_s=0.3, straggler_factor=2.0),
-    )
-    assert result.complete
-    assert obs.COUNTERS.get("campaign/speculate") >= 1
-    # Both copies compute identical bits: no divergence flagged.
-    assert not any(o.divergent for o in result.outcomes)
-
-
-def test_divergent_speculation_is_flagged_loudly(tmp_path):
-    spec = CampaignSpec(
-        name="s", table=small_table(points=6), fn=divergent_cell,
-        kwargs={"root": str(tmp_path), "victim": 0, "sleep_s": 3.0},
-    )
-    result = run_campaign(
-        spec,
-        SubprocessFleetExecutor(workers=2),
-        policy=fast_policy(straggler_min_s=0.3, straggler_factor=2.0),
-    )
-    assert result.complete
-    divergent = [o for o in result.outcomes if o.divergent]
-    assert len(divergent) == 1
-    assert divergent[0].cell.point_dict["alpha"] == 0
-    assert obs.COUNTERS.get("campaign/divergent") == 1
-    assert "DIVERGENCE" in render(result)
 
 
 # -- resume ------------------------------------------------------------------

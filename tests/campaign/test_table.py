@@ -78,7 +78,7 @@ def test_signature_covers_table_and_config_but_not_executor():
         != spec_a.signature()
     )
     # ...and the signature says nothing about executors: a campaign
-    # interrupted on a fleet may resume on a local pool or serially.
+    # interrupted on the worker pool may resume serially.
 
 
 def test_study_registry():

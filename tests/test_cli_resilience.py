@@ -9,6 +9,7 @@ pipeline at --quick effort to prove resumed stdout is byte-identical.
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -63,6 +64,25 @@ def test_unknown_figure_exits_2_on_stderr(cli_env, capsys):
     captured = capsys.readouterr()
     assert "unknown figure" in captured.err
     assert "unknown figure" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["characterize", "specjbb", "--quick", "--runs", "0"], "--runs"),
+        (["characterize", "specjbb", "--quick", "--runs", "-1"], "--runs"),
+        (["figures", "fig04", "--quick", "--jobs", "0"], "--jobs"),
+        (["campaign", "run", "smoke", "--jobs", "0"], "--jobs"),
+    ],
+    ids=["runs-0", "runs-negative", "figures-jobs-0", "campaign-jobs-0"],
+)
+def test_counts_below_one_are_usage_errors(cli_env, capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 def test_failed_figure_sets_exit_code_and_stderr_summary(
@@ -440,6 +460,17 @@ def failing_cell(point, rep):
     return smoke_cell(point, rep)
 
 
+def hanging_cell(point, rep, *, root):
+    """Hang for 60 s on the first attempt of one cell, once ever."""
+    from repro.campaign.studies import smoke_cell
+    from repro.harness.chaos import hang_task
+
+    value = smoke_cell(point, rep)
+    if point["alpha"] == 2:
+        return hang_task(root, "hang", value, 60.0, 1)
+    return value
+
+
 @pytest.fixture
 def campaign_studies(monkeypatch, tmp_path):
     """Register tiny test studies alongside the built-in ones."""
@@ -457,9 +488,17 @@ def campaign_studies(monkeypatch, tmp_path):
     def failing_spec(reps, quick):
         return CampaignSpec(name="t-failing", table=table, fn=failing_cell)
 
+    def hanging_spec(reps, quick):
+        return CampaignSpec(
+            name="t-hang",
+            table=RunTable(name="t", axes=(Axis("alpha", (1, 2)),), reps=1),
+            fn=hanging_cell, kwargs={"root": str(tmp_path / "tickets")},
+        )
+
     registry = dict(studies.STUDIES)
     registry["t-sigint"] = sigint_spec
     registry["t-failing"] = failing_spec
+    registry["t-hang"] = hanging_spec
     monkeypatch.setattr(studies, "STUDIES", registry)
 
 
@@ -497,10 +536,10 @@ def test_campaign_partial_exits_4_and_report_states_degradation(
     assert "alpha=3/rep0" in captured.out
 
 
-def test_interrupted_fleet_campaign_resumes_byte_identically(
+def test_interrupted_pool_campaign_resumes_byte_identically(
     cli_env, campaign_studies, capsys
 ):
-    argv = ["campaign", "run", "t-sigint", "--executor", "fleet", "--jobs", "2"]
+    argv = ["campaign", "run", "t-sigint", "--executor", "local", "--jobs", "2"]
 
     # Interrupted mid-campaign: drained cells persist, exit 130.
     rc = main(argv)
@@ -522,8 +561,30 @@ def test_interrupted_fleet_campaign_resumes_byte_identically(
     assert rc == 0
     baseline = capsys.readouterr().out
     assert resumed.out.replace(
-        "executor: fleet (2 workers)", "executor: serial"
+        "executor: local (2 workers)", "executor: serial"
     ) == baseline
+
+
+def test_campaign_timeout_kills_a_hung_cell_and_degrades(
+    cli_env, campaign_studies, capsys
+):
+    t0 = time.monotonic()
+    rc = main(["campaign", "run", "t-hang", "--timeout", "2"])
+    assert time.monotonic() - t0 < 30.0  # the budget, not the 60 s hang
+    assert rc == 4
+    out = capsys.readouterr().out
+    assert "executor: local (2 workers)" in out
+    assert "status: DEGRADED: 1/2 cells ok (1 failed)" in out
+    assert "[failed] alpha=2/rep0 after 1 attempt(s)" in out
+    assert "worker killed" in out
+
+
+def test_campaign_retry_timeouts_completes_a_hung_cell(
+    cli_env, campaign_studies, capsys
+):
+    rc = main(["campaign", "run", "t-hang", "--timeout", "2", "--retry-timeouts"])
+    assert rc == 0
+    assert "status: complete (2/2 cells ok)" in capsys.readouterr().out
 
 
 def test_campaign_status_without_journal(cli_env, capsys):
