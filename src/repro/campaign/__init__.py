@@ -6,12 +6,12 @@ end-to-end, surviving the failures long campaigns actually hit:
 
 - :mod:`repro.campaign.table` — declarative run tables
   (:class:`Axis` / :class:`RunTable` / :class:`CampaignSpec`);
-- :mod:`repro.campaign.scheduler` — :func:`run_campaign`, a thin
-  client of the one execution engine
-  (:mod:`repro.harness.engine`): the engine owns leases, per-cell
-  timeouts, retries, poisoned-cell quarantine and graceful
-  degradation, and the scheduler keeps the cells' statuses, resume
-  and ``campaign/*`` events;
+- :mod:`repro.campaign.scheduler` — :func:`run_campaign`, which runs
+  the cells as one :func:`repro.harness.run_tasks` batch on the one
+  execution engine (:mod:`repro.harness.engine`): the engine owns
+  leases, per-cell timeouts, retries, poisoned-cell quarantine and
+  graceful degradation, ``run_tasks`` the journal and resume, and the
+  scheduler keeps the cells' statuses and ``campaign/*`` events;
 - the engine's two executors, re-exported here:
   :class:`SerialExecutor` (in-process, the reference) and
   :class:`LocalPoolExecutor` (a pool of owned worker processes, the

@@ -1,22 +1,24 @@
 """The fault-tolerant campaign scheduler.
 
 Expands a :class:`~repro.campaign.table.CampaignSpec` into cells and
-runs them on the harness's execution engine
-(:func:`repro.harness.engine.schedule`), serially or on the worker
-pool that ``--jobs N`` uses.  The engine owns every failure rule —
+runs them as one batch of :func:`repro.harness.run_tasks`, serially or
+on the worker pool that ``--jobs N`` uses.  The engine under it
+(:func:`repro.harness.engine.schedule`) owns every failure rule —
 worker death seen through the process sentinel, leases reclaimed past
 the per-cell wall-clock budget, bounded retry with jittered backoff,
 quarantine of a cell that kills ``poison_k`` consecutive workers, and
 graceful degradation to ``missing`` cells when the respawn budget runs
-out — and a :class:`CampaignPolicy` tunes them.
+out — and records every attempt as a ``task/*`` event; a
+:class:`CampaignPolicy` tunes them.
 
 This module keeps only the campaign's own bookkeeping: run-table
-expansion and resume, the :class:`CellOutcome` statuses, and the
-``campaign/*`` events and cell-status counters.  Completed cells are
-journaled as they land (fsynced), keyed by the campaign signature, and
-a re-run serves them back bit-identically.  ``interruptible=True``
-drains in-flight cells on SIGINT/SIGTERM and raises
-:class:`~repro.errors.CampaignInterrupted`.
+expansion, the :class:`CellOutcome` statuses (:func:`cell_outcome`,
+shared with the journal reader), the ``campaign/start|end|degraded``
+events and the cell-status counters.  Completed cells are journaled as
+they land (fsynced), keyed by the campaign signature, and a re-run
+with the journal serves them back bit-identically (``resume/skip``).
+``interruptible=True`` drains in-flight cells on SIGINT/SIGTERM and
+raises :class:`~repro.errors.CampaignInterrupted`.
 """
 
 from __future__ import annotations
@@ -26,23 +28,16 @@ from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.campaign.table import CampaignSpec, Cell
-from repro.errors import CampaignInterrupted, ConfigError
-from repro.harness.engine import Client, Done, schedule
-from repro.harness.faults import (
-    KIND_BROKEN_POOL,
-    KIND_MISSING,
-    KIND_POISONED,
-    FaultPolicy,
-    TaskFailure,
-)
-from repro.harness.runner import Task, TaskOutcome
+from repro.errors import ConfigError
+from repro.harness.faults import KIND_MISSING, KIND_POISONED, FaultPolicy
+from repro.harness.runner import Task, TaskOutcome, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.checkpoint import CampaignManifest
 
 #: Cell outcome statuses.
 STATUS_OK = "ok"
-STATUS_FAILED = "failed"  # in-task errors exhausted the retry budget
+STATUS_FAILED = "failed"  # any other failure kind, e.g. retries exhausted
 STATUS_POISONED = KIND_POISONED  # killed poison_k consecutive workers
 STATUS_MISSING = KIND_MISSING  # never completed: executor degraded away
 
@@ -110,83 +105,24 @@ class CampaignResult:
         return not self.complete
 
 
-class _CampaignClient(Client):
-    """``run_campaign``'s view of the engine: ``campaign/*`` events, outcomes."""
+def cell_outcome(cell: Cell, outcome: TaskOutcome) -> CellOutcome:
+    """The cell's status from its task's outcome, live or journalled.
 
-    def __init__(self, cells, completed, faults, manifest) -> None:
-        self.cells: dict[str, Cell] = cells
-        self.completed: dict[str, CellOutcome] = completed
-        self.timeout_s = faults.timeout_s
-        self.manifest: "CampaignManifest | None" = manifest
-
-    def started(self, unit: Task, attempt: int, wid: int, pid: int) -> None:
-        obs.emit("campaign/cell-start", cell=unit.key, attempt=attempt, worker=wid)
-
-    def errored(self, unit: Task, attempt: int, error: str) -> None:
-        obs.emit("campaign/cell-error", cell=unit.key, attempt=attempt, error=error)
-
-    def retrying(self, unit: Task, attempt: int) -> None:
-        obs.emit("campaign/cell-retry", cell=unit.key, attempt=attempt)
-
-    def died(self, wid: int, exitcode: int | None, unit: Task | None) -> None:
-        obs.emit(
-            "campaign/worker-dead", worker=wid, exitcode=exitcode,
-            cell=unit.key if unit is not None else None,
+    ``poisoned`` and ``missing`` are the engine's own failure kinds;
+    every other failure is ``failed``, its error prefixed with the kind
+    (``error``, ``timeout``, ``broken-pool``, ...).
+    """
+    failure = outcome.failure
+    if failure is None:
+        return CellOutcome(
+            cell=cell, status=STATUS_OK, value=outcome.value,
+            attempts=outcome.attempts, wall_s=outcome.wall_s,
+            worker=outcome.worker, cached=outcome.cached,
         )
-
-    def reclaimed(self, unit: Task, attempt: int, wid: int, reason: str) -> None:
-        obs.emit("campaign/lease-reclaimed", cell=unit.key, worker=wid, reason=reason)
-
-    def overran(self, unit: Task, attempt: int, wall_s: float, kept: bool) -> None:
-        obs.emit(
-            "campaign/cell-overtime" if kept else "campaign/cell-timeout",
-            cell=unit.key, attempt=attempt, wall_s=round(wall_s, 6),
-            timeout_s=self.timeout_s,
-        )
-
-    def finished(self, unit: Task, result: Done | TaskFailure) -> None:
-        cell = self.cells[unit.key]
-        if isinstance(result, Done):
-            obs.emit(
-                "campaign/cell-ok", cell=unit.key, attempt=result.attempt,
-                wall_s=round(result.wall_s, 6), worker=result.wid,
-            )
-            outcome = CellOutcome(
-                cell=cell, status=STATUS_OK, value=result.value,
-                attempts=result.attempt, wall_s=result.wall_s, worker=result.wid,
-            )
-        elif result.kind in (KIND_POISONED, KIND_MISSING):
-            if result.kind == KIND_POISONED:
-                obs.emit(
-                    "campaign/cell-poisoned", cell=unit.key, diagnostics=result.error
-                )
-            else:
-                obs.emit("campaign/cell-missing", cell=unit.key)
-            outcome = CellOutcome(
-                cell=cell, status=result.kind, error=result.error,
-                attempts=result.attempts,
-            )
-        else:
-            kind = "broken-worker" if result.kind == KIND_BROKEN_POOL else result.kind
-            outcome = CellOutcome(
-                cell=cell, status=STATUS_FAILED, error=f"{kind}: {result.error}",
-                attempts=result.attempts,
-            )
-        self.record(outcome)
-
-    def record(self, outcome: CellOutcome) -> None:
-        key = outcome.cell.key
-        self.completed[key] = outcome
-        obs.incr(f"campaign/cells_{outcome.status}")
-        if self.manifest is not None:
-            failure = None if outcome.ok else TaskFailure(
-                key=key, kind=outcome.status, error=outcome.error,
-                attempts=outcome.attempts,
-            )
-            self.manifest.record(key, TaskOutcome(
-                key=key, value=outcome.value, failure=failure,
-                wall_s=outcome.wall_s, attempts=outcome.attempts,
-            ))
+    status, error = failure.kind, failure.error
+    if status not in (STATUS_POISONED, STATUS_MISSING):
+        status, error = STATUS_FAILED, f"{failure.kind}: {error}"
+    return CellOutcome(cell=cell, status=status, error=error, attempts=failure.attempts)
 
 
 def run_campaign(
@@ -197,68 +133,44 @@ def run_campaign(
     manifest: "CampaignManifest | None" = None,
     interruptible: bool = False,
 ) -> CampaignResult:
-    """Run every cell of ``spec`` over ``executor``; never raises for a
-    cell — failures, quarantines and degradation land in the result.
+    """Run every cell of ``spec`` as one :func:`run_tasks` batch over
+    ``executor``; never raises for a cell — failures, quarantines and
+    degradation land in the result.
 
     ``executor`` is a :class:`~repro.harness.engine.SerialExecutor` or
-    a :class:`~repro.harness.engine.LocalPoolExecutor`.  Raises
-    :class:`CampaignInterrupted` after a drained SIGINT/SIGTERM
-    (``interruptible=True`` only), with completed cells already
-    persisted to ``manifest``.
+    a :class:`~repro.harness.engine.LocalPoolExecutor`; it starts only
+    if ``manifest`` leaves a cell to run.  Raises
+    :class:`~repro.errors.CampaignInterrupted` after a drained
+    SIGINT/SIGTERM (``interruptible=True`` only), with completed cells
+    already persisted to ``manifest``.
     """
     policy = policy if policy is not None else CampaignPolicy()
     cells = spec.table.cells()
-    completed: dict[str, CellOutcome] = {}
-
     obs.emit(
         "campaign/start", campaign=spec.name, cells=len(cells),
         executor=executor.describe(),
     )
     obs.incr("campaign/cells_total", len(cells))
 
-    units = []
-    for cell in cells:
-        if manifest is not None:
-            hit, value = manifest.lookup(cell.key)
-            if hit:  # resume: serve cells the manifest already holds
-                obs.emit("campaign/resume-skip", cell=cell.key)
-                completed[cell.key] = CellOutcome(
-                    cell=cell, status=STATUS_OK, value=value, cached=True
-                )
-                continue
-        args, kwargs = spec.cell_args(cell)
-        units.append(Task(key=cell.key, fn=spec.fn, args=args, kwargs=kwargs))
-
-    client = _CampaignClient(
-        {cell.key: cell for cell in cells}, completed, policy.faults, manifest,
-    )
-    schedule(
-        units, executor, client, policy.faults,
+    tasks = [Task(cell.key, spec.fn, *spec.cell_args(cell)) for cell in cells]
+    results = run_tasks(
+        tasks, executor=executor, faults=policy.faults, manifest=manifest,
         interruptible=interruptible, poison_k=policy.poison_k,
     )
+    outcomes = tuple(map(cell_outcome, cells, results))
+    for outcome in outcomes:
+        if not outcome.cached:  # decided in this run, not served from the journal
+            obs.incr(f"campaign/cells_{outcome.status}")
 
-    missing = sum(1 for o in completed.values() if o.status == STATUS_MISSING)
+    missing = sum(1 for outcome in outcomes if outcome.status == STATUS_MISSING)
     if missing:
         obs.emit(
             "campaign/degraded", missing=missing, executor=executor.describe()
         )
-    if len(completed) < len(cells):
-        remaining = tuple(
-            cell.key for cell in cells if cell.key not in completed
-        )
-        obs.emit(
-            "campaign/interrupted", completed=len(completed),
-            remaining=len(remaining),
-        )
-        raise CampaignInterrupted(len(completed), remaining)
-
     obs.emit(
         "campaign/end", campaign=spec.name,
-        ok=sum(1 for o in completed.values() if o.ok),
-        cells=len(cells),
+        ok=sum(1 for outcome in outcomes if outcome.ok), cells=len(cells),
     )
     return CampaignResult(
-        spec=spec,
-        outcomes=tuple(completed[cell.key] for cell in cells),
-        executor_desc=executor.describe(),
+        spec=spec, outcomes=outcomes, executor_desc=executor.describe()
     )

@@ -1,10 +1,11 @@
 """On-disk campaign state: journal locations and read-only loading.
 
-The scheduler persists through :class:`repro.harness.checkpoint.
-CampaignManifest` (JSONL journal + checksummed result store).  This
-module adds the *read-only* side the ``jmmw campaign status|report``
-subcommands need: rebuild a result from a journal without opening it
-for writing.  That matters because
+A campaign's cells are journalled by :func:`repro.harness.run_tasks`
+through :class:`repro.harness.checkpoint.CampaignManifest` (JSONL
+journal + checksummed result store), each failure under the engine's
+own failure kind.  This module adds the *read-only* side the
+``jmmw campaign status|report`` subcommands need: rebuild a result
+from a journal without opening it for writing.  That matters because
 :meth:`CampaignManifest.open_resume` **truncates** a journal it cannot
 resume — a status query must never be able to destroy state, so it
 parses with the manifest's own read-only
@@ -21,15 +22,15 @@ from pathlib import Path
 
 from repro.campaign.scheduler import (
     STATUS_FAILED,
-    STATUS_MISSING,
-    STATUS_OK,
-    STATUS_POISONED,
     CampaignResult,
     CellOutcome,
+    cell_outcome,
 )
 from repro.campaign.table import CampaignSpec
 from repro.harness.cache import ResultCache, default_cache_dir
 from repro.harness.checkpoint import read_journal
+from repro.harness.faults import TaskFailure
+from repro.harness.runner import TaskOutcome
 
 #: Read-only status for a cell the journal has no final record for.
 STATUS_PENDING = "pending"
@@ -49,10 +50,12 @@ def result_from_journal(
 ) -> CampaignResult:
     """Rebuild a :class:`CampaignResult` from a journal, without running.
 
-    Cells with no final record yet are ``pending``; journalled failures
-    keep their recorded status (``failed`` / ``poisoned`` / ``missing``);
-    ok cells are loaded back from the result store so the report's
-    mean ± std tables match the live run's exactly.
+    Cells with no final record yet are ``pending``.  Every other record
+    maps to its status through :func:`~repro.campaign.scheduler.
+    cell_outcome`, the live run's own mapping: failures from the
+    engine's failure kind the journal holds, ok cells loaded back from
+    the result store — so the report's mean ± std tables and its
+    degradation lines match the live run's exactly.
     """
     path = Path(path) if path is not None else journal_path(spec.name)
     header, records = read_journal(path)
@@ -75,14 +78,7 @@ def result_from_journal(
             ref = record.get("ref")
             if store is not None and isinstance(ref, str):
                 hit, value = store.get(ref)
-            if hit:
-                outcomes.append(
-                    CellOutcome(
-                        cell=cell, status=STATUS_OK, value=value,
-                        attempts=attempts, cached=True,
-                    )
-                )
-            else:
+            if not hit:
                 outcomes.append(
                     CellOutcome(
                         cell=cell, status=STATUS_PENDING,
@@ -90,15 +86,15 @@ def result_from_journal(
                         attempts=attempts,
                     )
                 )
-            continue
-        kind = record.get("kind") or STATUS_FAILED
-        status = kind if kind in (STATUS_POISONED, STATUS_MISSING) else STATUS_FAILED
-        outcomes.append(
-            CellOutcome(
-                cell=cell, status=status,
-                error=str(record.get("error") or ""), attempts=attempts,
+                continue
+            outcome = TaskOutcome(cell.key, value=value, attempts=attempts, cached=True)
+        else:
+            failure = TaskFailure(
+                cell.key, str(record.get("kind") or STATUS_FAILED),
+                str(record.get("error") or ""), attempts,
             )
-        )
+            outcome = TaskOutcome(cell.key, failure=failure, attempts=attempts)
+        outcomes.append(cell_outcome(cell, outcome))
     desc = "(from journal)" if header else "(no journal found)"
     return CampaignResult(
         spec=spec, outcomes=tuple(outcomes), executor_desc=desc

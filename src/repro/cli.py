@@ -178,16 +178,18 @@ def _make_cache(args: argparse.Namespace):
     return None if args.no_cache else ResultCache(default_cache_dir())
 
 
-def _open_manifest(args: argparse.Namespace, signature: str):
+def _open_manifest(args: argparse.Namespace, signature: str, path=None):
     """Campaign manifest for this invocation, fresh or resumed.
 
     The journal lives under the cache directory, named by the campaign
-    signature — so two different campaigns never collide, and rerunning
-    the same command line finds its own journal.
+    signature unless ``path`` names it — so two different campaigns
+    never collide, and rerunning the same command line finds its own
+    journal.
     """
     from repro.harness import CampaignManifest, default_cache_dir
 
-    path = default_cache_dir() / "campaigns" / f"{signature[:16]}.jsonl"
+    if path is None:
+        path = default_cache_dir() / "campaigns" / f"{signature[:16]}.jsonl"
     if getattr(args, "resume", False):
         manifest = CampaignManifest.open_resume(path, signature)
         if manifest.resumed and manifest.completed:
@@ -447,7 +449,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign.report import render
     from repro.campaign.state import journal_path
     from repro.errors import CampaignInterrupted, ConfigError
-    from repro.harness import CampaignManifest, FaultPolicy
+    from repro.harness import FaultPolicy
 
     spec = _campaign_spec(args)
     _apply_env_flags(args)
@@ -467,18 +469,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"campaign: {exc}", file=sys.stderr)
         return 2
-    path = journal_path(args.study)
-    signature = spec.signature()
-    if args.resume:
-        manifest = CampaignManifest.open_resume(path, signature)
-        if manifest.resumed and manifest.completed:
-            print(
-                f"resuming campaign: {len(manifest.completed)} cell(s) "
-                f"already complete",
-                file=sys.stderr,
-            )
-    else:
-        manifest = CampaignManifest.open_fresh(path, signature)
+    manifest = _open_manifest(args, spec.signature(), journal_path(args.study))
     try:
         result = run_campaign(
             spec, executor, policy=policy, manifest=manifest, interruptible=True,
@@ -678,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     character = sub.add_parser("characterize", help="characterize one workload")
     character.add_argument("workload", choices=["specjbb", "ecperf"])
-    character.add_argument("-p", "--procs", type=int, default=8)
+    character.add_argument("-p", "--procs", type=_positive_int, default=8)
     character.add_argument("--quick", action="store_true")
     character.add_argument(
         "-n", "--runs", type=_positive_int, default=1, metavar="R",

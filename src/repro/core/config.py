@@ -46,7 +46,6 @@ class SimConfig:
     refs_per_proc: int = 200_000
     warmup_fraction: float = 0.2
     interleave_quantum: int = 64
-    n_runs: int = 1
 
     def __post_init__(self) -> None:
         if self.refs_per_proc <= 0:
@@ -55,11 +54,6 @@ class SimConfig:
             raise ConfigError("warmup_fraction must be in [0, 1)")
         if self.interleave_quantum <= 0:
             raise ConfigError("interleave_quantum must be positive")
-        if self.n_runs <= 0:
-            raise ConfigError("n_runs must be positive")
 
     def with_refs(self, refs_per_proc: int) -> "SimConfig":
         return replace(self, refs_per_proc=refs_per_proc)
-
-    def with_runs(self, n_runs: int) -> "SimConfig":
-        return replace(self, n_runs=n_runs)

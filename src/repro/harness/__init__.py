@@ -6,9 +6,12 @@ and campaign:
 - :mod:`repro.harness.engine` — the one execution engine: one worker
   process pool, the in-process serial executor, and one scheduling
   loop that owns every failure rule (retry, timeouts, worker death,
-  quarantine, degradation, the SIGINT drain);
-- :mod:`repro.harness.runner` — :func:`run_tasks`, the engine's client
-  for task batches (parallel results are bit-identical to serial);
+  quarantine, degradation, the SIGINT drain) and emits every
+  ``task/*`` event;
+- :mod:`repro.harness.runner` — :func:`run_tasks`, the one batch front
+  end and the engine's only caller: figures, replicas, the load-plane
+  ladder and campaign run tables (parallel results are bit-identical
+  to serial);
 - :mod:`repro.harness.cache` — content-addressed on-disk result cache
   keyed by config + workload + replica + code version, with
   checksummed entries and quarantine for corrupt ones;

@@ -1,18 +1,19 @@
 """The one execution engine under every batch this package runs.
 
-:func:`repro.harness.run_tasks` (figures, sweeps, replicas) and
-:func:`repro.campaign.run_campaign` (run tables) are thin clients of
-:func:`schedule`.  Each turns its work into *units* — anything with
-``key``, ``fn``, ``args`` and ``kwargs``, such as a
-:class:`~repro.harness.runner.Task` — picks one of two executors,
-and keeps only its own bookkeeping in a :class:`Client`:
+:func:`schedule` has one caller, :func:`repro.harness.run_tasks`, and
+every batch goes through it: figures, sweeps, replicas and the cells
+of a campaign run table (:func:`repro.campaign.run_campaign`).  A
+batch is a list of *units* — anything with ``key``, ``fn``, ``args``
+and ``kwargs``, such as a :class:`~repro.harness.runner.Task` — run on
+one of two executors:
 
 - :class:`SerialExecutor` runs each unit in-process, synchronously: the
   bit-identical reference;
 - :class:`LocalPoolExecutor` is a pool of owned worker processes, each
   running :func:`_worker_main` over its own duplex pipe.
 
-:func:`schedule` owns every failure rule, identically for both clients.
+:func:`schedule` owns every failure rule and records every step as a
+``task/*``, ``run/broken-pool`` or ``pool/respawn`` event.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import obs
 from repro.errors import ConfigError
@@ -405,43 +406,10 @@ class _InterruptDrain:
         self._previous.clear()
 
 
-class Client:
-    """What a caller of :func:`schedule` hears about its units.
-
-    Hooks run in the parent, in event order, and default to nothing.
-    ``finished`` delivers each unit's final outcome: its successful
-    :class:`Done`, or a :class:`~repro.harness.faults.TaskFailure`.
-    """
-
-    def started(self, unit: Any, attempt: int, wid: int, pid: int) -> None:
-        """An attempt was dispatched to worker ``wid`` (process ``pid``)."""
-
-    def errored(self, unit: Any, attempt: int, error: str) -> None:
-        """An attempt raised inside the unit."""
-
-    def retrying(self, unit: Any, attempt: int) -> None:
-        """A failed attempt will be retried after its backoff."""
-
-    def died(self, wid: int, exitcode: int | None, unit: Any) -> None:
-        """A worker died, running ``unit`` (None if it was idle)."""
-
-    def respawned(self, wid: int) -> None:
-        """A dead worker slot was revived."""
-
-    def reclaimed(self, unit: Any, attempt: int, wid: int, reason: str) -> None:
-        """An attempt ran past its wall-clock budget; its worker was killed."""
-
-    def overran(self, unit: Any, attempt: int, wall_s: float, kept: bool) -> None:
-        """An in-process attempt overran its budget; ``kept``: result stands."""
-
-    def finished(self, unit: Any, result: Done | TaskFailure) -> None:
-        """The unit's final outcome."""
-
-
 def schedule(
     units: Sequence[Any],
     executor: Any,
-    client: Client,
+    finished: Callable[[Any, Done | TaskFailure], None],
     faults: FaultPolicy,
     *,
     interruptible: bool = False,
@@ -450,9 +418,18 @@ def schedule(
 ) -> None:
     """Drive every unit to one final outcome over ``executor``.
 
-    Never raises for a unit: failures, quarantines, aborts and
-    degradation arrive at ``client.finished``.  Units are left
-    undecided only by a drained interrupt (``interruptible=True``).
+    Never raises for a unit: ``finished(unit, result)`` receives each
+    unit's final outcome, its successful :class:`Done` or a
+    :class:`~repro.harness.faults.TaskFailure` (failures, quarantines,
+    aborts, degradation).  Units are left undecided only by a drained
+    interrupt (``interruptible=True``).
+
+    Every step is an :func:`repro.obs.emit` event naming the unit's
+    key: ``task/start``, ``task/error`` (the unit raised),
+    ``task/retry``, ``task/timeout`` (killed at its budget, or an
+    in-process overrun discarded), ``task/overtime`` (an in-process
+    overrun kept) and ``task/end`` (success); ``run/broken-pool`` for a
+    dead worker and ``pool/respawn`` for a revived one.
 
     - A failed attempt retries while ``faults`` allows it; its backoff
       waits in a ready-time list and never blocks the loop.
@@ -482,7 +459,12 @@ def schedule(
         nonlocal aborted
         decided.add(unit.key)
         kills.pop(unit.key, None)
-        client.finished(unit, result)
+        if isinstance(result, Done):
+            obs.emit(
+                "task/end", task=unit.key, attempt=result.attempt,
+                wall_s=round(result.wall_s, 6), worker=result.pid,
+            )
+        finished(unit, result)
         aborted = aborted or (fail_fast and isinstance(result, TaskFailure))
 
     def settle(kind: str, error: str) -> None:
@@ -506,7 +488,7 @@ def schedule(
                 ))
                 return
         if retryable and faults.should_retry(attempt):
-            client.retrying(unit, attempt)
+            obs.emit("task/retry", task=key, attempt=attempt)
             ready = time.monotonic() + faults.delay(attempt, key=key)
             delayed.append((ready, unit, attempt + 1))
         else:
@@ -517,7 +499,10 @@ def schedule(
         while idle and queue:
             unit, attempt = queue.popleft()
             wid = idle.pop(0)
-            client.started(unit, attempt, wid, executor.pid(wid))
+            obs.emit(
+                "task/start", task=unit.key, attempt=attempt,
+                worker=executor.pid(wid),
+            )
             tried[unit.key] = max(tried.get(unit.key, 0), attempt)
             if not executor.dispatch(wid, unit, attempt):
                 queue.appendleft((unit, attempt))  # dead worker: no attempt charged
@@ -526,7 +511,10 @@ def schedule(
     def handle(event: Done | Dead) -> None:
         unit, attempt = event.unit, event.attempt
         if isinstance(event, Dead):
-            client.died(event.wid, event.exitcode, unit)
+            obs.emit(
+                "run/broken-pool", task=unit.key if unit is not None else None,
+                exitcode=event.exitcode,
+            )
             if unit is not None:
                 fail(unit, attempt, KIND_BROKEN_POOL,
                      f"worker {event.wid} died (exit code {event.exitcode})",
@@ -534,15 +522,21 @@ def schedule(
             return
         obs.ingest(event.obs_payload)
         if not event.ok:
-            client.errored(unit, attempt, event.error)
+            obs.emit("task/error", task=unit.key, attempt=attempt, error=event.error)
             fail(unit, attempt, KIND_ERROR, event.error)
             return
         if executor.in_process and timeout is not None and event.wall_s > timeout:
-            client.overran(unit, attempt, event.wall_s, kept=not faults.retry_timeouts)
-            if faults.retry_timeouts:
+            if faults.retry_timeouts:  # discarded, like a worker killed at its budget
+                obs.emit(
+                    "task/timeout", task=unit.key, attempt=attempt, timeout_s=timeout
+                )
                 fail(unit, attempt, KIND_TIMEOUT,
                      f"exceeded {timeout}s budget (in-process; result discarded)")
                 return
+            obs.emit(
+                "task/overtime", task=unit.key, wall_s=round(event.wall_s, 6),
+                timeout_s=timeout,
+            )
         decide(unit, event)
 
     def audit() -> None:
@@ -554,7 +548,10 @@ def schedule(
         for lease in executor.leases():
             if now - lease.started > timeout:
                 executor.reclaim(lease.wid)
-                client.reclaimed(lease.unit, lease.attempt, lease.wid, reason)
+                obs.emit(
+                    "task/timeout", task=lease.unit.key, attempt=lease.attempt,
+                    timeout_s=timeout,
+                )
                 fail(lease.unit, lease.attempt, KIND_TIMEOUT, reason, killed=True)
 
     def tick() -> float | None:
@@ -581,7 +578,7 @@ def schedule(
                     handle(event)
                 audit()
                 for wid in executor.respawn():
-                    client.respawned(wid)
+                    obs.emit("pool/respawn", worker=wid)
                 if executor.capacity == 0:
                     settle(KIND_MISSING, "not run: no surviving workers "
                            "(executor respawn budget exhausted)")

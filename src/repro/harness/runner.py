@@ -1,8 +1,8 @@
 """Parallel experiment runner: task batches over the one engine.
 
 Runs a batch of independent :class:`Task`\\ s — sweep points, replica
-runs, whole figures — on the execution engine
-(:mod:`repro.harness.engine`), consulting a
+runs, whole figures, the cells of a campaign run table — on the
+execution engine (:mod:`repro.harness.engine`), consulting a
 :class:`~repro.harness.cache.ResultCache` and a
 :class:`~repro.harness.checkpoint.CampaignManifest` first and recording
 every step as a :func:`repro.obs.emit` event (``task/*``, ``cache/*``,
@@ -22,34 +22,23 @@ into a clean drain — in-flight tasks finish, their outcomes are
 journaled to the manifest, and :class:`~repro.errors.CampaignInterrupted`
 tells the caller the campaign can be resumed.
 
-Execution falls back to in-process serial mode when ``jobs <= 1`` or
-when a task is not picklable (e.g. a closure), with a
-``run/serial-fallback`` event so silent degradation never masquerades
-as parallel speedup.
+Unless the caller passes its own executor, execution falls back to
+in-process serial mode when ``jobs <= 1`` or when a task is not
+picklable (e.g. a closure), with a ``run/serial-fallback`` event so
+silent degradation never masquerades as parallel speedup.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro import obs
 from repro.errors import CampaignInterrupted, HarnessError
 from repro.harness.cache import ResultCache
-from repro.harness.engine import (
-    Client,
-    Done,
-    LocalPoolExecutor,
-    SerialExecutor,
-    schedule,
-)
-from repro.harness.faults import (
-    KIND_BROKEN_POOL,
-    KIND_MISSING,
-    FaultPolicy,
-    TaskFailure,
-)
+from repro.harness.engine import Done, LocalPoolExecutor, SerialExecutor, schedule
+from repro.harness.faults import FaultPolicy, TaskFailure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.checkpoint import CampaignManifest
@@ -103,64 +92,6 @@ def _is_picklable(task: Task) -> bool:
         return False
 
 
-class _TaskClient(Client):
-    """``run_tasks``' view of the engine: ``task/*`` events, outcomes."""
-
-    def __init__(self, faults: FaultPolicy, record) -> None:
-        self.timeout_s = faults.timeout_s
-        self.record = record
-
-    def started(self, task: Task, attempt: int, wid: int, pid: int) -> None:
-        obs.emit("task/start", task=task.key, attempt=attempt, worker=pid)
-
-    def errored(self, task: Task, attempt: int, error: str) -> None:
-        obs.emit("task/error", task=task.key, attempt=attempt, error=error)
-
-    def retrying(self, task: Task, attempt: int) -> None:
-        obs.emit("task/retry", task=task.key, attempt=attempt)
-
-    def died(self, wid: int, exitcode: int | None, task: Task | None) -> None:
-        obs.emit(
-            "run/broken-pool", task=task.key if task is not None else None,
-            exitcode=exitcode,
-        )
-
-    def respawned(self, wid: int) -> None:
-        obs.emit("pool/respawn", worker=wid)
-
-    def reclaimed(self, task: Task, attempt: int, wid: int, reason: str) -> None:
-        obs.emit(
-            "task/timeout", task=task.key, attempt=attempt, timeout_s=self.timeout_s
-        )
-
-    def overran(self, task: Task, attempt: int, wall_s: float, kept: bool) -> None:
-        if kept:
-            obs.emit(
-                "task/overtime", task=task.key, wall_s=round(wall_s, 6),
-                timeout_s=self.timeout_s,
-            )
-        else:  # discarded, just like a pool worker killed at its budget
-            self.reclaimed(task, attempt, 0, "")
-
-    def finished(self, task: Task, result: Done | TaskFailure) -> None:
-        if isinstance(result, TaskFailure):
-            if result.kind == KIND_MISSING:  # no worker left to run it
-                result = replace(result, kind=KIND_BROKEN_POOL)
-            outcome = TaskOutcome(
-                key=task.key, failure=result, attempts=result.attempts
-            )
-        else:
-            obs.emit(
-                "task/end", task=task.key, attempt=result.attempt,
-                wall_s=round(result.wall_s, 6), worker=result.pid,
-            )
-            outcome = TaskOutcome(
-                key=task.key, value=result.value, wall_s=result.wall_s,
-                attempts=result.attempt, worker=result.pid,
-            )
-        self.record(task, outcome)
-
-
 def run_tasks(
     tasks: Sequence[Task],
     *,
@@ -171,6 +102,8 @@ def run_tasks(
     fail_fast: bool = False,
     interruptible: bool = False,
     plane: "Any | None" = None,
+    executor: Any = None,
+    poison_k: int | None = None,
 ) -> list[TaskOutcome]:
     """Execute a batch of tasks; outcomes are returned in task order.
 
@@ -185,7 +118,14 @@ def run_tasks(
     ``min(jobs, pending)`` workers.  Every worker death costs its task
     one attempt, so the pool may respawn ``pending x max_attempts``
     times: the respawn budget can never run out before the tasks'
-    retry budgets do.
+    retry budgets do.  ``executor`` (a :class:`SerialExecutor` or a
+    :class:`LocalPoolExecutor`, as campaigns pass one) is used as
+    given in place of the one ``jobs`` would pick; like that one, it
+    is started only when a task is pending.  ``poison_k`` quarantines
+    a task that killed that many consecutive workers (failure kind
+    ``poisoned``); None, the default, leaves worker deaths plain
+    retryable failures.  Whatever the executor, a task left unrun
+    when no worker survives fails ``missing``.
 
     ``manifest`` journals every final outcome incrementally and serves
     tasks the campaign already completed (a ``resume/skip`` event)
@@ -246,15 +186,17 @@ def run_tasks(
                 bytes=plane.bytes_shared,
             )
 
-    def record(task: Task, outcome: TaskOutcome) -> None:
+    def finished(task: Task, result: Done | TaskFailure) -> None:
         """Persist one final outcome the moment it exists."""
+        if isinstance(result, TaskFailure):
+            outcome = TaskOutcome(key=task.key, failure=result, attempts=result.attempts)
+        else:
+            outcome = TaskOutcome(
+                key=task.key, value=result.value, wall_s=result.wall_s,
+                attempts=result.attempt, worker=result.pid,
+            )
         outcomes[task.key] = outcome
-        if (
-            cache is not None
-            and outcome.ok
-            and not outcome.cached
-            and task.cache_key is not None
-        ):
+        if cache is not None and outcome.ok and task.cache_key is not None:
             cache.put(task.cache_key, outcome.value)
         if manifest is not None:
             manifest.record(task.key, outcome)
@@ -262,7 +204,7 @@ def run_tasks(
             plane.release(task.plane_keys)
 
     if pending:
-        parallel = int(jobs) > 1
+        parallel = executor is None and int(jobs) > 1
         if parallel:
             unpicklable = [task.key for task in pending if not _is_picklable(task)]
             if unpicklable:
@@ -273,14 +215,14 @@ def run_tasks(
         if parallel:
             workers = min(int(jobs), len(pending))
             obs.emit("run/pool", jobs=workers, tasks=len(pending))
-            executor: Any = LocalPoolExecutor(
+            executor = LocalPoolExecutor(
                 workers, max_respawns=len(pending) * faults.max_attempts
             )
-        else:
+        elif executor is None:
             executor = SerialExecutor()
         schedule(
-            pending, executor, _TaskClient(faults, record),
-            faults, interruptible=interruptible, fail_fast=fail_fast,
+            pending, executor, finished, faults, interruptible=interruptible,
+            fail_fast=fail_fast, poison_k=poison_k,
         )
 
     for outcome in outcomes.values():

@@ -132,11 +132,11 @@ def test_pool_survives_death_hang_and_poison_bit_identically(tmp_path):
 
     # The chaos left its fingerprints in the events: a dead worker
     # (kill_executor + poison kills), a reclaimed lease (the hang, at
-    # its wall-clock budget), and the quarantine event.
-    assert obs.COUNTERS.get("campaign/worker-dead") >= 1
-    assert obs.COUNTERS.get("campaign/lease-reclaimed") >= 1
-    assert obs.COUNTERS.get("campaign/cell-poisoned") == 1
-    assert obs.COUNTERS.get("campaign/cell-retry") >= 1
+    # its wall-clock budget), and the quarantined cell's count.
+    assert obs.COUNTERS.get("run/broken-pool") >= 1
+    assert obs.COUNTERS.get("task/timeout") >= 1
+    assert obs.COUNTERS.get("campaign/cells_poisoned") == 1
+    assert obs.COUNTERS.get("task/retry") >= 1
 
     # And the report states the degradation explicitly.
     report = render(result)
@@ -172,10 +172,10 @@ def test_smoke_chaos_fast_net(tmp_path, obs_enabled):
             continue
         assert by_key[ref_outcome.cell.key].value == ref_outcome.value
 
-    # The campaign/* observability counters saw the whole story.
+    # The task/* and campaign/* observability counters saw the whole story.
     snapshot = obs_enabled.COUNTERS.snapshot()
     assert snapshot["campaign/cells_total"] == table.n_cells * 2  # both runs
-    assert snapshot["campaign/worker-dead"] >= 1
-    assert snapshot["campaign/lease-reclaimed"] >= 1
+    assert snapshot["run/broken-pool"] >= 1
+    assert snapshot["task/timeout"] >= 1
     assert snapshot["campaign/cells_poisoned"] == 1
-    assert snapshot["campaign/cell-retry"] >= 1
+    assert snapshot["task/retry"] >= 1

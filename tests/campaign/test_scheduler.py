@@ -126,7 +126,7 @@ def test_transient_error_retried_with_backoff(tmp_path):
     )
     assert result.complete
     assert all(o.attempts == 2 for o in result.outcomes)
-    assert obs.COUNTERS.get("campaign/cell-retry") == 2
+    assert obs.COUNTERS.get("task/retry") == 2
     assert obs.COUNTERS.get("campaign/cells_ok") == 2
 
 
@@ -161,8 +161,8 @@ def test_worker_death_reschedules_cell_and_respawns(tmp_path):
     # tickets consumed by the serial run shift nothing: alpha=1 already
     # spent its one kill, so serial recomputes the same values.
     assert [o.value for o in result.outcomes] == [o.value for o in clean.outcomes]
-    assert obs.COUNTERS.get("campaign/worker-dead") >= 1
-    assert obs.COUNTERS.get("campaign/cell-retry") >= 1
+    assert obs.COUNTERS.get("run/broken-pool") >= 1
+    assert obs.COUNTERS.get("task/retry") >= 1
 
 
 def test_poisoned_cell_is_quarantined_with_diagnostics(tmp_path):
@@ -180,7 +180,7 @@ def test_poisoned_cell_is_quarantined_with_diagnostics(tmp_path):
     assert poisoned[0].cell.point_dict["alpha"] == 2
     assert "quarantined" in poisoned[0].error
     assert "killed 2 consecutive worker(s)" in poisoned[0].error
-    assert obs.COUNTERS.get("campaign/cell-poisoned") == 1
+    assert obs.COUNTERS.get("campaign/cells_poisoned") == 1
     # The other cells survived the chaos untouched.
     assert sum(1 for o in result.outcomes if o.ok) == 2
     assert "poisoned" in render(result)
@@ -271,7 +271,7 @@ def test_resume_serves_completed_cells_without_rerunning(tmp_path):
     assert second.complete
     assert len(list(root.iterdir())) == invocations  # nothing re-ran
     assert all(o.cached for o in second.outcomes)
-    assert obs.COUNTERS.get("campaign/resume-skip") == 4
+    assert obs.COUNTERS.get("resume/skip") == 4
     assert [o.value for o in second.outcomes] == [o.value for o in first.outcomes]
 
 
@@ -319,7 +319,7 @@ def test_telemetry_counts_each_cell_observation_once(obs_enabled, make_executor)
     assert obs_enabled.COUNTERS.get("test/cell_points") == cells
     assert obs_enabled.COUNTERS.get("campaign/cells_ok") == cells
     assert obs_enabled.COUNTERS.get("campaign/cells_total") == cells
-    assert obs_enabled.COUNTERS.get("campaign/cell-ok") == cells
+    assert obs_enabled.COUNTERS.get("task/end") == cells
 
 
 def test_serial_campaign_retries_an_overrun_when_policy_allows(tmp_path):
@@ -336,8 +336,8 @@ def test_serial_campaign_retries_an_overrun_when_policy_allows(tmp_path):
     # The overrun attempt's result was discarded; the retry was fast.
     assert result.complete
     assert result.outcomes[0].attempts == 2
-    assert obs.COUNTERS.get("campaign/cell-timeout") == 1
-    assert obs.COUNTERS.get("campaign/cell-retry") == 1
+    assert obs.COUNTERS.get("task/timeout") == 1
+    assert obs.COUNTERS.get("task/retry") == 1
 
 
 def test_serial_campaign_keeps_an_overrun_and_records_it(tmp_path):
@@ -355,8 +355,8 @@ def test_serial_campaign_keeps_an_overrun_and_records_it(tmp_path):
     # result stands, and the overrun is on record.
     assert result.complete
     assert result.outcomes[0].attempts == 1
-    assert obs.COUNTERS.get("campaign/cell-overtime") == 1
-    assert "campaign/cell-timeout" not in obs.COUNTERS.snapshot()
+    assert obs.COUNTERS.get("task/overtime") == 1
+    assert "task/timeout" not in obs.COUNTERS.snapshot()
 
 
 def test_dead_worker_exit_code_is_reaped_before_it_is_read():

@@ -60,11 +60,8 @@ def test_sim_config_validation():
         SimConfig(warmup_fraction=1.0)
     with pytest.raises(ConfigError):
         SimConfig(interleave_quantum=0)
-    with pytest.raises(ConfigError):
-        SimConfig(n_runs=0)
 
 
 def test_sim_config_builders():
-    sim = SimConfig().with_refs(123).with_runs(3)
+    sim = SimConfig().with_refs(123)
     assert sim.refs_per_proc == 123
-    assert sim.n_runs == 3

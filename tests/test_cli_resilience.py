@@ -73,8 +73,13 @@ def test_unknown_figure_exits_2_on_stderr(cli_env, capsys):
         (["characterize", "specjbb", "--quick", "--runs", "-1"], "--runs"),
         (["figures", "fig04", "--quick", "--jobs", "0"], "--jobs"),
         (["campaign", "run", "smoke", "--jobs", "0"], "--jobs"),
+        (["characterize", "specjbb", "--quick", "-p", "0"], "-p/--procs"),
+        (["characterize", "specjbb", "--quick", "-p", "-1"], "-p/--procs"),
     ],
-    ids=["runs-0", "runs-negative", "figures-jobs-0", "campaign-jobs-0"],
+    ids=[
+        "runs-0", "runs-negative", "figures-jobs-0", "campaign-jobs-0",
+        "procs-0", "procs-negative",
+    ],
 )
 def test_counts_below_one_are_usage_errors(cli_env, capsys, argv, flag):
     with pytest.raises(SystemExit) as excinfo:
@@ -460,6 +465,17 @@ def failing_cell(point, rep):
     return smoke_cell(point, rep)
 
 
+def degrading_cell(point, rep):
+    """ok, failed, poisoned (kills its worker), then never run."""
+    from repro.campaign.studies import smoke_cell
+
+    if point["alpha"] == 2:
+        raise RuntimeError("cell permanently broken")
+    if point["alpha"] == 3:
+        os._exit(17)
+    return smoke_cell(point, rep)
+
+
 def hanging_cell(point, rep, *, root):
     """Hang for 60 s on the first attempt of one cell, once ever."""
     from repro.campaign.studies import smoke_cell
@@ -488,6 +504,13 @@ def campaign_studies(monkeypatch, tmp_path):
     def failing_spec(reps, quick):
         return CampaignSpec(name="t-failing", table=table, fn=failing_cell)
 
+    def degrading_spec(reps, quick):
+        return CampaignSpec(
+            name="t-degrading",
+            table=RunTable(name="t", axes=(Axis("alpha", (1, 2, 3, 4)),), reps=1),
+            fn=degrading_cell,
+        )
+
     def hanging_spec(reps, quick):
         return CampaignSpec(
             name="t-hang",
@@ -498,6 +521,7 @@ def campaign_studies(monkeypatch, tmp_path):
     registry = dict(studies.STUDIES)
     registry["t-sigint"] = sigint_spec
     registry["t-failing"] = failing_spec
+    registry["t-degrading"] = degrading_spec
     registry["t-hang"] = hanging_spec
     monkeypatch.setattr(studies, "STUDIES", registry)
 
@@ -534,6 +558,60 @@ def test_campaign_partial_exits_4_and_report_states_degradation(
     captured = capsys.readouterr()
     assert "DEGRADED" in captured.out
     assert "alpha=3/rep0" in captured.out
+
+
+def _degradation_lines(report: str) -> list[str]:
+    lines = report.splitlines()
+    return lines[lines.index("degradation detail (cells NOT contributing above):"):]
+
+
+def test_journal_report_prints_every_degraded_cell_like_the_live_run(
+    cli_env, campaign_studies, capsys
+):
+    # One worker runs the cells in table order: alpha=2 raises, alpha=3
+    # kills its worker (quarantined at once with --poison-k 1), and with
+    # no respawn left alpha=4 never runs.
+    rc = main([
+        "campaign", "run", "t-degrading", "--jobs", "1", "--max-attempts", "1",
+        "--poison-k", "1", "--max-respawns", "0",
+    ])
+    assert rc == 4
+    live = capsys.readouterr().out
+    assert "status: DEGRADED: 1/4 cells ok (1 failed, 1 poisoned, 1 missing)" in live
+    assert main(["campaign", "report", "t-degrading"]) == 4
+    rebuilt = capsys.readouterr().out
+    assert _degradation_lines(rebuilt) == _degradation_lines(live) == [
+        "degradation detail (cells NOT contributing above):",
+        "  [failed] alpha=2/rep0 after 1 attempt(s): "
+        "error: RuntimeError('cell permanently broken')",
+        "  [poisoned] alpha=3/rep0 after 1 attempt(s): quarantined: killed 1 "
+        "consecutive worker(s); last: worker 0 died (exit code 17)",
+        "  [missing] alpha=4/rep0: not run: no surviving workers "
+        "(executor respawn budget exhausted)",
+    ]
+
+
+def test_resume_of_a_complete_campaign_starts_no_worker(
+    cli_env, monkeypatch, capsys
+):
+    from repro.harness import engine
+
+    argv = ["campaign", "run", "smoke", "--reps", "1", "--jobs", "4"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert "executor: local (4 workers)" in first
+
+    started = []
+    init = engine._Worker.__init__
+
+    def counting_init(self, ctx, wid):
+        started.append(wid)
+        init(self, ctx, wid)
+
+    monkeypatch.setattr(engine._Worker, "__init__", counting_init)
+    assert main(argv + ["--resume"]) == 0
+    assert started == []  # the journal served every cell
+    assert capsys.readouterr().out == first
 
 
 def test_interrupted_pool_campaign_resumes_byte_identically(
@@ -614,8 +692,8 @@ def test_campaign_status_and_resume_agree_on_the_journal(
     assert main(["campaign", "status", "smoke", "--reps", "1"]) == 0
     status = capsys.readouterr().out
     assert main(argv + ["--resume"]) == 0
-    started = obs.COUNTERS.get("campaign/cell-start")
-    skipped = obs.COUNTERS.get("campaign/resume-skip")
+    started = obs.COUNTERS.get("task/start")
+    skipped = obs.COUNTERS.get("resume/skip")
     if journal_format == 1:
         assert "signature: match (resumable)" in status
         assert "cells: 6 ok" in status
