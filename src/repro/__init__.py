@@ -17,8 +17,10 @@ The package provides, from the bottom up:
   decomposition and throughput-scaling models;
 - :mod:`repro.figures` — one driver per paper figure (4-16);
 - :mod:`repro.harness` — the parallel experiment engine under every
-  figure, sweep and multi-run experiment (process-pool fan-out,
-  content-addressed result caching, fault policy);
+  figure, sweep and campaign (process-pool fan-out, content-addressed
+  result caching, fault policy);
+- :mod:`repro.campaign` — run tables of configurations x perturbed
+  repetitions, reported mean ± std (the paper's multi-run method);
 - :mod:`repro.obs` — the one observability recorder: events and
   counters, opt-in spans, one JSONL file.
 
@@ -41,7 +43,6 @@ from repro.core.characterize import (
     characterize,
     quick_characterization,
 )
-from repro.core.experiment import Experiment, MultiRunResult, run_repeated
 from repro.core.metrics import CpiBreakdown, DataStallBreakdown, MissCounters, mpki
 from repro.core.sweep import SweepResult, sweep
 from repro.harness import (
@@ -85,9 +86,6 @@ __all__ = [
     "CharacterizationReport",
     "characterize",
     "quick_characterization",
-    "Experiment",
-    "MultiRunResult",
-    "run_repeated",
     "SweepResult",
     "sweep",
     "FaultPolicy",

@@ -1,13 +1,10 @@
-"""Analysis helpers: distributions, curves, summary statistics."""
+"""Analysis helpers: communication distributions and miss curves."""
 
 from repro.analysis.cdf import CommunicationFootprint, cumulative_share
 from repro.analysis.curves import MissCurve
-from repro.analysis.stats import mean_std, relative_change
 
 __all__ = [
     "CommunicationFootprint",
     "cumulative_share",
     "MissCurve",
-    "mean_std",
-    "relative_change",
 ]

@@ -60,6 +60,12 @@ def summarize(result: CampaignResult) -> list[tuple[str, str, float, float, int]
     return rows
 
 
+def degradation_line(outcome: CellOutcome) -> str:
+    """One cell that is not ``ok``: its status, key, attempts and reason."""
+    attempts = f" after {outcome.attempts} attempt(s)" if outcome.attempts else ""
+    return f"[{outcome.status}] {outcome.cell.key}{attempts}: {outcome.error}"
+
+
 def render(result: CampaignResult) -> str:
     """The full campaign report (deterministic; see module docstring)."""
     counts = Counter(outcome.status for outcome in result.outcomes)
@@ -97,9 +103,5 @@ def render(result: CampaignResult) -> str:
     if bad:
         lines.append("")
         lines.append("degradation detail (cells NOT contributing above):")
-        for outcome in bad:
-            attempts = f" after {outcome.attempts} attempt(s)" if outcome.attempts else ""
-            lines.append(
-                f"  [{outcome.status}] {outcome.cell.key}{attempts}: {outcome.error}"
-            )
+        lines += [f"  {degradation_line(outcome)}" for outcome in bad]
     return "\n".join(lines)

@@ -17,8 +17,12 @@ shared with the journal reader), the ``campaign/start|end|degraded``
 events and the cell-status counters.  Completed cells are journaled as
 they land (fsynced), keyed by the campaign signature, and a re-run
 with the journal serves them back bit-identically (``resume/skip``).
-``interruptible=True`` drains in-flight cells on SIGINT/SIGTERM and
-raises :class:`~repro.errors.CampaignInterrupted`.
+With a result cache, each cell is also cached under its
+:meth:`~repro.campaign.table.CampaignSpec.cell_key`, which ignores the
+table's shape (``jmmw characterize --runs R`` passes one; ``jmmw
+campaign run`` does not).  ``interruptible=True`` drains in-flight
+cells on SIGINT/SIGTERM and raises
+:class:`~repro.errors.CampaignInterrupted`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.harness.faults import KIND_MISSING, KIND_POISONED, FaultPolicy
 from repro.harness.runner import Task, TaskOutcome, run_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.harness.cache import ResultCache
     from repro.harness.checkpoint import CampaignManifest
 
 #: Cell outcome statuses.
@@ -78,7 +83,7 @@ class CellOutcome:
     attempts: int = 0
     wall_s: float = 0.0
     worker: int | None = None
-    cached: bool = False  # served from the manifest (resume)
+    cached: bool = False  # served from the manifest (resume) or the cache
 
     @property
     def ok(self) -> bool:
@@ -132,6 +137,8 @@ def run_campaign(
     policy: CampaignPolicy | None = None,
     manifest: "CampaignManifest | None" = None,
     interruptible: bool = False,
+    cache: "ResultCache | None" = None,
+    fail_fast: bool = False,
 ) -> CampaignResult:
     """Run every cell of ``spec`` as one :func:`run_tasks` batch over
     ``executor``; never raises for a cell — failures, quarantines and
@@ -139,7 +146,10 @@ def run_campaign(
 
     ``executor`` is a :class:`~repro.harness.engine.SerialExecutor` or
     a :class:`~repro.harness.engine.LocalPoolExecutor`; it starts only
-    if ``manifest`` leaves a cell to run.  Raises
+    if ``manifest`` and ``cache`` leave a cell to run.  With a
+    ``cache``, each cell is keyed by :meth:`CampaignSpec.cell_key`;
+    ``fail_fast`` stops dispatching at the first failed cell (the rest
+    fail ``aborted``).  Raises
     :class:`~repro.errors.CampaignInterrupted` after a drained
     SIGINT/SIGTERM (``interruptible=True`` only), with completed cells
     already persisted to ``manifest``.
@@ -152,14 +162,21 @@ def run_campaign(
     )
     obs.incr("campaign/cells_total", len(cells))
 
-    tasks = [Task(cell.key, spec.fn, *spec.cell_args(cell)) for cell in cells]
+    tasks = [
+        Task(
+            cell.key, spec.fn, *spec.cell_args(cell),
+            cache_key=spec.cell_key(cell) if cache is not None else None,
+        )
+        for cell in cells
+    ]
     results = run_tasks(
-        tasks, executor=executor, faults=policy.faults, manifest=manifest,
-        interruptible=interruptible, poison_k=policy.poison_k,
+        tasks, executor=executor, cache=cache, faults=policy.faults,
+        manifest=manifest, fail_fast=fail_fast, interruptible=interruptible,
+        poison_k=policy.poison_k,
     )
     outcomes = tuple(map(cell_outcome, cells, results))
     for outcome in outcomes:
-        if not outcome.cached:  # decided in this run, not served from the journal
+        if not outcome.cached:  # decided in this run, not served back
             obs.incr(f"campaign/cells_{outcome.status}")
 
     missing = sum(1 for outcome in outcomes if outcome.status == STATUS_MISSING)

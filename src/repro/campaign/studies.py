@@ -19,14 +19,23 @@ Three studies ship:
   load plane (:mod:`repro.loadplane`), reporting throughput, the
   operational response time and pool utilizations per point, with
   reps perturbing the event-stream seed.
+
+:func:`characterize_spec` is not a study: it is the one-point table
+``jmmw characterize --runs R`` runs, R reps of :func:`characterize_cell`.
+Each cell function keeps its own seeding rule: ablation cells seed
+``QUICK_SIM.seed + rep``, saturation cells ``1234 + rep``, and
+characterize cells draw a sub-seed from ``RngFactory(seed,
+run_index=rep)``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import replace
+from dataclasses import asdict, replace
+from typing import Any
 
 from repro.campaign.table import Axis, CampaignSpec, RunTable
+from repro.core.config import SimConfig
 from repro.errors import ConfigError
 
 
@@ -45,8 +54,7 @@ def ablation_cell(
     """One protocol x workload cell: simulate and report paper metrics.
 
     The rep index perturbs the trace seed (not the configuration), so
-    repetitions sample the workload's intrinsic variability exactly the
-    way ``characterize --runs N`` does.
+    repetitions sample the workload's intrinsic variability.
     """
     from repro.figures.common import QUICK_SIM, figure_trace, simulate_multiprocessor
     from repro.harness.traceplane import TraceSpec
@@ -102,6 +110,36 @@ def loadplane_cell(
         "thread_util": stable.thread_utilization,
         "conn_util": stable.conn_utilization,
         "events": float(result.events),
+    }
+
+
+def characterize_cell(point: dict, rep: int, **sim: Any) -> dict:
+    """One replica of ``jmmw characterize --runs R``: the headline
+    metrics of one workload at one machine size.
+
+    ``sim`` holds a :class:`~repro.core.config.SimConfig`'s fields (a
+    campaign's kwargs are JSON).  The rep perturbs the run the
+    Alameldeen–Wood way: ``RngFactory(seed, run_index=rep)`` draws the
+    simulation's sub-seed, so a cell is deterministic given ``(seed,
+    rep)`` whichever process runs it.  Replicas share no traces: each
+    perturbs its own generation seed.
+    """
+    from repro.core.characterize import characterize
+    from repro.rng import RngFactory
+
+    config = SimConfig(**sim)
+    factory = RngFactory(config.seed, run_index=rep)
+    sub_seed = int(factory.stream("characterize-replica").integers(1, 2**31))
+    report = characterize(
+        point["workload"], n_procs=point["procs"],
+        sim=replace(config, seed=sub_seed),
+    )
+    return {
+        "l1i_mpki": report.l1i_mpki,
+        "l1d_mpki": report.l1d_mpki,
+        "l2_data_mpki": report.l2_data_mpki,
+        "c2c_ratio": report.c2c_ratio,
+        "cpi": report.cpi.total,
     }
 
 
@@ -162,6 +200,22 @@ STUDIES = {
     "ablation": _ablation_spec,
     "saturation": _saturation_spec,
 }
+
+
+def characterize_spec(
+    workload: str, n_procs: int, runs: int, sim: SimConfig
+) -> CampaignSpec:
+    """``jmmw characterize W -p P --runs R``: one point, R reps."""
+    return CampaignSpec(
+        name="characterize",
+        table=RunTable(
+            name="characterize",
+            axes=(Axis("workload", (workload,)), Axis("procs", (n_procs,))),
+            reps=runs,
+        ),
+        fn=characterize_cell,
+        kwargs=asdict(sim),
+    )
 
 
 def get_study(name: str, *, reps: int = 2, quick: bool = False) -> CampaignSpec:

@@ -7,7 +7,9 @@ declaration (ordered axes, each a named tuple of values, plus a
 repetition count) and :meth:`RunTable.cells` is its deterministic
 expansion: the cartesian product of the axes in declaration order,
 each point repeated ``reps`` times, every cell carrying a stable
-human-readable key (``protocol=mosi/workload=ecperf/rep0``).
+human-readable key (``protocol=mosi/workload=ecperf/rep0``).  Reps are
+the package's one multi-run mechanism: ``jmmw characterize --runs R``
+is a table of one point and R reps.
 
 Cell order is part of the contract: schedulers may complete cells in
 any order, but results are always reported in table order, so two
@@ -115,9 +117,11 @@ class CampaignSpec:
     ``fn(point, rep, **kwargs)`` must be a module-level callable
     (workers import it by reference) returning a ``dict[str, float]``
     of named metrics; ``kwargs`` carries any fixed configuration (a
-    SimConfig, a scratch directory) and participates in the campaign
-    signature, so a resumed campaign can never be served results from
-    a differently-configured one.
+    SimConfig's fields, a scratch directory) as JSON-able values and
+    participates in the campaign signature and every cell key, so a
+    resumed or cached campaign can never be served results from a
+    differently-configured one.  The cell function seeds itself from
+    ``rep``: each study keeps its own perturbation rule.
     """
 
     name: str
@@ -127,6 +131,28 @@ class CampaignSpec:
 
     def cell_args(self, cell: Cell) -> tuple[tuple, dict]:
         return (cell.point_dict, cell.rep), dict(self.kwargs)
+
+    def _fn_name(self) -> str:
+        return f"{self.fn.__module__}.{self.fn.__qualname__}"
+
+    def cell_key(self, cell: Cell) -> str:
+        """Result-cache key of one cell: its function, the kwargs, the
+        point, the rep and the :func:`~repro.harness.cache.run_switches`.
+
+        The table's shape and name are left out, so a cell's result
+        serves every table holding that point and rep (a 4-rep run
+        reuses a 3-rep run's cells).
+        """
+        from repro.harness.cache import content_key, run_switches
+
+        return content_key(
+            kind="campaign-cell",
+            fn=self._fn_name(),
+            fn_kwargs=dict(self.kwargs),
+            point=cell.point_dict,
+            rep=cell.rep,
+            **run_switches(),
+        )
 
     def signature(self) -> str:
         """Campaign identity: table + cell function + config + code version.
@@ -144,7 +170,7 @@ class CampaignSpec:
             kind="campaign",
             campaign=self.name,
             table=self.table.signature_fields(),
-            fn=f"{self.fn.__module__}.{self.fn.__qualname__}",
+            fn=self._fn_name(),
             fn_kwargs=dict(self.kwargs),
             **run_switches(),
         )

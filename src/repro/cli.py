@@ -64,7 +64,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 
 from repro.core.config import E6000, SimConfig
 
@@ -307,67 +306,61 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         _finish_obs(table=False)
         return 0
 
-    # Multi-run characterization: replicas fan out through the harness
-    # and are reported Alameldeen-&-Wood style (mean ± std).  A replica
-    # that fails is excluded and reported on stderr (exit 1), not fatal.
-    from repro.core.experiment import run_repeated
+    # Multi-run characterization: R reps of a one-point campaign, on
+    # the --jobs pool, reported Alameldeen-&-Wood style (mean ± std).
+    # A replica that fails is left out and listed on stderr (exit 1).
+    from repro.campaign import (
+        CampaignPolicy,
+        LocalPoolExecutor,
+        SerialExecutor,
+        run_campaign,
+    )
+    from repro.campaign.report import degradation_line, summarize
+    from repro.campaign.studies import characterize_spec
     from repro.core.report import render_table
-    from repro.errors import AnalysisError, CampaignInterrupted
+    from repro.errors import CampaignInterrupted
     from repro.figures.common import FIGURE_SIM
     from repro.harness import FaultPolicy
-    from repro.harness.tasks import (
-        characterize_cache_key,
-        characterize_campaign_signature,
-        characterize_run_fn,
-    )
 
-    sim = sim if sim is not None else FIGURE_SIM
-    cache = _make_cache(args)
-    manifest = _open_manifest(
-        args,
-        characterize_campaign_signature(args.workload, args.procs, sim, args.runs),
+    spec = characterize_spec(
+        args.workload, args.procs, args.runs,
+        sim if sim is not None else FIGURE_SIM,
     )
-    failures: list = []
+    cache = _make_cache(args)
+    executor = (
+        SerialExecutor() if args.jobs == 1
+        else LocalPoolExecutor(args.jobs, max_respawns=args.runs)
+    )
+    manifest = _open_manifest(args, spec.signature())
     try:
-        results = run_repeated(
-            characterize_run_fn(args.workload, args.procs, sim),
-            n_runs=args.runs,
-            seed=sim.seed,
-            jobs=args.jobs,
-            cache=cache,
-            cache_key_fn=partial(
-                characterize_cache_key, args.workload, args.procs, sim, sim.seed
-            ),
-            faults=FaultPolicy(),
-            manifest=manifest,
+        result = run_campaign(
+            spec, executor, policy=CampaignPolicy(faults=FaultPolicy()),
+            manifest=manifest, interruptible=True, cache=cache,
             fail_fast=args.fail_fast,
-            interruptible=True,
-            on_failure=failures.append,
         )
     except CampaignInterrupted as interrupt:
         return _finish_interrupted(interrupt, manifest)
-    except AnalysisError as exc:
-        print(f"characterization failed: {exc}", file=sys.stderr)
-        _finish_obs()
-        manifest.close()
-        return 1
-    n_ok = next(iter(results.values())).n
-    print(
-        f"{args.workload} on {args.procs} processors (E6000-style), "
-        f"{n_ok}/{args.runs} replicas"
-    )
-    rows = [
-        (name, result.mean, result.std, result.n)
-        for name, result in sorted(results.items())
-    ]
-    print(render_table(["metric", "mean", "std", "n"], rows))
-    if failures:
-        print(f"{len(failures)} replica(s) failed:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
+    failed = [outcome for outcome in result.outcomes if not outcome.ok]
+    if len(failed) == args.runs:
+        print(
+            f"characterization failed: all {args.runs} replicas failed; "
+            f"first failure: {degradation_line(failed[0])}",
+            file=sys.stderr,
+        )
+    else:
+        print(
+            f"{args.workload} on {args.procs} processors (E6000-style), "
+            f"{args.runs - len(failed)}/{args.runs} replicas"
+        )
+        rows = [row[1:] for row in summarize(result)]  # one point: no point column
+        print(render_table(["metric", "mean", "std", "n"], rows))
+        if failed:
+            print(f"{len(failed)} replica(s) failed:", file=sys.stderr)
+            for outcome in failed:
+                print(f"  {degradation_line(outcome)}", file=sys.stderr)
     _finish_obs()
     manifest.close()
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -529,8 +522,10 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 def cmd_loadplane(args: argparse.Namespace) -> int:
     """Run a load-plane saturation sweep and print the report.
 
-    Exit codes: 0 report printed, 2 bad configuration, 4 one or more
-    sweep points failed, 130 drained interrupt.
+    The ladder's points are one :func:`repro.harness.run_tasks` batch,
+    journalled for ``--resume``; Ctrl-C or SIGTERM drains the points in
+    flight.  Exit codes: 0 report printed, 2 bad configuration, 4 one
+    or more sweep points failed, 130 drained interrupt.
     """
     from repro.errors import CampaignInterrupted, ConfigError, HarnessError
     from repro.harness import content_key
@@ -576,6 +571,7 @@ def cmd_loadplane(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache=cache,
             manifest=manifest,
+            interruptible=True,
         )
     except CampaignInterrupted as interrupt:
         return _finish_interrupted(interrupt, manifest)
@@ -620,7 +616,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
+def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
+    """``--jobs``, ``--no-cache``, ``--resume`` and ``--obs``: the flags
+    every journalled batch takes (``jmmw loadplane`` takes only these)."""
     parser.add_argument(
         "--jobs", type=_positive_int, default=1, metavar="N",
         help="worker processes for independent runs (default 1 = serial)",
@@ -630,16 +628,22 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
         help="recompute everything; skip the on-disk result cache",
     )
     parser.add_argument(
+        "--resume", action="store_true",
+        help="continue an interrupted campaign from its manifest; "
+        "completed tasks are served back bit-identically",
+    )
+    _add_obs_flag(parser)
+
+
+def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
+    """The batch flags plus the simulator's switches and ``--fail-fast``."""
+    _add_batch_flags(parser)
+    parser.add_argument(
         "--no-fastpath", action="store_true",
         help="run the Python reference of each of the compiled kernel's "
         "three steps instead of the kernel: coherent hierarchy replay, "
         "the miss-curve sweep and instruction code bursts (results are "
         "bit-identical; same as JMMW_FASTPATH=0)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="continue an interrupted campaign from its manifest; "
-        "completed tasks are served back bit-identically",
     )
     parser.add_argument(
         "--fail-fast", action="store_true",
@@ -651,7 +655,6 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
         "inclusion, stats conservation) on a sampled schedule while "
         "running; same as JMMW_CHECK=1",
     )
-    _add_obs_flag(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -824,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-plot", action="store_true",
         help="omit the ASCII throughput curve from the report",
     )
-    _add_harness_flags(loadplane)
+    _add_batch_flags(loadplane)
     loadplane.set_defaults(fn=cmd_loadplane)
 
     info = sub.add_parser("info", help="show the modeled system inventory")

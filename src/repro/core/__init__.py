@@ -1,8 +1,9 @@
 """Characterization framework core.
 
-Configuration objects, metric containers, the multi-run experiment
-runner (Alameldeen–Wood variability methodology), text reporting, and
-the high-level characterization API used by the figure drivers.
+Configuration objects, metric containers, parameter sweeps, text
+reporting, and the high-level characterization API used by the figure
+drivers.  Repeated perturbed runs (the Alameldeen–Wood variability
+methodology) are campaign reps: see :mod:`repro.campaign`.
 """
 
 from repro.core.config import (
@@ -13,7 +14,6 @@ from repro.core.config import (
     cmp_machine,
     e6000_machine,
 )
-from repro.core.experiment import Experiment, MultiRunResult, run_repeated
 from repro.core.metrics import CpiBreakdown, DataStallBreakdown, MissCounters, mpki
 from repro.core.sweep import SweepResult, sweep
 
@@ -24,9 +24,6 @@ __all__ = [
     "SimConfig",
     "cmp_machine",
     "e6000_machine",
-    "Experiment",
-    "MultiRunResult",
-    "run_repeated",
     "CpiBreakdown",
     "DataStallBreakdown",
     "MissCounters",

@@ -1,7 +1,7 @@
 """Parallel experiment harness.
 
-The execution layer under every sweep, figure, multi-run experiment
-and campaign:
+The execution layer under every sweep, figure and campaign
+(``characterize --runs`` replicas are campaign reps):
 
 - :mod:`repro.harness.engine` — the one execution engine: one worker
   process pool, the in-process serial executor, and one scheduling
@@ -9,9 +9,8 @@ and campaign:
   quarantine, degradation, the SIGINT drain) and emits every
   ``task/*`` event;
 - :mod:`repro.harness.runner` — :func:`run_tasks`, the one batch front
-  end and the engine's only caller: figures, replicas, the load-plane
-  ladder and campaign run tables (parallel results are bit-identical
-  to serial);
+  end and the engine's only caller: figures, the load-plane ladder and
+  campaign run tables (parallel results are bit-identical to serial);
 - :mod:`repro.harness.cache` — content-addressed on-disk result cache
   keyed by config + workload + replica + code version, with
   checksummed entries and quarantine for corrupt ones;
@@ -21,8 +20,8 @@ and campaign:
   graceful degradation (a failed replica is reported, not fatal);
 - :mod:`repro.harness.chaos` — test-only deterministic fault injection
   (worker crashes, hangs, poisoned cells, corrupt cache entries);
-- :mod:`repro.harness.tasks` — the picklable task functions the CLI
-  and experiment layer fan out;
+- :mod:`repro.harness.tasks` — the picklable figure and sweep-shard
+  task functions the CLI fans out;
 - :mod:`repro.harness.traceplane` — generate-once/replay-many trace
   sharing through memory-mapped files: the campaign parent publishes
   each trace bundle once into the plane's own directory, workers

@@ -196,7 +196,7 @@ class SerialExecutor:
     def __init__(self) -> None:
         self._done: list[Done] = []
 
-    def start(self) -> None:
+    def start(self, units: int) -> None:
         pass
 
     def stop(self) -> None:
@@ -244,8 +244,10 @@ class SerialExecutor:
 class LocalPoolExecutor:
     """A pool of owned worker processes — what ``--jobs N`` runs on.
 
-    Liveness comes from each process's sentinel and the dispatch time.
-    Dead workers are respawned on demand up to ``max_respawns``
+    ``start`` forks no more workers than the batch has units;
+    ``describe`` names the configured count either way.  Liveness
+    comes from each process's sentinel and the dispatch time.  Dead
+    workers are respawned on demand up to ``max_respawns``
     (default ``2 * workers``); past it, capacity shrinks and the
     scheduler degrades gracefully instead of burning workers forever.
     """
@@ -266,8 +268,9 @@ class LocalPoolExecutor:
         self._dead: list[Dead] = []  # found at dispatch, reported by poll
         self._ctx = _mp_context()
 
-    def start(self) -> None:
-        self._slots = [_Worker(self._ctx, wid) for wid in range(self.workers)]
+    def start(self, units: int) -> None:
+        workers = min(self.workers, units)
+        self._slots = [_Worker(self._ctx, wid) for wid in range(workers)]
 
     def stop(self) -> None:
         for worker in self._slots:
@@ -561,7 +564,7 @@ def schedule(
         until = max(0.0, min(entry[0] for entry in delayed) - time.monotonic())
         return min(until, _TICK_S) if timed else until
 
-    executor.start()
+    executor.start(len(units))
     try:
         with _InterruptDrain(interruptible) as drain:
             while len(decided) < len(units):

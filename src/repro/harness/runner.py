@@ -1,7 +1,7 @@
 """Parallel experiment runner: task batches over the one engine.
 
-Runs a batch of independent :class:`Task`\\ s — sweep points, replica
-runs, whole figures, the cells of a campaign run table — on the
+Runs a batch of independent :class:`Task`\\ s — sweep points, whole
+figures, the cells of a campaign run table — on the
 execution engine (:mod:`repro.harness.engine`), consulting a
 :class:`~repro.harness.cache.ResultCache` and a
 :class:`~repro.harness.checkpoint.CampaignManifest` first and recording
@@ -115,7 +115,8 @@ def run_tasks(
     ``cache`` as they complete.
 
     ``jobs > 1`` runs the batch on a :class:`LocalPoolExecutor` of
-    ``min(jobs, pending)`` workers.  Every worker death costs its task
+    ``jobs`` workers (it forks no more than there are pending tasks,
+    whoever built it).  Every worker death costs its task
     one attempt, so the pool may respawn ``pending x max_attempts``
     times: the respawn budget can never run out before the tasks'
     retry budgets do.  ``executor`` (a :class:`SerialExecutor` or a
@@ -213,10 +214,9 @@ def run_tasks(
                 )
                 parallel = False
         if parallel:
-            workers = min(int(jobs), len(pending))
-            obs.emit("run/pool", jobs=workers, tasks=len(pending))
+            obs.emit("run/pool", jobs=int(jobs), tasks=len(pending))
             executor = LocalPoolExecutor(
-                workers, max_respawns=len(pending) * faults.max_attempts
+                int(jobs), max_respawns=len(pending) * faults.max_attempts
             )
         elif executor is None:
             executor = SerialExecutor()

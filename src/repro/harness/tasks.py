@@ -2,11 +2,11 @@
 
 Process pools ship tasks to workers by pickling ``(fn, args)``, which
 rules out closures — so the standard units of work (run a figure,
-characterize one replica of a workload, replay one shard of a
-miss-curve sweep) live here as module-level functions, together with
-the builders that wrap them into
+replay one shard of a miss-curve sweep) live here as module-level
+functions, together with the builders that wrap them into
 :class:`~repro.harness.runner.Task` batches with content-addressed
-cache keys.
+cache keys.  Campaign cells, ``jmmw characterize --runs`` replicas
+included, live with their studies in :mod:`repro.campaign.studies`.
 
 Builders take an optional
 :class:`~repro.harness.traceplane.TracePlane` (``jmmw figures`` always
@@ -24,14 +24,11 @@ module's ``trace_specs(sim)`` (:func:`figure_trace_specs`).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
-from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import SimConfig
 from repro.harness.cache import content_key, run_switches
 from repro.harness.runner import Task
-from repro.rng import RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.traceplane import TracePlane, TraceRef, TraceSpec
@@ -175,54 +172,6 @@ def build_miss_curve_sweep_tasks(
     ]
 
 
-def characterize_replica(
-    workload: str, n_procs: int, sim: SimConfig, factory: RngFactory
-) -> dict[str, float]:
-    """One replica of a workload characterization, as named quantities.
-
-    The replica's entire perturbation comes from ``factory`` (seed +
-    ``run_index``), which re-seeds the simulation through a drawn
-    sub-seed — the Alameldeen–Wood discipline.  Deterministic given
-    ``(sim.seed, run_index)`` regardless of which process runs it.
-
-    Replicas deliberately share **no** traces through the plane: the
-    variability methodology requires each replica to perturb its own
-    generation seed, so there is nothing to generate once.
-    """
-    from repro.core.characterize import characterize
-
-    sub_seed = int(factory.stream("characterize-replica").integers(1, 2**31))
-    report = characterize(workload, n_procs=n_procs, sim=replace(sim, seed=sub_seed))
-    return {
-        "l1i_mpki": report.l1i_mpki,
-        "l1d_mpki": report.l1d_mpki,
-        "l2_data_mpki": report.l2_data_mpki,
-        "c2c_ratio": report.c2c_ratio,
-        "cpi": report.cpi.total,
-    }
-
-
-def characterize_run_fn(workload: str, n_procs: int, sim: SimConfig):
-    """A picklable ``RunFn`` for :func:`repro.core.experiment.run_repeated`."""
-    return partial(characterize_replica, workload, n_procs, sim)
-
-
-def characterize_cache_key(
-    workload: str, n_procs: int, sim: SimConfig, seed: int, run_index: int
-) -> str:
-    """Cache key for one characterization replica (with the
-    :func:`~repro.harness.cache.run_switches`)."""
-    return content_key(
-        kind="characterize-replica",
-        workload=workload,
-        n_procs=n_procs,
-        sim=sim,
-        seed=seed,
-        run_index=run_index,
-        **run_switches(),
-    )
-
-
 # -- campaign signatures -----------------------------------------------------
 #
 # A campaign signature describes one CLI invocation's entire batch of
@@ -235,18 +184,4 @@ def figures_campaign_signature(module_names: list[str], sim: SimConfig) -> str:
     """Signature of one ``jmmw figures`` campaign."""
     return content_key(
         kind="figures-campaign", modules=tuple(module_names), sim=sim, **run_switches()
-    )
-
-
-def characterize_campaign_signature(
-    workload: str, n_procs: int, sim: SimConfig, n_runs: int
-) -> str:
-    """Signature of one ``jmmw characterize --runs N`` campaign."""
-    return content_key(
-        kind="characterize-campaign",
-        workload=workload,
-        n_procs=n_procs,
-        sim=sim,
-        n_runs=n_runs,
-        **run_switches(),
     )

@@ -196,11 +196,15 @@ def run_saturation(
     cache=None,
     manifest=None,
     faults: FaultPolicy | None = None,
+    interruptible: bool = False,
 ) -> SaturationReport:
     """Run the sweep on the harness and assemble the report.
 
     Raises the first point's failure if any population fails — a
     saturation curve with silent holes would misplace the knee.
+    ``interruptible=True`` drains on SIGINT/SIGTERM and raises
+    :class:`~repro.errors.CampaignInterrupted` (see
+    :func:`repro.harness.run_tasks`).
     """
     outcomes = run_tasks(
         sweep_tasks(sweep),
@@ -208,6 +212,7 @@ def run_saturation(
         cache=cache,
         manifest=manifest,
         faults=faults,
+        interruptible=interruptible,
     )
     failed = [o.failure for o in outcomes if not o.ok]
     if failed:

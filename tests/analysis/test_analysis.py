@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    CommunicationFootprint,
-    MissCurve,
-    cumulative_share,
-    mean_std,
-    relative_change,
-)
-from repro.analysis.stats import geometric_mean
+from repro.analysis import CommunicationFootprint, MissCurve, cumulative_share
 from repro.errors import AnalysisError
 from repro.memsys.multisim import MissCurvePoint
 
@@ -133,26 +126,3 @@ def test_miss_curve_lookup_and_validation():
     with pytest.raises(AnalysisError):
         MissCurve(label="x", points=())
     assert "misses/1000" in curve.describe()
-
-
-def test_mean_std():
-    mu, sigma = mean_std([2.0, 4.0, 6.0])
-    assert mu == pytest.approx(4.0)
-    assert sigma == pytest.approx(2.0)
-    assert mean_std([5.0]) == (5.0, 0.0)
-    with pytest.raises(AnalysisError):
-        mean_std([])
-
-
-def test_relative_change():
-    assert relative_change(2.0, 2.5) == pytest.approx(0.25)
-    with pytest.raises(AnalysisError):
-        relative_change(0.0, 1.0)
-
-
-def test_geometric_mean():
-    assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-    with pytest.raises(AnalysisError):
-        geometric_mean([1.0, -1.0])
-    with pytest.raises(AnalysisError):
-        geometric_mean([])

@@ -1,104 +1,116 @@
-"""Serial-vs-parallel determinism and graceful degradation.
+"""Serial-vs-parallel determinism and graceful degradation of replicas.
 
-The harness's core guarantee: because each replica's perturbation is
-fully determined by ``(seed, run_index)`` and workers add nothing,
-``jobs=1`` and ``jobs=4`` produce bit-identical samples.  And because
-replicas are redundant by design, a raising replica degrades the
-experiment (fewer samples) instead of aborting it.
+``jmmw characterize --runs R`` runs R reps of a one-point campaign
+(:func:`repro.campaign.studies.characterize_spec`).  Because each rep's
+perturbation is fully determined by ``(seed, rep)`` and workers add
+nothing, every executor yields bit-identical samples.  And because
+replicas are redundant by design, a raising rep degrades the summary
+(fewer samples) instead of aborting it.
 """
 
 import json
-
-import pytest
+import statistics
+from dataclasses import replace
 
 from repro import obs
+from repro.campaign import (
+    Axis,
+    CampaignPolicy,
+    CampaignSpec,
+    LocalPoolExecutor,
+    RunTable,
+    SerialExecutor,
+    run_campaign,
+)
+from repro.campaign.report import summarize
+from repro.campaign.studies import characterize_spec
+from repro.core.characterize import characterize
 from repro.core.config import SimConfig
-from repro.core.experiment import run_repeated
-from repro.errors import AnalysisError
-from repro.harness import FaultPolicy, ResultCache, content_key
-from repro.harness.tasks import characterize_replica, characterize_run_fn
+from repro.harness import FaultPolicy, ResultCache
 from repro.rng import RngFactory
 
 TINY = SimConfig(seed=7, refs_per_proc=8_000, warmup_fraction=0.5)
 
 
+def _replicas(executor, runs, **kwargs) -> list:
+    """Every rep's metrics, in rep order."""
+    result = run_campaign(
+        characterize_spec("specjbb", 2, runs, TINY), executor, **kwargs
+    )
+    assert result.complete
+    return [outcome.value for outcome in result.outcomes]
+
+
 def test_specjbb_characterization_identical_serial_vs_parallel():
-    fn = characterize_run_fn("specjbb", 2, TINY)
-    serial = run_repeated(fn, n_runs=4, seed=TINY.seed, jobs=1)
-    parallel = run_repeated(fn, n_runs=4, seed=TINY.seed, jobs=4)
-    assert set(serial) == set(parallel)
-    for name in serial:
-        # bit-identical, not merely approximately equal
-        assert serial[name].samples == parallel[name].samples
-    assert serial["cpi"].std > 0.0  # replicas really were perturbed
+    serial = _replicas(SerialExecutor(), 4)
+    # bit-identical, not merely approximately equal
+    assert _replicas(LocalPoolExecutor(4), 4) == serial
+    # replicas really were perturbed
+    assert statistics.stdev(replica["cpi"] for replica in serial) > 0.0
 
 
 def test_replica_results_do_not_depend_on_scheduling_order():
-    fn = characterize_run_fn("specjbb", 2, TINY)
-    a = run_repeated(fn, n_runs=3, seed=TINY.seed, jobs=3)
-    b = run_repeated(fn, n_runs=3, seed=TINY.seed, jobs=2)
-    assert {k: v.samples for k, v in a.items()} == {
-        k: v.samples for k, v in b.items()
-    }
+    assert _replicas(LocalPoolExecutor(3), 3) == _replicas(LocalPoolExecutor(2), 3)
+
+
+def _run_cell(spec: CampaignSpec, rep: int) -> dict:
+    args, kwargs = spec.cell_args(spec.table.cells()[rep])
+    return spec.fn(*args, **kwargs)
 
 
 def test_replica_is_deterministic_per_run_index():
-    one = characterize_replica("specjbb", 2, TINY, RngFactory(TINY.seed, run_index=1))
-    two = characterize_replica("specjbb", 2, TINY, RngFactory(TINY.seed, run_index=1))
-    other = characterize_replica("specjbb", 2, TINY, RngFactory(TINY.seed, run_index=2))
-    assert one == two
-    assert one != other
+    spec = characterize_spec("specjbb", 2, 3, TINY)
+    assert _run_cell(spec, 1) == _run_cell(spec, 1)
+    assert _run_cell(spec, 1) != _run_cell(spec, 2)
 
 
-def raising_replica(factory):
-    if factory.run_index == 1:
+def test_rep_draws_its_sub_seed_from_the_rng_factory():
+    """A rep perturbs the way the Alameldeen–Wood method does: the
+    rep is the ``run_index`` of the factory that draws the sub-seed."""
+    factory = RngFactory(TINY.seed, run_index=2)
+    sub_seed = int(factory.stream("characterize-replica").integers(1, 2**31))
+    report = characterize("specjbb", n_procs=2, sim=replace(TINY, seed=sub_seed))
+    cell = _run_cell(characterize_spec("specjbb", 2, 3, TINY), 2)
+    assert cell["cpi"] == report.cpi.total
+    assert cell["c2c_ratio"] == report.c2c_ratio
+
+
+def raising_cell(point, rep):
+    if rep == 1:
         raise RuntimeError("injected replica failure")
-    return {"metric": float(factory.run_index)}
+    return {"metric": float(rep)}
 
 
 def test_failed_replica_is_excluded_not_fatal(tmp_path):
+    spec = CampaignSpec(
+        name="t", table=RunTable(name="t", axes=(Axis("x", (0,)),), reps=4),
+        fn=raising_cell,
+    )
     trace = tmp_path / "trace.jsonl"
     obs.open_sink(trace)
-    results = run_repeated(raising_replica, n_runs=4, seed=3, faults=FaultPolicy())
+    result = run_campaign(
+        spec, SerialExecutor(), policy=CampaignPolicy(faults=FaultPolicy())
+    )
     obs.close_sink()
     # remaining replicas complete; the bad one is excluded
-    assert results["metric"].samples == (0.0, 2.0, 3.0)
+    samples = [0.0, 2.0, 3.0]
+    assert summarize(result) == [
+        ("x=0", "metric", statistics.mean(samples), statistics.stdev(samples), 3)
+    ]
+    assert [outcome.status for outcome in result.outcomes] == [
+        "ok", "failed", "ok", "ok"
+    ]
     records = [json.loads(line) for line in trace.read_text().splitlines()]
-    events = [r["event"] for r in records if r["type"] == "event"]
-    assert "task/error" in events
     failed = [r for r in records if r.get("event") == "task/error"]
-    assert "injected replica failure" in failed[0]["error"]
-
-
-def test_all_replicas_failing_raises():
-    def always_fail(factory):
-        raise RuntimeError("nope")
-
-    with pytest.raises(AnalysisError, match="all 3 runs failed"):
-        run_repeated(always_fail, n_runs=3, faults=FaultPolicy())
-
-
-def test_legacy_serial_path_still_propagates():
-    with pytest.raises(RuntimeError):
-        run_repeated(raising_replica, n_runs=4, seed=3)
+    assert failed and "injected replica failure" in failed[0]["error"]
 
 
 def test_replica_caching_round_trip(tmp_path):
     cache = ResultCache(tmp_path)
-    fn = characterize_run_fn("specjbb", 2, TINY)
-
-    def key_fn(run_index: int) -> str:
-        return content_key(kind="test-replica", sim=TINY, run_index=run_index)
-    first = run_repeated(
-        fn, n_runs=3, seed=TINY.seed, cache=cache, cache_key_fn=key_fn
-    )
+    first = _replicas(SerialExecutor(), 3, cache=cache)
     assert obs.COUNTERS.get("cache/miss") == 3
     obs.reset()
-    second = run_repeated(
-        fn, n_runs=3, seed=TINY.seed, cache=cache, cache_key_fn=key_fn
-    )
+    second = _replicas(SerialExecutor(), 3, cache=cache)
     assert obs.COUNTERS.get("cache/hit") == 3
     assert obs.COUNTERS.get("task/start") == 0
-    assert {k: v.samples for k, v in first.items()} == {
-        k: v.samples for k, v in second.items()
-    }
+    assert first == second

@@ -9,12 +9,7 @@ from repro.core.config import SimConfig
 from repro.harness import ResultCache, code_version, content_key, default_cache_dir
 from repro.harness.cache import QUARANTINE_DIR
 from repro.harness.chaos import CORRUPTION_MODES, corrupt_cache_entry
-from repro.harness.tasks import (
-    characterize_cache_key,
-    characterize_campaign_signature,
-    figure_cache_key,
-    figures_campaign_signature,
-)
+from repro.harness.tasks import figure_cache_key, figures_campaign_signature
 
 
 def test_content_key_is_stable_and_order_insensitive():
@@ -53,18 +48,26 @@ def _campaign_signature():
     return CampaignSpec(name="s", table=table, fn=smoke_cell).signature()
 
 
+def _characterize_spec():
+    from repro.campaign.studies import characterize_spec
+
+    return characterize_spec("specjbb", 2, 2, SimConfig())
+
+
+def _characterize_replica_key():
+    """A ``characterize --runs`` replica's key: its ``CampaignSpec.cell_key``."""
+    spec = _characterize_spec()
+    return spec.cell_key(spec.table.cells()[0])
+
+
 #: Every result key and campaign signature, at one fixed input.
 KEYS = {
     "figure": lambda: figure_cache_key("fig04_scaling", SimConfig()),
-    "characterize-replica": lambda: characterize_cache_key(
-        "specjbb", 2, SimConfig(), 1234, 0
-    ),
+    "characterize-replica": _characterize_replica_key,
     "figures-campaign": lambda: figures_campaign_signature(
         ["fig04_scaling"], SimConfig()
     ),
-    "characterize-campaign": lambda: characterize_campaign_signature(
-        "specjbb", 2, SimConfig(), 2
-    ),
+    "characterize-campaign": lambda: _characterize_spec().signature(),
     "campaign": _campaign_signature,
 }
 

@@ -98,16 +98,16 @@ def test_characterize_injected_failure_degrades_gracefully(
     smoke_env, monkeypatch, capsys
 ):
     """A raising replica is excluded, summarized on stderr, and exits 1."""
-    import repro.harness.tasks as harness_tasks
+    from repro.campaign import studies
 
-    real = harness_tasks.characterize_replica
+    real = studies.characterize_cell
 
-    def flaky(workload, n_procs, sim, factory):
-        if factory.run_index == 1:
+    def flaky(point, rep, **sim):
+        if rep == 1:
             raise RuntimeError("injected replica failure")
-        return real(workload, n_procs, sim, factory)
+        return real(point, rep, **sim)
 
-    monkeypatch.setattr(harness_tasks, "characterize_replica", flaky)
+    monkeypatch.setattr(studies, "characterize_cell", flaky)
     trace = smoke_env / "trace.jsonl"
     rc = main(
         [
@@ -122,6 +122,34 @@ def test_characterize_injected_failure_degrades_gracefully(
     assert "injected replica failure" in captured.err
     failures = [r for r in _records(trace) if r.get("event") == "task/error"]
     assert failures and "injected replica failure" in failures[0]["error"]
+
+
+def test_characterize_every_replica_failing_exits_1(smoke_env, monkeypatch, capsys):
+    from repro.campaign import studies
+
+    def broken(point, rep, **sim):
+        raise RuntimeError(f"replica {rep} broken")
+
+    monkeypatch.setattr(studies, "characterize_cell", broken)
+    argv = ["characterize", "specjbb", "-p", "2", "--quick", "--runs", "3"]
+    assert main(argv + ["--no-cache"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "characterization failed: all 3 replicas failed" in captured.err
+    assert "replica 0 broken" in captured.err
+
+
+def test_characterize_more_runs_reuse_cached_replicas(smoke_env):
+    """Replica cache keys ignore the table's shape: ``--runs 4`` is
+    served the three replicas ``--runs 3`` computed."""
+    from repro import obs
+
+    argv = ["characterize", "specjbb", "--quick", "-p", "2", "--runs"]
+    assert main(argv + ["3"]) == 0
+    assert obs.COUNTERS.get("cache/miss") == 3
+    assert main(argv + ["4"]) == 0
+    assert obs.COUNTERS.get("cache/hit") == 3
+    assert obs.COUNTERS.get("cache/miss") == 1
 
 
 def test_characterize_no_fastpath_is_not_served_fast_path_replicas(

@@ -444,6 +444,73 @@ def test_characterize_resume_is_byte_identical(cli_env, capsys, tmp_path):
     assert "task/start" not in events
 
 
+def test_characterize_pool_forks_one_worker_per_replica(
+    cli_env, monkeypatch, capsys
+):
+    started = _count_workers(monkeypatch)
+    argv = [
+        "characterize", "specjbb", "-p", "2", "--quick", "--runs", "2",
+        "--jobs", "4", "--no-cache",
+    ]
+    assert main(argv) == 0
+    assert "2/2 replicas" in capsys.readouterr().out
+    assert started == [0, 1]
+
+
+# -- load plane: interrupt + resume, flags -----------------------------------
+
+LOADPLANE_ARGV = [
+    "loadplane", "--users", "8", "32", "--windows", "3", "--window-s", "0.5",
+    "--no-cache", "--no-plot",
+]
+
+
+def test_interrupted_loadplane_drains_and_resumes_byte_identically(
+    cli_env, monkeypatch, capsys
+):
+    import repro.loadplane.sweep as sweep
+
+    # Baseline: the ladder end to end, no interruption.
+    assert main(LOADPLANE_ARGV) == 0
+    baseline = capsys.readouterr().out
+
+    # Fresh journal, interrupted while the first population runs.
+    monkeypatch.setenv("JMMW_CACHE_DIR", str(cli_env / "cache2"))
+    simulate = sweep._sweep_cell
+
+    def interrupting(config):
+        if config.n_users == 8:
+            os.kill(os.getpid(), signal.SIGINT)  # drain, don't lose it
+        return simulate(config)
+
+    monkeypatch.setattr(sweep, "_sweep_cell", interrupting)
+    try:
+        rc = main(LOADPLANE_ARGV)
+    except KeyboardInterrupt:
+        pytest.fail("Ctrl-C escaped `jmmw loadplane` instead of draining")
+    assert rc == 130
+    captured = capsys.readouterr()
+    assert "--resume" in captured.err
+    assert "1 task(s) completed, 1 remaining" in captured.err
+
+    # Resume: the drained point is served, the other computed, and
+    # stdout is byte-identical to the uninterrupted run.
+    assert main(LOADPLANE_ARGV + ["--resume"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == baseline
+    assert "resuming campaign: 1 task(s)" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--no-fastpath", "--check-invariants", "--fail-fast"])
+def test_loadplane_takes_no_simulator_flags(cli_env, capsys, flag):
+    """The load plane reads neither kernel switch and stops at no
+    failure (a lost point fails the sweep), so these flags are unknown."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(LOADPLANE_ARGV + [flag])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # -- campaign exit codes and resume ------------------------------------------
 
 
@@ -591,15 +658,9 @@ def test_journal_report_prints_every_degraded_cell_like_the_live_run(
     ]
 
 
-def test_resume_of_a_complete_campaign_starts_no_worker(
-    cli_env, monkeypatch, capsys
-):
+def _count_workers(monkeypatch) -> list:
+    """The ids of the pool workers started from here on, in order."""
     from repro.harness import engine
-
-    argv = ["campaign", "run", "smoke", "--reps", "1", "--jobs", "4"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert "executor: local (4 workers)" in first
 
     started = []
     init = engine._Worker.__init__
@@ -609,9 +670,39 @@ def test_resume_of_a_complete_campaign_starts_no_worker(
         init(self, ctx, wid)
 
     monkeypatch.setattr(engine._Worker, "__init__", counting_init)
+    return started
+
+
+def test_resume_of_a_complete_campaign_starts_no_worker(
+    cli_env, monkeypatch, capsys
+):
+    argv = ["campaign", "run", "smoke", "--reps", "1", "--jobs", "4"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert "executor: local (4 workers)" in first
+
+    started = _count_workers(monkeypatch)
     assert main(argv + ["--resume"]) == 0
     assert started == []  # the journal served every cell
     assert capsys.readouterr().out == first
+
+
+def test_resume_of_a_partial_campaign_starts_one_worker_per_cell_left(
+    cli_env, monkeypatch, capsys
+):
+    from repro.campaign.state import journal_path
+
+    argv = ["campaign", "run", "smoke", "--reps", "1", "--jobs", "4"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    path = journal_path("smoke")
+    records = path.read_text().splitlines()
+    path.write_text("\n".join(records[:-1]) + "\n")  # the last cell is lost
+
+    started = _count_workers(monkeypatch)
+    assert main(argv + ["--resume"]) == 0
+    assert started == [0]  # one cell left to run: one worker, not four
+    assert capsys.readouterr().out == first  # `executor: local (4 workers)`
 
 
 def test_interrupted_pool_campaign_resumes_byte_identically(

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.campaign import Axis, CampaignSpec, RunTable, SerialExecutor, run_campaign
+from repro.campaign.report import summarize
 from repro.core.config import SimConfig, e6000_machine
-from repro.core.experiment import run_repeated
 from repro.cpu import InOrderCpuModel
 from repro.figures.common import figure_trace, simulate_multiprocessor
 from repro.harness.traceplane import TraceSpec
@@ -62,20 +63,28 @@ def test_msi_vs_mosi_copybacks():
     assert msi.bus.stats.writebacks > mosi.bus.stats.writebacks
 
 
+def c2c_cell(point, rep):
+    """One perturbed run: ``rep`` is the factory's ``run_index``."""
+    workload = SpecJbbWorkload(warehouses=2)
+    factory = RngFactory(seed=point["seed"], run_index=rep)
+    bundle = workload.generate(2, SIM.with_refs(15_000), factory)
+    hierarchy = MemoryHierarchy(e6000_machine(2))
+    hierarchy.run_trace(bundle.per_cpu, warmup_fraction=0.5)
+    return {"c2c_ratio": hierarchy.c2c_ratio()}
+
+
 def test_variability_methodology_end_to_end():
     """Alameldeen-Wood style: repeated runs give a mean and spread."""
-
-    def one_run(factory):
-        workload = SpecJbbWorkload(warehouses=2)
-        bundle = workload.generate(2, SIM.with_refs(15_000), factory)
-        hierarchy = MemoryHierarchy(e6000_machine(2))
-        hierarchy.run_trace(bundle.per_cpu, warmup_fraction=0.5)
-        return {"c2c_ratio": hierarchy.c2c_ratio()}
-
-    results = run_repeated(one_run, n_runs=3, seed=77)
-    ratio = results["c2c_ratio"]
-    assert ratio.n == 3
-    assert 0.0 <= ratio.mean <= 1.0
+    spec = CampaignSpec(
+        name="variability",
+        table=RunTable(name="variability", axes=(Axis("seed", (77,)),), reps=3),
+        fn=c2c_cell,
+    )
+    result = run_campaign(spec, SerialExecutor())
+    [(point, metric, mean, std, n)] = summarize(result)
+    assert (point, metric, n) == ("seed=77", "c2c_ratio", 3)
+    assert 0.0 <= mean <= 1.0
+    assert std > 0.0  # the runs really were perturbed
 
 
 def test_same_seed_same_results():
