@@ -140,15 +140,23 @@ _SWEEP_FALLBACK_NOTICES = {
     "alloc": "the kernel could not allocate the sweep's caches",
 }
 
+#: The same for load-plane runs whose events ran the Python loop.
+_EVENTS_FALLBACK_NOTICES = {
+    "no-kernel": "the compiled kernel is unavailable (no C compiler?)",
+    "no-npyrandom": "numpy's libnpyrandom.a was not found, so the kernel "
+    "has no events step",
+}
+
 
 def _finish_obs(table: bool = True) -> None:
     """End-of-run stderr report: the counter table when ``table`` is set
     or under ``--obs`` (spans first), and one notice per reason that
-    made coherent replays, miss-curve sweeps or code bursts run in
-    Python instead of in the compiled kernel."""
+    made coherent replays, miss-curve sweeps, code bursts or load-plane
+    events run in Python instead of in the compiled kernel."""
     from repro import obs
     from repro.memsys.fastpath_coherence import (
         BURST_FALLBACK_COUNTER,
+        EVENTS_FALLBACK_COUNTER,
         FALLBACK_COUNTER,
         SWEEP_FALLBACK_COUNTER,
     )
@@ -162,6 +170,8 @@ def _finish_obs(table: bool = True) -> None:
          _SWEEP_FALLBACK_NOTICES),
         (BURST_FALLBACK_COUNTER, "trace(s) drew their code bursts in Python",
          _BURST_FALLBACK_NOTICES),
+        (EVENTS_FALLBACK_COUNTER, "load-plane run(s) played their events in Python",
+         _EVENTS_FALLBACK_NOTICES),
     ):
         for reason, cause in causes.items():
             count = obs.COUNTERS.get(f"{counter}/{reason}")
@@ -300,6 +310,17 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         sim = SimConfig(seed=1234, refs_per_proc=80_000, warmup_fraction=0.5)
 
     if args.runs == 1:
+        unused = [flag for flag, given in (
+            ("--jobs", args.jobs > 1), ("--resume", args.resume)
+        ) if given]
+        if unused:
+            print(
+                f"characterize: {' and '.join(unused)} without --runs "
+                "above 1: a single run is one in-process call, with no "
+                "worker pool or journal",
+                file=sys.stderr,
+            )
+            return 2
         _apply_env_flags(args)
         report = characterize(args.workload, n_procs=args.procs, sim=sim)
         print(report.render())
@@ -529,6 +550,7 @@ def cmd_loadplane(args: argparse.Namespace) -> int:
     """
     from repro.errors import CampaignInterrupted, ConfigError, HarnessError
     from repro.harness import content_key
+    from repro.harness.cache import run_switches
     from repro.loadplane import FULL_POPULATIONS, QUICK_POPULATIONS, SweepConfig
     from repro.loadplane.sweep import run_saturation
 
@@ -563,6 +585,7 @@ def cmd_loadplane(args: argparse.Namespace) -> int:
         window_s=sweep.window_s,
         warmup_fraction=sweep.warmup_fraction,
         seed=sweep.seed,
+        **run_switches(),
     )
     manifest = _open_manifest(args, signature)
     try:
@@ -640,9 +663,9 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     _add_batch_flags(parser)
     parser.add_argument(
         "--no-fastpath", action="store_true",
-        help="run the Python reference of each of the compiled kernel's "
-        "three steps instead of the kernel: coherent hierarchy replay, "
-        "the miss-curve sweep and instruction code bursts (results are "
+        help="run the Python reference of each compiled kernel step "
+        "instead of the kernel: coherent hierarchy replay, the miss-curve "
+        "sweep and instruction code bursts here (results are "
         "bit-identical; same as JMMW_FASTPATH=0)",
     )
     parser.add_argument(

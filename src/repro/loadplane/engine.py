@@ -31,6 +31,17 @@ pool, leaving the state that a per-user ``_arrive`` loop would.
 Placing a million users costs a few hundred numpy calls rather than a
 million Python transitions, so a run costs what its events cost.
 
+The events themselves run compiled.  After placement,
+:meth:`_Engine.run` hands the loop to the kernel library's events
+step (:class:`repro.memsys.fastpath_coherence.EventFrame`), which
+plays it in place on this engine's columns, pools and rings and draws
+from its generator through numpy's own samplers, one call per window;
+each window is closed here, by :meth:`_Engine._close_window`.  The
+Python loop (:meth:`_Engine._run_reference`) is the reference the step
+reproduces bit for bit.  It runs under ``JMMW_FASTPATH=0`` and when the
+step declines (no C compiler, or no ``libnpyrandom.a``); the
+``loadplane/simulate`` span records which loop ran (``events``).
+
 Every window's accounting is audited against the operational laws
 (see :mod:`repro.loadplane.windows`); a violation raises
 :class:`~repro.errors.InvariantViolation` — mis-transitioned users
@@ -39,6 +50,7 @@ cannot pass silently.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -182,8 +194,12 @@ class LoadPlaneResult:
 class _RandomBlocks:
     """Block-buffered draws from one named stream (hot-loop friendly).
 
-    Scalar and bulk uniforms (:meth:`uniform`, :meth:`uniform_runs`)
-    advance one position in one sequence of blocks.
+    Each block is an ``array('d')`` that the generator refills in place
+    (``out=``) with the draws a sized call would return, so a scalar
+    draw reads a Python float and the kernel's events step reads and
+    refills the same two buffers.  Scalar and bulk uniforms
+    (:meth:`uniform`, :meth:`uniform_runs`) advance one position in one
+    sequence of blocks.
     """
 
     __slots__ = ("_rng", "_block", "_uni", "_ui", "_exp", "_ei")
@@ -191,15 +207,18 @@ class _RandomBlocks:
     def __init__(self, rng: np.random.Generator, block: int = 8192) -> None:
         self._rng = rng
         self._block = block
+        self._uni = array("d", bytes(8 * block))
+        self._exp = array("d", bytes(8 * block))
         self._refill_uniforms()
         self._ui = 0
-        self._exp = rng.standard_exponential(block).tolist()
+        self._refill_exponentials()
         self._ei = 0
 
-    def _refill_uniforms(self) -> np.ndarray:
-        block = self._rng.random(self._block)
-        self._uni = block.tolist()
-        return block
+    def _refill_uniforms(self) -> None:
+        self._rng.random(out=np.frombuffer(self._uni))
+
+    def _refill_exponentials(self) -> None:
+        self._rng.standard_exponential(out=np.frombuffer(self._exp))
 
     def uniform(self) -> float:
         i = self._ui
@@ -214,36 +233,50 @@ class _RandomBlocks:
 
         Equal to ``k`` calls of :meth:`uniform`: the next block is
         drawn only when a run needs it, where the scalar calls would
-        draw it.  The first run copies the rest of the current block
-        from its list; the others are views of blocks drawn here.  No
-        numpy block outlives the call: one kept beside the list raised
-        the saturation campaign's peak RSS by about 0.2 MB.
+        draw it.  Each run is a copy, so it stays valid after a later
+        run refills the block.
         """
         while k > 0:
             i = self._ui
-            if i < self._block:  # the rest of the current block
-                n = min(k, self._block - i)
-                run = np.array(self._uni[i:i + n])
-            else:
-                i, n = 0, min(k, self._block)
-                run = self._refill_uniforms()[:n]
+            if i >= self._block:
+                self._refill_uniforms()
+                i = 0
+            n = min(k, self._block - i)
             self._ui = i + n
             k -= n
-            yield run
+            yield np.frombuffer(self._uni)[i:i + n].copy()
 
     def exponential(self) -> float:
         i = self._ei
         if i >= self._block:
-            self._exp = self._rng.standard_exponential(self._block).tolist()
+            self._refill_exponentials()
             i = 0
         self._ei = i + 1
         return self._exp[i]
+
+
+def _kernel_module():
+    """:mod:`repro.memsys.fastpath_coherence`, imported on first use, or
+    None under ``JMMW_FASTPATH=0`` (the events step is not asked)."""
+    from repro.memsys.fastpath import fastpath_enabled
+
+    if not fastpath_enabled():
+        return None
+    from repro.memsys import fastpath_coherence
+
+    return fastpath_coherence
 
 
 class _Engine:
     """One simulation run; see :func:`simulate_loadplane`."""
 
     def __init__(self, config: LoadPlaneConfig) -> None:
+        # The kernel module first: without cached bytecode its import
+        # compiles it, and compiling before this run allocates keeps the
+        # compiler's working memory off the run's peak (the saturation
+        # campaign's peak RSS is 0.8 MB lower than when the import comes
+        # after placement, on a 2-vCPU x86-64 VM).
+        self._kernel = _kernel_module()
         self.config = config
         profile = profile_for(config.workload)
         self.profile = profile
@@ -279,6 +312,12 @@ class _Engine:
         self.rand = _RandomBlocks(
             RngFactory(seed=config.seed).stream("loadplane")
         )
+        self.inv_think = (
+            0.0 if config.open_loop or config.think_s == 0
+            else 1.0 / config.think_s
+        )
+        #: Which implementation ran the events: ``kernel`` or ``reference``.
+        self.step = "reference"
         self.n_sys = 0
         self.events = 0
         self.now = 0.0
@@ -329,7 +368,8 @@ class _Engine:
         self.conn_pool.release()
         if self.conn_queue.size:
             waiter = self.conn_queue.pop()
-            assert self.conn_pool.try_acquire()
+            if not self.conn_pool.try_acquire():
+                raise SimulationError("a waiter found no connection to take")
             self._start_db(waiter, now)
         self._finish(user, now)
 
@@ -349,7 +389,8 @@ class _Engine:
         self.n_sys -= 1
         if self.thread_queue.size:
             waiter = self.thread_queue.pop()
-            assert self.thread_pool.try_acquire()
+            if not self.thread_pool.try_acquire():
+                raise SimulationError("a waiter found no thread to take")
             self._start_cpu(waiter, now)
         if self.config.open_loop:
             self.users.phase[user] = FREE
@@ -460,13 +501,40 @@ class _Engine:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> LoadPlaneResult:
-        config = self.config
+        """Place the users, then play the events: in the kernel's events
+        step (:class:`~repro.memsys.fastpath_coherence.EventFrame`) when
+        the fast path is on and the step is built, else in the Python
+        reference loop.  Both leave the same state, bit for bit."""
         self._place_users()
-        horizon = config.windows * config.window_s
-        inv_think = (
-            0.0 if config.open_loop or config.think_s == 0
-            else 1.0 / config.think_s
+        if self._kernel is not None:
+            frame = self._kernel.event_frame(self, _THINK_RATE_SCALE)
+            if frame is not None:
+                self.step = "kernel"
+                return self._run_kernel(frame)
+        return self._run_reference()
+
+    def budget_error(self) -> SimulationError:
+        """The error a run raises when its event budget runs out."""
+        return SimulationError(
+            f"load plane exceeded its {self.config.max_events} event "
+            f"budget at t={self.now:.3f}s; shrink the horizon or "
+            f"raise max_events"
         )
+
+    def _run_kernel(self, frame) -> LoadPlaneResult:
+        """The compiled loop: one step call per window, each window
+        closed here as the reference closes it."""
+        while True:
+            frame.run()
+            self._close_window()
+            if len(self.closed_windows) >= self.config.windows:
+                return self._result()
+
+    def _run_reference(self) -> LoadPlaneResult:
+        """The Python loop: the reference the events step reproduces."""
+        config = self.config
+        horizon = config.windows * config.window_s
+        inv_think = self.inv_think
         while True:
             think_rate = (
                 config.arrival_rate if config.open_loop
@@ -497,11 +565,7 @@ class _Engine:
             self.now = t_next
             self.events += 1
             if self.events > config.max_events:
-                raise SimulationError(
-                    f"load plane exceeded its {config.max_events} event "
-                    f"budget at t={self.now:.3f}s; shrink the horizon or "
-                    f"raise max_events"
-                )
+                raise self.budget_error()
             # Pick the firing clock: one uniform against the rate ladder.
             pick = self.rand.uniform() * total
             if pick < think_rate:
@@ -568,8 +632,10 @@ def simulate_loadplane(
     returns the result with :attr:`LoadPlaneResult.identity_errors`
     populated instead (the seeded-defect tests inspect it).
     """
-    with obs.span("loadplane/simulate"):
-        result = _Engine(config).run()
+    with obs.span("loadplane/simulate") as span:
+        engine = _Engine(config)
+        result = engine.run()
+        span.annotate(events=engine.step)
     if check_identities and result.identity_errors:
         raise InvariantViolation(
             "operational-law audit failed: "

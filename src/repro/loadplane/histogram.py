@@ -90,13 +90,13 @@ class LatencyHistogram:
         if self.total == 0:
             return 0.0
         rank = q * (self.total - 1)
-        cumulative = 0
-        for i, count in enumerate(self.counts):
-            cumulative += int(count)
-            if cumulative > rank:
-                edge = self.lo * self.growth**i
-                return edge * math.sqrt(self.growth)
-        return self.lo * self.growth ** len(self.counts)  # pragma: no cover
+        # The first bin whose running count exceeds the rank (counts
+        # stay far below 2**53, so the float comparison is exact).
+        i = int(np.searchsorted(np.cumsum(self.counts), rank, side="right"))
+        if i == len(self.counts):  # pragma: no cover
+            return self.lo * self.growth ** len(self.counts)
+        edge = self.lo * self.growth**i
+        return edge * math.sqrt(self.growth)
 
     def percentiles(self, qs: tuple[float, ...] = (0.5, 0.95, 0.99)) -> tuple[float, ...]:
         return tuple(self.quantile(q) for q in qs)

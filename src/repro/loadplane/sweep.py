@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from repro.core.report import ascii_plot, render_table
 from repro.errors import ConfigError, HarnessError
 from repro.harness import FaultPolicy, Task, content_key, run_tasks
+from repro.harness.cache import run_switches
 from repro.loadplane import analytic
 from repro.loadplane.engine import (
     LoadPlaneConfig,
@@ -89,6 +90,8 @@ def _sweep_cell(config: LoadPlaneConfig) -> LoadPlaneResult:
 
 
 def _point_key(config: LoadPlaneConfig) -> str:
+    """A point's result-cache key: its config and the run switches (a
+    ``JMMW_FASTPATH=0`` run must not be served a kernel-run result)."""
     return content_key(
         kind="loadplane/point",
         n_users=config.n_users,
@@ -104,6 +107,7 @@ def _point_key(config: LoadPlaneConfig) -> str:
         warmup_fraction=config.warmup_fraction,
         seed=config.seed,
         warm_start=config.warm_start,
+        **run_switches(),
     )
 
 

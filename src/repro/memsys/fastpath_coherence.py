@@ -1,9 +1,20 @@
-"""The compiled kernel: coherent replay, miss-curve sweeps, code bursts.
+"""The compiled kernel: coherent replay, miss-curve sweeps, code bursts
+and the load plane's events.
 
 One embedded C source, compiled at first use with the system C
-compiler and loaded through :mod:`ctypes`, holds three steps: the MOSI
-hierarchy replay, the Figure 12/13 miss-curve sweep and the code
-bursts of trace generation.
+compiler and loaded through :mod:`ctypes`, holds four steps: the MOSI
+hierarchy replay, the Figure 12/13 miss-curve sweep, the code bursts
+of trace generation and the load plane's event loop.  Each has a
+Python reference that ``JMMW_FASTPATH=0`` selects and that runs
+whenever the step declines, with the reason counted:
+
+- replay: :data:`FALLBACK_COUNTER` (``no-kernel``, ``unsupported``,
+  ``warm``, ``alloc``);
+- sweep: :data:`SWEEP_FALLBACK_COUNTER` (``no-kernel``, ``alloc``);
+- bursts: :data:`BURST_FALLBACK_COUNTER` (``no-kernel``,
+  ``no-npyrandom``);
+- events: :data:`EVENTS_FALLBACK_COUNTER` (``no-kernel``,
+  ``no-npyrandom``).
 
 The paper's headline figures (4-11, 14-16) replay *multiprocessor*
 traces through the full :class:`~repro.memsys.hierarchy.MemoryHierarchy`
@@ -103,14 +114,31 @@ share.  :func:`burst_frame` hands a builder its link to the step; a
 trace whose bursts ran in Python with the fast path on is counted
 under :data:`BURST_FALLBACK_COUNTER` (``no-kernel``, or
 ``no-npyrandom`` when numpy ships no ``libnpyrandom.a`` and the
-library is built without the burst step).
+library is built without the steps that draw through it).
+
+The fourth step, ``jmmw_events``, is the load plane's Gillespie loop,
+:class:`repro.loadplane.engine._Engine`'s ``run`` after placement: the
+rate ladder, the exponential time step, area integration, the firing
+clock, every transition (arrivals with zero-think re-entry and
+open-loop drops, CPU and DB completions), histogram binning, the pool
+counters and the event budget.  :class:`EventFrame` runs it in place on
+the engine's own columns, pools and rings, one call per window; Python
+closes each window.  It draws from the engine's generator like the
+burst step, refilling the engine's uniform and exponential blocks with
+numpy's ``random_standard_uniform_fill`` and
+``random_standard_exponential_fill``, and keeps every floating-point
+operation of the reference in its order (``-ffp-contract=off``; libm's
+``log`` for the histogram bins, as ``math.log``).  A run that plays
+its events in Python with the fast path on is counted under
+:data:`EVENTS_FALLBACK_COUNTER` (``no-kernel`` or ``no-npyrandom``, the
+burst step's reasons: the two steps are built together).
 
 The compiled ``.so`` is cached under ``$XDG_CACHE_HOME/jmmw`` (or
 ``~/.cache/jmmw``) as ``coherence-<digest>.so``, the digest covering
-the embedded source and, with the burst step, numpy's version and the
-bytes of ``libnpyrandom.a``, so the build cost is paid once per
-machine, not per process.  It is loaded on first use, never at
-import.
+the embedded source, the compiler flags and, with the steps that draw
+through numpy's samplers, numpy's version and the bytes of
+``libnpyrandom.a``, so the build cost is paid once per machine, not
+per process.  It is loaded on first use, never at import.
 """
 
 from __future__ import annotations
@@ -128,7 +156,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs as _obs
-from repro.errors import ConfigError, SimulationError, WorkloadError
+from repro.errors import AnalysisError, ConfigError, SimulationError, WorkloadError
 from repro.memsys.block import INSTRUCTIONS_PER_IFETCH
 from repro.memsys.coherence import STATE_BY_VALUE, CacheSideStats, CoherenceStats
 from repro.memsys.fastpath import fastpath_enabled
@@ -167,7 +195,8 @@ _PROTOCOL_IDS = {"mosi": 0, "msi": 1, "mesi": 2}
 #: (re-introduces the pre-fix accounting bug), 2 = skip the LRU
 #: refresh on L2 read hits (corrupts replacement decisions),
 #: 3 = :data:`BURST_DEFECT_NO_REENTRY` (code bursts),
-#: 4 = :data:`SWEEP_DEFECT_FORGET_AT_FEED` (miss-curve sweeps).
+#: 4 = :data:`SWEEP_DEFECT_FORGET_AT_FEED` (miss-curve sweeps),
+#: 5 = :data:`LOADPLANE_DEFECT_NO_CLIP` (load-plane events).
 _defect = 0
 
 
@@ -867,8 +896,8 @@ void jmmw_sweep_get(Sweep *m, int64_t *out) {
     out[4 * m->n_geo + 1] = m->warm_ifetch;
 }
 
-#ifdef JMMW_BURST
-/* ---- Code bursts: CodeLayout.burst + StreamBuilder.code_burst ------ */
+#ifdef JMMW_NPYRANDOM
+/* ---- The steps that draw through numpy's samplers ------------------ */
 
 #include <math.h>
 #include <stdbool.h>
@@ -889,6 +918,8 @@ void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
                                 uint64_t rng, intptr_t cnt, bool use_masked,
                                 uint64_t *out);
 double random_standard_exponential(bitgen_t *bitgen_state);
+
+/* ---- Code bursts: CodeLayout.burst + StreamBuilder.code_burst ------ */
 
 /* A burst frame (FRAME_FIELDS in Python): the inputs jmmw_burst reads,
  * then the results it writes.  Doubles travel as their bit patterns. */
@@ -1015,6 +1046,373 @@ void jmmw_burst(int64_t *f) {
     for (int64_t i = n_loads; i < n_data; i++) data[i] = store + 32 * data[i];
     f[F_RC] = BURST_OK;
 }
+
+/* ---- The load plane's event loop: loadplane.engine._Engine.run ------ */
+
+/* The samplers behind Generator.random(n) and
+ * Generator.standard_exponential(n), which refill _RandomBlocks. */
+void random_standard_uniform_fill(bitgen_t *bitgen_state, intptr_t cnt,
+                                  double *out);
+void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt,
+                                      double *out);
+
+/* User phases; values match repro.loadplane.state. */
+#define PH_THINKING 0
+#define PH_Q_THREAD 1
+#define PH_CPU 2
+#define PH_Q_CONN 3
+#define PH_DB 4
+#define PH_FREE 5
+
+/* Return codes (EVENTS_* in Python): EV_OK continues, EV_WINDOW hands
+ * a window end to Python, every other code is an error the reference
+ * raises. */
+enum { EV_OK, EV_WINDOW, EV_BUDGET, EV_POOL_OVERFLOW, EV_POOL_SAMPLE_EMPTY,
+       EV_POOL_POP_EMPTY, EV_RING_OVERFLOW, EV_RING_EMPTY,
+       EV_THREAD_RELEASE, EV_CONN_RELEASE, EV_THREAD_WAITER, EV_CONN_WAITER,
+       EV_NEGATIVE, EV_CORRUPT };
+
+#define DEFECT_NO_CLIP 5
+
+/* One run's state (_EventState in Python; every field 8 bytes).  Pool
+ * 0 is the idle pool, 1 + t the CPU pool and 1 + n_types + t the DB
+ * pool of type t; ring 0 is the thread queue, ring 1 the connection
+ * queue.  The window fields are the current WindowStats'. */
+typedef struct {
+    bitgen_t *bitgen;
+    double *uni, *exp;
+    int64_t block, ui, ei;
+    int8_t *phase, *txn;
+    double *t_enter, *t_thread, *t_conn;
+    int64_t *slot_of;
+    int64_t n_users, n_types;
+    const double *cum, *mu_cpu, *mu_db, *db_mean;
+    int64_t **members;
+    int64_t *pool_cap, *pool_size;
+    int64_t **ring_buf;
+    int64_t *ring_cap, *ring_head, *ring_size;
+    int64_t open_loop, thinks, max_events, defect;
+    double arrival_rate, inv_think, think_scale, horizon;
+    int64_t threads, t_in_use, t_peak, t_acquires, t_rejected;
+    int64_t conns, c_in_use, c_peak, c_acquires, c_blocked;
+    double now, t_next;
+    int64_t pending, events, n_sys;
+    double start_s, end_s;
+    int64_t completions, arrivals, drops;
+    double area_n, residence_n, area_busy_threads, residence_busy_threads;
+    double area_busy_conns, residence_busy_conns, resp_sum_s;
+    int64_t *counts;
+    int64_t n_bins, hist_total;
+    double hist_sum, hist_lo, hist_log_growth;
+} Events;
+
+/* _RandomBlocks.uniform and .exponential: the next draw of a block,
+ * refilled in place where rng.random / rng.standard_exponential would
+ * draw the next block. */
+static double ev_uniform(Events *s) {
+    int64_t i = s->ui;
+    if (i >= s->block) {
+        random_standard_uniform_fill(s->bitgen, (intptr_t)s->block, s->uni);
+        i = 0;
+    }
+    s->ui = i + 1;
+    return s->uni[i];
+}
+
+static double ev_exponential(Events *s) {
+    int64_t i = s->ei;
+    if (i >= s->block) {
+        random_standard_exponential_fill(s->bitgen, (intptr_t)s->block, s->exp);
+        i = 0;
+    }
+    s->ei = i + 1;
+    return s->exp[i];
+}
+
+/* A user index read from a pool or ring, checked before it is used. */
+static int ev_user_ok(const Events *s, int64_t user) {
+    return user >= 0 && user < s->n_users;
+}
+
+/* IndexPool.add, ._remove_slot, .sample_remove and .pop. */
+static int pool_add(Events *s, int64_t p, int64_t user) {
+    int64_t size = s->pool_size[p];
+    if (size >= s->pool_cap[p]) return EV_POOL_OVERFLOW;
+    s->members[p][size] = user;
+    s->slot_of[user] = size;
+    s->pool_size[p] = size + 1;
+    return EV_OK;
+}
+
+static int pool_remove_slot(Events *s, int64_t p, int64_t slot, int64_t *out) {
+    int64_t *members = s->members[p];
+    int64_t last = s->pool_size[p] - 1;
+    int64_t user = members[slot], mover = members[last];
+    if (!ev_user_ok(s, user) || !ev_user_ok(s, mover)) return EV_CORRUPT;
+    members[slot] = mover;
+    s->slot_of[mover] = slot;
+    s->slot_of[user] = -1;
+    s->pool_size[p] = last;
+    *out = user;
+    return EV_OK;
+}
+
+static int pool_sample(Events *s, int64_t p, double u01, int64_t *out) {
+    int64_t size = s->pool_size[p];
+    if (size <= 0) return EV_POOL_SAMPLE_EMPTY;
+    int64_t slot = (int64_t)(u01 * (double)size);
+    if (slot >= size) slot = size - 1;
+    return pool_remove_slot(s, p, slot, out);
+}
+
+static int pool_pop(Events *s, int64_t p, int64_t *out) {
+    if (s->pool_size[p] <= 0) return EV_POOL_POP_EMPTY;
+    return pool_remove_slot(s, p, s->pool_size[p] - 1, out);
+}
+
+/* FifoRing.push and .pop. */
+static int ring_push(Events *s, int r, int64_t user) {
+    int64_t cap = s->ring_cap[r], size = s->ring_size[r];
+    if (size >= cap) return EV_RING_OVERFLOW;
+    s->ring_buf[r][(s->ring_head[r] + size) % cap] = user;
+    s->ring_size[r] = size + 1;
+    return EV_OK;
+}
+
+static int ring_pop(Events *s, int r, int64_t *out) {
+    if (s->ring_size[r] <= 0) return EV_RING_EMPTY;
+    int64_t head = s->ring_head[r], user = s->ring_buf[r][head];
+    if (!ev_user_ok(s, user)) return EV_CORRUPT;
+    s->ring_head[r] = (head + 1) % s->ring_cap[r];
+    s->ring_size[r] -= 1;
+    *out = user;
+    return EV_OK;
+}
+
+/* ThreadPool.try_acquire and ConnectionPool.try_acquire. */
+static int thread_acquire(Events *s) {
+    s->t_acquires++;
+    if (s->t_in_use >= s->threads) { s->t_rejected++; return 0; }
+    s->t_in_use++;
+    if (s->t_in_use > s->t_peak) s->t_peak = s->t_in_use;
+    return 1;
+}
+
+static int conn_acquire(Events *s) {
+    s->c_acquires++;
+    if (s->c_in_use >= s->conns) { s->c_blocked++; return 0; }
+    s->c_in_use++;
+    if (s->c_in_use > s->c_peak) s->c_peak = s->c_in_use;
+    return 1;
+}
+
+/* _window_clip, or no clip under the seeded defect. */
+static double ev_clip(const Events *s, double t0) {
+    if (s->defect == DEFECT_NO_CLIP) return t0;
+    return t0 > s->start_s ? t0 : s->start_s;
+}
+
+/* The user's transaction type, checked before it indexes a pool. */
+static int ev_type(const Events *s, int64_t user, int64_t *out) {
+    int64_t txn = s->txn[user];
+    if (txn < 0 || txn >= s->n_types) return EV_CORRUPT;
+    *out = txn;
+    return EV_OK;
+}
+
+/* _Engine._start_cpu and ._start_db. */
+static int start_cpu(Events *s, int64_t user) {
+    int64_t txn;
+    int rc = ev_type(s, user, &txn);
+    if (rc) return rc;
+    s->phase[user] = PH_CPU;
+    s->t_thread[user] = s->now;
+    return pool_add(s, 1 + txn, user);
+}
+
+static int start_db(Events *s, int64_t user) {
+    int64_t txn;
+    int rc = ev_type(s, user, &txn);
+    if (rc) return rc;
+    s->phase[user] = PH_DB;
+    s->t_conn[user] = s->now;
+    return pool_add(s, 1 + s->n_types + txn, user);
+}
+
+/* _Engine._arrive; _sample_type is bisect_right over the mix's CDF. */
+static int arrive(Events *s, int64_t user) {
+    s->arrivals++;
+    int64_t txn = search_right(s->cum, s->n_types, ev_uniform(s));
+    if (txn >= s->n_types) return EV_CORRUPT;
+    s->txn[user] = (int8_t)txn;
+    s->t_enter[user] = s->now;
+    s->n_sys++;
+    if (thread_acquire(s)) return start_cpu(s, user);
+    s->phase[user] = PH_Q_THREAD;
+    return ring_push(s, 0, user);
+}
+
+/* LatencyHistogram._bin, with libm's log as math.log. */
+static int64_t hist_bin(const Events *s, double value) {
+    if (value <= s->hist_lo) return 0;
+    double index = log(value / s->hist_lo) / s->hist_log_growth;
+    int64_t last = s->n_bins - 1;
+    return index < (double)last ? (int64_t)index : last;
+}
+
+/* _Engine._finish, zero-think re-entry included. */
+static int finish(Events *s, int64_t user) {
+    double t_enter = s->t_enter[user];
+    double response = s->now - t_enter;
+    s->completions++;
+    s->resp_sum_s += response;
+    if (response < 0) return EV_NEGATIVE;
+    s->counts[hist_bin(s, response)]++;
+    s->hist_total++;
+    s->hist_sum += response;
+    s->residence_n += s->now - ev_clip(s, t_enter);
+    s->residence_busy_threads += s->now - ev_clip(s, s->t_thread[user]);
+    if (s->t_in_use <= 0) return EV_THREAD_RELEASE;
+    s->t_in_use--;
+    s->n_sys--;
+    int rc;
+    if (s->ring_size[0]) {
+        int64_t waiter;
+        if ((rc = ring_pop(s, 0, &waiter))) return rc;
+        if (!thread_acquire(s)) return EV_THREAD_WAITER;
+        if ((rc = start_cpu(s, waiter))) return rc;
+    }
+    if (s->open_loop || s->thinks) {
+        s->phase[user] = s->open_loop ? PH_FREE : PH_THINKING;
+        return pool_add(s, 0, user);
+    }
+    return arrive(s, user);
+}
+
+/* _Engine._complete_cpu and ._complete_db. */
+static int complete_cpu(Events *s, int64_t user) {
+    int64_t txn;
+    int rc = ev_type(s, user, &txn);
+    if (rc) return rc;
+    if (s->db_mean[txn] > 0) {
+        if (conn_acquire(s)) return start_db(s, user);
+        s->phase[user] = PH_Q_CONN;
+        return ring_push(s, 1, user);
+    }
+    return finish(s, user);
+}
+
+static int complete_db(Events *s, int64_t user) {
+    s->residence_busy_conns += s->now - ev_clip(s, s->t_conn[user]);
+    if (s->c_in_use <= 0) return EV_CONN_RELEASE;
+    s->c_in_use--;
+    int rc;
+    if (s->ring_size[1]) {
+        int64_t waiter;
+        if ((rc = ring_pop(s, 1, &waiter))) return rc;
+        if (!conn_acquire(s)) return EV_CONN_WAITER;
+        if ((rc = start_db(s, waiter))) return rc;
+    }
+    return finish(s, user);
+}
+
+/* The think (or arrival) clock fired. */
+static int fire_think(Events *s) {
+    int64_t user;
+    int rc;
+    if (s->open_loop) {
+        if (s->pool_size[0] == 0) { s->drops++; return EV_OK; }
+        rc = pool_pop(s, 0, &user);
+    } else {
+        rc = pool_sample(s, 0, ev_uniform(s), &user);
+    }
+    return rc ? rc : arrive(s, user);
+}
+
+/* A service clock fired: walk the CPU rungs, then the DB rungs, the
+ * last of which takes whatever is left of pick. */
+static int fire_service(Events *s, double pick) {
+    const int64_t n = s->n_types;
+    int64_t user;
+    int rc;
+    for (int64_t t = 0; t < n; t++) {
+        double rate = (double)s->pool_size[1 + t] * s->mu_cpu[t];
+        if (pick < rate) {
+            rc = pool_sample(s, 1 + t, ev_uniform(s), &user);
+            return rc ? rc : complete_cpu(s, user);
+        }
+        pick -= rate;
+    }
+    for (int64_t t = 0; t < n; t++) {
+        double rate = (double)s->pool_size[1 + n + t] * s->mu_db[t];
+        if (pick < rate || t == n - 1) {
+            rc = pool_sample(s, 1 + n + t, ev_uniform(s), &user);
+            return rc ? rc : complete_db(s, user);
+        }
+        pick -= rate;
+    }
+    return EV_OK;
+}
+
+/* _Engine._integrate, then the clock moves to t1. */
+static void integrate(Events *s, double t1) {
+    double dt = t1 - s->now;
+    s->area_n += (double)s->n_sys * dt;
+    s->area_busy_threads += (double)s->t_in_use * dt;
+    s->area_busy_conns += (double)s->c_in_use * dt;
+    s->now = t1;
+}
+
+/* Whether every block, pool and ring index the step will use is in
+ * range, before any is used. */
+static int ev_state_ok(const Events *s) {
+    if (s->block <= 0 || s->ui < 0 || s->ui > s->block || s->ei < 0
+        || s->ei > s->block || s->n_users <= 0 || s->n_types <= 0
+        || s->n_bins <= 0)
+        return 0;
+    for (int64_t p = 0; p < 1 + 2 * s->n_types; p++)
+        if (s->pool_size[p] < 0 || s->pool_size[p] > s->pool_cap[p]) return 0;
+    for (int r = 0; r < 2; r++)
+        if (s->ring_size[r] < 0 || s->ring_size[r] > s->ring_cap[r]
+            || s->ring_head[r] < 0 || s->ring_head[r] >= s->ring_cap[r])
+            return 0;
+    return 1;
+}
+
+/* _Engine.run's loop from the clock to the current window's end, where
+ * it integrates up to end_s and returns EV_WINDOW; the call for the
+ * next window resumes with the event time already drawn (pending).
+ * Every draw, rate and sum is the reference's, in its order. */
+int jmmw_events(Events *s) {
+    if (!ev_state_ok(s)) return EV_CORRUPT;
+    const int64_t n = s->n_types;
+    const int64_t *size = s->pool_size;
+    for (;;) {
+        double think_rate = s->open_loop
+            ? s->arrival_rate
+            : (double)size[0] * s->inv_think * s->think_scale;
+        double total = think_rate;
+        for (int64_t t = 0; t < n; t++) total += (double)size[1 + t] * s->mu_cpu[t];
+        for (int64_t t = 0; t < n; t++) total += (double)size[1 + n + t] * s->mu_db[t];
+        if (!s->pending) {
+            s->t_next = total <= 0 ? s->horizon
+                                   : s->now + ev_exponential(s) / total;
+            s->pending = 1;
+        }
+        if (s->t_next >= s->end_s) {
+            integrate(s, s->end_s);
+            return EV_WINDOW;
+        }
+        s->pending = 0;
+        integrate(s, s->t_next);
+        s->events++;
+        if (s->events > s->max_events) return EV_BUDGET;
+        double pick = ev_uniform(s) * total;
+        int rc = pick < think_rate ? fire_think(s)
+                                   : fire_service(s, pick - think_rate);
+        if (rc) return rc;
+    }
+}
 #endif
 """
 
@@ -1046,11 +1444,12 @@ def _npyrandom_archive() -> Path | None:
 def _build_library() -> Path | None:
     """Compile the embedded source (cached by its digest), or None.
 
-    With numpy's ``libnpyrandom.a`` the library also holds the burst
-    step, linked against numpy's own samplers; the digest then covers
-    numpy's version and the archive's bytes, since the ``.so`` freezes
-    a copy of them.  Without the archive, or if that link fails, the
-    library is built without the burst step.
+    With numpy's ``libnpyrandom.a`` the library also holds the steps
+    that draw through numpy's own samplers (code bursts and the load
+    plane's events); the digest then covers numpy's version and the
+    archive's bytes, since the ``.so`` freezes a copy of them.  Without
+    the archive, or if that link fails, the library is built without
+    those two steps.
     """
     archive = _npyrandom_archive()
     if archive is not None:
@@ -1060,8 +1459,16 @@ def _build_library() -> Path | None:
     return _compile(None)
 
 
+#: Compiler flags.  ``-ffp-contract=off`` keeps ``a + b * c`` two roundings,
+#: as in Python (aarch64 compilers fuse it into one FMA by default), so
+#: the compiled steps' floating point is the references' bit for bit;
+#: nothing is built with fast-math.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
 def _compile(archive: Path | None) -> Path | None:
     digest = hashlib.sha256(_C_SOURCE.encode())
+    digest.update(" ".join(_CFLAGS).encode())
     if archive is not None:
         digest.update(np.__version__.encode())
         digest.update(archive.read_bytes())
@@ -1071,7 +1478,7 @@ def _compile(archive: Path | None) -> Path | None:
     compiler = _find_compiler()
     if compiler is None:
         return None
-    link = [] if archive is None else ["-DJMMW_BURST", str(archive), "-lm"]
+    link = [] if archive is None else ["-DJMMW_NPYRANDOM", str(archive), "-lm"]
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix="jmmw-cc-") as tmp:
@@ -1079,8 +1486,7 @@ def _compile(archive: Path | None) -> Path | None:
             src.write_text(_C_SOURCE, encoding="utf-8")
             built = Path(tmp) / "coherence.so"
             result = subprocess.run(
-                [compiler, "-O3", "-fPIC", "-shared", "-o", str(built), str(src)]
-                + link,
+                [compiler, *_CFLAGS, "-o", str(built), str(src)] + link,
                 capture_output=True,
                 timeout=120,
             )
@@ -1150,6 +1556,8 @@ def _load_library() -> ctypes.CDLL | None:
         # cheapest ctypes call; results travel in the frame.
         lib.jmmw_burst.restype = None
         lib.jmmw_burst.argtypes = [ctypes.c_void_p]
+        lib.jmmw_events.restype = _i32
+        lib.jmmw_events.argtypes = [ctypes.POINTER(_EventState)]
     _lib = lib
     return _lib
 
@@ -1211,8 +1619,10 @@ BURST_FALLBACK_COUNTER = "workloads/fastpath/burst_fallback"
 _burst_out: np.ndarray | None = None
 
 
-def burst_step_declines() -> str | None:
-    """Why code bursts cannot run compiled here, or None when they can.
+def npyrandom_step_declines() -> str | None:
+    """Why the steps that draw through numpy's samplers (code bursts and
+    the load plane's events) cannot run compiled here, or None when
+    they can.
 
     Loads (and on first use builds) the library.
     """
@@ -1295,12 +1705,258 @@ def burst_frame(rng) -> BurstFrame | None:
     """A frame drawing ``rng``'s code bursts in the compiled step, or
     None when they run in the Python reference: ``JMMW_FASTPATH=0``
     (the kernel is not asked), a generator other than
-    :class:`numpy.random.Generator`, or :func:`burst_step_declines`."""
+    :class:`numpy.random.Generator`, or :func:`npyrandom_step_declines`."""
     if not fastpath_enabled() or not isinstance(rng, np.random.Generator):
         return None
-    if burst_step_declines() is not None:
+    if npyrandom_step_declines() is not None:
         return None
     return BurstFrame(rng, _lib)
+
+
+# -- load-plane events --------------------------------------------------------
+
+#: ``jmmw_events`` return codes, the C ``EV_*`` enum: ``EVENTS_WINDOW``
+#: hands a window end to Python, the others are errors.
+(
+    EVENTS_OK, EVENTS_WINDOW, EVENTS_BUDGET, EVENTS_POOL_OVERFLOW,
+    EVENTS_POOL_SAMPLE_EMPTY, EVENTS_POOL_POP_EMPTY, EVENTS_RING_OVERFLOW,
+    EVENTS_RING_EMPTY, EVENTS_THREAD_RELEASE, EVENTS_CONN_RELEASE,
+    EVENTS_THREAD_WAITER, EVENTS_CONN_WAITER, EVENTS_NEGATIVE, EVENTS_CORRUPT,
+) = range(14)
+
+#: The exception the reference raises for each error code but the
+#: event budget, whose message names the run's budget and clock.
+_EVENT_ERRORS = {
+    EVENTS_POOL_OVERFLOW: (SimulationError, "index pool overflow"),
+    EVENTS_POOL_SAMPLE_EMPTY: (SimulationError, "sample from an empty index pool"),
+    EVENTS_POOL_POP_EMPTY: (SimulationError, "pop from an empty index pool"),
+    EVENTS_RING_OVERFLOW: (SimulationError, "FIFO ring overflow"),
+    EVENTS_RING_EMPTY: (SimulationError, "pop from an empty FIFO ring"),
+    EVENTS_THREAD_RELEASE: (SimulationError, "release on an empty thread pool"),
+    EVENTS_CONN_RELEASE: (SimulationError, "release on an empty connection pool"),
+    EVENTS_THREAD_WAITER: (SimulationError, "a waiter found no thread to take"),
+    EVENTS_CONN_WAITER: (SimulationError, "a waiter found no connection to take"),
+    EVENTS_NEGATIVE: (AnalysisError, "negative duration recorded"),
+    EVENTS_CORRUPT: (
+        SimulationError,
+        "load-plane state out of range (a user, type, pool or ring index)",
+    ),
+}
+
+#: Seeded events defect for the parity tests (``set_kernel_defect``):
+#: residence sojourns are not clipped to the window, the compiled twin
+#: of patching ``loadplane.engine._window_clip``.
+LOADPLANE_DEFECT_NO_CLIP = 5
+
+#: Load-plane runs whose events ran the Python reference although the
+#: fast path was on, one counter per reason: ``no-kernel`` (no compiler,
+#: or the build failed) and ``no-npyrandom`` (numpy's ``libnpyrandom.a``
+#: was not found, so the library holds no events step).
+EVENTS_FALLBACK_COUNTER = "loadplane/fastpath/events_fallback"
+
+_vp = ctypes.c_void_p
+_f64 = ctypes.c_double
+
+
+class _EventState(ctypes.Structure):
+    """The C ``Events`` struct, field for field (every field 8 bytes)."""
+
+    _fields_ = [
+        ("bitgen", _vp), ("uni", _vp), ("exp", _vp),
+        ("block", _i64), ("ui", _i64), ("ei", _i64),
+        ("phase", _vp), ("txn", _vp),
+        ("t_enter", _vp), ("t_thread", _vp), ("t_conn", _vp),
+        ("slot_of", _vp), ("n_users", _i64), ("n_types", _i64),
+        ("cum", _vp), ("mu_cpu", _vp), ("mu_db", _vp), ("db_mean", _vp),
+        ("members", _vp), ("pool_cap", _vp), ("pool_size", _vp),
+        ("ring_buf", _vp), ("ring_cap", _vp), ("ring_head", _vp), ("ring_size", _vp),
+        ("open_loop", _i64), ("thinks", _i64), ("max_events", _i64), ("defect", _i64),
+        ("arrival_rate", _f64), ("inv_think", _f64), ("think_scale", _f64),
+        ("horizon", _f64),
+        ("threads", _i64), ("t_in_use", _i64), ("t_peak", _i64),
+        ("t_acquires", _i64), ("t_rejected", _i64),
+        ("conns", _i64), ("c_in_use", _i64), ("c_peak", _i64),
+        ("c_acquires", _i64), ("c_blocked", _i64),
+        ("now", _f64), ("t_next", _f64),
+        ("pending", _i64), ("events", _i64), ("n_sys", _i64),
+        ("start_s", _f64), ("end_s", _f64),
+        ("completions", _i64), ("arrivals", _i64), ("drops", _i64),
+        ("area_n", _f64), ("residence_n", _f64),
+        ("area_busy_threads", _f64), ("residence_busy_threads", _f64),
+        ("area_busy_conns", _f64), ("residence_busy_conns", _f64),
+        ("resp_sum_s", _f64),
+        ("counts", _vp), ("n_bins", _i64), ("hist_total", _i64),
+        ("hist_sum", _f64), ("hist_lo", _f64), ("hist_log_growth", _f64),
+    ]
+
+
+#: The state the step shares with each engine object, as (state field,
+#: attribute) pairs: read before every call, written back after it.
+_ENGINE_FIELDS = (("now", "now"), ("events", "events"), ("n_sys", "n_sys"))
+_RANDOM_FIELDS = (("ui", "_ui"), ("ei", "_ei"))
+_THREAD_FIELDS = (
+    ("t_in_use", "in_use"), ("t_peak", "peak_in_use"),
+    ("t_acquires", "acquires"), ("t_rejected", "rejected"),
+)
+_CONN_FIELDS = (
+    ("c_in_use", "in_use"), ("c_peak", "peak_in_use"),
+    ("c_acquires", "acquires"), ("c_blocked", "blocked"),
+)
+_WINDOW_FIELDS = tuple((name, name) for name in (
+    "completions", "arrivals", "drops", "area_n", "residence_n",
+    "area_busy_threads", "residence_busy_threads", "area_busy_conns",
+    "residence_busy_conns", "resp_sum_s",
+))
+_HIST_FIELDS = (("hist_total", "total"), ("hist_sum", "sum_s"))
+
+
+def _address(arr: np.ndarray, dtype, size: int) -> int:
+    """``arr``'s data address, once it is a contiguous ``size``-long
+    ``dtype`` array, the shape the step indexes it as."""
+    if arr.dtype != dtype or arr.size != size or not arr.flags.c_contiguous:
+        raise SimulationError(
+            f"the events step needs a contiguous {np.dtype(dtype)} array of "
+            f"{size}, got {arr.dtype} of shape {arr.shape}"
+        )
+    return arr.ctypes.data
+
+
+class EventFrame:
+    """One load-plane run's link to the compiled event step.
+
+    ``jmmw_events`` runs :class:`repro.loadplane.engine._Engine`'s event
+    loop in place on the engine's own arrays: the user columns, every
+    ``IndexPool``'s ``members`` and the shared ``slot_of``, both
+    ``FifoRing`` buffers and the current window's histogram counts.  It
+    draws from the engine's ``_RandomBlocks``, continuing its uniform
+    and exponential blocks and refilling them in place through numpy's
+    ``random_standard_uniform_fill`` and
+    ``random_standard_exponential_fill``, the samplers
+    ``rng.random(n)`` and ``rng.standard_exponential(n)`` call.
+
+    :meth:`run` plays events up to the current window's end.  Every
+    scalar the step changes lives on a Python object (the engine's
+    clock and counters, the pools' sizes, the rings' heads and sizes,
+    the thread and connection pools' counters, the window's fields and
+    its histogram's total and sum): :meth:`run` reads them before the
+    call and writes them back after it, so ``_close_window`` and
+    ``_result`` read what the reference would leave.  Only the event
+    time already drawn for the next window stays in the frame.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, engine, think_scale: float) -> None:
+        config, users, rand = engine.config, engine.users, engine.rand
+        n = users.n
+        self._run = lib.jmmw_events
+        self._engine = engine
+        self._pools = [engine.idle_pool, *engine.cpu_pools, *engine.db_pools]
+        self._rings = [engine.thread_queue, engine.conn_queue]
+        # Every array the state points into, kept alive by the frame.
+        self._mix = [
+            np.array(values, dtype=np.float64)
+            for values in (engine.cum_probs, engine.mu_cpu, engine.mu_db, engine.db_mean)
+        ]
+        self._members = np.array(
+            [_address(p.members, np.int64, len(p.members)) for p in self._pools],
+            dtype=np.uintp,
+        )
+        self._pool_cap = np.array([len(p.members) for p in self._pools], dtype=np.int64)
+        self._pool_size = np.zeros(len(self._pools), dtype=np.int64)
+        self._ring_buf = np.array(
+            [_address(r.buf, np.int64, len(r.buf)) for r in self._rings], dtype=np.uintp
+        )
+        self._ring_cap = np.array([len(r.buf) for r in self._rings], dtype=np.int64)
+        self._ring_head = np.zeros(2, dtype=np.int64)
+        self._ring_size = np.zeros(2, dtype=np.int64)
+        cum, mu_cpu, mu_db, db_mean = (values.ctypes.data for values in self._mix)
+        self._state = _EventState(
+            bitgen=rand._rng.bit_generator.ctypes.bit_generator.value,
+            uni=_address(np.frombuffer(rand._uni), np.float64, rand._block),
+            exp=_address(np.frombuffer(rand._exp), np.float64, rand._block),
+            block=rand._block,
+            phase=_address(users.phase, np.int8, n),
+            txn=_address(users.txn, np.int8, n),
+            t_enter=_address(users.t_enter, np.float64, n),
+            t_thread=_address(users.t_thread, np.float64, n),
+            t_conn=_address(users.t_conn, np.float64, n),
+            slot_of=_address(engine.slot_of, np.int64, n),
+            n_users=n, n_types=engine.n_types,
+            cum=cum, mu_cpu=mu_cpu, mu_db=mu_db, db_mean=db_mean,
+            members=self._members.ctypes.data,
+            pool_cap=self._pool_cap.ctypes.data,
+            pool_size=self._pool_size.ctypes.data,
+            ring_buf=self._ring_buf.ctypes.data,
+            ring_cap=self._ring_cap.ctypes.data,
+            ring_head=self._ring_head.ctypes.data,
+            ring_size=self._ring_size.ctypes.data,
+            open_loop=config.open_loop,
+            thinks=config.think_s > 0,
+            max_events=config.max_events,
+            defect=_defect,
+            arrival_rate=config.arrival_rate,
+            inv_think=engine.inv_think,
+            think_scale=think_scale,
+            horizon=config.windows * config.window_s,
+            threads=engine.thread_pool.size,
+            conns=engine.conn_pool.size,
+        )
+
+    def _shared(self) -> tuple:
+        engine = self._engine
+        return (
+            (engine, _ENGINE_FIELDS),
+            (engine.rand, _RANDOM_FIELDS),
+            (engine.thread_pool, _THREAD_FIELDS),
+            (engine.conn_pool, _CONN_FIELDS),
+            (engine.win, _WINDOW_FIELDS),
+            (engine.win.hist, _HIST_FIELDS),
+        )
+
+    def run(self) -> None:
+        """Play the engine's events up to its current window's end,
+        where the clock stops; raises the reference's exception for
+        any error the step reports."""
+        state = self._state
+        for owner, fields in self._shared():
+            for field, attr in fields:
+                setattr(state, field, getattr(owner, attr))
+        win = self._engine.win
+        hist = win.hist
+        state.start_s, state.end_s = win.start_s, win.end_s
+        state.counts = _address(hist.counts, np.int64, len(hist.counts))
+        state.n_bins = len(hist.counts)
+        state.hist_lo, state.hist_log_growth = hist.lo, hist._log_growth
+        self._pool_size[:] = [pool.size for pool in self._pools]
+        self._ring_head[:] = [ring.head for ring in self._rings]
+        self._ring_size[:] = [ring.size for ring in self._rings]
+        rc = self._run(ctypes.byref(state))
+        for owner, fields in self._shared():
+            for field, attr in fields:
+                setattr(owner, attr, getattr(state, field))
+        for pool, size in zip(self._pools, self._pool_size.tolist()):
+            pool.size = size
+        for ring, head, size in zip(
+            self._rings, self._ring_head.tolist(), self._ring_size.tolist()
+        ):
+            ring.head, ring.size = head, size
+        if rc == EVENTS_WINDOW:
+            return
+        if rc == EVENTS_BUDGET:
+            raise self._engine.budget_error()
+        error, message = _EVENT_ERRORS[rc]
+        raise error(message)
+
+
+def event_frame(engine, think_scale: float) -> EventFrame | None:
+    """A frame running ``engine``'s events in the compiled step, or None
+    when :func:`npyrandom_step_declines` (the decline is counted under
+    :data:`EVENTS_FALLBACK_COUNTER`).  The caller asks only with the
+    fast path on."""
+    reason = npyrandom_step_declines()
+    if reason is not None:
+        _obs.incr(f"{EVENTS_FALLBACK_COUNTER}/{reason}")
+        return None
+    return EventFrame(_lib, engine, think_scale)
 
 
 # -- replay ----------------------------------------------------------------

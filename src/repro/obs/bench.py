@@ -6,9 +6,10 @@ alternation, can: both sides run through the same machine phases.
 :data:`GATES` is the one table of such gates: the compiled miss-curve
 sweep (>= 3x its scalar reference), the compiled coherence kernel
 (>= 10x), trace generation with compiled code bursts (>= 1x the
-Python reference), the trace plane (>= 1.5x regenerating per task) and
+Python reference), the trace plane (>= 1.5x regenerating per task),
 the warm result cache (>= 4x a cold one, i.e. warm within 0.25x of
-cold), each at the trace size its bound was measured at.
+cold) and the load plane's compiled event loop (>= 9x its Python
+reference), each at the input size its bound was measured at.
 
 :func:`run_gate` times :data:`ROUNDS` rounds, the reference first in
 every other round, requires equal results in every round, and gates
@@ -26,7 +27,8 @@ import os
 import statistics
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -47,8 +49,9 @@ class Gate:
 
     ``setup(sim, workdir)`` builds the untimed inputs and returns the
     ``(fast, reference)`` calls; each returns the values that must
-    compare equal.  ``refs`` is the references per CPU of the gate's
-    traces, ``bound`` the least median ratio.  ``declines()`` names why
+    compare equal.  ``refs`` sizes the gate's input: the references per
+    CPU of its traces (the load plane's population for ``loadplane``);
+    ``bound`` is the least median ratio.  ``declines()`` names why
     the fast side cannot run here, or returns None.
     """
 
@@ -204,13 +207,31 @@ def _kernel_declines() -> str | None:
     return None
 
 
+def _as_reference(call: Side) -> Side:
+    """``call`` run with ``JMMW_FASTPATH=0``: every fast path asked
+    during it runs its Python reference."""
+    from repro.memsys.fastpath import FASTPATH_ENV
+
+    def reference():
+        previous = os.environ.get(FASTPATH_ENV)
+        os.environ[FASTPATH_ENV] = "0"
+        try:
+            return call()
+        finally:
+            if previous is None:
+                del os.environ[FASTPATH_ENV]
+            else:
+                os.environ[FASTPATH_ENV] = previous
+
+    return reference
+
+
 def _generation(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
     """One 8-CPU SPECjbb trace generated with code bursts in the
     compiled step vs in the Python reference (``JMMW_FASTPATH=0`` for
     the call), equal per-CPU streams, instruction counts and final
     generator states."""
     from repro.figures.common import make_workload
-    from repro.memsys.fastpath import FASTPATH_ENV
     from repro.rng import RngFactory
 
     class Recording(RngFactory):
@@ -234,29 +255,43 @@ def _generation(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
             [rng.bit_generator.state for rng in factory.streams],
         )
 
-    def reference() -> tuple:
-        previous = os.environ.get(FASTPATH_ENV)
-        os.environ[FASTPATH_ENV] = "0"
-        try:
-            return generate()
-        finally:
-            if previous is None:
-                del os.environ[FASTPATH_ENV]
-            else:
-                os.environ[FASTPATH_ENV] = previous
-
-    return generate, reference
+    return generate, _as_reference(generate)
 
 
-def _burst_step_declines() -> str | None:
+def _loadplane(sim: SimConfig, workdir: Path) -> tuple[Side, Side]:
+    """One saturation-campaign point (ECperf mix, ``refs`` users, six
+    1 s windows) with its events in the compiled step vs in the Python
+    loop (``JMMW_FASTPATH=0`` for the call), equal windows, histograms,
+    stable aggregate and pool counters."""
+    from repro.loadplane import LoadPlaneConfig, simulate_loadplane
+
+    config = LoadPlaneConfig(
+        n_users=sim.refs_per_proc, workload="ecperf", windows=6, window_s=1.0
+    )
+
+    def run() -> tuple:
+        result = simulate_loadplane(config, check_identities=False)
+        windows = [
+            (*astuple(replace(w, hist=None)), w.hist.counts.tobytes(),
+             w.hist.total, w.hist.sum_s)
+            for w in result.windows
+        ]
+        return windows, replace(result, windows=())
+
+    return run, _as_reference(run)
+
+
+def _npyrandom_declines(step: str) -> str | None:
+    """Why the compiled ``step`` (``burst`` or ``events``), which draws
+    through numpy's samplers, cannot run here, or None."""
     from repro.memsys.fastpath import FASTPATH_ENV, fastpath_enabled
-    from repro.memsys.fastpath_coherence import burst_step_declines
+    from repro.memsys.fastpath_coherence import npyrandom_step_declines
 
     if not fastpath_enabled():
-        return f"{FASTPATH_ENV}=0 switches the compiled burst step off"
-    reason = burst_step_declines()
+        return f"{FASTPATH_ENV}=0 switches the compiled {step} step off"
+    reason = npyrandom_step_declines()
     if reason is not None:
-        return f"code bursts run in Python here ({reason})"
+        return f"the {step} step runs in Python here ({reason})"
     return None
 
 
@@ -309,10 +344,15 @@ GATES: tuple[Gate, ...] = (
     Gate("miss-curve", _miss_curve, bound=3.0, refs=250_000, declines=_sweep_declines),
     Gate("coherent", _coherent, bound=10.0, refs=250_000, declines=_kernel_declines),
     # Measured 1.9-2.1x (median of three runs); the bound is about half.
-    Gate("generation", _generation, bound=1.0, refs=60_000, declines=_burst_step_declines),
+    Gate("generation", _generation, bound=1.0, refs=60_000,
+         declines=partial(_npyrandom_declines, "burst")),
     # Sized like the smallest trace `jmmw figures` shares (QUICK_SIM's
     # 60k refs per CPU): at 25k, cheap regeneration left single rounds
     # near the bound.
     Gate("plane", _plane, bound=1.5, refs=60_000),
     Gate("warm-cache", _warm_cache, bound=4.0, refs=25_000),
+    # ``refs`` is the population here.  Measured 18.6-20.5x (median of
+    # three runs); the bound is about half.
+    Gate("loadplane", _loadplane, bound=9.0, refs=10_000,
+         declines=partial(_npyrandom_declines, "events")),
 )

@@ -339,9 +339,9 @@ def burst_mode() -> str:
     """
     if not fastpath_enabled():
         return "reference"
-    from repro.memsys.fastpath_coherence import BURST_FALLBACK_COUNTER, burst_step_declines
+    from repro.memsys.fastpath_coherence import BURST_FALLBACK_COUNTER, npyrandom_step_declines
 
-    reason = burst_step_declines()
+    reason = npyrandom_step_declines()
     if reason is None:
         return "kernel"
     obs.incr(f"{BURST_FALLBACK_COUNTER}/{reason}")

@@ -60,6 +60,14 @@ def _characterize_replica_key():
     return spec.cell_key(spec.table.cells()[0])
 
 
+def _loadplane_point_key():
+    """A ``jmmw loadplane`` sweep point's result key."""
+    from repro.loadplane import LoadPlaneConfig
+    from repro.loadplane.sweep import _point_key
+
+    return _point_key(LoadPlaneConfig(n_users=100))
+
+
 #: Every result key and campaign signature, at one fixed input.
 KEYS = {
     "figure": lambda: figure_cache_key("fig04_scaling", SimConfig()),
@@ -69,6 +77,7 @@ KEYS = {
     ),
     "characterize-campaign": lambda: _characterize_spec().signature(),
     "campaign": _campaign_signature,
+    "loadplane-point": _loadplane_point_key,
 }
 
 

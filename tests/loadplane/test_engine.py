@@ -1,5 +1,6 @@
 """Engine mechanics: state containers, histograms, windows, transitions."""
 
+import math
 import pickle
 
 import numpy as np
@@ -103,6 +104,30 @@ def test_histogram_merge_equals_single_pass():
     assert a.total == both.total
     assert np.array_equal(a.counts, both.counts)
     assert a.percentiles() == both.percentiles()
+
+
+def _bin_walk_quantile(hist: LatencyHistogram, q: float) -> float:
+    """The quantile by walking the bins one at a time (the reference)."""
+    if hist.total == 0:
+        return 0.0
+    rank = q * (hist.total - 1)
+    cumulative = 0
+    for i, count in enumerate(hist.counts):
+        cumulative += int(count)
+        if cumulative > rank:
+            return hist.lo * hist.growth**i * math.sqrt(hist.growth)
+    return hist.lo * hist.growth ** len(hist.counts)
+
+
+def test_histogram_quantile_equals_the_bin_walk():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        hist = LatencyHistogram()
+        mu, sigma = rng.uniform(-8, 2), rng.uniform(0.01, 3)
+        for v in rng.lognormal(mu, sigma, rng.integers(1, 60)):
+            hist.add(float(v))
+        for q in (0.0, 0.5, 0.95, 0.99, 1.0, float(rng.random())):
+            assert hist.quantile(q) == _bin_walk_quantile(hist, q)
 
 
 def test_histogram_guards():

@@ -13,6 +13,8 @@ accountings of the same integrals.
 The seeded-defect tests close the loop on the suite itself: biasing
 the think-time sampler or breaking the residence clipping must make
 the respective check fail loudly — proving the oracles have teeth.
+Each defect is seeded into both implementations of the event loop:
+the Python reference and the kernel's compiled events step.
 """
 
 import math
@@ -28,6 +30,7 @@ from repro.loadplane import (
     simulate_loadplane,
 )
 from repro.loadplane import engine as engine_mod
+from repro.memsys import fastpath_coherence
 
 #: Acceptance band: |completions - X*T| <= SIGMAS * sqrt(X*T) + SLACK.
 #: The stable-period completion count is Poisson-like; 5 sigma plus a
@@ -182,18 +185,21 @@ def test_biased_think_sampler_fails_the_throughput_oracle(monkeypatch):
         think_s=1.0, windows=10, window_s=2.0, seed=42,
     )
     predicted = closed_mmc_metrics(24, 1.0, 0.02, 4)
+    # The compiled step takes the scale with each run: both paths.
+    for fastpath in ("1", "0"):
+        monkeypatch.setenv("JMMW_FASTPATH", fastpath)
+        monkeypatch.setattr(engine_mod, "_THINK_RATE_SCALE", 1.0)
+        healthy = simulate_loadplane(config)
+        _assert_in_band(healthy, predicted.throughput)
 
-    healthy = simulate_loadplane(config)
-    _assert_in_band(healthy, predicted.throughput)
-
-    monkeypatch.setattr(engine_mod, "_THINK_RATE_SCALE", 2.0)
-    biased = simulate_loadplane(config)
-    lo, hi = _completions_band(
-        predicted.throughput, biased.stable.duration_s
-    )
-    assert biased.stable.completions > hi, (
-        "a 2x-biased think sampler must be caught by the oracle band"
-    )
+        monkeypatch.setattr(engine_mod, "_THINK_RATE_SCALE", 2.0)
+        biased = simulate_loadplane(config)
+        lo, hi = _completions_band(
+            predicted.throughput, biased.stable.duration_s
+        )
+        assert biased.stable.completions > hi, (
+            "a 2x-biased think sampler must be caught by the oracle band"
+        )
 
 
 def test_broken_residence_clipping_fails_the_identity_audit(monkeypatch):
@@ -202,14 +208,46 @@ def test_broken_residence_clipping_fails_the_identity_audit(monkeypatch):
     Dropping the window clip double-counts the pre-window part of any
     sojourn that straddles a boundary — the kind of off-by-a-window
     accounting slip that leaves throughput untouched and would
-    otherwise skew response times silently.
+    otherwise skew response times silently.  The patched function is
+    Python's, so the reference loop runs (``JMMW_FASTPATH=0``).
     """
+    monkeypatch.setenv("JMMW_FASTPATH", "0")
     monkeypatch.setattr(engine_mod, "_window_clip", lambda t0, start: t0)
-    config = LoadPlaneConfig(
-        n_users=40, threads=2, connections=1, service_s=0.05,
-        think_s=0.2, windows=8, window_s=0.25, seed=7,
-    )
+    _assert_caught_unclipped()
+
+
+#: The point both unclipped-residence defects are seeded into.
+_UNCLIPPED = LoadPlaneConfig(
+    n_users=40, threads=2, connections=1, service_s=0.05,
+    think_s=0.2, windows=8, window_s=0.25, seed=7,
+)
+
+
+def _assert_caught_unclipped():
     with pytest.raises(InvariantViolation):
-        simulate_loadplane(config)
-    result = simulate_loadplane(config, check_identities=False)
+        simulate_loadplane(_UNCLIPPED)
+    result = simulate_loadplane(_UNCLIPPED, check_identities=False)
     assert result.identity_errors != ()
+    return result
+
+
+@pytest.mark.skipif(
+    fastpath_coherence.npyrandom_step_declines() is not None,
+    reason="load-plane events run in Python here",
+)
+def test_unclipped_residence_in_the_events_step_fails_the_identity_audit(
+    monkeypatch,
+):
+    """The compiled twin of the clipping defect
+    (``LOADPLANE_DEFECT_NO_CLIP``) trips the same audit, and its run is
+    the patched reference's, bit for bit."""
+    monkeypatch.setenv("JMMW_FASTPATH", "1")
+    monkeypatch.setattr(
+        fastpath_coherence, "_defect", fastpath_coherence.LOADPLANE_DEFECT_NO_CLIP
+    )
+    compiled = _assert_caught_unclipped()
+    monkeypatch.setenv("JMMW_FASTPATH", "0")
+    monkeypatch.setattr(engine_mod, "_window_clip", lambda t0, start: t0)
+    reference = simulate_loadplane(_UNCLIPPED, check_identities=False)
+    assert compiled.identity_errors == reference.identity_errors
+    assert compiled.stable == reference.stable

@@ -21,6 +21,11 @@ placement just before, on and after a refill), saturate the thread
 pool with 100,000 users per mix, and cover the open loop, a cold start
 and a population below the thread count.
 
+Every case runs on both paths of the event loop: the compiled events
+step (``JMMW_FASTPATH=1``, when the kernel library holds it) and the
+Python reference loop (``JMMW_FASTPATH=0``), whose state changes must
+also survive ``python -O``.
+
 A deliberate change to the load plane re-records the table with
 ``PYTHONPATH=src python tests/loadplane/test_result_digests.py``.
 """
@@ -28,7 +33,11 @@ A deliberate change to the load plane re-records the table with
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import astuple, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,8 +188,37 @@ ALL_CASES = sorted([*CONFIGS, *STUDY_POINTS])
 
 
 @pytest.mark.parametrize("case_id", ALL_CASES)
-def test_result_matches_recorded_digest(case_id):
+def test_result_matches_recorded_digest(case_id, monkeypatch):
+    """The default path: the compiled events step where it is built."""
+    monkeypatch.setenv("JMMW_FASTPATH", "1")
     assert case_digest(case_id) == DIGESTS[case_id]
+
+
+@pytest.mark.parametrize("case_id", ALL_CASES)
+def test_reference_matches_recorded_digest(case_id, monkeypatch):
+    """The Python event loop, the reference the step reproduces."""
+    monkeypatch.setenv("JMMW_FASTPATH", "0")
+    assert case_digest(case_id) == DIGESTS[case_id]
+
+
+def test_reference_matches_recorded_digest_under_python_O():
+    """``python -O`` strips ``assert`` statements, so no state change of
+    the reference may live in one (a waiter's thread or connection once
+    did)."""
+    case_id = "zero-think-ecperf-u8193"
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from test_result_digests import case_digest; "
+        "print(__debug__, case_digest(sys.argv[2]))"
+    )
+    root = Path(__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "JMMW_FASTPATH": "0"}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(Path(__file__).parent), case_id],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", DIGESTS[case_id]]
 
 
 def test_every_case_has_a_digest():

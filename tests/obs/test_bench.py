@@ -175,12 +175,22 @@ def _serve_stale_hits(monkeypatch):
     monkeypatch.setattr(ResultCache, "get", stale)
 
 
+def _leave_residence_unclipped(monkeypatch):
+    """The compiled events step does not clip residence to the window."""
+    from repro.memsys import fastpath_coherence
+
+    monkeypatch.setattr(
+        fastpath_coherence, "_defect", fastpath_coherence.LOADPLANE_DEFECT_NO_CLIP
+    )
+
+
 PERTURB = {
     "miss-curve": _sweep_one_miss_too_many,
     "coherent": _export_one_miss_too_many,
     "generation": _skip_loop_reentry,
     "plane": _publish_another_seed,
     "warm-cache": _serve_stale_hits,
+    "loadplane": _leave_residence_unclipped,
 }
 
 
@@ -212,6 +222,16 @@ def test_generation_gate_skipped_under_the_reference_switch(monkeypatch, capsys)
     monkeypatch.setattr(bench, "GATES", (generation,))
     assert main(["bench"]) == 0
     assert "skipped: JMMW_FASTPATH=0" in _row(capsys.readouterr().out, "generation")
+
+
+def test_loadplane_gate_skipped_under_the_reference_switch(monkeypatch, capsys):
+    """With ``JMMW_FASTPATH=0`` both sides play their events in Python:
+    the row is skipped, names the switch, and still asserts parity."""
+    monkeypatch.setenv("JMMW_FASTPATH", "0")
+    loadplane = replace(_gate("loadplane"), refs=TINY)
+    monkeypatch.setattr(bench, "GATES", (loadplane,))
+    assert main(["bench"]) == 0
+    assert "skipped: JMMW_FASTPATH=0" in _row(capsys.readouterr().out, "loadplane")
 
 
 def test_miss_curve_gate_skipped_without_the_kernel(monkeypatch, capsys):

@@ -166,3 +166,20 @@ def test_characterize_no_fastpath_is_not_served_fast_path_replicas(
     assert main(argv + ["--no-fastpath"]) == 0
     assert obs.COUNTERS.get("cache/miss") == 2
     assert obs.COUNTERS.get("cache/hit") == 0
+
+
+def test_loadplane_resume_under_the_reference_switch_reruns_the_points(
+    smoke_env, monkeypatch
+):
+    """The sweep's journal signature records the run switches, so a
+    ``JMMW_FASTPATH=0 --resume`` over a journal of compiled-step points
+    runs the reference loop instead of serving them."""
+    from repro import obs
+
+    monkeypatch.setenv("JMMW_FASTPATH", "1")
+    argv = ["loadplane", "--users", "8", "32", "--no-cache", "--no-plot"]
+    assert main(argv) == 0
+    monkeypatch.setenv("JMMW_FASTPATH", "0")
+    assert main(argv + ["--resume"]) == 0
+    assert obs.COUNTERS.get("resume/skip") == 0
+    assert obs.COUNTERS.get("task/start") == 2

@@ -90,6 +90,24 @@ def test_counts_below_one_are_usage_errors(cli_env, capsys, argv, flag):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--jobs", "4"], "--jobs"), (["--resume"], "--resume")],
+    ids=["jobs", "resume"],
+)
+def test_single_run_characterize_rejects_pool_and_journal_flags(
+    cli_env, capsys, flags, named
+):
+    """A single run (``--runs 1``, the default) is one in-process call:
+    ``--jobs`` above 1 and ``--resume`` would be ignored, so they are
+    usage errors that name ``--runs``, before anything runs."""
+    argv = ["characterize", "specjbb", "-p", "2", "--quick", *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and "--runs" in captured.err
+    assert captured.out == ""
+
+
 def test_failed_figure_sets_exit_code_and_stderr_summary(
     cli_env, stub_figures, monkeypatch, capsys
 ):
@@ -336,7 +354,7 @@ def test_burst_fallback_notice_once_per_trace(cli_env, stub_figures, monkeypatch
     argv = ["figures", "fig04", "--quick", "--no-cache"]
     assert main(argv) == 0
     plain = capsys.readouterr()
-    if fastpath_coherence.burst_step_declines() is None:
+    if fastpath_coherence.npyrandom_step_declines() is None:
         assert "code bursts" not in plain.err
     monkeypatch.setattr(fastpath_coherence, "_load_library", lambda: None)
     assert main(argv) == 0

@@ -32,7 +32,7 @@ from repro.memsys.fastpath_coherence import (
     BURST_DEFECT_NO_REENTRY,
     BURST_FALLBACK_COUNTER,
     F_RC,
-    burst_step_declines,
+    npyrandom_step_declines,
 )
 from repro.rng import RngFactory
 from repro.workloads.base import StreamBuilder
@@ -46,8 +46,8 @@ def _fast_path_on(monkeypatch):
 
 
 needs_burst_step = pytest.mark.skipif(
-    burst_step_declines() is not None,
-    reason=f"code bursts run in Python here: {burst_step_declines()}",
+    npyrandom_step_declines() is not None,
+    reason=f"code bursts run in Python here: {npyrandom_step_declines()}",
 )
 
 
@@ -336,7 +336,7 @@ def fresh_library(monkeypatch, tmp_path):
 
 def test_no_compiler_generates_the_recorded_traces(fresh_library, obs_enabled):
     fresh_library.setattr(fastpath_coherence, "_find_compiler", lambda: None)
-    assert burst_step_declines() == "no-kernel"
+    assert npyrandom_step_declines() == "no-kernel"
     assert not fastpath_coherence.kernel_available()
     _assert_digests_hold()
     assert _trace_gen_span()["bursts"] == "reference"
@@ -350,7 +350,7 @@ def test_no_npyrandom_keeps_the_coherence_kernel(fresh_library, obs_enabled):
     from repro.memsys.hierarchy import MemoryHierarchy
 
     fresh_library.setattr(fastpath_coherence, "_npyrandom_archive", lambda: None)
-    assert burst_step_declines() == "no-npyrandom"
+    assert npyrandom_step_declines() == "no-npyrandom"
     _assert_digests_hold()
     assert _trace_gen_span()["bursts"] == "reference"
     assert _burst_fallbacks() == {f"{BURST_FALLBACK_COUNTER}/no-npyrandom": 1}
